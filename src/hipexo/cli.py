@@ -2,14 +2,13 @@
 
 Subcommands wire data ingestion, simulation, optimization, detection, and
 reporting into reproducible runs: fixed config + seed give byte-identical
-artifacts. Every output file carries a header block with the config hash,
-seed, and tool version. Exit codes: 0 ok, 1 runtime failure, 2 usage or
+artifacts. Every CSV, YAML and text artifact opens with a ``#`` header block
+(see :mod:`hipexo.csvio`) with the config hash, seed, and tool version. Exit codes: 0 ok, 1 runtime failure, 2 usage or
 config error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
 from importlib import resources
@@ -20,6 +19,7 @@ import yaml
 
 from . import __version__
 from .configio import load_params, save_params
+from .csvio import open_artifact, read_csv, write_csv
 from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, DEFAULT_BATTERY,
                        ActivityLabel, LoadError, StrideSeries,
                        list_stride_files, load_schema, load_stride,
@@ -31,7 +31,7 @@ from .metrics import (ensemble_average, paired_summary, read_report,
 from .modulation import BilateralSample
 from .optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet, format_sim_table,
                        optimize)
-from .replay import BREAKDOWN_FIELDS, simulate_task
+from .replay import simulate_task, write_step_log
 
 _PACKAGED_CONFIGS = {
     "simulate": "default_simulate.yaml",
@@ -91,11 +91,15 @@ class _Run:
         return False
 
 
-def _resolve_seed(args_seed, cfg: dict, default: int = 7) -> int:
+def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
+    """``--seed``, else the first ``seed`` key among ``configs``, else
+    ``default``."""
     if args_seed is not None:
         return int(args_seed)
-    battery = cfg.get("battery") or {}
-    return int(battery.get("seed", cfg.get("seed", default)))
+    for cfg in configs:
+        if "seed" in cfg:
+            return int(cfg["seed"])
+    return default
 
 
 def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSeries]]:
@@ -132,13 +136,15 @@ def _battery_tasks(battery, weights: dict) -> list[TaskSet]:
     return tasks
 
 
-def _write_csv(path: Path, header: list[str], rows, header_lines):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _read_columns(path, required: tuple, what: str) -> list[dict]:
+    """Rows of a ``#``-header CSV as {column: cell} over ``required``; a
+    missing column is a config error naming every missing one."""
+    header, rows = read_csv(path)
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing {what} columns {missing}")
+    index = [header.index(c) for c in required]
+    return [dict(zip(required, (row[j] for j in index))) for row in rows]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -146,7 +152,7 @@ def _write_csv(path: Path, header: list[str], rows, header_lines):
 def cmd_simulate(args) -> int:
     cfg, raw = _read_config(args.config, "simulate")
     params = load_params(cfg.get("params", "default"))
-    seed = _resolve_seed(args.seed, cfg)
+    seed = _resolve_seed(args.seed, cfg.get("battery") or {}, cfg, default=7)
     battery = _build_battery(cfg, seed)
     cycles = int(cfg.get("cycles", 4))
     with _Run(Path(args.out), raw, seed) as run:
@@ -166,14 +172,8 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
                         run.header)
             save_stride(out, run.path("strides", "assisted", f"{code}_{k}.csv"),
                         run.header)
-            step_rows = [
-                [repr(log.t[i]), repr(log.phase[i])]
-                + [repr(log.series[f][i]) for f in BREAKDOWN_FIELDS]
-                for i in range(len(log.t))
-            ]
-            _write_csv(run.path("steps", f"{code}_{k}.csv"),
-                       ["timestamp", "phase", *BREAKDOWN_FIELDS],
-                       step_rows, run.header)
+            write_step_log(log, run.path("steps", f"{code}_{k}.csv"),
+                           run.header)
 
         # ensemble profiles over the task's strides (torque and power)
         n = strides[0].n
@@ -187,11 +187,11 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
             prof_rows = [[repr(percent[i]), repr(bio_mean[i]), repr(bio_sd[i]),
                           repr(exo_mean[i]), repr(exo_sd[i]),
                           repr(p_mean[i]), repr(p_sd[i])] for i in range(n)]
-            _write_csv(run.path("profiles", f"{code}.csv"),
-                       ["percent", "bio_moment_mean", "bio_moment_sd",
-                        "exo_torque_mean", "exo_torque_sd",
-                        "bio_power_mean", "bio_power_sd"],
-                       prof_rows, run.header)
+            write_csv(run.path("profiles", f"{code}.csv"),
+                      ["percent", "bio_moment_mean", "bio_moment_sd",
+                       "exo_torque_mean", "exo_torque_sd",
+                       "bio_power_mean", "bio_power_sd"],
+                      prof_rows, run.header)
 
         scale = float(np.mean([log.mean_extension_scale for log in logs]))
         rows.append(task_energetics(strides, "unassisted", 1.0))
@@ -204,7 +204,7 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
 def cmd_optimize(args) -> int:
     cfg, raw = _read_config(args.config, "optimize")
     warm = load_params(cfg.get("params", "default"))
-    seed = _resolve_seed(args.seed, cfg, default=0)
+    seed = _resolve_seed(args.seed, cfg)
     battery = _build_battery(cfg, int(cfg.get("battery", {}).get("seed", 7)))
     tasks = _battery_tasks(battery, cfg.get("weights", {}))
     for t in tasks:
@@ -228,11 +228,11 @@ def cmd_optimize(args) -> int:
     with _Run(Path(args.out), raw, seed) as run:
         result = optimize(spec, warm, budget=budget, seed=seed)
         save_params(result.best_params, run.path("best_params.yaml"), run.header)
-        _write_csv(run.path("trace.csv"), ["evaluation", "best_objective"],
-                   [[str(i), repr(v)] for i, v in result.trace], run.header)
+        write_csv(run.path("trace.csv"), ["evaluation", "best_objective"],
+                  [[str(i), repr(v)] for i, v in result.trace], run.header)
         table = format_sim_table(result.per_task_sim)
-        run.path("sim_table.txt").write_text(
-            "".join(f"# {line}\n" for line in run.header) + table + "\n")
+        with open_artifact(run.path("sim_table.txt"), run.header) as fh:
+            fh.write(table + "\n")
     print(table)
     print(f"objective {result.best_objective:.6g} after {result.n_evals} "
           f"evaluations ({result.reason})")
@@ -269,7 +269,7 @@ def cmd_metrics(args) -> int:
               "report is partial", file=sys.stderr)
 
     summary = paired_summary(rows)
-    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg, 0)) as run:
+    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg)) as run:
         write_report(rows, run.path("report.csv"), run.header)
         header = ["task", "hip_work_unassisted", "hip_work_assisted",
                   "hip_work_change_pct", "lowerlimb_work_change_pct",
@@ -280,7 +280,7 @@ def cmd_metrics(args) -> int:
             if rec.get("incomplete"):
                 continue
             out_rows.append([rec["task"]] + [repr(rec[k]) for k in header[1:]])
-        _write_csv(run.path("paired.csv"), header, out_rows, run.header)
+        write_csv(run.path("paired.csv"), header, out_rows, run.header)
     _print_paired(summary)
     return 0
 
@@ -304,14 +304,13 @@ def cmd_detect_hs(args) -> int:
     rate = float(cfg.get("rate_hz", 250.0))
     det_cfg = HsDetectorConfig(**cfg.get("detector", {}))
 
-    with open(src, newline="") as fh:
-        reader = csv.DictReader(r for r in fh if not r.startswith("#"))
-        required = ("t", "thigh_accel_l", "thigh_accel_r", "pelvis_accel",
-                    "thigh_angle_l", "thigh_angle_r")
-        missing = [c for c in required if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ConfigError(f"{src}: missing stream columns {missing}")
-        stream = [{k: float(row[k]) for k in required} for row in reader]
+    stream = [{k: float(v) for k, v in row.items()} for row in _read_columns(
+        src, ("t", "thigh_accel_l", "thigh_accel_r", "pelvis_accel",
+              "thigh_angle_l", "thigh_angle_r"), "stream")]
+    truth = None
+    if cfg.get("truth"):
+        truth = [(row["side"], float(row["time"])) for row in
+                 _read_columns(cfg["truth"], ("side", "time"), "truth")]
 
     detector = HsDetector(rate, det_cfg)
     events = []
@@ -324,30 +323,25 @@ def cmd_detect_hs(args) -> int:
         if ev is not None:
             events.append(ev)
 
-    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg, 0)) as run:
-        _write_csv(run.path("events.csv"),
-                   ["side", "timestamp", "source", "thigh_angle_l",
-                    "thigh_angle_r", "theta_diff"],
-                   [[e.side, repr(e.timestamp), e.source,
-                     repr(e.thigh_snapshot.theta_thigh_l),
-                     repr(e.thigh_snapshot.theta_thigh_r),
-                     repr(e.thigh_snapshot.theta_diff)] for e in events],
-                   run.header)
+    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg)) as run:
+        write_csv(run.path("events.csv"),
+                  ["side", "timestamp", "source", "thigh_angle_l",
+                   "thigh_angle_r", "theta_diff"],
+                  [[e.side, repr(e.timestamp), e.source,
+                    repr(e.thigh_snapshot.theta_thigh_l),
+                    repr(e.thigh_snapshot.theta_thigh_r),
+                    repr(e.thigh_snapshot.theta_diff)] for e in events],
+                  run.header)
 
-        if cfg.get("truth"):
-            truth = []
-            with open(cfg["truth"], newline="") as fh:
-                reader = csv.DictReader(r for r in fh if not r.startswith("#"))
-                for row in reader:
-                    truth.append((row["side"], float(row["time"])))
+        if truth is not None:
             scores = match_events(events, truth,
                                   tol_s=float(cfg.get("match_tol_s", 0.03)))
-            _write_csv(run.path("summary.csv"),
-                       ["precision", "recall", "true_positives",
-                        "detected", "truth"],
-                       [[repr(scores["precision"]), repr(scores["recall"]),
-                         str(scores["true_positives"]), str(len(events)),
-                         str(len(truth))]], run.header)
+            write_csv(run.path("summary.csv"),
+                      ["precision", "recall", "true_positives",
+                       "detected", "truth"],
+                      [[repr(scores["precision"]), repr(scores["recall"]),
+                        str(scores["true_positives"]), str(len(events)),
+                        str(len(truth))]], run.header)
             print(f"events={len(events)} precision={scores['precision']:.4f} "
                   f"recall={scores['recall']:.4f}")
         else:

@@ -12,6 +12,7 @@ from importlib import resources
 import yaml
 
 from .controller import ControllerParams
+from .csvio import open_artifact
 from .modulation import DescentModParams, SymmetryParams
 from .signals import SigmoidParams
 from .springs import GaitSpringParams, StsSpringParams
@@ -115,15 +116,7 @@ def load_params(path) -> ControllerParams:
         return params_from_dict(yaml.safe_load(fh))
 
 
-def save_params(params: ControllerParams, path,
-                header_lines: list[str] | None = None):
-    with open(path, "w") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
+def save_params(params: ControllerParams, path, header_lines=()):
+    with open_artifact(path, header_lines) as fh:
         yaml.safe_dump(params_to_dict(params), fh, sort_keys=True,
                        default_flow_style=False)
-
-
-def load_yaml(path) -> dict:
-    with open(path) as fh:
-        return yaml.safe_load(fh)

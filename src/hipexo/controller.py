@@ -8,7 +8,6 @@ identical frame sequences produce bit-identical breakdown sequences.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
@@ -23,6 +22,10 @@ from .springs import (VEL_BOUND, GaitSpringParams, JointSample,
                       gait_velocity_factors, sts_modulated_torque,
                       sts_spring_torque)
 
+STANDING_BETA = 0.9   # smoothed beta above this counts as standing
+FAULT_HOLD_S = 0.2    # hold the last command this long on bad frames
+FAULT_DECAY_S = 0.2   # then decay it linearly to zero
+
 
 @dataclass
 class ControllerParams:
@@ -36,9 +39,6 @@ class ControllerParams:
     loop_rate_hz: float = 250.0
     vel_filter_cutoff_hz: float = 10.0
     cmd_filter_cutoff_hz: float = 5.0
-    standing_beta: float = 0.9        # smoothed beta above this counts as standing
-    fault_hold_s: float = 0.2         # hold last command this long on bad frames
-    fault_decay_s: float = 0.2        # then decay it linearly to zero
 
     def __post_init__(self):
         if not self.torque_limit > 0:
@@ -98,60 +98,6 @@ class StepResult:
     hs_event: HsEvent | None = None
 
 
-# stable column order for binary-exact step logging
-LOG_COLUMNS = (
-    "timestamp", "side", "tau_ext", "tau_flex", "tau_gait", "tau_gait_mod",
-    "tau_sts", "tau_sts_mod", "tau_act_raw", "tau_cmd", "eta_ext", "eta_flex",
-    "alpha", "beta", "extension_scale", "hip_vel_filt", "fault",
-)
-
-
-def breakdown_rows(result: StepResult):
-    """Two CSV rows (left, right) for one step, floats via repr for exact
-    round-trips."""
-    rows = []
-    for side, bd in ((LEFT, result.left), (RIGHT, result.right)):
-        rows.append([
-            repr(result.timestamp), side,
-            repr(bd.tau_ext), repr(bd.tau_flex), repr(bd.tau_gait),
-            repr(bd.tau_gait_mod), repr(bd.tau_sts), repr(bd.tau_sts_mod),
-            repr(bd.tau_act_raw), repr(bd.tau_cmd), repr(bd.eta_ext),
-            repr(bd.eta_flex), repr(bd.alpha), repr(bd.beta),
-            repr(bd.extension_scale), repr(bd.hip_vel_filt),
-            "1" if bd.fault else "0",
-        ])
-    return rows
-
-
-def write_step_log(path, results: list, header_lines=None):
-    """Binary-exact bilateral step log: two rows per step in LOG_COLUMNS
-    order, floats via repr."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for result in results:
-            writer.writerows(breakdown_rows(result))
-
-
-def read_step_log(path) -> list:
-    """Reload a step log as (timestamp, side, TorqueBreakdown) tuples; the
-    float fields reproduce the logged values bit-exactly."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        header = next(reader)
-        for row in reader:
-            rec = dict(zip(header, row))
-            bd = TorqueBreakdown(
-                **{k: float(rec[k]) for k in header
-                   if k not in ("timestamp", "side", "fault")},
-                fault=rec["fault"] == "1")
-            out.append((float(rec["timestamp"]), rec["side"], bd))
-    return out
-
-
 class _SideState:
     def __init__(self, params: ControllerParams):
         self.vel_filter = LowpassFilter(
@@ -164,19 +110,10 @@ class _SideState:
 
 
 class HipController:
-    """Bilateral hip controller stepped at the loop rate by a single owner.
+    """Bilateral hip controller stepped at the loop rate by a single owner."""
 
-    Parameters
-    ----------
-    params : ControllerParams
-    descent_enabled : bool, optional
-        When False the descent attenuation factor is pinned at 0 (used for
-        paired ablation replays); everything else runs identically.
-    """
-
-    def __init__(self, params: ControllerParams, descent_enabled: bool = True):
+    def __init__(self, params: ControllerParams):
         self.params = params
-        self.descent_enabled = descent_enabled
         self.reset()
 
     def reset(self):
@@ -197,10 +134,10 @@ class HipController:
         if self._fault_since is None:
             self._fault_since = t
         elapsed = t - self._fault_since
-        if elapsed <= p.fault_hold_s:
+        if elapsed <= FAULT_HOLD_S:
             scale = 1.0
         else:
-            scale = max(0.0, 1.0 - (elapsed - p.fault_hold_s) / p.fault_decay_s)
+            scale = max(0.0, 1.0 - (elapsed - FAULT_HOLD_S) / FAULT_DECAY_S)
         result = StepResult(timestamp=t, left=TorqueBreakdown(fault=True),
                             right=TorqueBreakdown(fault=True))
         for side, bd in ((LEFT, result.left), (RIGHT, result.right)):
@@ -243,7 +180,7 @@ class HipController:
         imu = ImuFrame(frame.thigh_accel_l, frame.thigh_accel_r,
                        frame.pelvis_accel, t)
         event = self.detector.update(imu, bilateral)
-        if event is not None and self.descent_enabled:
+        if event is not None:
             self._sides[event.side].mod.latch_alpha(
                 alpha_at_heelstrike(event.thigh_snapshot, p.descent))
 
@@ -257,7 +194,7 @@ class HipController:
         ):
             st = self._sides[side]
             beta = beta_smoothed(st.mod, b_raw)
-            reset_tick(st.mod, beta > p.standing_beta, t, p.descent)
+            reset_tick(st.mod, beta > STANDING_BETA, t, p.descent)
 
             sample = JointSample(hip_angle, vfilt[side], thigh_angle,
                                  frame.torso_angle)

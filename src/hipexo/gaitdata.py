@@ -9,7 +9,6 @@ and moment profiles per activity, with seeded inter-stride jitter.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .csvio import LoadError, read_csv, write_csv
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
 from .springs import (GaitSpringParams, StsSpringParams, gait_torque_series,
                       sts_torque_series)
@@ -58,10 +58,6 @@ _CODES = {"level-walk": "LG", "ramp-ascent": "RA", "ramp-descent": "RD",
           "stair-ascent": "SA", "stair-descent": "SD", "sit-to-stand": "STS"}
 
 HIP_INTENSIVE = ("level-walk", "ramp-ascent", "stair-ascent", "sit-to-stand")
-
-
-class LoadError(ValueError):
-    """Raised on malformed or incomplete input files."""
 
 
 @dataclass(frozen=True)
@@ -256,14 +252,8 @@ def load_trial(path, schema: dict) -> RawTrial:
     if not mass > 0:
         raise LoadError("schema must set body_mass_kg > 0")
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise LoadError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-    col_index = {name: i for i, name in enumerate(header)}
+    header, rows = read_csv(path)
+    col_index = {name.strip(): i for i, name in enumerate(header)}
 
     channels: dict[str, np.ndarray] = {}
     for canonical, spec in schema["columns"].items():
@@ -389,18 +379,14 @@ def stride_meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def save_stride(stride: StrideSeries, path, header_lines: list[str] | None = None):
+def save_stride(stride: StrideSeries, path, header_lines=()):
     """Write a stride as CSV (repr floats, bit-exact round-trip) plus a JSON
     metadata sidecar."""
     path = Path(path)
     names = sorted(stride.channels)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(stride.n):
-            writer.writerow([repr(float(stride.channels[c][i])) for c in names])
+    write_csv(path, names,
+              ([repr(float(stride.channels[c][i])) for c in names]
+               for i in range(stride.n)), header_lines)
     meta = {
         "kind": stride.label.kind,
         "parameter": stride.label.parameter,
@@ -421,10 +407,7 @@ def load_stride(path) -> StrideSeries:
         raise LoadError(f"missing metadata sidecar {meta_path}")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        data = list(reader)
+    header, data = read_csv(path)
     channels = {name: np.array([float(row[j]) for row in data])
                 for j, name in enumerate(header)}
     return StrideSeries(

@@ -39,11 +39,6 @@ class ImuFrame:
     pelvis_accel: float
     timestamp: float
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in
-                   (self.thigh_accel_l, self.thigh_accel_r,
-                    self.pelvis_accel, self.timestamp))
-
 
 @dataclass
 class HsEvent:
@@ -126,13 +121,6 @@ class _Channel:
             self._update_threshold()
         return confirmed
 
-    def reset(self):
-        self.count = 0
-        self.idx = 0
-        self.threshold = math.inf
-        self.last_above_t = -math.inf
-        self.cand_age = -1
-
 
 class HsDetector:
     """Streaming heel-strike detector over thigh and pelvis channels.
@@ -208,13 +196,6 @@ class HsDetector:
         if self._pending:
             return self._pending.pop(0)
         return None
-
-    def reset(self):
-        for ch in (*self._thigh.values(), self._pelvis):
-            ch.reset()
-        self._last_event_t = {LEFT: -math.inf, RIGHT: -math.inf}
-        self._last_t = None
-        self._pending = []
 
 
 def match_events(detected: list[HsEvent], truth: list[tuple[str, float]],

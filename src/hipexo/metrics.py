@@ -7,11 +7,11 @@ biological side. All functions are pure.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
 from .gaitdata import (CH_ANKLE_MOMENT, CH_ANKLE_VEL, CH_EXO, CH_HIP_MOMENT,
                        CH_HIP_VEL, CH_KNEE_MOMENT, CH_KNEE_VEL, StrideSeries)
 from .signals import integrate_positive
@@ -103,6 +103,16 @@ class TaskEnergetics:
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(TaskEnergetics))
+# cell codec per annotated field type: floats via repr for exact round-trips
+_CELL_PARSE = {f.name: {"str": str, "float": float, "int": int,
+                        "bool": lambda cell: cell == "1"}[f.type]
+               for f in fields(TaskEnergetics)}
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def stride_energetics(stride: StrideSeries) -> dict:
@@ -166,40 +176,19 @@ def task_energetics(strides: list[StrideSeries], condition: str,
     )
 
 
-def write_report(rows: list[TaskEnergetics], path,
-                 header_lines: list[str] | None = None):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.task, row.condition, repr(row.hip_work),
-                repr(row.lowerlimb_work), repr(row.peak_bio_power),
-                repr(row.peak_total_power), repr(row.mean_extension_scale),
-                repr(row.sim), str(row.n_strides),
-                "1" if row.hip_intensive else "0",
-            ])
+def write_report(rows: list[TaskEnergetics], path, header_lines=()):
+    write_csv(path, REPORT_COLUMNS,
+              ([_cell(getattr(row, c)) for c in REPORT_COLUMNS] for row in rows),
+              header_lines)
 
 
 def read_report(path) -> list[TaskEnergetics]:
+    header, records = read_csv(path)
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        header = next(reader)
-        for rec in reader:
-            d = dict(zip(header, rec))
-            rows.append(TaskEnergetics(
-                task=d["task"], condition=d["condition"],
-                hip_work=float(d["hip_work"]),
-                lowerlimb_work=float(d["lowerlimb_work"]),
-                peak_bio_power=float(d["peak_bio_power"]),
-                peak_total_power=float(d["peak_total_power"]),
-                mean_extension_scale=float(d["mean_extension_scale"]),
-                sim=float(d["sim"]), n_strides=int(d["n_strides"]),
-                hip_intensive=d["hip_intensive"] == "1",
-            ))
+    for rec in records:
+        d = dict(zip(header, rec))
+        rows.append(TaskEnergetics(**{k: parse(d[k])
+                                      for k, parse in _CELL_PARSE.items()}))
     return rows
 
 

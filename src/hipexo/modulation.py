@@ -103,22 +103,11 @@ class ModulationState:
     ramp_start: float | None = None
     ramp_initial_alpha: float = 0.0
 
-    @property
-    def beta_filtered(self) -> float:
-        return self.beta_ema.value
-
     def latch_alpha(self, alpha: float):
         """Store a heel-strike alpha and cancel any running reset ramp."""
         self.alpha = alpha
         self.ramp_start = None
         self.standing_since = None
-
-    def reset(self):
-        self.alpha = 0.0
-        self.beta_ema.value = 0.0
-        self.standing_since = None
-        self.ramp_start = None
-        self.ramp_initial_alpha = 0.0
 
 
 def alpha_at_heelstrike(hs: BilateralSample, p: DescentModParams) -> float:

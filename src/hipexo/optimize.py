@@ -43,6 +43,10 @@ PARAM_PATHS = {
 DEFAULT_FREE = ("w_ext", "phi_ext", "w_flex", "phi_flex",
                 "theta_ext_eq", "theta_flex_eq")
 
+SIGN_MASK_FRAC = 0.05        # sign penalty only where |target| > this * peak
+RESTART_SCALE = 0.05         # restart perturbation, as a fraction of the box
+MAX_STAGNANT_RESTARTS = 2    # stop after this many restarts without gain
+
 
 def get_param(params: ControllerParams, name: str) -> float:
     obj = params
@@ -93,7 +97,6 @@ class ObjectiveSpec:
     free: tuple = DEFAULT_FREE
     bounds: dict = field(default_factory=dict)
     target_scale: float = 20.0   # Nm per Nm/kg
-    sign_mask_frac: float = 0.05
 
     def __post_init__(self):
         if not self.tasks:
@@ -140,7 +143,7 @@ class _Evaluator:
             torso = np.concatenate([s.channels[CH_TORSO] for s in t.strides])
             target = spec.target_scale * np.concatenate(
                 [s.channels[CH_HIP_MOMENT] for s in t.strides])
-            mask = np.abs(target) > spec.sign_mask_frac * np.max(np.abs(target))
+            mask = np.abs(target) > SIGN_MASK_FRAC * np.max(np.abs(target))
             self._tasks.append((t, theta, omega, thigh, torso, target, mask))
 
     def x0(self) -> np.ndarray:
@@ -226,8 +229,7 @@ class _BudgetExhausted(Exception):
 
 
 def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
-             seed: int = 0, restart_scale: float = 0.05,
-             max_stagnant_restarts: int = 2) -> OptResult:
+             seed: int = 0) -> OptResult:
     """Bound-constrained derivative-free search from a warm start.
 
     Nelder-Mead with box bounds, restarted from seeded perturbations of the
@@ -272,12 +274,12 @@ def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
                 break
             rel_gain = (f_before - state["best_f"]) / max(abs(f_before), 1e-30)
             stagnant = stagnant + 1 if rel_gain < 1e-9 else 0
-            if stagnant > max_stagnant_restarts:
+            if stagnant > MAX_STAGNANT_RESTARTS:
                 reason = "converged (stagnant restarts)"
                 break
             x_start = np.clip(
                 state["best_x"] + rng.uniform(-1.0, 1.0, x0.size)
-                * restart_scale * span,
+                * RESTART_SCALE * span,
                 ev.lo, ev.hi)
     else:
         reason = "budget of one evaluation"

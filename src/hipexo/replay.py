@@ -7,18 +7,20 @@ is mapped back onto the stride grid as the exo_torque channel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .controller import ControllerParams, HipController, SensorFrame
+from .controller import (ControllerParams, HipController, SensorFrame,
+                         TorqueBreakdown)
+from .csvio import write_csv
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
 
-BREAKDOWN_FIELDS = ("tau_ext", "tau_flex", "tau_gait", "tau_gait_mod",
-                    "tau_sts", "tau_sts_mod", "tau_act_raw", "tau_cmd",
-                    "eta_ext", "eta_flex", "alpha", "beta",
-                    "extension_scale", "hip_vel_filt")
+# the float fields of TorqueBreakdown, in step-log column order
+BREAKDOWN_FIELDS = tuple(f.name for f in fields(TorqueBreakdown)
+                         if f.name != "fault")
+STS_LEAD_IN_S = 1.5   # seated hold before a sit-to-stand replay
 
 
 @dataclass
@@ -34,6 +36,14 @@ class ReplayLog:
     stride: StrideSeries
 
 
+def write_step_log(log: ReplayLog, path, header_lines=()):
+    """One row per control step: timestamp, phase, then BREAKDOWN_FIELDS."""
+    write_csv(path, ("timestamp", "phase", *BREAKDOWN_FIELDS),
+              ([repr(log.t[i]), repr(log.phase[i])]
+               + [repr(log.series[f][i]) for f in BREAKDOWN_FIELDS]
+               for i in range(len(log.t))), header_lines)
+
+
 def _interp_cyclic(stride: StrideSeries, name: str, contra: bool = False):
     grid = np.linspace(0.0, 1.0, stride.n)
     values = stride.contra(name) if contra else stride.channels[name]
@@ -41,23 +51,21 @@ def _interp_cyclic(stride: StrideSeries, name: str, contra: bool = False):
 
 
 def replay_stride(params: ControllerParams, stride: StrideSeries,
-                  cycles: int = 4, lead_in_s: float | None = None,
-                  descent_enabled: bool = True,
-                  controller: HipController | None = None) -> ReplayLog:
+                  cycles: int = 4) -> ReplayLog:
     """Replay one stride and return the left-side step log.
 
     The stride's ipsilateral channels drive the left leg, the contralateral
     ones the right. Gait strides loop for ``cycles``; sit-to-stand runs once
-    after a lead-in that holds the seated first sample (default 1.5 s).
+    after a lead-in that holds the seated first sample for STS_LEAD_IN_S.
     The measured cycle (for the exo-torque grid and the mean extension
     scale) is the last one.
     """
     is_gait = stride.label.is_gait
-    if not is_gait:
+    if is_gait:
+        lead_in_s = 0.0
+    else:
         cycles = 1
-        if lead_in_s is None:
-            lead_in_s = 1.5
-    lead_in_s = lead_in_s or 0.0
+        lead_in_s = STS_LEAD_IN_S
 
     rate = params.loop_rate_hz
     T = stride.cycle_duration
@@ -99,7 +107,7 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     sampled["vel_l"] = np.where(lead, 0.0, sampled["vel_l"])
     sampled["vel_r"] = np.where(lead, 0.0, sampled["vel_r"])
 
-    ctl = controller or HipController(params, descent_enabled=descent_enabled)
+    ctl = HipController(params)
     series = {name: np.empty(n_steps) for name in BREAKDOWN_FIELDS}
     events = []
     for i in range(n_steps):
@@ -135,7 +143,7 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
 
 
 def simulate_task(params: ControllerParams, strides: list[StrideSeries],
-                  cycles: int = 4, descent_enabled: bool = True):
+                  cycles: int = 4):
     """Replay every stride of one task.
 
     Returns (assisted_strides, logs): copies of the input strides with the
@@ -145,8 +153,7 @@ def simulate_task(params: ControllerParams, strides: list[StrideSeries],
     assisted = []
     logs = []
     for stride in strides:
-        log = replay_stride(params, stride, cycles=cycles,
-                            descent_enabled=descent_enabled)
+        log = replay_stride(params, stride, cycles=cycles)
         out = stride.copy_with(exo_torque=log.exo_torque_grid)
         out.condition = "assisted"
         assisted.append(out)

@@ -108,10 +108,6 @@ class LowpassFilter:
         self.z2 = self.b2 * x - self.a2 * y
         return y
 
-    def reset(self):
-        self.z1 = 0.0
-        self.z2 = 0.0
-
     def prime(self, value: float):
         """Set the internal state to the DC steady state for ``value``."""
         self.z1 = value * (1.0 - self.b0)

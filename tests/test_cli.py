@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from hipexo.cli import main
+from hipexo.csvio import read_csv
 from hipexo.gaitdata import load_stride, synth_imu_stream
 from hipexo.metrics import read_report
 
@@ -25,11 +26,69 @@ def write_yaml(path, data):
     return str(path)
 
 
+def write_opt_config(tmp_path, **over):
+    cfg = {
+        "params": "default",
+        "battery": {"synthetic": True, "seed": 7, "strides_per_task": 2,
+                    "tasks": ["level-walk:1.15", "ramp-ascent:11"]},
+        "weights": {"level-walk": 1.0, "ramp-ascent": 2.0},
+        "bounds": {"w_ext": [-10.0, -0.2], "phi_ext": [0.0, 8.0],
+                   "w_flex": [0.2, 10.0], "phi_flex": [0.0, 8.0],
+                   "theta_ext_eq": [0.05, 0.8],
+                   "theta_flex_eq": [-0.6, 0.45]},
+        "budget": 300,
+    }
+    cfg.update(over)
+    return write_yaml(tmp_path / "opt.yaml", cfg)
+
+
+def write_hs_config(tmp_path, duration_s, seed):
+    """Stream and truth CSVs from ``synth_imu_stream`` plus a detect-hs
+    config that scores against the truth."""
+    frames, truth = synth_imu_stream(duration_s, seed=seed)
+    write_stream_csv(tmp_path / "stream.csv", frames)
+    with open(tmp_path / "truth.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["side", "time"])
+        for side, t in truth:
+            w.writerow([side, repr(t)])
+    return write_yaml(tmp_path / "hs.yaml",
+                      {"input": str(tmp_path / "stream.csv"),
+                       "rate_hz": 250.0,
+                       "truth": str(tmp_path / "truth.csv")})
+
+
+def assert_same_tree(a, b):
+    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert files_a == files_b
+    for rel in files_a:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
 @pytest.fixture
 def sim_config(tmp_path):
     return write_yaml(tmp_path / "sim.yaml",
                       {"params": "default", "battery": SMALL_BATTERY,
                        "cycles": 3})
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "detect-hs"])
+def test_header_block_present(tmp_path, sim_config, command):
+    config = {"simulate": lambda: sim_config,
+              "optimize": lambda: write_opt_config(tmp_path),
+              "detect-hs": lambda: write_hs_config(tmp_path, 10.0, 5)}[command]()
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file()
+                   and not p.name.endswith(".meta.json"))
+    assert files
+    for path in files:
+        assert path.suffix in (".csv", ".yaml", ".txt"), path
+        head = path.read_text().splitlines()[:3]
+        assert head[0].startswith("# tool: hipexo"), path
+        assert head[1].startswith("# config_sha256:"), path
+        assert head[2].startswith("# seed:"), path
 
 
 class TestSimulate:
@@ -55,11 +114,7 @@ class TestSimulate:
                      "--seed", "7"]) == 0
         assert main(["simulate", "--config", sim_config, "--out", str(b),
                      "--seed", "7"]) == 0
-        files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-        assert files_a == files_b
-        for rel in files_a:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        assert_same_tree(a, b)
 
     def test_missing_params_file_exit_2(self, tmp_path):
         cfg = write_yaml(tmp_path / "bad.yaml",
@@ -68,33 +123,27 @@ class TestSimulate:
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_header_block_present(self, tmp_path, sim_config):
+    @pytest.mark.xfail(
+        np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
+        reason="step-log and profile cells are repr() of numpy scalars, which "
+               "numpy 2 writes as 'np.float64(...)'; the fix changes the "
+               "sim-battery artifact digest, so perfbench/baseline.json must "
+               "be re-recorded with it")
+    def test_step_and_profile_cells_parse_as_float(self, tmp_path, sim_config):
         out = tmp_path / "out"
-        main(["simulate", "--config", sim_config, "--out", str(out)])
-        head = (out / "report.csv").read_text().splitlines()[:3]
-        assert head[0].startswith("# tool: hipexo")
-        assert head[1].startswith("# config_sha256:")
-        assert head[2].startswith("# seed:")
+        assert main(["simulate", "--config", sim_config, "--out", str(out)]) == 0
+        paths = [*(out / "steps").glob("*.csv"), *(out / "profiles").glob("*.csv")]
+        assert paths
+        for path in paths:
+            _, rows = read_csv(path)
+            for row in rows:
+                for cell in row:
+                    float(cell)
 
 
 class TestOptimize:
-    def _config(self, tmp_path, **over):
-        cfg = {
-            "params": "default",
-            "battery": {"synthetic": True, "seed": 7, "strides_per_task": 2,
-                        "tasks": ["level-walk:1.15", "ramp-ascent:11"]},
-            "weights": {"level-walk": 1.0, "ramp-ascent": 2.0},
-            "bounds": {"w_ext": [-10.0, -0.2], "phi_ext": [0.0, 8.0],
-                       "w_flex": [0.2, 10.0], "phi_flex": [0.0, 8.0],
-                       "theta_ext_eq": [0.05, 0.8],
-                       "theta_flex_eq": [-0.6, 0.45]},
-            "budget": 300,
-        }
-        cfg.update(over)
-        return write_yaml(tmp_path / "opt.yaml", cfg)
-
     def test_smoke(self, tmp_path, capsys):
-        cfg = self._config(tmp_path)
+        cfg = write_opt_config(tmp_path)
         out = tmp_path / "opt_out"
         assert main(["optimize", "--config", cfg, "--out", str(out),
                      "--seed", "0"]) == 0
@@ -103,7 +152,7 @@ class TestOptimize:
         assert "Activity" in capsys.readouterr().out
 
     def test_budget_one_single_trace_row(self, tmp_path):
-        cfg = self._config(tmp_path, budget=1)
+        cfg = write_opt_config(tmp_path, budget=1)
         out = tmp_path / "b1"
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
         rows = [r for r in (out / "trace.csv").read_text().splitlines()
@@ -111,14 +160,26 @@ class TestOptimize:
         assert len(rows) == 2  # header + single evaluation
 
     def test_infeasible_bounds_fail_before_eval(self, tmp_path):
-        cfg = self._config(tmp_path,
-                           bounds={"w_ext": [10.0, -0.2], "phi_ext": [0, 8],
-                                   "w_flex": [0.2, 10], "phi_flex": [0, 8],
-                                   "theta_ext_eq": [0.05, 0.8],
-                                   "theta_flex_eq": [-0.6, 0.45]})
+        cfg = write_opt_config(tmp_path,
+                               bounds={"w_ext": [10.0, -0.2], "phi_ext": [0, 8],
+                                       "w_flex": [0.2, 10], "phi_flex": [0, 8],
+                                       "theta_ext_eq": [0.05, 0.8],
+                                       "theta_flex_eq": [-0.6, 0.45]})
         rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "x")])
         assert rc in (1, 2)
         assert not (tmp_path / "x" / "best_params.yaml").exists()
+
+    @pytest.mark.parametrize("over, seed", [({}, "0"), ({"seed": 3}, "3")],
+                             ids=["no-seed-key", "top-level-seed"])
+    def test_search_seed_falls_back_to_config_seed(self, tmp_path, over, seed):
+        # the battery seed (7) is not the search seed
+        cfg = write_opt_config(tmp_path, **over)
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        assert main(["optimize", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["optimize", "--config", cfg, "--out", str(b),
+                     "--seed", seed]) == 0
+        assert_same_tree(a, b)
 
 
 class TestMetrics:
@@ -183,17 +244,7 @@ def write_stream_csv(path, frames):
 
 class TestDetectHs:
     def test_synthetic_fixture_scores(self, tmp_path, capsys):
-        frames, truth = synth_imu_stream(40.0, seed=5)
-        write_stream_csv(tmp_path / "stream.csv", frames)
-        with open(tmp_path / "truth.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["side", "time"])
-            for side, t in truth:
-                w.writerow([side, repr(t)])
-        cfg = write_yaml(tmp_path / "hs.yaml",
-                         {"input": str(tmp_path / "stream.csv"),
-                          "rate_hz": 250.0,
-                          "truth": str(tmp_path / "truth.csv")})
+        cfg = write_hs_config(tmp_path, 40.0, 5)
         out = tmp_path / "hs_out"
         assert main(["detect-hs", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "summary.csv") as fh:
@@ -235,6 +286,18 @@ class TestDetectHs:
                          {"input": str(tmp_path / "stream.csv")})
         assert main(["detect-hs", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_truth_missing_columns_exit_2(self, tmp_path, capsys):
+        frames, _ = synth_imu_stream(5.0, seed=6)
+        write_stream_csv(tmp_path / "stream.csv", frames)
+        (tmp_path / "truth.csv").write_text("leg,t\nleft,1.5\n")
+        cfg = write_yaml(tmp_path / "hs.yaml",
+                         {"input": str(tmp_path / "stream.csv"),
+                          "truth": str(tmp_path / "truth.csv")})
+        assert main(["detect-hs", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "missing truth columns ['side', 'time']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "events.csv").exists()
 
 
 class TestReport:
