@@ -9,7 +9,7 @@ identical frame sequences produce bit-identical breakdown sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .heelstrike import LEFT, RIGHT, HsDetector, HsEvent, ImuFrame
 from .modulation import (BilateralSample, DescentModParams, ModulationState,
@@ -66,7 +66,16 @@ class SensorFrame:
     pelvis_accel: float = 0.0    # m/s^2, high-pass residual magnitude
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(getattr(self, f.name)) for f in fields(self))
+        isfinite = math.isfinite
+        return (isfinite(self.timestamp)
+                and isfinite(self.hip_angle_l) and isfinite(self.hip_angle_r)
+                and isfinite(self.hip_vel_l) and isfinite(self.hip_vel_r)
+                and isfinite(self.thigh_angle_l)
+                and isfinite(self.thigh_angle_r)
+                and isfinite(self.torso_angle)
+                and isfinite(self.thigh_accel_l)
+                and isfinite(self.thigh_accel_r)
+                and isfinite(self.pelvis_accel))
 
 
 @dataclass

@@ -8,13 +8,20 @@ the leading leg (greater thigh flexion at the peak sample). A per-side
 refractory window suppresses duplicates. Thresholds are relative to the
 stream's own statistics, so scaling a stream by any positive constant leaves
 the detected event set unchanged.
+
+The window is kept twice: as a ring buffer, and as a sorted list updated by
+one bisect delete and one insert per sample. Each threshold refresh reads
+the median from the middle of the sorted list and selects the MAD in
+O(log n) from the two sorted runs of deviations on either side of it, so
+the threshold is the exact float that recomputing median and MAD over the
+whole window gives. A NaN sample is counted outside the sorted list, and
+while one is in the window the threshold is NaN, which no sample exceeds.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from .modulation import BilateralSample
 
@@ -69,7 +76,9 @@ class _Channel:
 
     def __init__(self, window: int, warmup: int, k_mad: float,
                  refresh: int, confirm: int):
-        self.buf = np.zeros(window)
+        self.ring = [0.0] * window   # trailing window in arrival order
+        self.sorted: list[float] = []  # its non-NaN samples, ascending
+        self.nans = 0                # NaN samples in the window
         self.count = 0  # total samples seen
         self.idx = 0
         self.warmup = warmup
@@ -85,10 +94,42 @@ class _Channel:
         self.cand_age = -1
 
     def _update_threshold(self):
-        n = min(self.count, self.buf.size)
-        data = self.buf if n == self.buf.size else self.buf[:n]
-        med = float(np.median(data))
-        mad = float(np.median(np.abs(data - med)))
+        s = self.sorted
+        if self.nans:
+            self.threshold = math.nan
+            return
+        n = len(s)
+        h = n // 2
+        med = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
+        if -math.inf < med < math.inf:
+            # s[:h] <= med <= s[h:], so the deviations form two ascending
+            # runs, med - s[h-1], med - s[h-2], ... and s[h] - med,
+            # s[h+1] - med, ..., each the exact float |x - med| (rounding
+            # is monotone and symmetric). Search how many (i) of the h
+            # smallest deviations come from the left run; the MAD is then
+            # the next deviation (odd n) or the mean of the h-th and the
+            # next (even n).
+            lo, hi = 0, h
+            while lo < hi:
+                i = (lo + hi) // 2
+                if med - s[h - 1 - i] < s[2 * h - 1 - i] - med:
+                    lo = i + 1
+                else:
+                    hi = i
+            i = lo
+            mad = min(med - s[h - 1 - i] if i < h else math.inf,
+                      s[2 * h - i] - med if 2 * h - i < n else math.inf)
+            if not n % 2:
+                last = max(med - s[h - i] if i else -math.inf,
+                           s[2 * h - 1 - i] - med if i < h else -math.inf)
+                mad = (last + mad) / 2
+            mad = abs(mad)   # a zero deviation can come out as -0.0
+        elif med != med or med in (s[0], s[-1]):
+            # NaN median, or inf - inf in the deviation of a sample at it
+            mad = math.nan
+        else:
+            # a finite pair overflowed to an infinite median
+            mad = math.inf
         self.threshold = med + self.k_mad * mad
 
     def push(self, value: float, t: float,
@@ -114,8 +155,19 @@ class _Channel:
                 confirmed = (self.cand_t, self.cand_snapshot)
                 self.cand_age = -1
 
-        self.buf[self.idx] = value
-        self.idx = (self.idx + 1) % self.buf.size
+        ring = self.ring
+        if self.count >= len(ring):
+            old = ring[self.idx]
+            if old != old:
+                self.nans -= 1
+            else:
+                del self.sorted[bisect_left(self.sorted, old)]
+        ring[self.idx] = value
+        if value != value:
+            self.nans += 1
+        else:
+            insort(self.sorted, value)
+        self.idx = (self.idx + 1) % len(ring)
         self.count += 1
         if self.count >= self.warmup and self.count % self.refresh == 0:
             self._update_threshold()
@@ -159,8 +211,10 @@ class HsDetector:
     def update(self, frame: ImuFrame, bilateral: BilateralSample) -> HsEvent | None:
         """Feed one frame; returns at most one heel-strike event.
 
-        Raises ``ValueError`` on non-monotonic timestamps.
+        Raises ``ValueError`` on non-finite or non-monotonic timestamps.
         """
+        if not math.isfinite(frame.timestamp):
+            raise ValueError(f"non-finite timestamp {frame.timestamp}")
         if self._last_t is not None and frame.timestamp <= self._last_t:
             raise ValueError(
                 f"non-monotonic timestamp {frame.timestamp} after {self._last_t}"

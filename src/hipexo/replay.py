@@ -8,6 +8,7 @@ is mapped back onto the stride grid as the exo_torque channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -107,26 +108,23 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     sampled["vel_l"] = np.where(lead, 0.0, sampled["vel_l"])
     sampled["vel_r"] = np.where(lead, 0.0, sampled["vel_r"])
 
-    ctl = HipController(params)
-    series = {name: np.empty(n_steps) for name in BREAKDOWN_FIELDS}
+    # frame columns in SensorFrame field order, as Python floats: the
+    # controller's scalar arithmetic is cheaper on them than on numpy
+    # scalars, and gives the same floats
+    columns = [tgrid.tolist()] + [sampled[k].tolist() for k in (
+        "hip_l", "hip_r", "vel_l", "vel_r", "thigh_l", "thigh_r", "torso",
+        "acc_l", "acc_r", "acc_p")]
+    step = HipController(params).step
+    breakdown_row = attrgetter(*BREAKDOWN_FIELDS)
+    rows = []
     events = []
-    for i in range(n_steps):
-        frame = SensorFrame(
-            timestamp=tgrid[i],
-            hip_angle_l=sampled["hip_l"][i], hip_angle_r=sampled["hip_r"][i],
-            hip_vel_l=sampled["vel_l"][i], hip_vel_r=sampled["vel_r"][i],
-            thigh_angle_l=sampled["thigh_l"][i],
-            thigh_angle_r=sampled["thigh_r"][i],
-            torso_angle=sampled["torso"][i],
-            thigh_accel_l=sampled["acc_l"][i],
-            thigh_accel_r=sampled["acc_r"][i],
-            pelvis_accel=sampled["acc_p"][i],
-        )
-        result = ctl.step(frame)
-        for name in BREAKDOWN_FIELDS:
-            series[name][i] = getattr(result.left, name)
+    for values in zip(*columns):
+        result = step(SensorFrame(*values))
+        rows.append(breakdown_row(result.left))
         if result.hs_event is not None:
             events.append(result.hs_event)
+    series = {name: np.array(col, dtype=float)
+              for name, col in zip(BREAKDOWN_FIELDS, zip(*rows))}
 
     # map the measured (last) cycle's command back onto the stride grid
     t_meas0 = lead_in_s + (cycles - 1) * T

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from hipexo.gaitdata import synth_imu_stream
 from hipexo.heelstrike import (HsDetector, HsDetectorConfig, ImuFrame,
-                               match_events)
+                               _Channel, match_events)
 from hipexo.modulation import BilateralSample
 
 RATE = 250.0
@@ -83,6 +85,18 @@ class TestStreamContract:
         with pytest.raises(ValueError):
             det.update(ImuFrame(0, 0, 0, 0.0), b)
 
+    @pytest.mark.parametrize("bad_t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamps_rejected(self, bad_t):
+        det = HsDetector(RATE)
+        b = BilateralSample.from_thighs(0.0, 0.0, 0.0, 0.0)
+        det.update(ImuFrame(0, 0, 0, 0.0), b)
+        with pytest.raises(ValueError):
+            det.update(ImuFrame(0, 0, 0, bad_t), b)
+        # the rejected frame leaves the monotonic check armed
+        with pytest.raises(ValueError):
+            det.update(ImuFrame(0, 0, 0, 0.0), b)
+        assert det.update(ImuFrame(0, 0, 0, 1.0 / RATE), b) is None
+
     def test_refractory_window_enforced_on_stream(self):
         frames, _ = synth_imu_stream(60.0, seed=5)
         events = run_stream(frames)
@@ -105,6 +119,99 @@ class TestStreamContract:
             ev = det.update(f, b)
             if ev is not None:
                 assert t - ev.timestamp <= (cfg.confirm_samples + 1) / RATE + 1e-9
+
+
+class TestSimultaneousHits:
+    def test_pending_queue_releases_one_event_per_step(self):
+        """Left-thigh, right-thigh and pelvis hits that confirm on the same
+        step come out one per step in peak-time order; refractory and fused
+        attribution decide which of them become events."""
+        n = 600
+        t = np.arange(n) / RATE
+        acc_l, acc_r, acc_p = np.zeros(n), np.zeros(n), np.zeros(n)
+        thigh_l, thigh_r = np.full(n, 0.3), np.full(n, 0.1)  # left leads
+        # triple hit; again inside the refractory window; then left thigh
+        # and pelvis with the right leg leading
+        for p, (l, r, pel) in ((200, (9.0, 8.0, 7.0)),
+                               (250, (9.0, 8.0, 7.0)),
+                               (400, (9.0, 0.0, 7.0))):
+            acc_l[p], acc_r[p], acc_p[p] = l, r, pel
+        thigh_l[400:], thigh_r[400:] = 0.1, 0.3
+        det = HsDetector(RATE)
+        got = []
+        for i in range(n):
+            ev = det.update(
+                ImuFrame(acc_l[i], acc_r[i], acc_p[i], t[i]),
+                BilateralSample.from_thighs(thigh_l[i], thigh_r[i], 0.0, t[i]))
+            if ev is not None:
+                got.append((i, ev.side, ev.timestamp, ev.source))
+        c = det.config.confirm_samples
+        assert got == [
+            (200 + c, "left", t[200], "fused"),
+            (201 + c, "right", t[200], "fused"),
+            (400 + c, "left", t[400], "fused"),
+            (401 + c, "right", t[400], "pelvis-channel"),
+        ]
+
+
+def _reference_threshold(window, k_mad):
+    """Median + k_mad * MAD of ``window`` by full ``np.median`` recompute."""
+    data = np.asarray(window, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        med = float(np.median(data))
+        mad = float(np.median(np.abs(data - med)))
+    return med + k_mad * mad
+
+
+def _mixed_stream(rng, window, n):
+    """Seeded samples in blocks of continuous values, heavy ties, signed
+    zeros, infinities and finite pairs whose mean overflows, with NaN bursts
+    entering and leaving the window."""
+    regimes = (
+        lambda k: rng.normal(size=k),
+        lambda k: rng.integers(-2, 3, size=k).astype(float),
+        lambda k: rng.choice([0.0, -0.0, 1.0], size=k),
+        lambda k: rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], size=k),
+        lambda k: rng.choice([-np.inf, 0.0, np.inf], size=k),
+        lambda k: rng.choice([-1.7e308, -1e308, 0.5, 1e308, 1.7e308],
+                             size=k),
+    )
+    out = []
+    while len(out) < n:
+        k = int(rng.integers(1, 2 * window))
+        block = regimes[int(rng.integers(len(regimes)))](k)
+        if rng.random() < 0.3:
+            a = int(rng.integers(k))
+            block[a:a + int(rng.integers(1, window))] = np.nan
+        out.extend(block.tolist())
+    return out[:n]
+
+
+class TestIncrementalThreshold:
+    @pytest.mark.parametrize("window", [8, 9, 500, 501])
+    @pytest.mark.parametrize("refresh", [1, 5])
+    def test_matches_full_recompute_bit_for_bit(self, window, refresh):
+        rng = np.random.default_rng(window * 10 + refresh)
+        warmup, k_mad = 3, 4.0
+        ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
+        snap = BilateralSample.from_thighs(0.0, 0.0, 0.0, 0.0)
+        values = _mixed_stream(rng, window, 12 * window + 7)
+        kinds = set()
+        for i, v in enumerate(values):
+            ch.push(v, float(i), snap)
+            if ch.count >= warmup and ch.count % refresh == 0:
+                want = _reference_threshold(values[max(0, i + 1 - window):i + 1],
+                                            k_mad)
+                got = ch.threshold
+                if math.isnan(want):
+                    assert math.isnan(got), (i, got)
+                    kinds.add("nan")
+                else:
+                    # same bits: also tells -0.0 from 0.0
+                    assert np.float64(got).tobytes() == \
+                        np.float64(want).tobytes(), (i, got, want)
+                    kinds.add("finite" if math.isfinite(want) else "inf")
+        assert {"nan", "finite", "inf"} <= kinds
 
 
 class TestRefractoryCheck:

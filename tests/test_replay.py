@@ -1,8 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from hipexo import replay
+from hipexo.controller import HipController, SensorFrame
 from hipexo.gaitdata import CH_EXO, ActivityLabel
-from hipexo.replay import replay_stride, simulate_task
+from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, simulate_task
 
 
 class TestReplay:
@@ -47,3 +51,37 @@ class TestReplay:
             assert CH_EXO in out.channels
             assert out.condition == "assisted"
             assert CH_EXO not in stride.channels  # input untouched
+
+
+class TestReplayFeed:
+    @pytest.mark.parametrize("label", [ActivityLabel("stair-descent", 0.178),
+                                       ActivityLabel("sit-to-stand")])
+    def test_float_frames_match_numpy_scalar_frames(
+            self, default_params, battery, monkeypatch, label):
+        """Frames of Python floats give the same step log and events as the
+        same frames built from np.float64 scalars."""
+        frames = []
+
+        class Recording(HipController):
+            def step(self, frame):
+                frames.append(frame)
+                return super().step(frame)
+
+        monkeypatch.setattr(replay, "HipController", Recording)
+        log = replay_stride(default_params, battery[label][0])
+        assert all(type(v) is float for f in frames for v in astuple(f))
+
+        ctl = HipController(default_params)
+        series = {name: np.empty(len(frames)) for name in BREAKDOWN_FIELDS}
+        events = []
+        for i, f in enumerate(frames):
+            result = ctl.step(SensorFrame(*map(np.float64, astuple(f))))
+            for name in BREAKDOWN_FIELDS:
+                series[name][i] = getattr(result.left, name)
+            if result.hs_event is not None:
+                events.append(result.hs_event)
+        for name in BREAKDOWN_FIELDS:
+            assert series[name].tobytes() == log.series[name].tobytes(), name
+        assert [(e.side, e.timestamp, e.source) for e in events] == \
+            [(e.side, e.timestamp, e.source) for e in log.events]
+        assert len(log.events) > 0 or not label.is_gait
