@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -216,13 +217,16 @@ def cmd_optimize(args) -> int:
     bounds = {k: tuple(float(x) for x in v)
               for k, v in cfg.get("bounds", {}).items()}
     free = tuple(cfg.get("free", DEFAULT_FREE))
-    spec = ObjectiveSpec(
-        tasks=tasks,
-        c_static=float(cfg.get("c_static", 0.5)),
-        c_sign=float(cfg.get("c_sign", 1.0)),
-        free=free, bounds=bounds,
-        target_scale=float(cfg.get("target_scale", 20.0)),
-    )
+    try:
+        spec = ObjectiveSpec(
+            tasks=tasks,
+            c_static=float(cfg.get("c_static", 0.5)),
+            c_sign=float(cfg.get("c_sign", 1.0)),
+            free=free, bounds=bounds,
+            target_scale=float(cfg.get("target_scale", 20.0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     budget = int(cfg.get("budget", 6000))
 
     with _Run(Path(args.out), raw, seed) as run:
@@ -296,6 +300,10 @@ def _print_paired(summary):
               f"{rec['hip_work_change_pct']:>7.1f}%")
 
 
+_HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",
+               "thigh_angle_l", "thigh_angle_r")
+
+
 def cmd_detect_hs(args) -> int:
     cfg, raw = _read_config(args.config, "detect-hs")
     src = Path(cfg.get("input", ""))
@@ -305,8 +313,7 @@ def cmd_detect_hs(args) -> int:
     det_cfg = HsDetectorConfig(**cfg.get("detector", {}))
 
     stream = [{k: float(v) for k, v in row.items()} for row in _read_columns(
-        src, ("t", "thigh_accel_l", "thigh_accel_r", "pelvis_accel",
-              "thigh_angle_l", "thigh_angle_r"), "stream")]
+        src, ("t",) + _HS_SIGNALS, "stream")]
     truth = None
     if cfg.get("truth"):
         truth = [(row["side"], float(row["time"])) for row in
@@ -314,7 +321,15 @@ def cmd_detect_hs(args) -> int:
 
     detector = HsDetector(rate, det_cfg)
     events = []
+    skipped = 0
     for row in stream:
+        # the controller's frame gate: a row with a non-finite sample never
+        # reaches the detector, where it would blind a channel's threshold
+        # for a whole window
+        if not all(math.isfinite(row[c]) for c in _HS_SIGNALS):
+            detector.advance_clock(row["t"])
+            skipped += 1
+            continue
         frame = ImuFrame(row["thigh_accel_l"], row["thigh_accel_r"],
                          row["pelvis_accel"], row["t"])
         bilateral = BilateralSample.from_thighs(
@@ -342,10 +357,11 @@ def cmd_detect_hs(args) -> int:
                       [[repr(scores["precision"]), repr(scores["recall"]),
                         str(scores["true_positives"]), str(len(events)),
                         str(len(truth))]], run.header)
-            print(f"events={len(events)} precision={scores['precision']:.4f} "
+            print(f"events={len(events)} skipped={skipped} "
+                  f"precision={scores['precision']:.4f} "
                   f"recall={scores['recall']:.4f}")
         else:
-            print(f"events={len(events)}")
+            print(f"events={len(events)} skipped={skipped}")
     return 0
 
 

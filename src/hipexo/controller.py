@@ -41,8 +41,9 @@ class ControllerParams:
     cmd_filter_cutoff_hz: float = 5.0
 
     def __post_init__(self):
-        if not self.torque_limit > 0:
-            raise ValueError("torque_limit must be > 0")
+        if not (math.isfinite(self.torque_limit) and self.torque_limit > 0):
+            raise ValueError(
+                f"torque_limit={self.torque_limit} must be finite and > 0")
         nyq = self.loop_rate_hz / 2.0
         if not (0 < self.vel_filter_cutoff_hz < nyq
                 and 0 < self.cmd_filter_cutoff_hz < nyq):

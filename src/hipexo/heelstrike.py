@@ -208,18 +208,25 @@ class HsDetector:
         """True iff an event at ``timestamp`` respects the per-side refractory."""
         return timestamp - self._last_event_t[side] >= self.config.refractory_s
 
+    def advance_clock(self, timestamp: float) -> None:
+        """Check and record a frame's timestamp. Called alone for a frame
+        whose samples are gated out, so the stream contract still covers it.
+
+        Raises ``ValueError`` on non-finite or non-monotonic timestamps.
+        """
+        if not math.isfinite(timestamp):
+            raise ValueError(f"non-finite timestamp {timestamp}")
+        if self._last_t is not None and timestamp <= self._last_t:
+            raise ValueError(
+                f"non-monotonic timestamp {timestamp} after {self._last_t}")
+        self._last_t = timestamp
+
     def update(self, frame: ImuFrame, bilateral: BilateralSample) -> HsEvent | None:
         """Feed one frame; returns at most one heel-strike event.
 
         Raises ``ValueError`` on non-finite or non-monotonic timestamps.
         """
-        if not math.isfinite(frame.timestamp):
-            raise ValueError(f"non-finite timestamp {frame.timestamp}")
-        if self._last_t is not None and frame.timestamp <= self._last_t:
-            raise ValueError(
-                f"non-monotonic timestamp {frame.timestamp} after {self._last_t}"
-            )
-        self._last_t = frame.timestamp
+        self.advance_clock(frame.timestamp)
 
         t = frame.timestamp
         hits: list[tuple[float, str, str, BilateralSample]] = []

@@ -10,8 +10,9 @@ on stagnation; the returned point is never worse than the warm start.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -47,6 +48,10 @@ SIGN_MASK_FRAC = 0.05        # sign penalty only where |target| > this * peak
 RESTART_SCALE = 0.05         # restart perturbation, as a fraction of the box
 MAX_STAGNANT_RESTARTS = 2    # stop after this many restarts without gain
 
+# series inputs of each fused block, keyed by TaskSet.label.is_gait
+_BLOCK_CHANNELS = {True: (CH_HIP_ANGLE, CH_HIP_VEL),
+                   False: (CH_THIGH, CH_HIP_VEL, CH_TORSO)}
+
 
 def get_param(params: ControllerParams, name: str) -> float:
     obj = params
@@ -55,24 +60,29 @@ def get_param(params: ControllerParams, name: str) -> float:
     return float(obj)
 
 
-def set_param(params: ControllerParams, name: str, value: float):
-    path = PARAM_PATHS[name]
-    obj = params
-    for attr in path[:-1]:
-        obj = getattr(obj, attr)
-    setattr(obj, path[-1], float(value))
-
-
 def apply_vector(base: ControllerParams, names, values) -> ControllerParams:
     """Copy of ``base`` with the named parameters replaced; frozen entries
-    keep the base values bit-exactly."""
-    out = copy.deepcopy(base)
+    keep the base values bit-exactly.
+
+    Each dataclass on a touched path is rebuilt once with
+    ``dataclasses.replace``, so its validation runs again; untouched
+    sub-objects are shared with ``base``.
+    """
+    groups: dict[tuple, dict] = {(): {}}
     for name, value in zip(names, values):
-        set_param(out, name, value)
-    # re-run validation on the rebuilt spring params
-    out.gait.__post_init__()
-    out.sts.__post_init__()
-    return out
+        *owner, attr = PARAM_PATHS[name]
+        groups.setdefault(tuple(owner), {})[attr] = float(value)
+    # innermost owners first, so each parent is replaced once with its
+    # rebuilt children
+    while True:
+        owner = max(groups, key=len)
+        obj = base
+        for attr in owner:
+            obj = getattr(obj, attr)
+        rebuilt = replace(obj, **groups.pop(owner))
+        if not owner:
+            return rebuilt
+        groups.setdefault(owner[:-1], {})[owner[-1]] = rebuilt
 
 
 @dataclass
@@ -101,8 +111,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if not self.tasks:
             raise ValueError("at least one task required")
-        if self.c_static < 0 or self.c_sign < 0:
-            raise ValueError("penalty weights must be >= 0")
+        for c in (self.c_static, self.c_sign):
+            if not (math.isfinite(c) and c >= 0):
+                raise ValueError(f"penalty weights must be finite and >= 0, got {c}")
         for t in self.tasks:
             if not np.isfinite(t.weight) or t.weight < 0:
                 raise ValueError(f"bad weight for {t.label.code}")
@@ -112,8 +123,14 @@ class ObjectiveSpec:
             lo, hi = self.bounds.get(name, (None, None))
             if lo is None or hi is None:
                 raise ValueError(f"missing bounds for free parameter {name!r}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(
+                    f"bounds for {name!r} must be finite: ({lo}, {hi})")
             if not lo < hi:
                 raise ValueError(f"bounds for {name!r} not ordered: {lo} >= {hi}")
+        if not (math.isfinite(self.target_scale) and self.target_scale > 0):
+            raise ValueError(
+                f"target_scale must be finite and > 0, got {self.target_scale}")
 
 
 @dataclass
@@ -127,7 +144,15 @@ class OptResult:
 
 
 class _Evaluator:
-    """Precompiled objective over the task battery."""
+    """Precompiled objective over the task battery.
+
+    The battery is fused once: all gait tasks form one angle/velocity block
+    and all sit-to-stand tasks one thigh/velocity/torso block, so each
+    evaluation makes one series call per block. Every task's loss terms are
+    then reduced over its own slice with the same pairwise sum ``np.mean``
+    applies to a separate array, in task order, so the objective is
+    bit-identical to evaluating the tasks one by one.
+    """
 
     def __init__(self, spec: ObjectiveSpec, base: ControllerParams):
         self.spec = spec
@@ -135,16 +160,40 @@ class _Evaluator:
         self.names = tuple(spec.free)
         self.lo = np.array([spec.bounds[n][0] for n in self.names])
         self.hi = np.array([spec.bounds[n][1] for n in self.names])
-        self._tasks = []
+        self._rest = JointSample(0.0, 0.0, 0.0, 0.0)
+        per_task = []   # (is_gait, inputs, target, sign mask) in task order
         for t in spec.tasks:
-            theta = np.concatenate([s.channels[CH_HIP_ANGLE] for s in t.strides])
-            omega = np.concatenate([s.channels[CH_HIP_VEL] for s in t.strides])
-            thigh = np.concatenate([s.channels[CH_THIGH] for s in t.strides])
-            torso = np.concatenate([s.channels[CH_TORSO] for s in t.strides])
+            g = t.label.is_gait
+            inputs = [np.concatenate([s.channels[ch] for s in t.strides])
+                      for ch in _BLOCK_CHANNELS[g]]
             target = spec.target_scale * np.concatenate(
                 [s.channels[CH_HIP_MOMENT] for s in t.strides])
             mask = np.abs(target) > SIGN_MASK_FRAC * np.max(np.abs(target))
-            self._tasks.append((t, theta, omega, thigh, torso, target, mask))
+            per_task.append((g, inputs, target, mask))
+        # blocks: (is_gait, inputs, target, sign-mask index, target sign);
+        # slices: (task, block, start, stop, sign start, sign stop)
+        self._blocks = []
+        self._slices = [None] * len(per_task)
+        for g in (True, False):
+            members = [i for i, p in enumerate(per_task) if p[0] == g]
+            if not members:
+                continue
+            starts = [0, *accumulate(per_task[i][2].size for i in members)]
+            sign_starts = [0, *accumulate(int(per_task[i][3].sum())
+                                          for i in members)]
+            for j, i in enumerate(members):
+                self._slices[i] = (spec.tasks[i], len(self._blocks),
+                                   starts[j], starts[j + 1],
+                                   sign_starts[j], sign_starts[j + 1])
+            _, inputs, targets, masks = zip(*(per_task[i] for i in members))
+            self._blocks.append((
+                g,
+                tuple(np.concatenate(ch) for ch in zip(*inputs)),
+                np.concatenate(targets),
+                np.concatenate([start + np.flatnonzero(mask)
+                                for start, mask in zip(starts, masks)]),
+                np.concatenate([np.sign(target[mask])
+                                for target, mask in zip(targets, masks)])))
 
     def x0(self) -> np.ndarray:
         return np.array([get_param(self.base, n) for n in self.names])
@@ -156,34 +205,37 @@ class _Evaluator:
     def params_at(self, x) -> ControllerParams:
         return apply_vector(self.base, self.names, x)
 
-    def tau_est(self, params: ControllerParams, task: TaskSet,
-                theta, omega, thigh, torso) -> np.ndarray:
-        if task.label.is_gait:
-            return gait_torque_series(theta, omega, params.gait)
-        return sts_torque_series(thigh, omega, torso, params.sts)
+    def _estimates(self, params: ControllerParams) -> list:
+        """Estimated torque of each block, in block order."""
+        return [gait_torque_series(*inputs, params.gait) if is_gait
+                else sts_torque_series(*inputs, params.sts)
+                for is_gait, inputs, *_ in self._blocks]
 
     def value(self, x) -> float:
         params = self.params_at(x)
+        sq, hinge = [], []
+        for est, (_, _, target, idx, sign) in zip(self._estimates(params),
+                                                  self._blocks):
+            err = est - target
+            sq.append(err * err)
+            hinge.append(np.maximum(0.0, -est[idx] * sign))
         total = 0.0
         sign_term = 0.0
-        for task, theta, omega, thigh, torso, target, mask in self._tasks:
-            est = self.tau_est(params, task, theta, omega, thigh, torso)
-            err = est - target
-            total += task.weight * float(np.mean(err * err))
-            if mask.any():
-                hinge = np.maximum(0.0, -est[mask] * np.sign(target[mask]))
-                sign_term += float(np.mean(hinge))
-        static = gait_torque(JointSample(0.0, 0.0, 0.0, 0.0), params.gait)
+        for task, k, a, b, ha, hb in self._slices:
+            total += task.weight * float(np.add.reduce(sq[k][a:b]) / (b - a))
+            if hb > ha:
+                sign_term += float(np.add.reduce(hinge[k][ha:hb]) / (hb - ha))
+        static = gait_torque(self._rest, params.gait)
         total += self.spec.c_static * static * static
         total += self.spec.c_sign * sign_term
         return total
 
     def similarities(self, params: ControllerParams) -> dict:
-        sims = {}
-        for task, theta, omega, thigh, torso, target, _ in self._tasks:
-            est = self.tau_est(params, task, theta, omega, thigh, torso)
-            sims[task.label.code] = cosine_similarity(est, target)
-        return sims
+        est = self._estimates(params)
+        targets = [target for _, _, target, _, _ in self._blocks]
+        return {task.label.code: cosine_similarity(est[k][a:b],
+                                                   targets[k][a:b])
+                for task, k, a, b, _, _ in self._slices}
 
 
 def objective(params: ControllerParams, spec: ObjectiveSpec) -> float:

@@ -36,8 +36,9 @@ class GaitSpringParams:
     vel_mod_flex: SigmoidParams
 
     def __post_init__(self):
-        if self.k_ext < 0 or self.k_flex < 0:
-            raise ValueError("spring stiffnesses must be >= 0")
+        for name, k in (("k_ext", self.k_ext), ("k_flex", self.k_flex)):
+            if not (math.isfinite(k) and k >= 0):
+                raise ValueError(f"{name}={k} must be finite and >= 0")
         for name, eq in (("theta_ext_eq", self.theta_ext_eq),
                          ("theta_flex_eq", self.theta_flex_eq)):
             if not ROM_MIN <= eq <= ROM_MAX:
@@ -59,8 +60,8 @@ class StsSpringParams:
     torso_mod: SigmoidParams
 
     def __post_init__(self):
-        if self.k_sts < 0:
-            raise ValueError("k_sts must be >= 0")
+        if not (math.isfinite(self.k_sts) and self.k_sts >= 0):
+            raise ValueError(f"k_sts={self.k_sts} must be finite and >= 0")
 
 
 @dataclass

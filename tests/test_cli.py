@@ -26,16 +26,18 @@ def write_yaml(path, data):
     return str(path)
 
 
+OPT_BOUNDS = {"w_ext": [-10.0, -0.2], "phi_ext": [0.0, 8.0],
+              "w_flex": [0.2, 10.0], "phi_flex": [0.0, 8.0],
+              "theta_ext_eq": [0.05, 0.8], "theta_flex_eq": [-0.6, 0.45]}
+
+
 def write_opt_config(tmp_path, **over):
     cfg = {
         "params": "default",
         "battery": {"synthetic": True, "seed": 7, "strides_per_task": 2,
                     "tasks": ["level-walk:1.15", "ramp-ascent:11"]},
         "weights": {"level-walk": 1.0, "ramp-ascent": 2.0},
-        "bounds": {"w_ext": [-10.0, -0.2], "phi_ext": [0.0, 8.0],
-                   "w_flex": [0.2, 10.0], "phi_flex": [0.0, 8.0],
-                   "theta_ext_eq": [0.05, 0.8],
-                   "theta_flex_eq": [-0.6, 0.45]},
+        "bounds": OPT_BOUNDS,
         "budget": 300,
     }
     cfg.update(over)
@@ -169,6 +171,19 @@ class TestOptimize:
         assert rc in (1, 2)
         assert not (tmp_path / "x" / "best_params.yaml").exists()
 
+    @pytest.mark.parametrize("over", [
+        {"bounds": {**OPT_BOUNDS, "w_ext": [float("-inf"), -0.2]}},
+        {"bounds": {**OPT_BOUNDS, "phi_flex": [0.0, float("inf")]}},
+        {"target_scale": float("nan")},
+        {"target_scale": float("inf")},
+    ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf"])
+    def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over):
+        cfg = write_opt_config(tmp_path, **over)
+        out = tmp_path / "x"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("over, seed", [({}, "0"), ({"seed": 3}, "3")],
                              ids=["no-seed-key", "top-level-seed"])
     def test_search_seed_falls_back_to_config_seed(self, tmp_path, over, seed):
@@ -298,6 +313,40 @@ class TestDetectHs:
                      "--out", str(tmp_path / "o")]) == 2
         assert "missing truth columns ['side', 'time']" in capsys.readouterr().err
         assert not (tmp_path / "o" / "events.csv").exists()
+
+    def test_nan_accel_cell_does_not_blind_channel(self, tmp_path, capsys):
+        frames, _ = synth_imu_stream(20.0, seed=5)
+        write_stream_csv(tmp_path / "clean.csv", frames)
+        t_nan = 8.0
+        i = int(np.searchsorted(frames["t"], t_nan))
+        frames["thigh_accel_l"][i] = np.nan
+        write_stream_csv(tmp_path / "stream.csv", frames)
+
+        def left_events(name):
+            cfg = write_yaml(tmp_path / f"{name}.yaml",
+                             {"input": str(tmp_path / f"{name}.csv")})
+            out = tmp_path / f"{name}_out"
+            assert main(["detect-hs", "--config", cfg, "--out", str(out)]) == 0
+            _, rows = read_csv(out / "events.csv")
+            return [float(r[1]) for r in rows
+                    if r[0] == "left" and t_nan < float(r[1]) <= t_nan + 2.0]
+
+        clean = left_events("clean")
+        assert "skipped=0" in capsys.readouterr().out
+        gated = left_events("stream")
+        assert "skipped=1" in capsys.readouterr().out
+        assert gated == clean and gated
+
+    def test_gated_row_keeps_timestamp_contract(self, tmp_path, capsys):
+        frames, _ = synth_imu_stream(5.0, seed=6)
+        frames["thigh_accel_l"][100] = np.nan
+        frames["t"][100] = frames["t"][98]
+        write_stream_csv(tmp_path / "stream.csv", frames)
+        cfg = write_yaml(tmp_path / "hs.yaml",
+                         {"input": str(tmp_path / "stream.csv")})
+        assert main(["detect-hs", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "non-monotonic timestamp" in capsys.readouterr().err
 
 
 class TestReport:

@@ -41,3 +41,17 @@ class TestParamsIO:
         rad = default_params.gait.theta_ext_eq
         assert d["gait"]["theta_ext_eq_deg"] == pytest.approx(
             rad * 180.0 / math.pi)
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+@pytest.mark.parametrize("key", ["k_ext", "k_flex", "k_sts", "torque_limit"])
+def test_non_finite_stiffness_and_limit_rejected_on_load(default_params, tmp_path,
+                                                         key, value):
+    path = tmp_path / "params.yaml"
+    save_params(default_params, path)
+    text = path.read_text()
+    line = next(ln for ln in text.splitlines()
+                if ln.strip().startswith(f"{key}:"))
+    path.write_text(text.replace(line, f"{line.split(':')[0]}: {value}"))
+    with pytest.raises(ValueError, match=key):
+        load_params(path)

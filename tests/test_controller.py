@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,3 +224,8 @@ class TestParamsValidation:
                              descent=default_params.descent,
                              symmetry=default_params.symmetry,
                              torque_limit=0.0)
+
+    @pytest.mark.parametrize("limit", [math.inf, math.nan])
+    def test_torque_limit_finite(self, default_params, limit):
+        with pytest.raises(ValueError, match="torque_limit"):
+            replace(default_params, torque_limit=limit)

@@ -1,13 +1,19 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from hipexo.gaitdata import (CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
-                             ActivityLabel, synth_battery)
-from hipexo.optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet,
-                             apply_vector, format_sim_table, get_param,
-                             objective, optimize, report_similarity,
-                             set_param)
-from hipexo.springs import JointSample, gait_torque, gait_torque_series
+                             CH_THIGH, CH_TORSO, ActivityLabel, synth_battery,
+                             synth_profiles)
+from hipexo.metrics import cosine_similarity
+from hipexo.optimize import (DEFAULT_FREE, PARAM_PATHS, SIGN_MASK_FRAC,
+                             ObjectiveSpec, TaskSet, apply_vector,
+                             format_sim_table, get_param, objective, optimize,
+                             report_similarity)
+from hipexo.springs import (ROM_MAX, JointSample, gait_torque,
+                            gait_torque_series, sts_torque_series)
 
 BOUNDS = {"w_ext": (-10.0, -0.2), "phi_ext": (0.0, 8.0),
           "w_flex": (0.2, 10.0), "phi_flex": (0.0, 8.0),
@@ -87,6 +93,24 @@ class TestObjective:
         spec = ObjectiveSpec(tasks=star_tasks, bounds=BOUNDS)
         with pytest.raises(ValueError, match="bounds"):
             objective(bad, spec)
+
+    # an infinite bound made the restart span inf, so Nelder-Mead spent the
+    # whole budget on a NaN simplex; the others made the objective NaN or
+    # inf at every point
+    @pytest.mark.parametrize("over, match", [
+        ({"bounds": {**BOUNDS, "w_ext": (-math.inf, -0.2)}}, "w_ext"),
+        ({"bounds": {**BOUNDS, "w_ext": (-10.0, math.inf)}}, "w_ext"),
+        ({"bounds": {**BOUNDS, "w_ext": (math.nan, -0.2)}}, "w_ext"),
+        ({"target_scale": math.nan}, "target_scale"),
+        ({"target_scale": math.inf}, "target_scale"),
+        ({"target_scale": 0.0}, "target_scale"),
+        ({"target_scale": -20.0}, "target_scale"),
+        ({"c_static": math.nan}, "penalty weights"),
+        ({"c_sign": math.inf}, "penalty weights"),
+    ])
+    def test_non_finite_spec_values_rejected(self, star_tasks, over, match):
+        with pytest.raises(ValueError, match=match):
+            ObjectiveSpec(tasks=star_tasks, **{"bounds": BOUNDS, **over})
 
     def test_spec_validation(self, star_tasks):
         with pytest.raises(ValueError):
@@ -197,12 +221,10 @@ class TestSimilarityReport:
 
 
 class TestParamSurface:
-    def test_get_set_roundtrip(self, default_params):
-        import copy
-        p = copy.deepcopy(default_params)
-        set_param(p, "w_ext", -1.234)
+    def test_get_param_through_apply_vector(self, default_params):
+        p = apply_vector(default_params, ("w_ext", "k_sts"), (-1.234, 33.0))
         assert get_param(p, "w_ext") == -1.234
-        set_param(p, "k_sts", 33.0)
+        assert get_param(p, "k_sts") == 33.0
         assert p.sts.k_sts == 33.0
 
     def test_apply_vector_does_not_touch_base(self, default_params):
@@ -210,3 +232,116 @@ class TestParamSurface:
         out = apply_vector(default_params, ("theta_ext_eq",), (0.5,))
         assert get_param(default_params, "theta_ext_eq") == before
         assert get_param(out, "theta_ext_eq") == 0.5
+
+    @pytest.mark.parametrize("free", [(), DEFAULT_FREE, tuple(PARAM_PATHS)])
+    def test_apply_vector_keeps_unlisted_fields_bit_exact(self, default_params,
+                                                          free):
+        rng = np.random.default_rng(len(free))
+        values = [get_param(default_params, n) * rng.uniform(0.5, 0.9)
+                  for n in free]
+        before = repr(default_params)
+        out = apply_vector(default_params, free, values)
+        assert repr(default_params) == before
+        assert out is not default_params
+        for name, value in zip(free, values):
+            assert get_param(out, name) == value
+        listed = {PARAM_PATHS[n] for n in free}
+
+        def walk(a, b, path=()):
+            for f in fields(a):
+                sub = path + (f.name,)
+                va, vb = getattr(a, f.name), getattr(b, f.name)
+                if hasattr(va, "__dataclass_fields__"):
+                    walk(va, vb, sub)
+                elif sub not in listed:
+                    assert repr(vb) == repr(va), sub
+
+        walk(default_params, out)
+
+    def test_apply_vector_validates_rebuilt_springs(self, default_params):
+        with pytest.raises(ValueError, match="theta_ext_eq"):
+            apply_vector(default_params, DEFAULT_FREE,
+                         [ROM_MAX + 0.1 if n == "theta_ext_eq"
+                          else get_param(default_params, n)
+                          for n in DEFAULT_FREE])
+        with pytest.raises(ValueError, match="k_sts"):
+            apply_vector(default_params, ("k_sts",), (math.nan,))
+
+
+# --- the fused objective against the per-task loop it replaced -------------
+
+MIXED_BOUNDS = {**BOUNDS, "k_sts": (0.0, 80.0), "w_vel": (-10.0, -0.2),
+                "phi_vel": (-3.0, 3.0), "w_torso": (0.2, 20.0),
+                "phi_torso": (0.0, 8.0)}
+MIXED_FREE = DEFAULT_FREE + ("k_sts", "w_vel", "phi_vel", "w_torso",
+                             "phi_torso")
+
+
+def mixed_tasks():
+    """Gait and sit-to-stand tasks interleaved, strides of unequal length,
+    one task of weight 0 and one whose target is all zero, so its sign mask
+    is empty."""
+    def task(text, lengths, weight, zero=False):
+        label = ActivityLabel.parse(text)
+        strides = [synth_profiles(label, 100 * len(text) + j, n)
+                   for j, n in enumerate(lengths)]
+        if zero:
+            strides = [s.copy_with(hip_moment=np.zeros(s.n)) for s in strides]
+        return TaskSet(label, strides, weight)
+
+    return [task("level-walk:1.15", (101, 157), 1.0),
+            task("sit-to-stand", (121, 90, 143), 2.0),
+            task("ramp-ascent:11", (201, 201), 0.0),
+            task("stair-descent:0.178", (88, 130), 0.25, zero=True),
+            task("stair-ascent:0.127", (77,), 1.5)]
+
+
+def per_task_reference(params, spec):
+    """Objective and SIMs from one series call and one ``np.mean`` per
+    task: the loop the fused evaluator must match bit for bit."""
+    total = 0.0
+    sign_term = 0.0
+    sims = {}
+    for task in spec.tasks:
+        def cat(ch):
+            return np.concatenate([s.channels[ch] for s in task.strides])
+        target = spec.target_scale * cat(CH_HIP_MOMENT)
+        if task.label.is_gait:
+            est = gait_torque_series(cat(CH_HIP_ANGLE), cat(CH_HIP_VEL),
+                                     params.gait)
+        else:
+            est = sts_torque_series(cat(CH_THIGH), cat(CH_HIP_VEL),
+                                    cat(CH_TORSO), params.sts)
+        err = est - target
+        total += task.weight * float(np.mean(err * err))
+        mask = np.abs(target) > SIGN_MASK_FRAC * np.max(np.abs(target))
+        if mask.any():
+            hinge = np.maximum(0.0, -est[mask] * np.sign(target[mask]))
+            sign_term += float(np.mean(hinge))
+        if np.any(target):
+            sims[task.label.code] = cosine_similarity(est, target)
+    static = gait_torque(JointSample(0.0, 0.0, 0.0, 0.0), params.gait)
+    total += spec.c_static * static * static
+    total += spec.c_sign * sign_term
+    return total, sims
+
+
+class TestFusedObjective:
+    def test_bit_identical_to_per_task_loop(self, default_params):
+        tasks = mixed_tasks()
+        spec = ObjectiveSpec(tasks=tasks, c_static=0.5, c_sign=1.0,
+                             free=MIXED_FREE, bounds=MIXED_BOUNDS,
+                             target_scale=17.5)
+        nonzero = [t for t in tasks if t.label.kind != "stair-descent"]
+        lo = np.array([MIXED_BOUNDS[n][0] for n in MIXED_FREE])
+        hi = np.array([MIXED_BOUNDS[n][1] for n in MIXED_FREE])
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            params = apply_vector(default_params, MIXED_FREE,
+                                  lo + rng.uniform(size=lo.size) * (hi - lo))
+            want, want_sims = per_task_reference(params, spec)
+            assert objective(params, spec).hex() == want.hex()
+            sims = report_similarity(params, nonzero, target_scale=17.5)
+            assert list(sims) == list(want_sims)
+            assert [v.hex() for v in sims.values()] == \
+                [v.hex() for v in want_sims.values()]

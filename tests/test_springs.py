@@ -63,6 +63,16 @@ class TestGaitSprings:
         with pytest.raises(ValueError):
             sts_params(k_sts=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, name", [(gait_params, "k_ext"),
+                                            (gait_params, "k_flex"),
+                                            (sts_params, "k_sts")])
+    def test_non_finite_stiffness_rejected(self, make, name, value):
+        # a NaN stiffness made the scalar twin return 0 Nm (min(0.0, nan) is
+        # 0.0) while the series twin returned NaN
+        with pytest.raises(ValueError, match=name):
+            make(**{name: value})
+
     def test_velocity_sanity_bound(self):
         with pytest.raises(ValueError):
             sample(vel=30.0)
