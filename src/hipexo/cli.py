@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, DEFAULT_BATTERY,
                        list_stride_files, load_schema, load_stride,
                        load_trial, normalize_stride, save_stride,
                        segment_strides, synth_battery)
-from .heelstrike import HsDetector, HsDetectorConfig, ImuFrame, match_events
+from .heelstrike import HsDetector, HsDetectorConfig, match_events
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
 from .modulation import BilateralSample
@@ -137,25 +138,42 @@ def _battery_tasks(battery, weights: dict) -> list[TaskSet]:
     return tasks
 
 
-def _read_columns(path, required: tuple, what: str) -> list[dict]:
-    """Rows of a ``#``-header CSV as {column: cell} over ``required``; a
-    missing column is a config error naming every missing one."""
+def _read_columns(path, required: tuple, what: str, parse) -> list:
+    """Rows of a ``#``-header CSV, each ``parse``d from {column: cell} over
+    ``required``. A missing column is a config error naming every missing
+    one; a short row or a cell that ``parse`` rejects is a load error."""
     header, rows = read_csv(path)
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing {what} columns {missing}")
     index = [header.index(c) for c in required]
-    return [dict(zip(required, (row[j] for j in index))) for row in rows]
+    try:
+        return [parse(dict(zip(required, [row[j] for j in index])))
+                for row in rows]
+    except (IndexError, ValueError) as exc:
+        raise LoadError(f"{path}: bad {what} row: {exc}") from exc
+
+
+def _load_params(path):
+    """:func:`load_params`, with a malformed params file as a config error."""
+    try:
+        return load_params(path)
+    except KeyError as exc:
+        raise ConfigError(f"params {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params {path}: {exc}") from exc
 
 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     cfg, raw = _read_config(args.config, "simulate")
-    params = load_params(cfg.get("params", "default"))
+    params = _load_params(cfg.get("params", "default"))
+    cycles = int(cfg.get("cycles", 4))
+    if cycles < 1:
+        raise ConfigError(f"cycles must be >= 1, got {cycles}")
     seed = _resolve_seed(args.seed, cfg.get("battery") or {}, cfg, default=7)
     battery = _build_battery(cfg, seed)
-    cycles = int(cfg.get("cycles", 4))
     with _Run(Path(args.out), raw, seed) as run:
         _simulate_into(run, params, battery, cycles)
     print(f"simulated {len(battery)} tasks -> {Path(args.out)}")
@@ -204,7 +222,7 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
 
 def cmd_optimize(args) -> int:
     cfg, raw = _read_config(args.config, "optimize")
-    warm = load_params(cfg.get("params", "default"))
+    warm = _load_params(cfg.get("params", "default"))
     seed = _resolve_seed(args.seed, cfg)
     battery = _build_battery(cfg, int(cfg.get("battery", {}).get("seed", 7)))
     tasks = _battery_tasks(battery, cfg.get("weights", {}))
@@ -228,6 +246,8 @@ def cmd_optimize(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     budget = int(cfg.get("budget", 6000))
+    if budget < 1:
+        raise ConfigError(f"budget must be >= 1, got {budget}")
 
     with _Run(Path(args.out), raw, seed) as run:
         result = optimize(spec, warm, budget=budget, seed=seed)
@@ -304,22 +324,35 @@ _HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",
                "thigh_angle_l", "thigh_angle_r")
 
 
+def _build_detector(cfg: dict) -> HsDetector:
+    """The detector that the ``rate_hz`` and ``detector`` keys describe; any
+    bad key or value is a config error."""
+    section = cfg.get("detector", {})
+    if not isinstance(section, dict):
+        raise ConfigError("detector section must be a mapping")
+    unknown = set(section) - {f.name for f in fields(HsDetectorConfig)}
+    if unknown:
+        raise ConfigError(f"unknown detector keys {sorted(map(str, unknown))}")
+    try:
+        return HsDetector(float(cfg.get("rate_hz", 250.0)),
+                          HsDetectorConfig(**section))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"detector: {exc}") from exc
+
+
 def cmd_detect_hs(args) -> int:
     cfg, raw = _read_config(args.config, "detect-hs")
     src = Path(cfg.get("input", ""))
     if not src.exists():
         raise ConfigError(f"input stream not found: {src}")
-    rate = float(cfg.get("rate_hz", 250.0))
-    det_cfg = HsDetectorConfig(**cfg.get("detector", {}))
-
-    stream = [{k: float(v) for k, v in row.items()} for row in _read_columns(
-        src, ("t",) + _HS_SIGNALS, "stream")]
+    detector = _build_detector(cfg)
+    stream = _read_columns(src, ("t",) + _HS_SIGNALS, "stream",
+                           lambda row: {k: float(v) for k, v in row.items()})
     truth = None
     if cfg.get("truth"):
-        truth = [(row["side"], float(row["time"])) for row in
-                 _read_columns(cfg["truth"], ("side", "time"), "truth")]
+        truth = _read_columns(cfg["truth"], ("side", "time"), "truth",
+                              lambda row: (row["side"], float(row["time"])))
 
-    detector = HsDetector(rate, det_cfg)
     events = []
     skipped = 0
     for row in stream:
@@ -330,11 +363,10 @@ def cmd_detect_hs(args) -> int:
             detector.advance_clock(row["t"])
             skipped += 1
             continue
-        frame = ImuFrame(row["thigh_accel_l"], row["thigh_accel_r"],
-                         row["pelvis_accel"], row["t"])
-        bilateral = BilateralSample.from_thighs(
-            row["thigh_angle_l"], row["thigh_angle_r"], 0.0, row["t"])
-        ev = detector.update(frame, bilateral)
+        ev = detector.update(
+            row["t"], row["thigh_accel_l"], row["thigh_accel_r"],
+            row["pelvis_accel"],
+            BilateralSample(row["thigh_angle_l"], row["thigh_angle_r"], 0.0))
         if ev is not None:
             events.append(ev)
 

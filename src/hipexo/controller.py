@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .heelstrike import LEFT, RIGHT, HsDetector, HsEvent, ImuFrame
+from .heelstrike import LEFT, RIGHT, HsDetector, HsEvent
 from .modulation import (BilateralSample, DescentModParams, ModulationState,
                          SymmetryParams, alpha_at_heelstrike,
                          attenuate_extension, beta_raw, beta_smoothed, blend,
                          reset_tick)
 from .signals import BiquadSpec, EmaState, LowpassFilter, clamp
-from .springs import (VEL_BOUND, GaitSpringParams, JointSample,
-                      StsSpringParams, gait_spring_torques,
-                      gait_velocity_factors, sts_modulated_torque,
-                      sts_spring_torque)
+from .springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
+                      gait_spring_torques, gait_velocity_factors,
+                      sts_modulated_torque, sts_spring_torque)
 
 STANDING_BETA = 0.9   # smoothed beta above this counts as standing
 FAULT_HOLD_S = 0.2    # hold the last command this long on bad frames
@@ -160,9 +159,11 @@ class HipController:
     def step(self, frame: SensorFrame) -> StepResult:
         """Process one sensor frame and return the per-side breakdown.
 
-        Non-finite frames are rejected: the previous command is held (then
-        decayed after sustained faults) and the fault flag is raised.
-        Timestamp regressions raise ``ValueError``.
+        Frames with a non-finite value or a hip velocity at or past
+        VEL_BOUND are rejected: the previous command is held (then decayed
+        after sustained faults) and the fault flag is raised. This gate is
+        the pipeline's only input check; the stages after it take plain
+        floats. Timestamp regressions raise ``ValueError``.
         """
         p = self.params
         if (not frame.is_finite()
@@ -175,66 +176,53 @@ class HipController:
         self._fault_since = None
 
         t = frame.timestamp
+        left, right = self._sides[LEFT], self._sides[RIGHT]
         # filter overshoot can nudge a near-bound velocity past the sanity
         # limit; saturate rather than reject
-        vfilt = {
-            LEFT: clamp(self._sides[LEFT].vel_filter.step(frame.hip_vel_l),
-                        -VEL_BOUND * 0.999, VEL_BOUND * 0.999),
-            RIGHT: clamp(self._sides[RIGHT].vel_filter.step(frame.hip_vel_r),
-                         -VEL_BOUND * 0.999, VEL_BOUND * 0.999),
-        }
-        bilateral = BilateralSample.from_thighs(
-            frame.thigh_angle_l, frame.thigh_angle_r,
-            vfilt[LEFT] - vfilt[RIGHT], t)
+        vel_l = clamp(left.vel_filter.step(frame.hip_vel_l),
+                      -VEL_BOUND * 0.999, VEL_BOUND * 0.999)
+        vel_r = clamp(right.vel_filter.step(frame.hip_vel_r),
+                      -VEL_BOUND * 0.999, VEL_BOUND * 0.999)
+        bilateral = BilateralSample(frame.thigh_angle_l, frame.thigh_angle_r,
+                                    vel_l - vel_r)
 
-        imu = ImuFrame(frame.thigh_accel_l, frame.thigh_accel_r,
-                       frame.pelvis_accel, t)
-        event = self.detector.update(imu, bilateral)
+        event = self.detector.update(t, frame.thigh_accel_l,
+                                     frame.thigh_accel_r, frame.pelvis_accel,
+                                     bilateral)
         if event is not None:
             self._sides[event.side].mod.latch_alpha(
                 alpha_at_heelstrike(event.thigh_snapshot, p.descent))
 
         b_raw = beta_raw(bilateral, p.symmetry)
 
-        result = StepResult(timestamp=t, left=TorqueBreakdown(),
-                            right=TorqueBreakdown(), hs_event=event)
-        for side, hip_angle, thigh_angle in (
-            (LEFT, frame.hip_angle_l, frame.thigh_angle_l),
-            (RIGHT, frame.hip_angle_r, frame.thigh_angle_r),
+        breakdowns = []
+        for st, hip_angle, vel, thigh_angle in (
+            (left, frame.hip_angle_l, vel_l, frame.thigh_angle_l),
+            (right, frame.hip_angle_r, vel_r, frame.thigh_angle_r),
         ):
-            st = self._sides[side]
             beta = beta_smoothed(st.mod, b_raw)
             reset_tick(st.mod, beta > STANDING_BETA, t, p.descent)
 
-            sample = JointSample(hip_angle, vfilt[side], thigh_angle,
-                                 frame.torso_angle)
-            tau_ext, tau_flex = gait_spring_torques(sample, p.gait)
-            eta_ext, eta_flex = gait_velocity_factors(sample, p.gait)
+            tau_ext, tau_flex = gait_spring_torques(hip_angle, p.gait)
+            eta_ext, eta_flex = gait_velocity_factors(vel, p.gait)
             tau_gait = eta_ext * tau_ext + eta_flex * tau_flex
-            tau_sts = sts_spring_torque(sample, p.sts)
-            tau_sts_mod = sts_modulated_torque(sample, p.sts)
+            tau_sts = sts_spring_torque(thigh_angle, p.sts)
+            tau_sts_mod = sts_modulated_torque(thigh_angle, vel,
+                                               frame.torso_angle, p.sts)
 
             tau_gait_mod = attenuate_extension(tau_gait, st.mod, p.descent)
             tau_act_raw = blend(tau_sts_mod, tau_gait_mod, beta)
             tau_cmd = clamp(st.cmd_filter.step(tau_act_raw),
                             -p.torque_limit, p.torque_limit)
             st.last_cmd = tau_cmd
-
-            bd = result.left if side == LEFT else result.right
-            bd.tau_ext = tau_ext
-            bd.tau_flex = tau_flex
-            bd.tau_gait = tau_gait
-            bd.tau_gait_mod = tau_gait_mod
-            bd.tau_sts = tau_sts
-            bd.tau_sts_mod = tau_sts_mod
-            bd.tau_act_raw = tau_act_raw
-            bd.tau_cmd = tau_cmd
-            bd.eta_ext = eta_ext
-            bd.eta_flex = eta_flex
-            bd.alpha = st.mod.alpha
-            bd.beta = beta
-            bd.extension_scale = 1.0 - p.descent.lam * st.mod.alpha
-            bd.hip_vel_filt = vfilt[side]
+            breakdowns.append(TorqueBreakdown(
+                tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
+                tau_gait_mod=tau_gait_mod, tau_sts=tau_sts,
+                tau_sts_mod=tau_sts_mod, tau_act_raw=tau_act_raw,
+                tau_cmd=tau_cmd, eta_ext=eta_ext, eta_flex=eta_flex,
+                alpha=st.mod.alpha, beta=beta,
+                extension_scale=1.0 - p.descent.lam * st.mod.alpha,
+                hip_vel_filt=vel))
 
         self._t_prev = t
-        return result
+        return StepResult(t, *breakdowns, hs_event=event)

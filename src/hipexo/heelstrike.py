@@ -16,6 +16,9 @@ O(log n) from the two sorted runs of deviations on either side of it, so
 the threshold is the exact float that recomputing median and MAD over the
 whole window gives. A NaN sample is counted outside the sorted list, and
 while one is in the window the threshold is NaN, which no sample exceeds.
+
+``HsDetector.update`` takes the frame's timestamp and three accelerations
+as plain floats, plus the ``BilateralSample`` that an event snapshots.
 """
 from __future__ import annotations
 
@@ -31,20 +34,6 @@ RIGHT = "right"
 SOURCE_THIGH = "thigh-channel"
 SOURCE_PELVIS = "pelvis-channel"
 SOURCE_FUSED = "fused"
-
-
-@dataclass
-class ImuFrame:
-    """One time step of the acceleration channels used for detection.
-
-    thigh values are thigh-normal linear accelerations; pelvis_accel is the
-    magnitude of the high-pass residual of pelvis acceleration.
-    """
-
-    thigh_accel_l: float
-    thigh_accel_r: float
-    pelvis_accel: float
-    timestamp: float
 
 
 @dataclass
@@ -65,8 +54,10 @@ class HsDetectorConfig:
     refresh_every: int = 5        # samples between threshold recomputes
 
     def __post_init__(self):
-        if self.k_mad <= 0 or self.window_s <= 0 or self.refractory_s <= 0:
-            raise ValueError("k_mad, window_s, refractory_s must be > 0")
+        if not all(0 < v < math.inf for v in
+                   (self.k_mad, self.window_s, self.refractory_s)):
+            raise ValueError("k_mad, window_s, refractory_s must be finite "
+                             "and > 0")
         if self.confirm_samples < 1 or self.refresh_every < 1:
             raise ValueError("confirm_samples and refresh_every must be >= 1")
 
@@ -186,8 +177,8 @@ class HsDetector:
     """
 
     def __init__(self, rate_hz: float, config: HsDetectorConfig | None = None):
-        if not rate_hz > 0:
-            raise ValueError("rate_hz must be > 0")
+        if not 0 < rate_hz < math.inf:
+            raise ValueError("rate_hz must be finite and > 0")
         self.rate_hz = rate_hz
         self.config = config or HsDetectorConfig()
         c = self.config
@@ -221,23 +212,26 @@ class HsDetector:
                 f"non-monotonic timestamp {timestamp} after {self._last_t}")
         self._last_t = timestamp
 
-    def update(self, frame: ImuFrame, bilateral: BilateralSample) -> HsEvent | None:
+    def update(self, timestamp: float, thigh_accel_l: float,
+               thigh_accel_r: float, pelvis_accel: float,
+               bilateral: BilateralSample) -> HsEvent | None:
         """Feed one frame; returns at most one heel-strike event.
 
-        Raises ``ValueError`` on non-finite or non-monotonic timestamps.
+        The thigh values are thigh-normal linear accelerations and
+        ``pelvis_accel`` is the magnitude of the high-pass residual of pelvis
+        acceleration. Raises ``ValueError`` on non-finite or non-monotonic
+        timestamps.
         """
-        self.advance_clock(frame.timestamp)
-
-        t = frame.timestamp
+        self.advance_clock(timestamp)
         hits: list[tuple[float, str, str, BilateralSample]] = []
 
         for side in (LEFT, RIGHT):
-            value = frame.thigh_accel_l if side == LEFT else frame.thigh_accel_r
-            confirmed = self._thigh[side].push(value, t, bilateral)
+            value = thigh_accel_l if side == LEFT else thigh_accel_r
+            confirmed = self._thigh[side].push(value, timestamp, bilateral)
             if confirmed is not None:
                 hits.append((confirmed[0], side, SOURCE_THIGH, confirmed[1]))
 
-        confirmed = self._pelvis.push(frame.pelvis_accel, t, bilateral)
+        confirmed = self._pelvis.push(pelvis_accel, timestamp, bilateral)
         if confirmed is not None:
             peak_t, snap = confirmed
             # leading leg: greater thigh flexion at the peak sample

@@ -8,6 +8,10 @@ Only extension torque is attenuated.
 Gait-STS blending: bilateral symmetry (plus a velocity-difference gate and a
 seated override) yields beta in [0, 1], smoothed by an EMA; the commanded
 torque is the convex combination beta*tau_sts_mod + (1-beta)*tau_gait_mod.
+
+The per-step functions take plain floats and a ``BilateralSample``, whose
+theta_diff is derived from the two thigh angles. Inputs are not validated
+here: the controller's frame gate admits only finite samples.
 """
 from __future__ import annotations
 
@@ -18,26 +22,16 @@ from .signals import EmaState, SigmoidParams, ema_step, sigmoid
 
 @dataclass
 class BilateralSample:
-    """Bilateral thigh state at one instant; theta_diff = left - right."""
+    """Bilateral thigh state at one instant, in rad and rad/s."""
 
     theta_thigh_l: float
     theta_thigh_r: float
-    theta_diff: float      # rad
-    theta_diff_dot: float  # rad/s
-    timestamp: float       # s
+    theta_diff_dot: float
 
-    def __post_init__(self):
-        expected = self.theta_thigh_l - self.theta_thigh_r
-        if abs(self.theta_diff - expected) > 1e-9:
-            raise ValueError(
-                "theta_diff must equal theta_thigh_l - theta_thigh_r "
-                f"(got {self.theta_diff}, expected {expected})"
-            )
-
-    @classmethod
-    def from_thighs(cls, theta_thigh_l, theta_thigh_r, theta_diff_dot, timestamp):
-        return cls(theta_thigh_l, theta_thigh_r,
-                   theta_thigh_l - theta_thigh_r, theta_diff_dot, timestamp)
+    @property
+    def theta_diff(self) -> float:
+        """Inter-thigh angle difference, left - right."""
+        return self.theta_thigh_l - self.theta_thigh_r
 
 
 @dataclass

@@ -21,8 +21,7 @@ from .controller import ControllerParams
 from .gaitdata import CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL, CH_THIGH, CH_TORSO, \
     ActivityLabel, StrideSeries
 from .metrics import cosine_similarity
-from .springs import (JointSample, gait_torque, gait_torque_series,
-                      sts_torque_series)
+from .springs import gait_torque, gait_torque_series, sts_torque_series
 
 # tunable scalar surface exposed to the optimizer (basis layer only)
 PARAM_PATHS = {
@@ -160,7 +159,6 @@ class _Evaluator:
         self.names = tuple(spec.free)
         self.lo = np.array([spec.bounds[n][0] for n in self.names])
         self.hi = np.array([spec.bounds[n][1] for n in self.names])
-        self._rest = JointSample(0.0, 0.0, 0.0, 0.0)
         per_task = []   # (is_gait, inputs, target, sign mask) in task order
         for t in spec.tasks:
             g = t.label.is_gait
@@ -225,7 +223,7 @@ class _Evaluator:
             total += task.weight * float(np.add.reduce(sq[k][a:b]) / (b - a))
             if hb > ha:
                 sign_term += float(np.add.reduce(hinge[k][ha:hb]) / (hb - ha))
-        static = gait_torque(self._rest, params.gait)
+        static = gait_torque(0.0, 0.0, params.gait)
         total += self.spec.c_static * static * static
         total += self.spec.c_sign * sign_term
         return total

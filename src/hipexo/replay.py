@@ -59,8 +59,10 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     ones the right. Gait strides loop for ``cycles``; sit-to-stand runs once
     after a lead-in that holds the seated first sample for STS_LEAD_IN_S.
     The measured cycle (for the exo-torque grid and the mean extension
-    scale) is the last one.
+    scale) is the last one. Raises ``ValueError`` when ``cycles`` < 1.
     """
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
     is_gait = stride.label.is_gait
     if is_gait:
         lead_in_s = 0.0

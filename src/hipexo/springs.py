@@ -4,7 +4,10 @@ springs and the sit-to-stand (STS) spring, each shaped by sigmoid velocity
 
 Sign conventions: hip flexion is positive, so extension torque is negative
 and flexion torque positive. Angles in rad, velocities in rad/s, torques in
-Nm. All operations are pure functions of (sample, params).
+Nm. Every kernel is a pure function of plain float inputs and its params;
+the scalar kernels take their inputs in the same positional order as their
+series twins. Inputs are not validated here: the controller's frame gate
+admits only finite samples with |hip velocity| < VEL_BOUND.
 """
 from __future__ import annotations
 
@@ -64,63 +67,48 @@ class StsSpringParams:
             raise ValueError(f"k_sts={self.k_sts} must be finite and >= 0")
 
 
-@dataclass
-class JointSample:
-    """One side's kinematic inputs to the basis layer (flexion positive)."""
-
-    theta_ips: float       # hip angle, rad
-    theta_ips_dot: float   # hip angular velocity, rad/s
-    theta_thigh: float     # thigh angle, rad
-    theta_torso: float     # torso angle, rad (forward lean positive)
-
-    def __post_init__(self):
-        vals = (self.theta_ips, self.theta_ips_dot, self.theta_thigh, self.theta_torso)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("joint sample must be finite")
-        if abs(self.theta_ips_dot) >= VEL_BOUND:
-            raise ValueError(f"|hip velocity| >= {VEL_BOUND} rad/s fails sanity bound")
-
-
-def gait_spring_torques(s: JointSample, p: GaitSpringParams) -> tuple[float, float]:
+def gait_spring_torques(theta_ips: float, p: GaitSpringParams) -> tuple[float, float]:
     """Unmodulated gait spring torques (tau_ext <= 0, tau_flex >= 0).
 
     The min/max clamps keep each spring unidirectional: the extension spring
     never pushes into flexion and vice versa.
     """
-    tau_ext = min(0.0, p.k_ext * (s.theta_ips - p.theta_ext_eq))
-    tau_flex = max(0.0, p.k_flex * (p.theta_flex_eq - s.theta_ips))
+    tau_ext = min(0.0, p.k_ext * (theta_ips - p.theta_ext_eq))
+    tau_flex = max(0.0, p.k_flex * (p.theta_flex_eq - theta_ips))
     return tau_ext, tau_flex
 
 
-def sts_spring_torque(s: JointSample, p: StsSpringParams) -> float:
+def sts_spring_torque(theta_thigh: float, p: StsSpringParams) -> float:
     """Unmodulated STS spring torque, <= 0 (extension only while thigh flexed)."""
-    return min(0.0, -p.k_sts * s.theta_thigh)
+    return min(0.0, -p.k_sts * theta_thigh)
 
 
-def gait_velocity_factors(s: JointSample, p: GaitSpringParams) -> tuple[float, float]:
+def gait_velocity_factors(theta_ips_dot: float,
+                          p: GaitSpringParams) -> tuple[float, float]:
     """Velocity modulation factors (eta_ext, eta_flex), each in (0, 1)."""
-    eta_ext = sigmoid(s.theta_ips_dot, p.vel_mod_ext)
-    eta_flex = sigmoid(s.theta_ips_dot, p.vel_mod_flex)
+    eta_ext = sigmoid(theta_ips_dot, p.vel_mod_ext)
+    eta_flex = sigmoid(theta_ips_dot, p.vel_mod_flex)
     return eta_ext, eta_flex
 
 
-def gait_torque(s: JointSample, p: GaitSpringParams) -> float:
+def gait_torque(theta_ips: float, theta_ips_dot: float, p: GaitSpringParams) -> float:
     """Total gait-spring torque after velocity modulation."""
-    tau_ext, tau_flex = gait_spring_torques(s, p)
-    eta_ext, eta_flex = gait_velocity_factors(s, p)
+    tau_ext, tau_flex = gait_spring_torques(theta_ips, p)
+    eta_ext, eta_flex = gait_velocity_factors(theta_ips_dot, p)
     return eta_ext * tau_ext + eta_flex * tau_flex
 
 
-def sts_modulated_torque(s: JointSample, p: StsSpringParams) -> float:
+def sts_modulated_torque(theta_thigh: float, theta_ips_dot: float,
+                         theta_torso: float, p: StsSpringParams) -> float:
     """STS torque scaled by velocity and torso-lean factors, <= 0.
 
     The torso input is clamped at zero so that backward lean or an upright
     trunk leaves only the sigmoid's floor value; the spring effectively
     engages when the trunk pitches forward.
     """
-    tau_sts = sts_spring_torque(s, p)
-    eta_vel = sigmoid(s.theta_ips_dot, p.vel_mod)
-    eta_torso = sigmoid(max(0.0, s.theta_torso), p.torso_mod)
+    tau_sts = sts_spring_torque(theta_thigh, p)
+    eta_vel = sigmoid(theta_ips_dot, p.vel_mod)
+    eta_torso = sigmoid(max(0.0, theta_torso), p.torso_mod)
     return tau_sts * eta_vel * eta_torso
 
 

@@ -17,7 +17,7 @@ from hipexo.configio import load_params
 from hipexo.controller import ControllerParams, HipController, SensorFrame
 from hipexo.gaitdata import (CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
                              ActivityLabel, synth_battery, synth_imu_stream)
-from hipexo.heelstrike import HsDetector, ImuFrame, match_events
+from hipexo.heelstrike import HsDetector, match_events
 from hipexo.metrics import read_report
 from hipexo.modulation import (BilateralSample, DescentModParams,
                                ModulationState, SymmetryParams,
@@ -27,7 +27,7 @@ from hipexo.optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet,
 from hipexo.replay import replay_stride
 from hipexo.signals import (BiquadSpec, EmaState, LowpassFilter, SigmoidParams,
                             ema_step, integrate_positive, sigmoid)
-from hipexo.springs import (GaitSpringParams, JointSample, StsSpringParams,
+from hipexo.springs import (GaitSpringParams, StsSpringParams,
                             gait_spring_torques, gait_torque_series,
                             sts_modulated_torque)
 
@@ -65,11 +65,12 @@ def test_criterion_01_sign_bounds_fuzz(default_params):
             vel_mod=SigmoidParams(rng.uniform(-10, 10), rng.uniform(-6, 6)),
             torso_mod=SigmoidParams(rng.uniform(-10, 10), rng.uniform(-6, 6)))
         for _ in range(250):
-            s = JointSample(rng.uniform(-1.5, 2.0), rng.uniform(-20, 20),
-                            rng.uniform(-1.5, 2.0), rng.uniform(-1, 1))
-            tau_ext, tau_flex = gait_spring_torques(s, gp)
+            theta, vel, thigh, torso = (
+                rng.uniform(-1.5, 2.0), rng.uniform(-20, 20),
+                rng.uniform(-1.5, 2.0), rng.uniform(-1, 1))
+            tau_ext, tau_flex = gait_spring_torques(theta, gp)
             assert tau_ext <= 0.0 and tau_flex >= 0.0
-            assert sts_modulated_torque(s, sp) <= 0.0
+            assert sts_modulated_torque(thigh, vel, torso, sp) <= 0.0
             n_basis += 1
 
     n_ctl = 0
@@ -318,13 +319,11 @@ def test_criterion_09_hs_detector_synthetic_truth():
         det = HsDetector(250.0)
         events = []
         for i in range(len(frames["t"])):
-            f = ImuFrame(scale * frames["thigh_accel_l"][i],
-                         scale * frames["thigh_accel_r"][i],
-                         scale * frames["pelvis_accel"][i], frames["t"][i])
-            b = BilateralSample.from_thighs(frames["thigh_angle_l"][i],
-                                            frames["thigh_angle_r"][i],
-                                            0.0, frames["t"][i])
-            ev = det.update(f, b)
+            ev = det.update(frames["t"][i], scale * frames["thigh_accel_l"][i],
+                            scale * frames["thigh_accel_r"][i],
+                            scale * frames["pelvis_accel"][i],
+                            BilateralSample(frames["thigh_angle_l"][i],
+                                            frames["thigh_angle_r"][i], 0.0))
             if ev:
                 events.append(ev)
         return events

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from hipexo.cli import main
+from hipexo.configio import load_params, params_to_dict
 from hipexo.csvio import read_csv
 from hipexo.gaitdata import load_stride, synth_imu_stream
 from hipexo.metrics import read_report
@@ -125,6 +126,27 @@ class TestSimulate:
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("over, section, value, message", [
+        ({"cycles": 0}, None, None, "cycles must be >= 1"),
+        ({}, "sts", None, "missing key 'sts'"),
+        ({}, "gait", {"k_ext": float("nan")}, "k_ext=nan"),
+    ], ids=["cycles-0", "params-missing-section", "params-k_ext-nan"])
+    def test_bad_config_exits_2_without_artifacts(self, tmp_path, capsys,
+                                                  over, section, value,
+                                                  message):
+        params = params_to_dict(load_params("default"))
+        if value is None:
+            params.pop(section, None)
+        else:
+            params[section].update(value)
+        cfg = write_yaml(tmp_path / "sim.yaml",
+                         {"params": write_yaml(tmp_path / "p.yaml", params),
+                          "battery": SMALL_BATTERY, **over})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.xfail(
         np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
         reason="step-log and profile cells are repr() of numpy scalars, which "
@@ -171,17 +193,22 @@ class TestOptimize:
         assert rc in (1, 2)
         assert not (tmp_path / "x" / "best_params.yaml").exists()
 
-    @pytest.mark.parametrize("over", [
-        {"bounds": {**OPT_BOUNDS, "w_ext": [float("-inf"), -0.2]}},
-        {"bounds": {**OPT_BOUNDS, "phi_flex": [0.0, float("inf")]}},
-        {"target_scale": float("nan")},
-        {"target_scale": float("inf")},
-    ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf"])
-    def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over):
+    @pytest.mark.parametrize("over, message", [
+        ({"bounds": {**OPT_BOUNDS, "w_ext": [float("-inf"), -0.2]}},
+         "must be finite"),
+        ({"bounds": {**OPT_BOUNDS, "phi_flex": [0.0, float("inf")]}},
+         "must be finite"),
+        ({"target_scale": float("nan")}, "must be finite"),
+        ({"target_scale": float("inf")}, "must be finite"),
+        ({"budget": 0}, "budget must be >= 1"),
+    ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf",
+            "budget-0"])
+    def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over,
+                                                message):
         cfg = write_opt_config(tmp_path, **over)
         out = tmp_path / "x"
         assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("over, seed", [({}, "0"), ({"seed": 3}, "3")],
@@ -313,6 +340,37 @@ class TestDetectHs:
                      "--out", str(tmp_path / "o")]) == 2
         assert "missing truth columns ['side', 'time']" in capsys.readouterr().err
         assert not (tmp_path / "o" / "events.csv").exists()
+
+    @pytest.mark.parametrize("over, bad_cell, message", [
+        ({"detector": [4.0]}, None, "detector section must be a mapping"),
+        ({"detector": {"bogus": 1}}, None, "unknown detector keys ['bogus']"),
+        ({"detector": {"k_mad": -1}}, None, "must be finite and > 0"),
+        ({"detector": {"k_mad": float("nan")}}, None,
+         "must be finite and > 0"),
+        ({"rate_hz": 0}, None, "rate_hz must be finite and > 0"),
+        ({}, ("stream.csv", "abc"), "bad stream row"),
+        ({}, ("truth.csv", "soon"), "bad truth row"),
+    ], ids=["detector-not-mapping", "detector-unknown-key", "k_mad-negative",
+            "k_mad-nan", "rate_hz-0", "stream-cell", "truth-cell"])
+    def test_bad_config_exits_2_before_detecting(self, tmp_path, capsys, over,
+                                                 bad_cell, message):
+        cfg_path = write_hs_config(tmp_path, 5.0, 6)
+        if bad_cell is not None:
+            # the second cell of the first data row: an acceleration in the
+            # stream, a time in the truth
+            name, cell = bad_cell
+            lines = (tmp_path / name).read_text().splitlines()
+            row = lines[1].split(",")
+            row[1] = cell
+            lines[1] = ",".join(row)
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with open(cfg_path) as fh:
+            cfg = yaml.safe_load(fh)
+        write_yaml(cfg_path, {**cfg, **over})
+        out = tmp_path / "o"
+        assert main(["detect-hs", "--config", cfg_path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "events.csv").exists()
 
     def test_nan_accel_cell_does_not_blind_channel(self, tmp_path, capsys):
         frames, _ = synth_imu_stream(20.0, seed=5)

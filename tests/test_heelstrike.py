@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hipexo.gaitdata import synth_imu_stream
-from hipexo.heelstrike import (HsDetector, HsDetectorConfig, ImuFrame,
-                               _Channel, match_events)
+from hipexo.heelstrike import (HsDetector, HsDetectorConfig, _Channel,
+                               match_events)
 from hipexo.modulation import BilateralSample
 
 RATE = 250.0
@@ -15,14 +15,11 @@ def run_stream(frames, detector=None, scale=1.0):
     det = detector or HsDetector(RATE)
     events = []
     for i in range(len(frames["t"])):
-        f = ImuFrame(scale * frames["thigh_accel_l"][i],
-                     scale * frames["thigh_accel_r"][i],
-                     scale * frames["pelvis_accel"][i],
-                     frames["t"][i])
-        b = BilateralSample.from_thighs(frames["thigh_angle_l"][i],
-                                        frames["thigh_angle_r"][i],
-                                        0.0, frames["t"][i])
-        ev = det.update(f, b)
+        ev = det.update(frames["t"][i], scale * frames["thigh_accel_l"][i],
+                        scale * frames["thigh_accel_r"][i],
+                        scale * frames["pelvis_accel"][i],
+                        BilateralSample(frames["thigh_angle_l"][i],
+                                        frames["thigh_angle_r"][i], 0.0))
         if ev is not None:
             events.append(ev)
     return events
@@ -80,22 +77,22 @@ class TestDetection:
 class TestStreamContract:
     def test_non_monotonic_timestamps_rejected(self):
         det = HsDetector(RATE)
-        b = BilateralSample.from_thighs(0.0, 0.0, 0.0, 0.0)
-        det.update(ImuFrame(0, 0, 0, 0.0), b)
+        b = BilateralSample(0.0, 0.0, 0.0)
+        det.update(0.0, 0, 0, 0, b)
         with pytest.raises(ValueError):
-            det.update(ImuFrame(0, 0, 0, 0.0), b)
+            det.update(0.0, 0, 0, 0, b)
 
     @pytest.mark.parametrize("bad_t", [math.nan, math.inf, -math.inf])
     def test_non_finite_timestamps_rejected(self, bad_t):
         det = HsDetector(RATE)
-        b = BilateralSample.from_thighs(0.0, 0.0, 0.0, 0.0)
-        det.update(ImuFrame(0, 0, 0, 0.0), b)
+        b = BilateralSample(0.0, 0.0, 0.0)
+        det.update(0.0, 0, 0, 0, b)
         with pytest.raises(ValueError):
-            det.update(ImuFrame(0, 0, 0, bad_t), b)
+            det.update(bad_t, 0, 0, 0, b)
         # the rejected frame leaves the monotonic check armed
         with pytest.raises(ValueError):
-            det.update(ImuFrame(0, 0, 0, 0.0), b)
-        assert det.update(ImuFrame(0, 0, 0, 1.0 / RATE), b) is None
+            det.update(0.0, 0, 0, 0, b)
+        assert det.update(1.0 / RATE, 0, 0, 0, b) is None
 
     def test_refractory_window_enforced_on_stream(self):
         frames, _ = synth_imu_stream(60.0, seed=5)
@@ -112,11 +109,11 @@ class TestStreamContract:
         frames, _ = synth_imu_stream(20.0, seed=6)
         for i in range(len(frames["t"])):
             t = frames["t"][i]
-            f = ImuFrame(frames["thigh_accel_l"][i], frames["thigh_accel_r"][i],
-                         frames["pelvis_accel"][i], t)
-            b = BilateralSample.from_thighs(frames["thigh_angle_l"][i],
-                                            frames["thigh_angle_r"][i], 0.0, t)
-            ev = det.update(f, b)
+            b = BilateralSample(frames["thigh_angle_l"][i],
+                                frames["thigh_angle_r"][i], 0.0)
+            ev = det.update(t, frames["thigh_accel_l"][i],
+                            frames["thigh_accel_r"][i],
+                            frames["pelvis_accel"][i], b)
             if ev is not None:
                 assert t - ev.timestamp <= (cfg.confirm_samples + 1) / RATE + 1e-9
 
@@ -140,9 +137,8 @@ class TestSimultaneousHits:
         det = HsDetector(RATE)
         got = []
         for i in range(n):
-            ev = det.update(
-                ImuFrame(acc_l[i], acc_r[i], acc_p[i], t[i]),
-                BilateralSample.from_thighs(thigh_l[i], thigh_r[i], 0.0, t[i]))
+            ev = det.update(t[i], acc_l[i], acc_r[i], acc_p[i],
+                            BilateralSample(thigh_l[i], thigh_r[i], 0.0))
             if ev is not None:
                 got.append((i, ev.side, ev.timestamp, ev.source))
         c = det.config.confirm_samples
@@ -194,7 +190,7 @@ class TestIncrementalThreshold:
         rng = np.random.default_rng(window * 10 + refresh)
         warmup, k_mad = 3, 4.0
         ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
-        snap = BilateralSample.from_thighs(0.0, 0.0, 0.0, 0.0)
+        snap = BilateralSample(0.0, 0.0, 0.0)
         values = _mixed_stream(rng, window, 12 * window + 7)
         kinds = set()
         for i, v in enumerate(values):
@@ -235,7 +231,7 @@ class TestMatchEvents:
         assert match_events([], [("left", 1.0)])["recall"] == 0.0
 
     def test_zero_truth_with_detections_gives_zero_precision(self):
-        b = BilateralSample.from_thighs(0.0, 0.0, 0.0, 1.0)
+        b = BilateralSample(0.0, 0.0, 0.0)
         from hipexo.heelstrike import HsEvent
         det = [HsEvent("left", 1.0, b, "thigh-channel")]
         scores = match_events(det, [])

@@ -24,8 +24,8 @@ def symmetry(**kw):
     return SymmetryParams(**base)
 
 
-def bilateral(l=0.0, r=0.0, ddot=0.0, t=0.0):
-    return BilateralSample.from_thighs(l, r, ddot, t)
+def bilateral(l=0.0, r=0.0, ddot=0.0):
+    return BilateralSample(l, r, ddot)
 
 
 class TestAlpha:
@@ -48,10 +48,6 @@ class TestAlpha:
     def test_config_requires_negative_slope(self):
         with pytest.raises(ValueError):
             descent(step_mod=SigmoidParams(8.0, -2.0))
-
-    def test_theta_diff_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            BilateralSample(0.3, 0.1, 0.5, 0.0, 0.0)
 
 
 class TestAttenuation:

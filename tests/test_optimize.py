@@ -12,8 +12,8 @@ from hipexo.optimize import (DEFAULT_FREE, PARAM_PATHS, SIGN_MASK_FRAC,
                              ObjectiveSpec, TaskSet, apply_vector,
                              format_sim_table, get_param, objective, optimize,
                              report_similarity)
-from hipexo.springs import (ROM_MAX, JointSample, gait_torque,
-                            gait_torque_series, sts_torque_series)
+from hipexo.springs import (ROM_MAX, gait_torque, gait_torque_series,
+                            sts_torque_series)
 
 BOUNDS = {"w_ext": (-10.0, -0.2), "phi_ext": (0.0, 8.0),
           "w_flex": (0.2, 10.0), "phi_flex": (0.0, 8.0),
@@ -58,7 +58,7 @@ class TestObjective:
     def test_static_penalty_counts(self, star_params, star_tasks):
         spec = ObjectiveSpec(tasks=star_tasks, c_static=1.0, c_sign=0.0,
                              bounds=BOUNDS, target_scale=20.0)
-        static = gait_torque(JointSample(0.0, 0.0, 0.0, 0.0), star_params.gait)
+        static = gait_torque(0.0, 0.0, star_params.gait)
         assert objective(star_params, spec) == pytest.approx(static * static,
                                                              rel=1e-9)
 
@@ -189,8 +189,7 @@ class TestOptimize:
             spec = ObjectiveSpec(tasks=star_tasks, c_static=c_static,
                                  c_sign=0.0, bounds=BOUNDS, target_scale=20.0)
             res = optimize(spec, warm, budget=3000, seed=4)
-            statics.append(abs(gait_torque(JointSample(0.0, 0.0, 0.0, 0.0),
-                                           res.best_params.gait)))
+            statics.append(abs(gait_torque(0.0, 0.0, res.best_params.gait)))
         assert statics[0] >= statics[1] >= statics[2]
         assert statics[2] < 0.05
 
@@ -320,7 +319,7 @@ def per_task_reference(params, spec):
             sign_term += float(np.mean(hinge))
         if np.any(target):
             sims[task.label.code] = cosine_similarity(est, target)
-    static = gait_torque(JointSample(0.0, 0.0, 0.0, 0.0), params.gait)
+    static = gait_torque(0.0, 0.0, params.gait)
     total += spec.c_static * static * static
     total += spec.c_sign * sign_term
     return total, sims

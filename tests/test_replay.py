@@ -43,6 +43,13 @@ class TestReplay:
         assert np.max(np.abs(log.exo_torque_grid)) <= default_params.torque_limit
         assert np.max(np.abs(log.exo_torque_grid)) > 1.0  # real assistance
 
+    @pytest.mark.parametrize("task", [ActivityLabel("level-walk", 1.15),
+                                      ActivityLabel("sit-to-stand")],
+                             ids=["gait", "sit-to-stand"])
+    def test_cycles_below_one_rejected(self, default_params, battery, task):
+        with pytest.raises(ValueError, match="cycles must be >= 1"):
+            replay_stride(default_params, battery[task][0], cycles=0)
+
     def test_simulate_task_attaches_exo_channel(self, default_params, battery):
         strides = battery[ActivityLabel("stair-ascent", 0.178)]
         assisted, logs = simulate_task(default_params, strides, cycles=3)

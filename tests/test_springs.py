@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hipexo.signals import SigmoidParams
-from hipexo.springs import (GaitSpringParams, JointSample, StsSpringParams,
+from hipexo.configio import load_params
+from hipexo.controller import HipController, SensorFrame
+from hipexo.signals import EXP_CLAMP, SigmoidParams
+from hipexo.springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
                             gait_spring_torques, gait_torque,
                             gait_torque_series, gait_velocity_factors,
                             sts_modulated_torque, sts_spring_torque,
@@ -26,34 +28,30 @@ def sts_params(**kw):
     return StsSpringParams(**base)
 
 
-def sample(theta=0.0, vel=0.0, thigh=0.0, torso=0.0):
-    return JointSample(theta, vel, thigh, torso)
-
-
 class TestGaitSprings:
     def test_extension_zero_at_equilibrium(self):
-        tau_ext, _ = gait_spring_torques(sample(theta=0.1), gait_params())
+        tau_ext, _ = gait_spring_torques(0.1, gait_params())
         assert tau_ext == 0.0
 
     def test_extension_formula(self):
         p = gait_params(k_ext=50.0, theta_ext_eq=0.1)
-        tau_ext, _ = gait_spring_torques(sample(theta=-0.3), p)
+        tau_ext, _ = gait_spring_torques(-0.3, p)
         assert tau_ext == pytest.approx(-20.0, abs=1e-12)
 
     def test_flexion_clamped_wrong_direction(self):
         p = gait_params(k_flex=40.0, theta_flex_eq=0.2)
-        _, tau_flex = gait_spring_torques(sample(theta=0.5), p)
+        _, tau_flex = gait_spring_torques(0.5, p)
         assert tau_flex == 0.0
 
     def test_sts_zero_at_zero_thigh(self):
-        assert sts_spring_torque(sample(thigh=0.0), sts_params()) == 0.0
+        assert sts_spring_torque(0.0, sts_params()) == 0.0
 
     def test_sts_formula(self):
-        assert sts_spring_torque(sample(thigh=0.8), sts_params(k_sts=20.0)) \
+        assert sts_spring_torque(0.8, sts_params(k_sts=20.0)) \
             == pytest.approx(-16.0, abs=1e-12)
 
     def test_sts_unidirectional(self):
-        assert sts_spring_torque(sample(thigh=-0.2), sts_params(k_sts=77.0)) == 0.0
+        assert sts_spring_torque(-0.2, sts_params(k_sts=77.0)) == 0.0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -74,64 +72,68 @@ class TestGaitSprings:
             make(**{name: value})
 
     def test_velocity_sanity_bound(self):
-        with pytest.raises(ValueError):
-            sample(vel=30.0)
+        # the kernels take plain floats; the bound is enforced once, at the
+        # controller's frame gate, which faults a frame at or past it
+        def fault(vel):
+            frame = SensorFrame(0.0, 0.1, 0.1, vel, 0.0, 0.1, 0.1, 0.0)
+            return HipController(load_params("default")).step(frame).left.fault
+
+        assert fault(VEL_BOUND) and fault(-30.0)
+        assert not fault(math.nextafter(VEL_BOUND, 0.0))
 
 
 class TestVelocityFactors:
     def test_midpoint_at_zero(self):
         p = gait_params(vel_mod_ext=SigmoidParams(-3.0, 0.0),
                         vel_mod_flex=SigmoidParams(3.0, 0.0))
-        eta_ext, eta_flex = gait_velocity_factors(sample(vel=0.0), p)
+        eta_ext, eta_flex = gait_velocity_factors(0.0, p)
         assert eta_ext == pytest.approx(0.5, abs=1e-12)
         assert eta_flex == pytest.approx(0.5, abs=1e-12)
 
     def test_extension_factor_saturates_during_extension(self):
         p = gait_params(vel_mod_ext=SigmoidParams(-3.0, 2.0))
-        eta_ext, _ = gait_velocity_factors(sample(vel=-50.0 / 3.0), p)
+        eta_ext, _ = gait_velocity_factors(-50.0 / 3.0, p)
         assert eta_ext > 0.999999
 
     def test_closed_form(self):
         p = gait_params(vel_mod_flex=SigmoidParams(3.0, 1.0))
-        _, eta_flex = gait_velocity_factors(sample(vel=1.0), p)
+        _, eta_flex = gait_velocity_factors(1.0, p)
         assert eta_flex == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
 
 
 class TestComposedTorques:
     def test_zero_torques_give_zero(self):
         p = gait_params()
-        assert gait_torque(sample(theta=0.15), p) == pytest.approx(
-            gait_velocity_factors(sample(theta=0.15), p)[1]
-            * gait_spring_torques(sample(theta=0.15), p)[1])
+        assert gait_torque(0.15, 0.0, p) == pytest.approx(
+            gait_velocity_factors(0.0, p)[1] * gait_spring_torques(0.15, p)[1])
 
     def test_weighted_sum(self):
         p = gait_params(theta_ext_eq=0.1, k_ext=50.0,
                         vel_mod_ext=SigmoidParams(-3.0, 0.0),
                         vel_mod_flex=SigmoidParams(3.0, 0.0))
-        s = sample(theta=-0.3)  # tau_ext = -20, tau_flex = 40*(0.2+0.3) = 20
-        tau = gait_torque(s, p)
+        # tau_ext = -20, tau_flex = 40*(0.2+0.3) = 20
+        tau = gait_torque(-0.3, 0.0, p)
         assert tau == pytest.approx(0.5 * -20.0 + 0.5 * 20.0, abs=1e-12)
 
     def test_sts_modulated_formula(self):
         p = sts_params(k_sts=20.0, vel_mod=SigmoidParams(-4.0, 0.0),
                        torso_mod=SigmoidParams(12.0, 0.0))
-        s = sample(thigh=0.8)  # tau_sts = -16, both factors 0.5 at zero input
-        assert sts_modulated_torque(s, p) == pytest.approx(-4.0, abs=1e-12)
+        # tau_sts = -16, both factors 0.5 at zero input
+        assert sts_modulated_torque(0.8, 0.0, 0.0, p) == pytest.approx(
+            -4.0, abs=1e-12)
 
     def test_sts_torso_floor_when_upright(self):
         # torso input clamps at 0: factor = 1/(1+e^phi), a fixed floor
         p = sts_params(torso_mod=SigmoidParams(12.0, 6.0))
         floor = 1.0 / (1.0 + math.exp(6.0))
-        s_upright = sample(thigh=0.8, vel=-1.0, torso=-0.4)
-        s_zero = sample(thigh=0.8, vel=-1.0, torso=0.0)
-        assert sts_modulated_torque(s_upright, p) == sts_modulated_torque(s_zero, p)
-        base = sts_spring_torque(s_upright, p)
-        assert abs(sts_modulated_torque(s_upright, p)) <= abs(base) * floor * 1.0001
-        assert abs(sts_modulated_torque(s_upright, p)) < 0.003 * abs(base)
+        upright = sts_modulated_torque(0.8, -1.0, -0.4, p)
+        assert upright == sts_modulated_torque(0.8, -1.0, 0.0, p)
+        base = sts_spring_torque(0.8, p)
+        assert abs(upright) <= abs(base) * floor * 1.0001
+        assert abs(upright) < 0.003 * abs(base)
 
     def test_sts_zero_passthrough(self):
-        assert sts_modulated_torque(sample(thigh=-0.5, vel=-3.0, torso=0.5),
-                                    sts_params()) == 0.0
+        assert sts_modulated_torque(-0.5, -3.0, 0.5, sts_params()) == 0.0
 
 
 class TestProperties:
@@ -154,30 +156,32 @@ class TestProperties:
         for _ in range(400):
             gp, sp = self._random_params(rng)
             for _ in range(25):
-                s = sample(theta=rng.uniform(-1.5, 2.0),
-                           vel=rng.uniform(-20, 20),
-                           thigh=rng.uniform(-1.5, 2.0),
-                           torso=rng.uniform(-1.0, 1.0))
-                tau_ext, tau_flex = gait_spring_torques(s, gp)
+                theta, vel, thigh, torso = (
+                    rng.uniform(-1.5, 2.0), rng.uniform(-20, 20),
+                    rng.uniform(-1.5, 2.0), rng.uniform(-1.0, 1.0))
+                tau_ext, tau_flex = gait_spring_torques(theta, gp)
                 assert tau_ext <= 0.0
                 assert tau_flex >= 0.0
-                assert sts_spring_torque(s, sp) <= 0.0
-                assert sts_modulated_torque(s, sp) <= 0.0
+                assert sts_spring_torque(thigh, sp) <= 0.0
+                assert sts_modulated_torque(thigh, vel, torso, sp) <= 0.0
 
     def test_modulation_never_amplifies(self):
         rng = np.random.default_rng(43)
         for _ in range(500):
             gp, sp = self._random_params(rng)
-            s = sample(theta=rng.uniform(-1.5, 2.0), vel=rng.uniform(-20, 20),
-                       thigh=rng.uniform(-1.5, 2.0), torso=rng.uniform(-1, 1))
-            tau_ext, tau_flex = gait_spring_torques(s, gp)
-            assert abs(gait_torque(s, gp)) <= abs(tau_ext) + abs(tau_flex) + 1e-12
-            assert abs(sts_modulated_torque(s, sp)) <= abs(sts_spring_torque(s, sp)) + 1e-12
+            theta, vel, thigh, torso = (
+                rng.uniform(-1.5, 2.0), rng.uniform(-20, 20),
+                rng.uniform(-1.5, 2.0), rng.uniform(-1, 1))
+            tau_ext, tau_flex = gait_spring_torques(theta, gp)
+            assert abs(gait_torque(theta, vel, gp)) <= \
+                abs(tau_ext) + abs(tau_flex) + 1e-12
+            assert abs(sts_modulated_torque(thigh, vel, torso, sp)) <= \
+                abs(sts_spring_torque(thigh, sp)) + 1e-12
 
     def test_continuity_on_fine_grid(self):
         gp = gait_params()
         thetas = np.linspace(-0.8, 1.2, 4000)
-        taus = [gait_torque(sample(theta=t, vel=0.3), gp) for t in thetas]
+        taus = [gait_torque(t, 0.3, gp) for t in thetas]
         dtheta = thetas[1] - thetas[0]
         k_bound = (gp.k_ext + gp.k_flex) * dtheta * 1.01
         assert np.max(np.abs(np.diff(taus))) <= k_bound
@@ -186,26 +190,45 @@ class TestProperties:
         # independent scalar evaluation of every basis magnitude at rest
         gp = gait_params()
         sp = sts_params()
-        s = sample()
         eta_ext = 1.0 / (1.0 + math.exp(-(-3.0 * 0.0) + 2.0))
         eta_flex = 1.0 / (1.0 + math.exp(-(3.0 * 0.0) + 1.0))
         tau_ext_expect = min(0.0, 50.0 * (0.0 - 0.1))
         tau_flex_expect = max(0.0, 40.0 * (0.2 - 0.0))
-        assert gait_spring_torques(s, gp) == (tau_ext_expect, tau_flex_expect)
-        assert gait_torque(s, gp) == pytest.approx(
+        assert gait_spring_torques(0.0, gp) == (tau_ext_expect, tau_flex_expect)
+        assert gait_torque(0.0, 0.0, gp) == pytest.approx(
             eta_ext * tau_ext_expect + eta_flex * tau_flex_expect, abs=1e-12)
-        assert sts_modulated_torque(s, sp) == 0.0
+        assert sts_modulated_torque(0.0, 0.0, 0.0, sp) == 0.0
 
     def test_series_matches_scalar_path(self):
+        # the scalar kernels use math.exp and the series twins np.exp, which
+        # differ in the last bit for some inputs; the torques then agree to
+        # a relative (and absolute, near 0 Nm) tolerance of 1e-12
+        tol = dict(rel=1e-12, abs=1e-12)
         rng = np.random.default_rng(44)
         gp, sp = self._random_params(rng)
-        theta = rng.uniform(-1.0, 1.5, 64)
-        vel = rng.uniform(-15, 15, 64)
-        thigh = rng.uniform(-1.0, 1.5, 64)
-        torso = rng.uniform(-0.5, 0.8, 64)
-        gait_vec = gait_torque_series(theta, vel, gp)
-        sts_vec = sts_torque_series(thigh, vel, torso, sp)
-        for i in range(64):
-            s = JointSample(theta[i], vel[i], thigh[i], torso[i])
-            assert gait_torque(s, gp) == pytest.approx(gait_vec[i], abs=1e-12)
-            assert sts_modulated_torque(s, sp) == pytest.approx(sts_vec[i], abs=1e-12)
+        n = 64
+        theta = rng.uniform(-1.0, 1.5, n)
+        vel = rng.uniform(-15, 15, n)
+        thigh = rng.uniform(-1.0, 1.5, n)
+        torso = rng.uniform(-0.5, 0.8, n)
+        # spring kinks: both gait equilibria, thigh at 0, torso at or below 0
+        theta[:4] = gp.theta_ext_eq
+        theta[4:8] = gp.theta_flex_eq
+        thigh[8:16] = 0.0
+        torso[16:24] = [0.0, -0.0, *-rng.uniform(0.0, 1.0, 6)]
+        # sigmoid clamp region, |z| > EXP_CLAMP
+        vel[24:32] = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(4, 8, 8)
+        torso[32:40] = 10.0 ** rng.uniform(4, 8, 8)
+        for m, x in ((gp.vel_mod_ext, vel), (gp.vel_mod_flex, vel),
+                     (sp.vel_mod, vel), (sp.torso_mod, np.maximum(0.0, torso))):
+            assert np.any(np.abs(-m.w * x + m.phi) > EXP_CLAMP)
+
+        gait_args = (theta, vel)
+        sts_args = (thigh, vel, torso)
+        gait_vec = gait_torque_series(*gait_args, gp)
+        sts_vec = sts_torque_series(*sts_args, sp)
+        for i in range(n):
+            assert gait_torque(*(float(a[i]) for a in gait_args), gp) == \
+                pytest.approx(gait_vec[i], **tol)
+            assert sts_modulated_torque(*(float(a[i]) for a in sts_args), sp) \
+                == pytest.approx(sts_vec[i], **tol)
