@@ -21,7 +21,8 @@ import yaml
 
 from . import __version__
 from .configio import load_params, save_params
-from .csvio import open_artifact, read_csv, write_csv
+from .csvio import (open_artifact, read_csv, write_csv,
+                    write_float_columns)
 from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, DEFAULT_BATTERY,
                        ActivityLabel, LoadError, StrideSeries,
                        list_stride_files, load_schema, load_stride,
@@ -56,7 +57,10 @@ def _read_config(path: str, command: str) -> tuple[dict, bytes]:
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         raw = p.read_bytes()
-    cfg = yaml.safe_load(raw)
+    try:
+        cfg = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} is not a mapping")
     return cfg, raw
@@ -93,6 +97,15 @@ class _Run:
         return False
 
 
+def _config_int(section: dict, key: str, default: int) -> int:
+    """``section[key]``, else ``default``. A value that is not an int, such
+    as a bool, a float or a string, is a config error, not truncated."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
     """``--seed``, else the first ``seed`` key among ``configs``, else
     ``default``."""
@@ -100,7 +113,7 @@ def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
         return int(args_seed)
     for cfg in configs:
         if "seed" in cfg:
-            return int(cfg["seed"])
+            return _config_int(cfg, "seed", default)
     return default
 
 
@@ -111,16 +124,16 @@ def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSerie
     if spec.get("synthetic"):
         return synth_battery(
             tasks=spec.get("tasks", DEFAULT_BATTERY),
-            strides_per_task=int(spec.get("strides_per_task", 3)),
+            strides_per_task=_config_int(spec, "strides_per_task", 3),
             seed=seed,
             body_mass=float(spec.get("body_mass", 70.0)),
         )
     if "dataset" in spec:
         battery: dict[ActivityLabel, list[StrideSeries]] = {}
         for entry in spec["dataset"]:
+            n = _config_int(entry, "n_samples", 101)
             schema = load_schema(entry["schema"])
             trial = load_trial(entry["csv"], schema)
-            n = int(entry.get("n_samples", 101))
             for rng in segment_strides(trial):
                 stride = normalize_stride(trial, rng, n)
                 battery.setdefault(stride.label, []).append(stride)
@@ -169,7 +182,7 @@ def _load_params(path):
 def cmd_simulate(args) -> int:
     cfg, raw = _read_config(args.config, "simulate")
     params = _load_params(cfg.get("params", "default"))
-    cycles = int(cfg.get("cycles", 4))
+    cycles = _config_int(cfg, "cycles", 4)
     if cycles < 1:
         raise ConfigError(f"cycles must be >= 1, got {cycles}")
     seed = _resolve_seed(args.seed, cfg.get("battery") or {}, cfg, default=7)
@@ -202,15 +215,14 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
             power = [s.copy_with(power=s.channels[CH_HIP_MOMENT]
                                  * s.channels[CH_HIP_VEL]) for s in strides]
             p_mean, p_sd = ensemble_average(power, "power")
-            percent = np.linspace(0.0, 100.0, n)
-            prof_rows = [[repr(percent[i]), repr(bio_mean[i]), repr(bio_sd[i]),
-                          repr(exo_mean[i]), repr(exo_sd[i]),
-                          repr(p_mean[i]), repr(p_sd[i])] for i in range(n)]
-            write_csv(run.path("profiles", f"{code}.csv"),
-                      ["percent", "bio_moment_mean", "bio_moment_sd",
-                       "exo_torque_mean", "exo_torque_sd",
-                       "bio_power_mean", "bio_power_sd"],
-                      prof_rows, run.header)
+            write_float_columns(
+                run.path("profiles", f"{code}.csv"),
+                ["percent", "bio_moment_mean", "bio_moment_sd",
+                 "exo_torque_mean", "exo_torque_sd",
+                 "bio_power_mean", "bio_power_sd"],
+                [np.linspace(0.0, 100.0, n), bio_mean, bio_sd,
+                 exo_mean, exo_sd, p_mean, p_sd],
+                run.header, numpy_repr=True)
 
         scale = float(np.mean([log.mean_extension_scale for log in logs]))
         rows.append(task_energetics(strides, "unassisted", 1.0))
@@ -224,7 +236,8 @@ def cmd_optimize(args) -> int:
     cfg, raw = _read_config(args.config, "optimize")
     warm = _load_params(cfg.get("params", "default"))
     seed = _resolve_seed(args.seed, cfg)
-    battery = _build_battery(cfg, int(cfg.get("battery", {}).get("seed", 7)))
+    battery = _build_battery(cfg,
+                             _config_int(cfg.get("battery", {}), "seed", 7))
     tasks = _battery_tasks(battery, cfg.get("weights", {}))
     for t in tasks:
         for s in t.strides:
@@ -245,7 +258,7 @@ def cmd_optimize(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    budget = int(cfg.get("budget", 6000))
+    budget = _config_int(cfg, "budget", 6000)
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
 

@@ -2,12 +2,18 @@
 
 A file opens with a block of ``# <line>`` comment lines (tool version,
 config hash and seed on CLI artifacts), followed by the body: one CSV header
-row and data rows, or YAML or plain text. Callers format their own cells;
-this module owns only the header block and the comment skipping.
+row and data rows, or YAML or plain text. Callers format the cells of
+:func:`write_csv`; :func:`write_float_columns` formats float columns itself.
 """
 from __future__ import annotations
 
 import csv
+
+import numpy as np
+
+# what repr() of a numpy float64 scalar puts around repr() of the same
+# Python float: ("np.float64(", ")") under numpy 2, ("", "") under numpy 1
+_NP_PREFIX, _NP_SUFFIX = repr(np.float64(0.0)).split("0.0")
 
 
 class LoadError(ValueError):
@@ -28,6 +34,27 @@ def write_csv(path, columns, rows, header_lines=()):
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def write_float_columns(path, names, columns, header_lines=(),
+                        numpy_repr=False):
+    """Header block, one header row of ``names``, then one row per index of
+    the equal-length float64 ``columns``.
+
+    Each cell is ``repr`` of the value as a Python float, or with
+    ``numpy_repr`` as a numpy float64 scalar. The bytes are those of
+    :func:`write_csv` on the same cells: a float repr holds no delimiter,
+    quote or newline, so no cell needs quoting. Each column is converted
+    once with ``tolist`` and rows are streamed, never joined into one string.
+    """
+    pre, suf = (_NP_PREFIX, _NP_SUFFIX) if numpy_repr else ("", "")
+    sep = suf + "," + pre
+    cells = [map(repr, np.asarray(c, dtype=np.float64).tolist())
+             for c in columns]
+    with open_artifact(path, header_lines) as fh:
+        csv.writer(fh).writerow(names)
+        fh.writelines(pre + sep.join(row) + suf + "\r\n"
+                      for row in zip(*cells, strict=True))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .csvio import LoadError, read_csv, write_csv
+from .csvio import LoadError, read_csv, write_float_columns
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
 from .springs import (GaitSpringParams, StsSpringParams, gait_torque_series,
                       sts_torque_series)
@@ -384,9 +384,8 @@ def save_stride(stride: StrideSeries, path, header_lines=()):
     metadata sidecar."""
     path = Path(path)
     names = sorted(stride.channels)
-    write_csv(path, names,
-              ([repr(float(stride.channels[c][i])) for c in names]
-               for i in range(stride.n)), header_lines)
+    write_float_columns(path, names, [stride.channels[c] for c in names],
+                        header_lines)
     meta = {
         "kind": stride.label.kind,
         "parameter": stride.label.parameter,

@@ -58,8 +58,12 @@ class HsDetectorConfig:
                    (self.k_mad, self.window_s, self.refractory_s)):
             raise ValueError("k_mad, window_s, refractory_s must be finite "
                              "and > 0")
-        if self.confirm_samples < 1 or self.refresh_every < 1:
-            raise ValueError("confirm_samples and refresh_every must be >= 1")
+        for name in ("confirm_samples", "refresh_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
 
 
 class _Channel:

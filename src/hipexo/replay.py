@@ -14,7 +14,7 @@ import numpy as np
 
 from .controller import (ControllerParams, HipController, SensorFrame,
                          TorqueBreakdown)
-from .csvio import write_csv
+from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
 
@@ -39,10 +39,10 @@ class ReplayLog:
 
 def write_step_log(log: ReplayLog, path, header_lines=()):
     """One row per control step: timestamp, phase, then BREAKDOWN_FIELDS."""
-    write_csv(path, ("timestamp", "phase", *BREAKDOWN_FIELDS),
-              ([repr(log.t[i]), repr(log.phase[i])]
-               + [repr(log.series[f][i]) for f in BREAKDOWN_FIELDS]
-               for i in range(len(log.t))), header_lines)
+    write_float_columns(
+        path, ("timestamp", "phase", *BREAKDOWN_FIELDS),
+        [log.t, log.phase, *(log.series[f] for f in BREAKDOWN_FIELDS)],
+        header_lines, numpy_repr=True)
 
 
 def _interp_cyclic(stride: StrideSeries, name: str, contra: bool = False):

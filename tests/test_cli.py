@@ -94,6 +94,52 @@ def test_header_block_present(tmp_path, sim_config, command):
         assert head[2].startswith("# seed:"), path
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "metrics",
+                                     "detect-hs"])
+def test_yaml_syntax_error_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("battery: [unclosed\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}:"), err
+    assert not out.exists()
+
+
+BAD_INTS = [2.7, "abc", True]
+
+
+@pytest.mark.parametrize("value", BAD_INTS, ids=["float", "str", "bool"])
+@pytest.mark.parametrize("command, over", [
+    ("simulate", lambda v: {"cycles": v}),
+    ("simulate", lambda v: {"battery": {**SMALL_BATTERY, "seed": v}}),
+    ("simulate", lambda v: {"battery": {**SMALL_BATTERY,
+                                        "strides_per_task": v}}),
+    ("simulate", lambda v: {"battery": {"dataset": [
+        {"schema": "none.yaml", "csv": "none.csv", "n_samples": v}]}}),
+    ("optimize", lambda v: {"budget": v}),
+    ("optimize", lambda v: {"seed": v}),
+    ("optimize", lambda v: {"battery": {"synthetic": True, "seed": v}}),
+    ("detect-hs", lambda v: {"detector": {"confirm_samples": v}}),
+    ("detect-hs", lambda v: {"detector": {"refresh_every": v}}),
+], ids=["cycles", "battery-seed", "strides_per_task", "n_samples", "budget",
+        "seed", "opt-battery-seed", "confirm_samples", "refresh_every"])
+def test_non_integer_config_value_exits_2(tmp_path, capsys, command, over,
+                                          value):
+    cfg_path = {
+        "simulate": lambda: write_yaml(tmp_path / "sim.yaml",
+                                       {"params": "default",
+                                        "battery": SMALL_BATTERY}),
+        "optimize": lambda: write_opt_config(tmp_path),
+        "detect-hs": lambda: write_hs_config(tmp_path, 5.0, 6)}[command]()
+    cfg = yaml.safe_load(Path(cfg_path).read_text())
+    write_yaml(cfg_path, {**cfg, **over(value)})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_smoke_outputs(self, tmp_path, sim_config):
         out = tmp_path / "out"
@@ -252,6 +298,24 @@ class TestMetrics:
         with open(out / "paired.csv") as fh:
             rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
         assert all(float(r["hip_work_change_pct"]) < 0.0 for r in rows)
+
+    def test_peak_total_power_unchanged_by_construction(self, tmp_path):
+        # replay holds the kinematics and the net hip moment fixed, so the
+        # assisted bio + exo power equals the unassisted net power
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--config", "default",
+                     "--out", str(sim_out)]) == 0
+        cfg = write_yaml(tmp_path / "met.yaml", {
+            "unassisted": str(sim_out / "strides" / "unassisted"),
+            "assisted": str(sim_out / "strides" / "assisted"),
+        })
+        out = tmp_path / "met_out"
+        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out / "paired.csv")
+        col = header.index("peak_total_power_change_pct")
+        assert len(rows) == 11
+        for row in rows:
+            assert abs(float(row[col])) <= 1e-9, row[0]
 
     def test_empty_inputs_error(self, tmp_path):
         cfg = write_yaml(tmp_path / "met.yaml", {})

@@ -1,0 +1,119 @@
+"""Byte contract of the column-at-a-time float writer.
+
+The references below are the row-wise writers it replaced: one numpy scalar
+index and ``repr`` per cell, through ``csv.writer``. The column writer must
+give the same bytes on every float, including the special values.
+"""
+import csv
+
+import numpy as np
+import pytest
+
+from hipexo.csvio import _NP_PREFIX, _NP_SUFFIX, write_float_columns
+from hipexo.gaitdata import ActivityLabel, load_stride, save_stride
+from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, write_step_log
+
+SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5,
+                     1e-4, 0.0, -1.5])
+HEADER = ["tool: test", "seed: 0"]
+
+
+def reference_csv(path, names, rows, header_lines):
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(rows)
+
+
+def reference_step_log(log, path, header_lines):
+    reference_csv(path, ("timestamp", "phase", *BREAKDOWN_FIELDS),
+                  ([repr(log.t[i]), repr(log.phase[i])]
+                   + [repr(log.series[f][i]) for f in BREAKDOWN_FIELDS]
+                   for i in range(len(log.t))), header_lines)
+
+
+def reference_stride_csv(stride, path, header_lines):
+    names = sorted(stride.channels)
+    reference_csv(path, names,
+                  ([repr(float(stride.channels[c][i])) for c in names]
+                   for i in range(stride.n)), header_lines)
+
+
+def reference_profile(columns, path, header_lines):
+    names = list(columns)
+    n = len(columns[names[0]])
+    reference_csv(path, names,
+                  ([repr(columns[c][i]) for c in names] for i in range(n)),
+                  header_lines)
+
+
+def inject(values, offset):
+    """``values`` with SPECIALS written over a slice starting at ``offset``."""
+    out = np.array(values, dtype=float)
+    out[offset:offset + len(SPECIALS)] = SPECIALS
+    return out
+
+
+def test_step_log_bytes_match_row_wise_reference(tmp_path, default_params,
+                                                 battery):
+    stride = battery[ActivityLabel("ramp-descent", 11)][0]
+    log = replay_stride(default_params, stride, cycles=1)
+    log.t = inject(log.t, 3)
+    log.phase = inject(log.phase, 40)
+    for k, name in enumerate(BREAKDOWN_FIELDS):
+        log.series[name] = inject(log.series[name], 7 * k)
+    write_step_log(log, tmp_path / "new.csv", HEADER)
+    reference_step_log(log, tmp_path / "ref.csv", HEADER)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+def test_stride_bytes_match_reference_and_reload_bit_identical(tmp_path,
+                                                                battery):
+    stride = battery[ActivityLabel("stair-ascent", 0.178)][1]
+    # moment grids must stay finite; the specials go into the kinematics
+    # and into an extra channel
+    stride = stride.copy_with(extra=inject(np.zeros(stride.n), 0))
+    stride.channels["hip_angle"] = inject(stride.channels["hip_angle"], 50)
+    save_stride(stride, tmp_path / "new.csv", HEADER)
+    reference_stride_csv(stride, tmp_path / "ref.csv", HEADER)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+    back = load_stride(tmp_path / "new.csv")
+    assert set(back.channels) == set(stride.channels)
+    for name, values in stride.channels.items():
+        assert back.channels[name].tobytes() == values.tobytes(), name
+
+
+def test_profile_bytes_match_row_wise_reference(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 201
+    columns = {"percent": np.linspace(0.0, 100.0, n)}
+    for k, name in enumerate(["bio_moment_mean", "bio_moment_sd",
+                              "exo_torque_mean", "exo_torque_sd",
+                              "bio_power_mean", "bio_power_sd"]):
+        columns[name] = inject(rng.standard_normal(n), 20 * k)
+    write_float_columns(tmp_path / "new.csv", list(columns),
+                        list(columns.values()), HEADER, numpy_repr=True)
+    reference_profile(columns, tmp_path / "ref.csv", HEADER)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+def test_unequal_columns_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        write_float_columns(tmp_path / "x.csv", ["a", "b"],
+                            [np.zeros(3), np.zeros(2)])
+
+
+def test_wrapped_float_repr_is_numpy_scalar_repr():
+    rng = np.random.default_rng(20260)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    values = np.concatenate([bits.view(np.float64), SPECIALS,
+                             rng.uniform(-1e3, 1e3, 1000),
+                             rng.uniform(0.0, 1e-300, 1000)])
+    mismatches = [x for x, f in zip(values, values.tolist())
+                  if _NP_PREFIX + repr(f) + _NP_SUFFIX != repr(x)]
+    assert mismatches == []

@@ -74,6 +74,13 @@ class TestDetection:
         assert scores["recall"] >= 0.95
 
 
+@pytest.mark.parametrize("field", ["confirm_samples", "refresh_every"])
+@pytest.mark.parametrize("value", [2.5, "3", True, 0])
+def test_config_sample_counts_must_be_positive_ints(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        HsDetectorConfig(**{field: value})
+
+
 class TestStreamContract:
     def test_non_monotonic_timestamps_rejected(self):
         det = HsDetector(RATE)
