@@ -97,23 +97,29 @@ class _Run:
         return False
 
 
-def _config_int(section: dict, key: str, default: int) -> int:
+def _config_int(section: dict, key: str, default: int,
+                minimum: int | None = None) -> int:
     """``section[key]``, else ``default``. A value that is not an int, such
-    as a bool, a float or a string, is a config error, not truncated."""
+    as a bool, a float or a string, is a config error, not truncated; so is
+    one below ``minimum``."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
 
 
 def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
     """``--seed``, else the first ``seed`` key among ``configs``, else
-    ``default``."""
+    ``default``. A negative seed is a config error."""
     if args_seed is not None:
-        return int(args_seed)
+        if args_seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args_seed}")
+        return args_seed
     for cfg in configs:
         if "seed" in cfg:
-            return _config_int(cfg, "seed", default)
+            return _config_int(cfg, "seed", default, minimum=0)
     return default
 
 
@@ -182,9 +188,7 @@ def _load_params(path):
 def cmd_simulate(args) -> int:
     cfg, raw = _read_config(args.config, "simulate")
     params = _load_params(cfg.get("params", "default"))
-    cycles = _config_int(cfg, "cycles", 4)
-    if cycles < 1:
-        raise ConfigError(f"cycles must be >= 1, got {cycles}")
+    cycles = _config_int(cfg, "cycles", 4, minimum=1)
     seed = _resolve_seed(args.seed, cfg.get("battery") or {}, cfg, default=7)
     battery = _build_battery(cfg, seed)
     with _Run(Path(args.out), raw, seed) as run:
@@ -236,8 +240,8 @@ def cmd_optimize(args) -> int:
     cfg, raw = _read_config(args.config, "optimize")
     warm = _load_params(cfg.get("params", "default"))
     seed = _resolve_seed(args.seed, cfg)
-    battery = _build_battery(cfg,
-                             _config_int(cfg.get("battery", {}), "seed", 7))
+    battery = _build_battery(
+        cfg, _config_int(cfg.get("battery", {}), "seed", 7, minimum=0))
     tasks = _battery_tasks(battery, cfg.get("weights", {}))
     for t in tasks:
         for s in t.strides:
@@ -258,9 +262,7 @@ def cmd_optimize(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    budget = _config_int(cfg, "budget", 6000)
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
+    budget = _config_int(cfg, "budget", 6000, minimum=1)
 
     with _Run(Path(args.out), raw, seed) as run:
         result = optimize(spec, warm, budget=budget, seed=seed)

@@ -1,22 +1,38 @@
 """Stride replay through the controller runtime.
 
 A normalized stride is unrolled into sensor frames at the control rate
-(cyclically for gait, once with a seated lead-in for sit-to-stand), stepped
+(cyclically for gait, once with a seated lead-in for sit-to-stand), run
 through a fresh controller, and the commanded torque of the last full cycle
 is mapped back onto the stride grid as the exo_torque channel.
+
+When every frame passes the controller's frame gate, as on the synthetic
+battery, the replay runs along the time axis: the frame-pure stages (spring
+bases, sigmoids, beta_raw, descent attenuation, blend, clamps) are numpy
+column expressions over the whole stride, in the controller's operation
+order and with ``math.exp``, and only the recurrences (filters, heel-strike
+detector, beta EMA, alpha latch and reset ramp) run per sample. A stride
+with a gated frame is stepped through ``HipController.step`` instead. Both
+paths give the step log and events of stepping the controller, bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
 
-from .controller import (ControllerParams, HipController, SensorFrame,
-                         TorqueBreakdown)
+from .controller import (STANDING_BETA, ControllerParams, HipController,
+                         SensorFrame, TorqueBreakdown)
 from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
+from .heelstrike import LEFT, HsDetector
+from .modulation import (BilateralSample, ModulationState,
+                         alpha_at_heelstrike, beta_smoothed, reset_tick)
+from .signals import (EXP_CLAMP, BiquadSpec, EmaState, LowpassFilter,
+                      SigmoidParams)
+from .springs import VEL_BOUND
 
 # the float fields of TorqueBreakdown, in step-log column order
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(TorqueBreakdown)
@@ -51,18 +67,14 @@ def _interp_cyclic(stride: StrideSeries, name: str, contra: bool = False):
     return lambda x: np.interp(x, grid, values)
 
 
-def replay_stride(params: ControllerParams, stride: StrideSeries,
-                  cycles: int = 4) -> ReplayLog:
-    """Replay one stride and return the left-side step log.
+def _frames(stride: StrideSeries, rate: float, cycles: int):
+    """The replay's sensor frames as float64 columns.
 
-    The stride's ipsilateral channels drive the left leg, the contralateral
-    ones the right. Gait strides loop for ``cycles``; sit-to-stand runs once
-    after a lead-in that holds the seated first sample for STS_LEAD_IN_S.
-    The measured cycle (for the exo-torque grid and the mean extension
-    scale) is the last one. Raises ``ValueError`` when ``cycles`` < 1.
+    Returns (tgrid, phase, columns, t_meas0): the step times, the cycle
+    phase of each step, one column per SensorFrame field in field order,
+    and the start time of the measured (last) cycle. Sit-to-stand runs one
+    cycle after the seated lead-in whatever ``cycles`` says.
     """
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
     is_gait = stride.label.is_gait
     if is_gait:
         lead_in_s = 0.0
@@ -70,7 +82,6 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
         cycles = 1
         lead_in_s = STS_LEAD_IN_S
 
-    rate = params.loop_rate_hz
     T = stride.cycle_duration
     n_steps = int(round((lead_in_s + cycles * T) * rate))
     tgrid = np.arange(n_steps) / rate
@@ -110,27 +121,152 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     sampled["vel_l"] = np.where(lead, 0.0, sampled["vel_l"])
     sampled["vel_r"] = np.where(lead, 0.0, sampled["vel_r"])
 
-    # frame columns in SensorFrame field order, as Python floats: the
-    # controller's scalar arithmetic is cheaper on them than on numpy
-    # scalars, and gives the same floats
-    columns = [tgrid.tolist()] + [sampled[k].tolist() for k in (
+    columns = [tgrid] + [sampled[k] for k in (
         "hip_l", "hip_r", "vel_l", "vel_r", "thigh_l", "thigh_r", "torso",
         "acc_l", "acc_r", "acc_p")]
+    return tgrid, phase, columns, lead_in_s + (cycles - 1) * T
+
+
+def _passes_gate(columns) -> bool:
+    """True iff HipController.step would admit every frame: all values
+    finite and both hip velocities inside VEL_BOUND."""
+    return bool(np.isfinite(columns).all()
+                and (np.abs(columns[3:5]) < VEL_BOUND).all())
+
+
+def _step_frames(params: ControllerParams, columns):
+    """Step a fresh HipController frame by frame; (series, events)."""
+    # frames of Python floats: the controller's scalar arithmetic is cheaper
+    # on them than on numpy scalars, and gives the same floats
     step = HipController(params).step
     breakdown_row = attrgetter(*BREAKDOWN_FIELDS)
     rows = []
     events = []
-    for values in zip(*columns):
+    for values in zip(*(c.tolist() for c in columns)):
         result = step(SensorFrame(*values))
         rows.append(breakdown_row(result.left))
         if result.hs_event is not None:
             events.append(result.hs_event)
     series = {name: np.array(col, dtype=float)
               for name, col in zip(BREAKDOWN_FIELDS, zip(*rows))}
+    return series, events
+
+
+def _sigmoid_column(x: np.ndarray, p: SigmoidParams) -> np.ndarray:
+    """signals.sigmoid over a column, bit for bit: math.exp, because np.exp
+    can differ from it in the last bit."""
+    z = np.clip(-p.w * x + p.phi, -EXP_CLAMP, EXP_CLAMP)
+    return 1.0 / (1.0 + np.fromiter(map(math.exp, z.tolist()), float, z.size))
+
+
+def _neg_part(x: np.ndarray) -> np.ndarray:
+    """min(0.0, x) per element, with the same zero sign."""
+    return np.where(x < 0.0, x, 0.0)
+
+
+def _pos_part(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) per element, with the same zero sign."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _replay_columns(params: ControllerParams, columns):
+    """The left-side breakdown of HipController.step over gate-passing
+    frames, computed a column at a time; (series, events).
+
+    Gives the same floats and events as ``_step_frames``. Only the
+    recurrences (filters, heel-strike detector, beta EMA, alpha latch and
+    reset ramp) run per sample, on the scalar objects the controller uses;
+    every other stage is a column expression in the controller's operation
+    order. The right side's command path feeds nothing on the left, so it
+    is not computed; its filtered velocity feeds the detector and beta.
+    """
+    p = params
+    t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = columns
+    vel_cap = VEL_BOUND * 0.999
+
+    def lowpass(cutoff_hz, x):
+        f = LowpassFilter(BiquadSpec(cutoff_hz, p.loop_rate_hz))
+        return np.array(list(map(f.step, x.tolist())))
+
+    vel_l = np.clip(lowpass(p.vel_filter_cutoff_hz, hv_l), -vel_cap, vel_cap)
+    vel_r = np.clip(lowpass(p.vel_filter_cutoff_hz, hv_r), -vel_cap, vel_cap)
+    diff_dot = vel_l - vel_r
+
+    sym = p.symmetry
+    b_raw = np.where(
+        (th_l > sym.seated_ext_threshold) & (th_r > sym.seated_ext_threshold),
+        1.0, np.where(np.abs(diff_dot) >= sym.vel_threshold, 0.0,
+                      _sigmoid_column(np.abs(th_l - th_r), sym.sym_mod)))
+
+    update = HsDetector(p.loop_rate_hz).update
+    mod = ModulationState(beta_ema=EmaState(smoothing=sym.ema_smoothing))
+    events = []
+    alpha = []
+    beta = []
+    for ti, tl, tr, dd, al, ar, ap, b in zip(
+            t.tolist(), th_l.tolist(), th_r.tolist(), diff_dot.tolist(),
+            acc_l.tolist(), acc_r.tolist(), acc_p.tolist(), b_raw.tolist()):
+        event = update(ti, al, ar, ap, BilateralSample(tl, tr, dd))
+        if event is not None:
+            events.append(event)
+            if event.side == LEFT:
+                mod.latch_alpha(alpha_at_heelstrike(event.thigh_snapshot,
+                                                    p.descent))
+        b = beta_smoothed(mod, b)
+        beta.append(b)
+        alpha.append(reset_tick(mod, b > STANDING_BETA, ti, p.descent))
+    alpha = np.array(alpha)
+    beta = np.array(beta)
+    outside = ~((beta >= 0.0) & (beta <= 1.0))
+    if outside.any():
+        raise ValueError(
+            f"beta must be in [0, 1], got {beta[outside.argmax()].item()}")
+
+    g, s = p.gait, p.sts
+    tau_ext = _neg_part(g.k_ext * (hip_l - g.theta_ext_eq))
+    tau_flex = _pos_part(g.k_flex * (g.theta_flex_eq - hip_l))
+    eta_ext = _sigmoid_column(vel_l, g.vel_mod_ext)
+    eta_flex = _sigmoid_column(vel_l, g.vel_mod_flex)
+    tau_gait = eta_ext * tau_ext + eta_flex * tau_flex
+    tau_sts = _neg_part(-s.k_sts * th_l)
+    tau_sts_mod = (tau_sts * _sigmoid_column(vel_l, s.vel_mod)
+                   * _sigmoid_column(_pos_part(torso), s.torso_mod))
+    scale = 1.0 - p.descent.lam * alpha
+    tau_gait_mod = scale * _neg_part(tau_gait) + _pos_part(tau_gait)
+    tau_act_raw = beta * tau_sts_mod + (1.0 - beta) * tau_gait_mod
+    tau_cmd = np.clip(lowpass(p.cmd_filter_cutoff_hz, tau_act_raw),
+                      -p.torque_limit, p.torque_limit)
+    return dict(
+        tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
+        tau_gait_mod=tau_gait_mod, tau_sts=tau_sts, tau_sts_mod=tau_sts_mod,
+        tau_act_raw=tau_act_raw, tau_cmd=tau_cmd, eta_ext=eta_ext,
+        eta_flex=eta_flex, alpha=alpha, beta=beta, extension_scale=scale,
+        hip_vel_filt=vel_l), events
+
+
+def replay_stride(params: ControllerParams, stride: StrideSeries,
+                  cycles: int = 4) -> ReplayLog:
+    """Replay one stride and return the left-side step log.
+
+    The stride's ipsilateral channels drive the left leg, the contralateral
+    ones the right. Gait strides loop for ``cycles``; sit-to-stand runs once
+    after a lead-in that holds the seated first sample for STS_LEAD_IN_S.
+    The measured cycle (for the exo-torque grid and the mean extension
+    scale) is the last one. Raises ``ValueError`` when ``cycles`` < 1.
+
+    When every frame passes the controller's frame gate, the step log is
+    computed a column at a time over the whole stride; otherwise a fresh
+    HipController is stepped frame by frame (see the module docstring).
+    """
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    tgrid, phase, columns, t_meas0 = _frames(stride, params.loop_rate_hz,
+                                             cycles)
+    run = _replay_columns if _passes_gate(columns) else _step_frames
+    series, events = run(params, columns)
 
     # map the measured (last) cycle's command back onto the stride grid
-    t_meas0 = lead_in_s + (cycles - 1) * T
-    grid_t = t_meas0 + np.linspace(0.0, 1.0, stride.n) * T
+    grid_t = t_meas0 + np.linspace(0.0, 1.0, stride.n) * stride.cycle_duration
     grid_t = np.minimum(grid_t, tgrid[-1])
     exo_grid = np.interp(grid_t, tgrid, series["tau_cmd"])
 

@@ -46,7 +46,9 @@ def sigmoid(x: float, p: SigmoidParams) -> float:
 
 
 def sigmoid_array(x, p: SigmoidParams) -> np.ndarray:
-    """Vectorized twin of :func:`sigmoid` for batch replay."""
+    """Vectorized twin of :func:`sigmoid` for the optimizer and stride
+    synthesis. Not bit-identical to it: ``np.exp`` can differ from
+    ``math.exp`` in the last bit, so replay does not use it."""
     z = np.clip(-p.w * np.asarray(x, dtype=float) + p.phi, -EXP_CLAMP, EXP_CLAMP)
     return 1.0 / (1.0 + np.exp(z))
 

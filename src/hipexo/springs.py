@@ -112,7 +112,8 @@ def sts_modulated_torque(theta_thigh: float, theta_ips_dot: float,
     return tau_sts * eta_vel * eta_torso
 
 
-# --- vectorized twins used by the batch replay / optimizer paths ---------
+# --- vectorized twins for the optimizer and stride synthesis -------------
+# (replay cannot use them: np.exp can differ from math.exp in the last bit)
 
 def gait_torque_series(theta_ips, theta_ips_dot, p: GaitSpringParams) -> np.ndarray:
     """Vectorized gait-spring torque over angle/velocity series."""

@@ -10,7 +10,7 @@ from hipexo.cli import main
 from hipexo.configio import load_params, params_to_dict
 from hipexo.csvio import read_csv
 from hipexo.gaitdata import load_stride, synth_imu_stream
-from hipexo.metrics import read_report
+from hipexo.metrics import paired_summary, read_report
 
 SMALL_BATTERY = {
     "synthetic": True,
@@ -137,6 +137,31 @@ def test_non_integer_config_value_exits_2(tmp_path, capsys, command, over,
     out = tmp_path / "o"
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, over, flag", [
+    ("simulate", {}, ["--seed", "-1"]),
+    ("simulate", {"battery": {**SMALL_BATTERY, "seed": -1}}, []),
+    ("simulate", {"seed": -1, "battery": {
+        k: v for k, v in SMALL_BATTERY.items() if k != "seed"}}, []),
+    ("optimize", {}, ["--seed", "-1"]),
+    ("optimize", {"seed": -1}, []),
+    ("optimize", {"battery": {"synthetic": True, "seed": -1}}, []),
+], ids=["sim-flag", "sim-battery-seed", "sim-seed", "opt-flag", "opt-seed",
+        "opt-battery-seed"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, over, flag):
+    cfg_path = {
+        "simulate": lambda: write_yaml(tmp_path / "sim.yaml",
+                                       {"params": "default",
+                                        "battery": SMALL_BATTERY}),
+        "optimize": lambda: write_opt_config(tmp_path)}[command]()
+    cfg = yaml.safe_load(Path(cfg_path).read_text())
+    write_yaml(cfg_path, {**cfg, **over})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out),
+                 *flag]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -270,6 +295,28 @@ class TestOptimize:
         assert_same_tree(a, b)
 
 
+# the paper's changes over its hip-intensive tasks, assisted relative to
+# unassisted, in percent
+PAPER_HIP_WORK_PCT = -24.7
+PAPER_LOWERLIMB_WORK_PCT = -9.3
+
+
+@pytest.fixture(scope="module")
+def default_met(tmp_path_factory):
+    """Output directory of ``metrics`` over the assisted and unassisted
+    strides of ``simulate --config default --seed 7``."""
+    root = tmp_path_factory.mktemp("default-run")
+    sim_out = root / "sim"
+    assert main(["simulate", "--config", "default", "--seed", "7",
+                 "--out", str(sim_out)]) == 0
+    cfg = write_yaml(root / "met.yaml", {
+        "unassisted": str(sim_out / "strides" / "unassisted"),
+        "assisted": str(sim_out / "strides" / "assisted"),
+    })
+    assert main(["metrics", "--config", cfg, "--out", str(root / "met")]) == 0
+    return root / "met"
+
+
 class TestMetrics:
     def test_identical_sets_zero_change(self, tmp_path, sim_config, capsys):
         sim_out = tmp_path / "sim"
@@ -299,23 +346,38 @@ class TestMetrics:
             rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
         assert all(float(r["hip_work_change_pct"]) < 0.0 for r in rows)
 
-    def test_peak_total_power_unchanged_by_construction(self, tmp_path):
+    def test_peak_total_power_unchanged_by_construction(self, default_met):
         # replay holds the kinematics and the net hip moment fixed, so the
         # assisted bio + exo power equals the unassisted net power
-        sim_out = tmp_path / "sim"
-        assert main(["simulate", "--config", "default",
-                     "--out", str(sim_out)]) == 0
-        cfg = write_yaml(tmp_path / "met.yaml", {
-            "unassisted": str(sim_out / "strides" / "unassisted"),
-            "assisted": str(sim_out / "strides" / "assisted"),
-        })
-        out = tmp_path / "met_out"
-        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 0
-        header, rows = read_csv(out / "paired.csv")
+        header, rows = read_csv(default_met / "paired.csv")
         col = header.index("peak_total_power_change_pct")
         assert len(rows) == 11
         for row in rows:
             assert abs(float(row[col])) <= 1e-9, row[0]
+
+    def test_paper_direction_on_hip_intensive_tasks(self, default_met):
+        """Assisted hip and lower-limb positive work and peak biological hip
+        power are below unassisted on every hip-intensive task, as in the
+        paper (hip W+ -24.7 %, lower-limb W+ -9.3 % on average)."""
+        summary = [rec for rec in
+                   paired_summary(read_report(default_met / "report.csv"))
+                   if rec["hip_intensive"]]
+        assert len(summary) == 7   # LG x2, RA x2, SA x2, STS
+        print(f"\n{'task':<9}{'hip W+':>9}{'paper':>8}{'limb W+':>9}"
+              f"{'paper':>8}{'peak P':>9}")
+        for rec in summary:
+            print(f"{rec['task']:<9}{rec['hip_work_change_pct']:>8.1f}%"
+                  f"{PAPER_HIP_WORK_PCT:>7.1f}%"
+                  f"{rec['lowerlimb_work_change_pct']:>8.1f}%"
+                  f"{PAPER_LOWERLIMB_WORK_PCT:>7.1f}%"
+                  f"{rec['peak_bio_power_change_pct']:>8.1f}%")
+        for rec in summary:
+            assert rec["hip_work_assisted"] < \
+                rec["hip_work_unassisted"], rec["task"]
+            assert rec["lowerlimb_work_assisted"] < \
+                rec["lowerlimb_work_unassisted"], rec["task"]
+            assert rec["peak_bio_power_assisted"] < \
+                rec["peak_bio_power_unassisted"], rec["task"]
 
     def test_empty_inputs_error(self, tmp_path):
         cfg = write_yaml(tmp_path / "met.yaml", {})

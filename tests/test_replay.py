@@ -1,12 +1,16 @@
-from dataclasses import astuple
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from hipexo import replay
+from hipexo import controller, replay
 from hipexo.controller import HipController, SensorFrame
-from hipexo.gaitdata import CH_EXO, ActivityLabel
+from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_VEL, ActivityLabel,
+                             synth_battery)
 from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, simulate_task
+from hipexo.springs import VEL_BOUND
+from test_controller import DT, random_frame, random_params
 
 
 class TestReplay:
@@ -60,29 +64,66 @@ class TestReplay:
             assert CH_EXO not in stride.channels  # input untouched
 
 
+@pytest.fixture
+def stepped(monkeypatch):
+    """The frames that replay_stride feeds to HipController.step."""
+    frames = []
+
+    class Recording(HipController):
+        def step(self, frame):
+            frames.append(frame)
+            return super().step(frame)
+
+    monkeypatch.setattr(replay, "HipController", Recording)
+    return frames
+
+
+def step_reference(params, columns):
+    """(series, events) of HipController.step over the frames whose field
+    values are ``columns``, stepped one frame at a time."""
+    ctl = HipController(params)
+    rows = []
+    events = []
+    for values in zip(*columns):
+        result = ctl.step(SensorFrame(*values))
+        rows.append([getattr(result.left, name) for name in BREAKDOWN_FIELDS])
+        if result.hs_event is not None:
+            events.append(result.hs_event)
+    series = {name: np.array(col, dtype=float)
+              for name, col in zip(BREAKDOWN_FIELDS, zip(*rows))}
+    return series, events
+
+
+def assert_same_log(series, events, ref_series, ref_events):
+    for name in BREAKDOWN_FIELDS:
+        assert series[name].tobytes() == ref_series[name].tobytes(), name
+    # HsEvent equality covers side, timestamp, source and thigh snapshot
+    assert events == ref_events
+
+
+def float_columns(params, stride, cycles):
+    return [c.tolist() for c in
+            replay._frames(stride, params.loop_rate_hz, cycles)[2]]
+
+
 class TestReplayFeed:
     @pytest.mark.parametrize("label", [ActivityLabel("stair-descent", 0.178),
                                        ActivityLabel("sit-to-stand")])
     def test_float_frames_match_numpy_scalar_frames(
-            self, default_params, battery, monkeypatch, label):
-        """Frames of Python floats give the same step log and events as the
-        same frames built from np.float64 scalars."""
-        frames = []
-
-        class Recording(HipController):
-            def step(self, frame):
-                frames.append(frame)
-                return super().step(frame)
-
-        monkeypatch.setattr(replay, "HipController", Recording)
-        log = replay_stride(default_params, battery[label][0])
-        assert all(type(v) is float for f in frames for v in astuple(f))
+            self, default_params, battery, stepped, label):
+        """The step log and events of a replay equal those of
+        HipController.step fed the same frames as np.float64 scalars."""
+        stride = battery[label][0]
+        log = replay_stride(default_params, stride)
+        assert not stepped   # every frame passes the gate: the column path
+        columns = float_columns(default_params, stride, 4)
+        assert all(type(v) is float for c in columns for v in c)
 
         ctl = HipController(default_params)
-        series = {name: np.empty(len(frames)) for name in BREAKDOWN_FIELDS}
+        series = {name: np.empty(len(log.t)) for name in BREAKDOWN_FIELDS}
         events = []
-        for i, f in enumerate(frames):
-            result = ctl.step(SensorFrame(*map(np.float64, astuple(f))))
+        for i, values in enumerate(zip(*columns)):
+            result = ctl.step(SensorFrame(*map(np.float64, values)))
             for name in BREAKDOWN_FIELDS:
                 series[name][i] = getattr(result.left, name)
             if result.hs_event is not None:
@@ -92,3 +133,119 @@ class TestReplayFeed:
         assert [(e.side, e.timestamp, e.source) for e in events] == \
             [(e.side, e.timestamp, e.source) for e in log.events]
         assert len(log.events) > 0 or not label.is_gait
+
+
+@pytest.fixture(scope="module")
+def battery_11():
+    return synth_battery(strides_per_task=3, seed=11)
+
+
+class TestColumnReplay:
+    """The column path against HipController.step, frame by frame."""
+
+    @pytest.mark.parametrize("cycles", [1, 4])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_default_battery_bit_identical(self, default_params, battery,
+                                           battery_11, stepped, seed, cycles):
+        strides = [s for task in (battery if seed == 7 else battery_11).values()
+                   for s in task]
+        assert len(strides) == 33
+        for stride in strides:
+            log = replay_stride(default_params, stride, cycles=cycles)
+            ref = step_reference(default_params,
+                                 float_columns(default_params, stride, cycles))
+            assert_same_log(log.series, log.events, *ref)
+        assert not stepped
+
+    @pytest.mark.parametrize("channel, value", [(CH_HIP_ANGLE, math.nan),
+                                                (CH_HIP_VEL, VEL_BOUND)],
+                             ids=["nan-hip-angle", "hip-vel-at-bound"])
+    def test_gated_frame_takes_scalar_fallback(self, default_params, battery,
+                                               stepped, channel, value):
+        stride = battery[ActivityLabel("ramp-ascent", 11)][0]
+        values = stride.channels[channel].copy()
+        # sample 0 is hit exactly at the start of every replayed cycle
+        values[0] = value
+        stride = stride.copy_with(**{channel: values})
+        columns = replay._frames(stride, default_params.loop_rate_hz, 2)[2]
+        assert not replay._passes_gate(columns)
+        log = replay_stride(default_params, stride, cycles=2)
+        assert len(stepped) == len(log.t)
+        assert all(type(v) is float for f in stepped for v in astuple(f))
+        ref = step_reference(default_params, [c.tolist() for c in columns])
+        assert_same_log(log.series, log.events, *ref)
+
+    @pytest.mark.parametrize("k_gait", [None, 0.0],
+                             ids=["default", "zero-gait-stiffness"])
+    def test_crafted_stream_latch_reset_ramp_and_seated(self, default_params,
+                                                        k_gait):
+        """A heel strike latches alpha, standing for t_wait + t_decay ramps
+        it back to 0, and a seated span forces beta_raw to 1.
+
+        The standing thighs sit at exactly 0 rad, and a zero gait stiffness
+        times a negative angle is -0.0, so min(0.0, -0.0) and
+        max(0.0, -0.0) (both +0.0) are exercised too."""
+        p = default_params
+        if k_gait is not None:
+            p = replace(p, gait=replace(p.gait, k_ext=k_gait, k_flex=k_gait))
+        dt = 1.0 / p.loop_rate_hz
+        t = np.arange(int(7.0 * p.loop_rate_hz)) * dt
+        walk = t < 1.2                      # heel strike at 1.0 s
+        seated = t >= 5.5                   # after the reset ramp has ended
+        # a short step at the heel strike, then symmetric standing thighs
+        th_l = np.where(walk, 0.10, np.where(seated, 1.3, 0.0))
+        th_r = np.where(walk, 0.05, np.where(seated, 1.3, 0.0))
+        hip = th_l + 0.5 * np.sin(2 * np.pi * t)
+        vel = 0.1 * np.pi * np.cos(2 * np.pi * t)
+        torso = np.where(seated, 0.4, -0.05)
+        acc_l = np.where(np.abs(t - 1.0) < dt / 2, 30.0, 0.0)
+        zeros = np.zeros_like(t)
+        columns = [t, hip, hip, vel, vel, th_l, th_r, torso, acc_l, zeros,
+                   zeros]
+        assert replay._passes_gate(columns)
+
+        series, events = replay._replay_columns(p, columns)
+        assert_same_log(series, events,
+                        *step_reference(p, [c.tolist() for c in columns]))
+
+        assert [(e.side, e.timestamp) for e in events] == [("left", t[250])]
+        alpha = series["alpha"]
+        assert alpha.max() > 0.5                       # latched
+        ramp = (alpha > 0.0) & (alpha < alpha.max())
+        assert ramp.any()                              # the reset ramp ran
+        assert alpha[seated].max() == 0.0              # and ended
+        assert t[ramp].min() >= 1.2 + p.descent.t_wait
+        assert series["beta"][-1] > 0.99               # seated override
+        assert series["tau_sts_mod"][seated].min() < 0.0
+
+    def test_beta_outside_unit_range_raises_like_blend(
+            self, default_params, battery, monkeypatch):
+        stride = battery[ActivityLabel("level-walk", 1.15)][0]
+        columns = replay._frames(stride, default_params.loop_rate_hz, 1)[2]
+        for module in (replay, controller):
+            monkeypatch.setattr(module, "beta_smoothed", lambda st, b: 1.5)
+        message = r"beta must be in \[0, 1\], got 1.5$"
+        with pytest.raises(ValueError, match=message):
+            replay._replay_columns(default_params, columns)
+        with pytest.raises(ValueError, match=message):
+            step_reference(default_params, [c.tolist() for c in columns])
+
+    def test_random_params_bit_identical(self, battery):
+        # seeded like tests/test_controller.py's saturation fuzz
+        rng = np.random.default_rng(7)
+        strides = [battery[ActivityLabel("stair-ascent", 0.178)][0],
+                   battery[ActivityLabel("sit-to-stand")][0]]
+        for _ in range(3):
+            params = random_params(rng)
+            for stride in strides:
+                series, events = replay._replay_columns(
+                    params,
+                    replay._frames(stride, params.loop_rate_hz, 2)[2])
+                assert_same_log(series, events, *step_reference(
+                    params, float_columns(params, stride, 2)))
+            frames = [random_frame(rng, k * DT) for k in range(400)]
+            columns = [np.array(c) for c in zip(*map(astuple, frames))]
+            assert replay._passes_gate(columns)
+            series, events = replay._replay_columns(params, columns)
+            assert_same_log(series, events, *step_reference(
+                params, [c.tolist() for c in columns]))
