@@ -130,7 +130,8 @@ def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSerie
     if spec.get("synthetic"):
         return synth_battery(
             tasks=spec.get("tasks", DEFAULT_BATTERY),
-            strides_per_task=_config_int(spec, "strides_per_task", 3),
+            strides_per_task=_config_int(spec, "strides_per_task", 3,
+                                         minimum=1),
             seed=seed,
             body_mass=float(spec.get("body_mass", 70.0)),
         )

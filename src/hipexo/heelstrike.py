@@ -19,12 +19,25 @@ while one is in the window the threshold is NaN, which no sample exceeds.
 
 ``HsDetector.update`` takes the frame's timestamp and three accelerations
 as plain floats, plus the ``BilateralSample`` that an event snapshots.
+
+``detect_columns`` gives the events of updating a fresh detector with every
+frame of a stream held as columns, each with the index of the frame that
+returns it. Per channel it makes two passes. The first keeps the same
+sorted window, with no candidate bookkeeping, and yields each sample's
+threshold. The second visits only the samples over their threshold and
+tracks candidates and confirmations as ``_Channel.push`` does. Two helpers
+are shared with the streaming path, so each rule has one implementation:
+``_median_mad`` computes the statistic, and ``HsDetector._merge`` turns one
+frame's confirmations into events (time order, leading-leg attribution,
+refractory, fusion, one event out per frame).
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+
+import numpy as np
 
 from .modulation import BilateralSample
 
@@ -66,6 +79,47 @@ class HsDetectorConfig:
                                  f"got {value!r}")
 
 
+def _median_mad(s: list[float]) -> tuple[float, float]:
+    """Median and MAD of the non-empty, NaN-free ascending list ``s``: the
+    exact floats that recomputing both over ``s`` with ``np.median`` gives."""
+    n = len(s)
+    h = n // 2
+    med = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
+    if -math.inf < med < math.inf:
+        # s[:h] <= med <= s[h:], so the deviations form two ascending
+        # runs, med - s[h-1], med - s[h-2], ... and s[h] - med,
+        # s[h+1] - med, ..., each the exact float |x - med| (rounding
+        # is monotone and symmetric). The h smallest deviations are those
+        # of s[k:h] and s[h:h+k] for the first k with
+        # med - s[k] < s[k+h] - med, found by bisection; the MAD is then
+        # the next deviation (odd n) or the mean of the h-th and the next
+        # (even n).
+        lo, hi = 0, h
+        while lo < hi:
+            k = (lo + hi) // 2
+            if med - s[k] < s[k + h] - med:
+                hi = k
+            else:
+                lo = k + 1
+        k = lo
+        mad = min(med - s[k - 1] if k else math.inf,
+                  s[h + k] - med if h + k < n else math.inf)
+        if not n % 2:
+            last = max(med - s[k] if k < h else -math.inf,
+                       s[h + k - 1] - med if k else -math.inf)
+            mad = (last + mad) / 2
+        return med, abs(mad)   # a zero deviation can come out as -0.0
+    if med != med or med in (s[0], s[-1]):
+        # NaN median, or inf - inf in the deviation of a sample at it
+        return med, math.nan
+    # a finite pair overflowed to an infinite median
+    return med, math.inf
+
+
+# a confirmed peak: (peak time, snapshot at the peak frame)
+_Confirmed = tuple[float, BilateralSample]
+
+
 class _Channel:
     """Adaptive threshold + local-max candidate tracking for one channel."""
 
@@ -89,46 +143,14 @@ class _Channel:
         self.cand_age = -1
 
     def _update_threshold(self):
-        s = self.sorted
         if self.nans:
             self.threshold = math.nan
-            return
-        n = len(s)
-        h = n // 2
-        med = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
-        if -math.inf < med < math.inf:
-            # s[:h] <= med <= s[h:], so the deviations form two ascending
-            # runs, med - s[h-1], med - s[h-2], ... and s[h] - med,
-            # s[h+1] - med, ..., each the exact float |x - med| (rounding
-            # is monotone and symmetric). Search how many (i) of the h
-            # smallest deviations come from the left run; the MAD is then
-            # the next deviation (odd n) or the mean of the h-th and the
-            # next (even n).
-            lo, hi = 0, h
-            while lo < hi:
-                i = (lo + hi) // 2
-                if med - s[h - 1 - i] < s[2 * h - 1 - i] - med:
-                    lo = i + 1
-                else:
-                    hi = i
-            i = lo
-            mad = min(med - s[h - 1 - i] if i < h else math.inf,
-                      s[2 * h - i] - med if 2 * h - i < n else math.inf)
-            if not n % 2:
-                last = max(med - s[h - i] if i else -math.inf,
-                           s[2 * h - 1 - i] - med if i < h else -math.inf)
-                mad = (last + mad) / 2
-            mad = abs(mad)   # a zero deviation can come out as -0.0
-        elif med != med or med in (s[0], s[-1]):
-            # NaN median, or inf - inf in the deviation of a sample at it
-            mad = math.nan
         else:
-            # a finite pair overflowed to an infinite median
-            mad = math.inf
-        self.threshold = med + self.k_mad * mad
+            med, mad = _median_mad(self.sorted)
+            self.threshold = med + self.k_mad * mad
 
     def push(self, value: float, t: float,
-             snapshot: BilateralSample) -> tuple[float, BilateralSample] | None:
+             snapshot: BilateralSample) -> _Confirmed | None:
         """Feed one sample; returns (peak_time, peak_snapshot) on confirmation."""
         # compare against the threshold from before this sample enters the
         # statistics window (keeps the test causal)
@@ -227,18 +249,32 @@ class HsDetector:
         timestamps.
         """
         self.advance_clock(timestamp)
-        hits: list[tuple[float, str, str, BilateralSample]] = []
+        return self._merge(
+            self._thigh[LEFT].push(thigh_accel_l, timestamp, bilateral),
+            self._thigh[RIGHT].push(thigh_accel_r, timestamp, bilateral),
+            self._pelvis.push(pelvis_accel, timestamp, bilateral),
+            self._pelvis.last_above_t)
 
-        for side in (LEFT, RIGHT):
-            value = thigh_accel_l if side == LEFT else thigh_accel_r
-            confirmed = self._thigh[side].push(value, timestamp, bilateral)
-            if confirmed is not None:
-                hits.append((confirmed[0], side, SOURCE_THIGH, confirmed[1]))
+    def _merge(self, left: _Confirmed | None, right: _Confirmed | None,
+               pelvis: _Confirmed | None,
+               pelvis_last_above_t: float) -> HsEvent | None:
+        """Turn one frame's channel confirmations into events; returns the
+        oldest pending event, if any.
 
-        confirmed = self._pelvis.push(pelvis_accel, timestamp, bilateral)
-        if confirmed is not None:
-            peak_t, snap = confirmed
-            # leading leg: greater thigh flexion at the peak sample
+        Hits are taken in peak-time order (ties in channel order: thigh L,
+        thigh R, pelvis); a pelvis hit goes to the leading leg (greater
+        thigh flexion at the peak sample); a hit inside its side's
+        refractory is dropped; a thigh hit within the fusion window of the
+        pelvis channel's last above-threshold sample is fused. Events queue
+        and come out one per frame.
+        """
+        hits = []
+        if left is not None:
+            hits.append((left[0], LEFT, SOURCE_THIGH, left[1]))
+        if right is not None:
+            hits.append((right[0], RIGHT, SOURCE_THIGH, right[1]))
+        if pelvis is not None:
+            peak_t, snap = pelvis
             side = LEFT if snap.theta_thigh_l >= snap.theta_thigh_r else RIGHT
             hits.append((peak_t, side, SOURCE_PELVIS, snap))
 
@@ -248,13 +284,136 @@ class HsDetector:
             self._last_event_t[side] = peak_t
             if source == SOURCE_THIGH:
                 fuse_window = (self.config.confirm_samples + 1) / self.rate_hz
-                if peak_t - self._pelvis.last_above_t <= fuse_window:
+                if peak_t - pelvis_last_above_t <= fuse_window:
                     source = SOURCE_FUSED
             self._pending.append(HsEvent(side=side, timestamp=peak_t,
                                          thigh_snapshot=snap, source=source))
         if self._pending:
             return self._pending.pop(0)
         return None
+
+
+def _threshold_column(x: list[float], window: int, warmup: int,
+                      refresh: int, k_mad: float) -> np.ndarray:
+    """The threshold ``_Channel.push`` compares each sample of the NaN-free
+    stream ``x`` against: inf before the first refresh, then the value of
+    the latest refresh at or before the sample.
+
+    Keeps the same sorted window (one bisect delete and one insert per
+    sample) and reads it only at the refreshes, every ``refresh`` samples
+    from ``warmup`` on.
+    """
+    n = len(x)
+    thr = np.full(n, math.inf)
+    first = max(1, -(-warmup // refresh)) * refresh   # count of 1st refresh
+    if first >= n:
+        return thr
+    s = sorted(x[max(0, first - window):first])
+    values = []
+    for c in range(first, n, refresh):
+        j = c - refresh
+        if j >= first:   # move the window from count j to count c
+            if j < window:
+                fill = min(c, window)
+                for new in x[j:fill]:
+                    insort(s, new)
+                j = fill
+            for old, new in zip(x[j - window:c - window], x[j:c]):
+                del s[bisect_left(s, old)]
+                insort(s, new)
+        med, mad = _median_mad(s)
+        values.append(med + k_mad * mad)
+    thr[first:] = np.repeat(values, refresh)[:n - first]
+    return thr
+
+
+def _confirmations(x: np.ndarray, above: np.ndarray,
+                   confirm: int) -> list[tuple[int, int]]:
+    """(frame, peak) index pairs at which ``_Channel.push`` confirms a
+    peak, given the indices ``above`` of the samples of ``x`` over their
+    threshold.
+
+    A candidate at peak p confirms at p + ``confirm`` unless a higher
+    sample over the threshold replaces it first, on that frame too; the
+    first over-threshold sample after a confirmation starts a new one.
+    """
+    out = []
+    peak, peak_value = -1, 0.0
+    for j, v in zip(above.tolist(), x[above].tolist()):
+        if peak >= 0:
+            due = peak + confirm
+            if j <= due and v > peak_value:
+                peak, peak_value = j, v
+                continue
+            if j < due:
+                continue
+            out.append((due, peak))
+            peak = -1
+            if j == due:     # the confirming sample starts no candidate
+                continue
+        peak, peak_value = j, v
+    if 0 <= peak and peak + confirm < len(x):
+        out.append((peak + confirm, peak))
+    return out
+
+
+def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
+                   thigh_accel_r: np.ndarray, pelvis_accel: np.ndarray,
+                   thigh_l: np.ndarray, thigh_r: np.ndarray,
+                   theta_diff_dot: np.ndarray,
+                   config: HsDetectorConfig | None = None
+                   ) -> list[tuple[int, HsEvent]]:
+    """The events of a fresh ``HsDetector`` updated with every frame of
+    the given float64 columns, each with the index of the frame whose
+    ``update`` returns it.
+
+    Frame i feeds ``update(t[i], thigh_accel_l[i], thigh_accel_r[i],
+    pelvis_accel[i], BilateralSample(thigh_l[i], thigh_r[i],
+    theta_diff_dot[i]))``. The accelerations must be NaN-free. Raises the
+    ``ValueError`` that ``HsDetector.update`` raises at the first
+    non-finite or non-increasing timestamp.
+    """
+    det = HsDetector(rate_hz, config)
+    # the first frame whose timestamp update would reject: replay it and
+    # the one before through advance_clock, which raises the same error
+    ok = np.isfinite(t)
+    ok[1:] &= t[1:] > t[:-1]
+    if not ok.all():
+        i = int(ok.argmin())
+        for ti in t[max(0, i - 1):i + 1].tolist():
+            det.advance_clock(ti)
+    c = det.config
+    ch = det._pelvis
+    n = len(t)
+    times = t.tolist()
+
+    def snapshot(i):
+        return BilateralSample(float(thigh_l[i]), float(thigh_r[i]),
+                               float(theta_diff_dot[i]))
+
+    # frame -> the (peak time, snapshot) confirmations of thigh L, thigh R
+    # and pelvis at it, the arguments of HsDetector._merge
+    hits: dict[int, list] = {}
+    for k, x in enumerate((thigh_accel_l, thigh_accel_r, pelvis_accel)):
+        if np.isnan(x).any():
+            raise ValueError("detect_columns needs NaN-free accelerations")
+        above = np.flatnonzero(x > _threshold_column(
+            x.tolist(), len(ch.ring), ch.warmup, c.refresh_every, c.k_mad))
+        for frame, peak in _confirmations(x, above, c.confirm_samples):
+            hits.setdefault(frame, [None, None, None])[k] = (
+                times[peak], snapshot(peak))
+    pelvis_above = above.tolist()   # pelvis is the last channel
+
+    events = []
+    for frame in range(n):
+        # frames without a confirmation only release a queued event
+        if frame in hits or det._pending:
+            i = bisect_right(pelvis_above, frame)
+            event = det._merge(*hits.get(frame, (None, None, None)),
+                               times[pelvis_above[i - 1]] if i else -math.inf)
+            if event is not None:
+                events.append((frame, event))
+    return events
 
 
 def match_events(detected: list[HsEvent], truth: list[tuple[str, float]],

@@ -9,10 +9,12 @@ When every frame passes the controller's frame gate, as on the synthetic
 battery, the replay runs along the time axis: the frame-pure stages (spring
 bases, sigmoids, beta_raw, descent attenuation, blend, clamps) are numpy
 column expressions over the whole stride, in the controller's operation
-order and with ``math.exp``, and only the recurrences (filters, heel-strike
-detector, beta EMA, alpha latch and reset ramp) run per sample. A stride
-with a gated frame is stepped through ``HipController.step`` instead. Both
-paths give the step log and events of stepping the controller, bit for bit.
+order and with ``math.exp``. The heel-strike detector runs once per stride
+through ``heelstrike.detect_columns``, which returns each event with its
+frame index. Only the filters, the beta EMA, the alpha latch and the reset
+ramp run per sample. A stride with a gated frame is stepped through
+``HipController.step`` instead. Both paths give the step log and events of
+stepping the controller, bit for bit.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ from .controller import (STANDING_BETA, ControllerParams, HipController,
 from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
-from .heelstrike import LEFT, HsDetector
-from .modulation import (BilateralSample, ModulationState,
-                         alpha_at_heelstrike, beta_smoothed, reset_tick)
+from .heelstrike import LEFT, detect_columns
+from .modulation import (ModulationState, alpha_at_heelstrike, beta_smoothed,
+                         reset_tick)
 from .signals import (EXP_CLAMP, BiquadSpec, EmaState, LowpassFilter,
                       SigmoidParams)
 from .springs import VEL_BOUND
@@ -173,12 +175,13 @@ def _replay_columns(params: ControllerParams, columns):
     """The left-side breakdown of HipController.step over gate-passing
     frames, computed a column at a time; (series, events).
 
-    Gives the same floats and events as ``_step_frames``. Only the
-    recurrences (filters, heel-strike detector, beta EMA, alpha latch and
-    reset ramp) run per sample, on the scalar objects the controller uses;
-    every other stage is a column expression in the controller's operation
-    order. The right side's command path feeds nothing on the left, so it
-    is not computed; its filtered velocity feeds the detector and beta.
+    Gives the same floats and events as ``_step_frames``. The detector
+    runs over the whole stride, and a left event latches alpha at the frame
+    that returns it. Only the filters, beta EMA, alpha latch and reset ramp
+    run per sample, on the scalar objects the controller uses; every other
+    stage is a column expression in the controller's operation order. The
+    right side's command path feeds nothing on the left, so it is not
+    computed; its filtered velocity feeds the detector and beta.
     """
     p = params
     t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = columns
@@ -191,6 +194,8 @@ def _replay_columns(params: ControllerParams, columns):
     vel_l = np.clip(lowpass(p.vel_filter_cutoff_hz, hv_l), -vel_cap, vel_cap)
     vel_r = np.clip(lowpass(p.vel_filter_cutoff_hz, hv_r), -vel_cap, vel_cap)
     diff_dot = vel_l - vel_r
+    hs_events = detect_columns(p.loop_rate_hz, t, acc_l, acc_r, acc_p,
+                               th_l, th_r, diff_dot)
 
     sym = p.symmetry
     b_raw = np.where(
@@ -198,20 +203,14 @@ def _replay_columns(params: ControllerParams, columns):
         1.0, np.where(np.abs(diff_dot) >= sym.vel_threshold, 0.0,
                       _sigmoid_column(np.abs(th_l - th_r), sym.sym_mod)))
 
-    update = HsDetector(p.loop_rate_hz).update
+    latch = {i: alpha_at_heelstrike(event.thigh_snapshot, p.descent)
+             for i, event in hs_events if event.side == LEFT}
     mod = ModulationState(beta_ema=EmaState(smoothing=sym.ema_smoothing))
-    events = []
     alpha = []
     beta = []
-    for ti, tl, tr, dd, al, ar, ap, b in zip(
-            t.tolist(), th_l.tolist(), th_r.tolist(), diff_dot.tolist(),
-            acc_l.tolist(), acc_r.tolist(), acc_p.tolist(), b_raw.tolist()):
-        event = update(ti, al, ar, ap, BilateralSample(tl, tr, dd))
-        if event is not None:
-            events.append(event)
-            if event.side == LEFT:
-                mod.latch_alpha(alpha_at_heelstrike(event.thigh_snapshot,
-                                                    p.descent))
+    for i, (ti, b) in enumerate(zip(t.tolist(), b_raw.tolist())):
+        if i in latch:
+            mod.latch_alpha(latch[i])
         b = beta_smoothed(mod, b)
         beta.append(b)
         alpha.append(reset_tick(mod, b > STANDING_BETA, ti, p.descent))
@@ -241,7 +240,7 @@ def _replay_columns(params: ControllerParams, columns):
         tau_gait_mod=tau_gait_mod, tau_sts=tau_sts, tau_sts_mod=tau_sts_mod,
         tau_act_raw=tau_act_raw, tau_cmd=tau_cmd, eta_ext=eta_ext,
         eta_flex=eta_flex, alpha=alpha, beta=beta, extension_scale=scale,
-        hip_vel_filt=vel_l), events
+        hip_vel_filt=vel_l), [event for _, event in hs_events]
 
 
 def replay_stride(params: ControllerParams, stride: StrideSeries,

@@ -165,6 +165,16 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, over, flag):
     assert not out.exists()
 
 
+def test_zero_strides_per_task_exits_2(tmp_path, capsys):
+    cfg_path = write_yaml(tmp_path / "sim.yaml", {
+        "params": "default",
+        "battery": {**SMALL_BATTERY, "strides_per_task": 0}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "strides_per_task must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_smoke_outputs(self, tmp_path, sim_config):
         out = tmp_path / "out"

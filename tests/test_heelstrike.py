@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hipexo.gaitdata import synth_imu_stream
+from hipexo import replay
+from hipexo.gaitdata import synth_battery, synth_imu_stream
 from hipexo.heelstrike import (HsDetector, HsDetectorConfig, _Channel,
-                               match_events)
+                               _confirmations, _threshold_column,
+                               detect_columns, match_events)
 from hipexo.modulation import BilateralSample
 
 RATE = 250.0
@@ -215,6 +217,252 @@ class TestIncrementalThreshold:
                         np.float64(want).tobytes(), (i, got, want)
                     kinds.add("finite" if math.isfinite(want) else "inf")
         assert {"nan", "finite", "inf"} <= kinds
+
+
+def stepped_events(columns, config=None):
+    """(frame, event) pairs of HsDetector.update stepped over ``columns``
+    (t, three accelerations, thigh L, thigh R, theta_diff_dot)."""
+    det = HsDetector(RATE, config)
+    out = []
+    for i, v in enumerate(zip(*(np.asarray(c).tolist() for c in columns))):
+        event = det.update(*v[:4], BilateralSample(*v[4:]))
+        if event is not None:
+            out.append((i, event))
+    return out
+
+
+def assert_same_events(columns, config=None):
+    """The column detector gives HsDetector.update's events, at the same
+    frames; HsEvent equality includes the thigh snapshot."""
+    want = stepped_events(columns, config)
+    got = detect_columns(RATE, *map(np.asarray, columns), config=config)
+    assert got == want
+    return got
+
+
+def quantised_stream(rng, n, spikes):
+    """Seeded accelerations with ties, constant stretches and signed
+    zeros, plus ``spikes`` random spikes."""
+    regimes = (
+        lambda k: rng.normal(size=k),
+        lambda k: rng.integers(-2, 3, size=k).astype(float),
+        lambda k: rng.choice([0.0, -0.0, 1.0], size=k),
+        lambda k: np.full(k, rng.choice([0.0, -0.0, 0.5])),
+    )
+    out = []
+    while len(out) < n:
+        k = int(rng.integers(1, 300))
+        out.extend(regimes[int(rng.integers(len(regimes)))](k).tolist())
+    x = np.array(out[:n])
+    at = rng.integers(0, n, size=spikes)
+    x[at] = rng.choice([4.0, 6.0, 6.0, 9.0], size=spikes)
+    return x
+
+
+def spike_columns(n, spikes, lead=None):
+    """Zero accelerations with spikes {frame: (left, right, pelvis)};
+    ``lead`` is the leading thigh from each frame on."""
+    t = np.arange(n) / RATE
+    acc = np.zeros((3, n))
+    for frame, values in spikes.items():
+        acc[:, frame] = values
+    th_l, th_r = np.full(n, 0.3), np.full(n, 0.1)
+    for frame, side in sorted((lead or {}).items()):
+        th_l[frame:], th_r[frame:] = ((0.3, 0.1) if side == "left"
+                                      else (0.1, 0.3))
+    return [t, *acc, th_l, th_r, np.linspace(-1.0, 1.0, n)]
+
+
+class TestColumnDetector:
+    """detect_columns against HsDetector.update stepped frame by frame."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_default_battery_streams(self, seed):
+        n_events = 0
+        for task in synth_battery(strides_per_task=3, seed=seed).values():
+            for stride in task:
+                cols = replay._frames(stride, RATE, 4)[2]
+                t, _, _, vel_l, vel_r, th_l, th_r, _, acc_l, acc_r, acc_p = \
+                    cols
+                n_events += len(assert_same_events(
+                    [t, acc_l, acc_r, acc_p, th_l, th_r, vel_l - vel_r]))
+        assert n_events > 200
+
+    @pytest.mark.parametrize("config", [
+        HsDetectorConfig(),
+        HsDetectorConfig(refresh_every=1),
+        HsDetectorConfig(refresh_every=7),          # warmup 125 = 17*7 + 6
+        HsDetectorConfig(refresh_every=5, warmup_s=0.51),   # warmup 128
+        HsDetectorConfig(window_s=0.2, refresh_every=7),    # window < warmup
+        HsDetectorConfig(confirm_samples=1, refractory_s=0.01),
+        HsDetectorConfig(window_s=0.04, warmup_s=0.02, refresh_every=3,
+                         refractory_s=0.004),
+    ], ids=["default", "refresh-1", "refresh-7", "warmup-128",
+            "window-lt-warmup", "confirm-1", "tiny"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_quantised_seeded_streams(self, config, seed):
+        rng = np.random.default_rng(seed)
+        n = 3000
+        columns = [np.arange(n) / RATE,
+                   *(quantised_stream(rng, n, 60) for _ in range(3)),
+                   rng.choice([-0.2, 0.0, 0.2], size=n),
+                   rng.choice([-0.2, 0.0, 0.2], size=n),
+                   rng.normal(size=n)]
+        events = assert_same_events(columns, config)
+        assert len({e.source for _, e in events}) >= 2
+
+    def test_synth_imu_stream(self):
+        frames, _ = synth_imu_stream(30.0, seed=3)
+        assert len(assert_same_events(
+            [frames[k] for k in ("t", "thigh_accel_l", "thigh_accel_r",
+                                 "pelvis_accel", "thigh_angle_l",
+                                 "thigh_angle_r")]
+            + [np.zeros(len(frames["t"]))])) > 40
+
+    def test_fifo_carries_events_into_later_frames(self):
+        """Two thigh hits confirm on one frame and a pelvis hit on the next,
+        so the queue carries an event into a frame with a new hit. A later
+        triple hit drains over two frames: its pelvis hit shares the
+        leading thigh's peak time and falls in that side's refractory."""
+        cfg = HsDetectorConfig(refractory_s=1e-3)
+        columns = spike_columns(600, {200: (9.0, 8.0, 0.0),
+                                      201: (0.0, 0.0, 7.0),
+                                      210: (9.0, 8.0, 7.0)})
+        got = assert_same_events(columns, cfg)
+        c = cfg.confirm_samples
+        assert [frame for frame, _ in got] == [200 + c, 201 + c, 202 + c,
+                                               210 + c, 211 + c]
+        assert [e.source for _, e in got][:3] == ["fused", "fused",
+                                                  "pelvis-channel"]
+
+    def test_pending_queue_with_default_refractory(self):
+        columns = spike_columns(600, {200: (9.0, 8.0, 7.0),
+                                      250: (9.0, 8.0, 7.0),
+                                      400: (9.0, 0.0, 7.0)},
+                                lead={400: "right"})
+        got = assert_same_events(columns)
+        assert [(e.side, e.source) for _, e in got] == [
+            ("left", "fused"), ("right", "fused"), ("left", "fused"),
+            ("right", "pelvis-channel")]
+
+    @pytest.mark.parametrize("second", [6.0, 4.0], ids=["higher", "lower"])
+    def test_peak_replaced_on_its_confirm_sample(self, second):
+        """A higher sample on the confirm frame replaces the pending peak;
+        a lower one there confirms it and starts no candidate."""
+        c = HsDetectorConfig().confirm_samples
+        columns = spike_columns(600, {300: (5.0, 0.0, 0.0),
+                                      300 + c: (second, 0.0, 0.0),
+                                      301 + c: (4.5, 0.0, 0.0)})
+        got = assert_same_events(columns, HsDetectorConfig(refractory_s=1e-3))
+        t = columns[0]
+        if second > 5.0:
+            assert [(f, e.timestamp) for f, e in got] == [(300 + 2 * c,
+                                                           t[300 + c])]
+        else:
+            assert [(f, e.timestamp) for f, e in got] == [
+                (300 + c, t[300]), (301 + 2 * c, t[301 + c])]
+
+    @pytest.mark.parametrize("gap", [99, 100, 101])
+    def test_refractory_edge(self, gap):
+        columns = spike_columns(800, {300: (9.0, 0.0, 0.0),
+                                      300 + gap: (9.0, 0.0, 0.0)})
+        got = assert_same_events(columns)
+        t = columns[0]
+        assert len(got) == 1 + (t[300 + gap] - t[300] >= 0.4)
+
+    @pytest.mark.parametrize("lag", [0, 3, 4, 5])
+    def test_fusion_window_edge(self, lag):
+        spikes = {300 - lag: (0.0, 0.0, 7.0)}
+        spikes[300] = (9.0, 0.0, spikes.get(300, (0.0, 0.0, 0.0))[2])
+        columns = spike_columns(800, spikes, lead={0: "right"})
+        cfg = HsDetectorConfig(refractory_s=1e-3)
+        got = assert_same_events(columns, cfg)
+        t = columns[0]
+        fused = t[300] - t[300 - lag] <= (cfg.confirm_samples + 1) / RATE
+        assert ("left", "fused" if fused else "thigh-channel") in \
+            [(e.side, e.source) for _, e in got]
+
+    @pytest.mark.parametrize("n", [0, 1, 50, 124, 125, 126, 300])
+    def test_short_streams(self, n):
+        """Shorter than the warmup (125 samples) and than the window
+        (500); a spike just after the warmup still confirms."""
+        spikes = {k: (9.0, 8.0, 7.0) for k in (126, 130) if k < n}
+        columns = spike_columns(n, spikes)
+        got = assert_same_events(columns, HsDetectorConfig(confirm_samples=1))
+        assert bool(got) == (n > 127)
+
+    @pytest.mark.parametrize("where, bad", [
+        (0, math.nan), (0, math.inf), (5, math.nan), (5, -math.inf),
+        (5, "repeat"), (5, "decrease")])
+    def test_bad_timestamp_raises_like_update(self, where, bad):
+        columns = spike_columns(20, {})
+        t = columns[0]
+        if bad == "repeat":
+            t[where] = t[where - 1]
+        elif bad == "decrease":
+            t[where] = t[where - 1] - 1.0
+        else:
+            t[where] = bad
+        t[where + 3] = math.nan    # a later bad frame is not reached
+        with pytest.raises(ValueError) as want:
+            stepped_events(columns)
+        with pytest.raises(ValueError) as got:
+            detect_columns(RATE, *columns)
+        assert str(got.value) == str(want.value)
+
+    def test_nan_acceleration_rejected(self):
+        columns = spike_columns(20, {})
+        columns[3][4] = math.nan
+        with pytest.raises(ValueError, match="NaN-free"):
+            detect_columns(RATE, *columns)
+
+    @pytest.mark.parametrize("window", [8, 9, 500, 501])
+    @pytest.mark.parametrize("refresh", [1, 5, 7])
+    def test_threshold_column_matches_channel_and_recompute(self, window,
+                                                            refresh):
+        rng = np.random.default_rng(window * 10 + refresh)
+        warmup, k_mad = 3, 4.0
+        # the NaN bursts become +inf runs: NaN-free, and the median can
+        # land on an infinity
+        values = [v if v == v else math.inf
+                  for v in _mixed_stream(rng, window, 12 * window + 7)]
+        thr = _threshold_column(values, window, warmup, refresh, k_mad)
+        ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
+        snap = BilateralSample(0.0, 0.0, 0.0)
+        kinds = set()
+        for i, v in enumerate(values):
+            assert np.float64(thr[i]).tobytes() == \
+                np.float64(ch.threshold).tobytes(), i
+            ch.push(v, float(i), snap)
+            if ch.count >= warmup and ch.count % refresh == 0 \
+                    and i + 1 < len(values):
+                want = _reference_threshold(
+                    values[max(0, i + 1 - window):i + 1], k_mad)
+                assert np.float64(thr[i + 1]).tobytes() == \
+                    np.float64(want).tobytes(), (i, thr[i + 1], want)
+                kinds.add("finite" if math.isfinite(want) else
+                          "nan" if math.isnan(want) else "inf")
+        assert {"nan", "finite", "inf"} <= kinds
+
+    @pytest.mark.parametrize("confirm", [1, 2, 3, 6])
+    def test_sparse_scan_matches_channel_push(self, confirm):
+        """Dense runs over the threshold: supersede, age and confirm as
+        _Channel.push does, frame by frame."""
+        rng = np.random.default_rng(confirm)
+        n, window, warmup, refresh = 4000, 50, 20, 5
+        x = np.where(rng.random(n) < 0.3,
+                     rng.integers(3, 9, size=n).astype(float),
+                     rng.normal(size=n))
+        thr = _threshold_column(x.tolist(), window, warmup, refresh, 1.0)
+        got = _confirmations(x, np.flatnonzero(x > thr), confirm)
+        ch = _Channel(window, warmup, 1.0, refresh, confirm)
+        want = []
+        for i, v in enumerate(x.tolist()):
+            confirmed = ch.push(v, float(i), BilateralSample(0.0, 0.0, 0.0))
+            if confirmed is not None:
+                want.append((i, int(confirmed[0])))
+        assert got == want
+        assert len(want) > 100
 
 
 class TestRefractoryCheck:

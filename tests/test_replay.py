@@ -4,7 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from hipexo import controller, replay
+from hipexo import controller, heelstrike, replay
 from hipexo.controller import HipController, SensorFrame
 from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_VEL, ActivityLabel,
                              synth_battery)
@@ -217,6 +217,20 @@ class TestColumnReplay:
         assert t[ramp].min() >= 1.2 + p.descent.t_wait
         assert series["beta"][-1] > 0.99               # seated override
         assert series["tau_sts_mod"][seated].min() < 0.0
+
+    def test_only_gated_strides_step_the_detector(self, default_params,
+                                                  battery, monkeypatch):
+        def update(self, *args):
+            raise RuntimeError("HsDetector.update called")
+
+        monkeypatch.setattr(heelstrike.HsDetector, "update", update)
+        stride = battery[ActivityLabel("stair-descent", 0.178)][0]
+        assert replay_stride(default_params, stride).events
+        values = stride.channels[CH_HIP_ANGLE].copy()
+        values[0] = math.nan
+        with pytest.raises(RuntimeError, match="HsDetector.update called"):
+            replay_stride(default_params,
+                          stride.copy_with(**{CH_HIP_ANGLE: values}))
 
     def test_beta_outside_unit_range_raises_like_blend(
             self, default_params, battery, monkeypatch):
