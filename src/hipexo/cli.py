@@ -254,13 +254,10 @@ def cmd_optimize(args) -> int:
               for k, v in cfg.get("bounds", {}).items()}
     free = tuple(cfg.get("free", DEFAULT_FREE))
     try:
-        spec = ObjectiveSpec(
-            tasks=tasks,
-            c_static=float(cfg.get("c_static", 0.5)),
-            c_sign=float(cfg.get("c_sign", 1.0)),
-            free=free, bounds=bounds,
-            target_scale=float(cfg.get("target_scale", 20.0)),
-        )
+        # a setting the config leaves out takes ObjectiveSpec's default
+        settings = {k: float(cfg[k]) for k in ("c_static", "c_sign",
+                                               "target_scale") if k in cfg}
+        spec = ObjectiveSpec(tasks=tasks, free=free, bounds=bounds, **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     budget = _config_int(cfg, "budget", 6000, minimum=1)
@@ -372,9 +369,8 @@ def cmd_detect_hs(args) -> int:
     events = []
     skipped = 0
     for row in stream:
-        # the controller's frame gate: a row with a non-finite sample never
-        # reaches the detector, where it would blind a channel's threshold
-        # for a whole window
+        # the controller's frame gate: the detector takes finite samples
+        # only, so a row with a non-finite sample passes just its timestamp
         if not all(math.isfinite(row[c]) for c in _HS_SIGNALS):
             detector.advance_clock(row["t"])
             skipped += 1

@@ -24,6 +24,9 @@ from .springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
 STANDING_BETA = 0.9   # smoothed beta above this counts as standing
 FAULT_HOLD_S = 0.2    # hold the last command this long on bad frames
 FAULT_DECAY_S = 0.2   # then decay it linearly to zero
+# filter overshoot can nudge a near-bound velocity past the sanity limit;
+# the filtered velocity saturates here rather than being rejected
+VEL_CAP = VEL_BOUND * 0.999
 
 
 @dataclass
@@ -177,12 +180,10 @@ class HipController:
 
         t = frame.timestamp
         left, right = self._sides[LEFT], self._sides[RIGHT]
-        # filter overshoot can nudge a near-bound velocity past the sanity
-        # limit; saturate rather than reject
         vel_l = clamp(left.vel_filter.step(frame.hip_vel_l),
-                      -VEL_BOUND * 0.999, VEL_BOUND * 0.999)
+                      -VEL_CAP, VEL_CAP)
         vel_r = clamp(right.vel_filter.step(frame.hip_vel_r),
-                      -VEL_BOUND * 0.999, VEL_BOUND * 0.999)
+                      -VEL_CAP, VEL_CAP)
         bilateral = BilateralSample(frame.thigh_angle_l, frame.thigh_angle_r,
                                     vel_l - vel_r)
 

@@ -9,13 +9,16 @@ refractory window suppresses duplicates. Thresholds are relative to the
 stream's own statistics, so scaling a stream by any positive constant leaves
 the detected event set unchanged.
 
+The detector takes finite accelerations only. Every caller drops a frame
+with a non-finite value before it gets here (the controller's frame gate,
+replay's gate and detect-hs's row gate), so no per-sample check is made.
+
 The window is kept twice: as a ring buffer, and as a sorted list updated by
 one bisect delete and one insert per sample. Each threshold refresh reads
 the median from the middle of the sorted list and selects the MAD in
 O(log n) from the two sorted runs of deviations on either side of it, so
 the threshold is the exact float that recomputing median and MAD over the
-whole window gives. A NaN sample is counted outside the sorted list, and
-while one is in the window the threshold is NaN, which no sample exceeds.
+whole window gives.
 
 ``HsDetector.update`` takes the frame's timestamp and three accelerations
 as plain floats, plus the ``BilateralSample`` that an event snapshots.
@@ -24,12 +27,13 @@ as plain floats, plus the ``BilateralSample`` that an event snapshots.
 frame of a stream held as columns, each with the index of the frame that
 returns it. Per channel it makes two passes. The first keeps the same
 sorted window, with no candidate bookkeeping, and yields each sample's
-threshold. The second visits only the samples over their threshold and
-tracks candidates and confirmations as ``_Channel.push`` does. Two helpers
-are shared with the streaming path, so each rule has one implementation:
-``_median_mad`` computes the statistic, and ``HsDetector._merge`` turns one
-frame's confirmations into events (time order, leading-leg attribution,
-refractory, fusion, one event out per frame).
+threshold. The second feeds ``_Channel.track``, the candidate rule that
+``_Channel.push`` applies to every sample, only the samples that can touch
+a candidate: those over their threshold and the ``confirm_samples`` after
+each. ``_median_mad`` computes the statistic for both paths, and
+``HsDetector._merge`` turns one frame's confirmations into events for both
+(time order, leading-leg attribution, refractory, fusion, one event out
+per frame).
 """
 from __future__ import annotations
 
@@ -80,8 +84,9 @@ class HsDetectorConfig:
 
 
 def _median_mad(s: list[float]) -> tuple[float, float]:
-    """Median and MAD of the non-empty, NaN-free ascending list ``s``: the
-    exact floats that recomputing both over ``s`` with ``np.median`` gives."""
+    """Median and MAD of the non-empty ascending list ``s`` of finite
+    floats: the exact floats that recomputing both over ``s`` with
+    ``np.median`` gives."""
     n = len(s)
     h = n // 2
     med = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
@@ -109,9 +114,6 @@ def _median_mad(s: list[float]) -> tuple[float, float]:
                        s[h + k - 1] - med if k else -math.inf)
             mad = (last + mad) / 2
         return med, abs(mad)   # a zero deviation can come out as -0.0
-    if med != med or med in (s[0], s[-1]):
-        # NaN median, or inf - inf in the deviation of a sample at it
-        return med, math.nan
     # a finite pair overflowed to an infinite median
     return med, math.inf
 
@@ -126,8 +128,7 @@ class _Channel:
     def __init__(self, window: int, warmup: int, k_mad: float,
                  refresh: int, confirm: int):
         self.ring = [0.0] * window   # trailing window in arrival order
-        self.sorted: list[float] = []  # its non-NaN samples, ascending
-        self.nans = 0                # NaN samples in the window
+        self.sorted: list[float] = []  # the same samples, ascending
         self.count = 0  # total samples seen
         self.idx = 0
         self.warmup = warmup
@@ -139,56 +140,60 @@ class _Channel:
         # pending local-max candidate; age < 0 means no candidate
         self.cand_value = 0.0
         self.cand_t = 0.0
-        self.cand_snapshot: BilateralSample | None = None
+        self.cand_snapshot = None
         self.cand_age = -1
 
-    def _update_threshold(self):
-        if self.nans:
-            self.threshold = math.nan
-        else:
-            med, mad = _median_mad(self.sorted)
-            self.threshold = med + self.k_mad * mad
+    def track(self, value: float, above: bool, t, snapshot):
+        """The candidate rule for one post-warmup sample, ``above`` if it
+        exceeds its threshold. Returns the peak's (t, snapshot), which are
+        only stored and handed back, ``confirm`` samples after the peak."""
+        if above:
+            if self.cand_age < 0 or value > self.cand_value:
+                # new peak (or higher peak supersedes the pending one)
+                self.cand_value = value
+                self.cand_t = t
+                self.cand_snapshot = snapshot
+                self.cand_age = 0
+            else:
+                self.cand_age += 1
+        elif self.cand_age >= 0:
+            self.cand_age += 1
+        if self.cand_age >= self.confirm:
+            self.cand_age = -1
+            return self.cand_t, self.cand_snapshot
+        return None
 
     def push(self, value: float, t: float,
              snapshot: BilateralSample) -> _Confirmed | None:
-        """Feed one sample; returns (peak_time, peak_snapshot) on confirmation."""
+        """Feed one finite sample; returns (peak_time, peak_snapshot) on
+        confirmation."""
         # compare against the threshold from before this sample enters the
         # statistics window (keeps the test causal)
         confirmed = None
         if self.count >= self.warmup:
-            if value > self.threshold:
+            above = value > self.threshold
+            if above:
                 self.last_above_t = t
-                if self.cand_age < 0 or value > self.cand_value:
-                    # new peak (or higher peak supersedes the pending one)
-                    self.cand_value = value
-                    self.cand_t = t
-                    self.cand_snapshot = snapshot
-                    self.cand_age = 0
-                else:
-                    self.cand_age += 1
-            elif self.cand_age >= 0:
-                self.cand_age += 1
-            if self.cand_age >= self.confirm:
-                confirmed = (self.cand_t, self.cand_snapshot)
-                self.cand_age = -1
+            confirmed = self.track(value, above, t, snapshot)
 
         ring = self.ring
         if self.count >= len(ring):
-            old = ring[self.idx]
-            if old != old:
-                self.nans -= 1
-            else:
-                del self.sorted[bisect_left(self.sorted, old)]
+            del self.sorted[bisect_left(self.sorted, ring[self.idx])]
         ring[self.idx] = value
-        if value != value:
-            self.nans += 1
-        else:
-            insort(self.sorted, value)
+        insort(self.sorted, value)
         self.idx = (self.idx + 1) % len(ring)
         self.count += 1
         if self.count >= self.warmup and self.count % self.refresh == 0:
-            self._update_threshold()
+            med, mad = _median_mad(self.sorted)
+            self.threshold = med + self.k_mad * mad
         return confirmed
+
+
+def _channel_sizes(rate_hz: float,
+                   config: HsDetectorConfig) -> tuple[int, int]:
+    """(window, warmup) of each channel, in samples."""
+    return (max(8, int(round(config.window_s * rate_hz))),
+            max(4, int(round(config.warmup_s * rate_hz))))
 
 
 class HsDetector:
@@ -208,8 +213,7 @@ class HsDetector:
         self.rate_hz = rate_hz
         self.config = config or HsDetectorConfig()
         c = self.config
-        window = max(8, int(round(c.window_s * rate_hz)))
-        warmup = max(4, int(round(c.warmup_s * rate_hz)))
+        window, warmup = _channel_sizes(rate_hz, c)
 
         def make():
             return _Channel(window, warmup, c.k_mad, c.refresh_every,
@@ -245,8 +249,9 @@ class HsDetector:
 
         The thigh values are thigh-normal linear accelerations and
         ``pelvis_accel`` is the magnitude of the high-pass residual of pelvis
-        acceleration. Raises ``ValueError`` on non-finite or non-monotonic
-        timestamps.
+        acceleration. All three must be finite: the caller's frame gate
+        gives a frame with a non-finite sample to ``advance_clock`` alone.
+        Raises ``ValueError`` on non-finite or non-monotonic timestamps.
         """
         self.advance_clock(timestamp)
         return self._merge(
@@ -295,7 +300,7 @@ class HsDetector:
 
 def _threshold_column(x: list[float], window: int, warmup: int,
                       refresh: int, k_mad: float) -> np.ndarray:
-    """The threshold ``_Channel.push`` compares each sample of the NaN-free
+    """The threshold ``_Channel.push`` compares each sample of the finite
     stream ``x`` against: inf before the first refresh, then the value of
     the latest refresh at or before the sample.
 
@@ -327,36 +332,6 @@ def _threshold_column(x: list[float], window: int, warmup: int,
     return thr
 
 
-def _confirmations(x: np.ndarray, above: np.ndarray,
-                   confirm: int) -> list[tuple[int, int]]:
-    """(frame, peak) index pairs at which ``_Channel.push`` confirms a
-    peak, given the indices ``above`` of the samples of ``x`` over their
-    threshold.
-
-    A candidate at peak p confirms at p + ``confirm`` unless a higher
-    sample over the threshold replaces it first, on that frame too; the
-    first over-threshold sample after a confirmation starts a new one.
-    """
-    out = []
-    peak, peak_value = -1, 0.0
-    for j, v in zip(above.tolist(), x[above].tolist()):
-        if peak >= 0:
-            due = peak + confirm
-            if j <= due and v > peak_value:
-                peak, peak_value = j, v
-                continue
-            if j < due:
-                continue
-            out.append((due, peak))
-            peak = -1
-            if j == due:     # the confirming sample starts no candidate
-                continue
-        peak, peak_value = j, v
-    if 0 <= peak and peak + confirm < len(x):
-        out.append((peak + confirm, peak))
-    return out
-
-
 def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
                    thigh_accel_r: np.ndarray, pelvis_accel: np.ndarray,
                    thigh_l: np.ndarray, thigh_r: np.ndarray,
@@ -369,9 +344,9 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
 
     Frame i feeds ``update(t[i], thigh_accel_l[i], thigh_accel_r[i],
     pelvis_accel[i], BilateralSample(thigh_l[i], thigh_r[i],
-    theta_diff_dot[i]))``. The accelerations must be NaN-free. Raises the
-    ``ValueError`` that ``HsDetector.update`` raises at the first
-    non-finite or non-increasing timestamp.
+    theta_diff_dot[i]))``. Raises ``ValueError`` if an acceleration is not
+    finite, and the ``ValueError`` that ``HsDetector.update`` raises at the
+    first non-finite or non-increasing timestamp.
     """
     det = HsDetector(rate_hz, config)
     # the first frame whose timestamp update would reject: replay it and
@@ -383,26 +358,37 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
         for ti in t[max(0, i - 1):i + 1].tolist():
             det.advance_clock(ti)
     c = det.config
-    ch = det._pelvis
+    window, warmup = _channel_sizes(rate_hz, c)
     n = len(t)
     times = t.tolist()
-
-    def snapshot(i):
-        return BilateralSample(float(thigh_l[i]), float(thigh_r[i]),
-                               float(theta_diff_dot[i]))
 
     # frame -> the (peak time, snapshot) confirmations of thigh L, thigh R
     # and pelvis at it, the arguments of HsDetector._merge
     hits: dict[int, list] = {}
     for k, x in enumerate((thigh_accel_l, thigh_accel_r, pelvis_accel)):
-        if np.isnan(x).any():
-            raise ValueError("detect_columns needs NaN-free accelerations")
-        above = np.flatnonzero(x > _threshold_column(
-            x.tolist(), len(ch.ring), ch.warmup, c.refresh_every, c.k_mad))
-        for frame, peak in _confirmations(x, above, c.confirm_samples):
-            hits.setdefault(frame, [None, None, None])[k] = (
-                times[peak], snapshot(peak))
-    pelvis_above = above.tolist()   # pelvis is the last channel
+        if not np.isfinite(x).all():
+            raise ValueError("detect_columns needs finite accelerations")
+        above = x > _threshold_column(x.tolist(), window, warmup,
+                                      c.refresh_every, c.k_mad)
+        if x is pelvis_accel:
+            pelvis_above = np.flatnonzero(above).tolist()
+        # a candidate starts on a sample over its threshold and lives at
+        # most confirm_samples more; no other sample changes the channel
+        touch = above.copy()
+        for lag in range(1, c.confirm_samples + 1):
+            touch[lag:] |= above[:-lag]
+        visit = np.flatnonzero(touch)
+        ch = _Channel(window, warmup, c.k_mad, c.refresh_every,
+                      c.confirm_samples)
+        for i, v, a in zip(visit.tolist(), x[visit].tolist(),
+                           above[visit].tolist()):
+            confirmed = ch.track(v, a, i, None)
+            if confirmed is not None:
+                peak = confirmed[0]
+                hits.setdefault(i, [None, None, None])[k] = (
+                    times[peak],
+                    BilateralSample(float(thigh_l[peak]), float(thigh_r[peak]),
+                                    float(theta_diff_dot[peak])))
 
     events = []
     for frame in range(n):

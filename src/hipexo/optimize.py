@@ -101,7 +101,7 @@ class ObjectiveSpec:
     """
 
     tasks: list[TaskSet]
-    c_static: float = 0.05
+    c_static: float = 0.5
     c_sign: float = 1.0
     free: tuple = DEFAULT_FREE
     bounds: dict = field(default_factory=dict)

@@ -24,16 +24,15 @@ from operator import attrgetter
 
 import numpy as np
 
-from .controller import (STANDING_BETA, ControllerParams, HipController,
-                         SensorFrame, TorqueBreakdown)
+from .controller import (STANDING_BETA, VEL_CAP, ControllerParams,
+                         HipController, SensorFrame, TorqueBreakdown,
+                         _SideState)
 from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
 from .heelstrike import LEFT, detect_columns
-from .modulation import (ModulationState, alpha_at_heelstrike, beta_smoothed,
-                         reset_tick)
-from .signals import (EXP_CLAMP, BiquadSpec, EmaState, LowpassFilter,
-                      SigmoidParams)
+from .modulation import alpha_at_heelstrike, beta_smoothed, reset_tick
+from .signals import EXP_CLAMP, SigmoidParams
 from .springs import VEL_BOUND
 
 # the float fields of TorqueBreakdown, in step-log column order
@@ -185,14 +184,13 @@ def _replay_columns(params: ControllerParams, columns):
     """
     p = params
     t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = columns
-    vel_cap = VEL_BOUND * 0.999
+    left, right = _SideState(p), _SideState(p)
 
-    def lowpass(cutoff_hz, x):
-        f = LowpassFilter(BiquadSpec(cutoff_hz, p.loop_rate_hz))
-        return np.array(list(map(f.step, x.tolist())))
+    def run(lowpass, x):
+        return np.array(list(map(lowpass.step, x.tolist())))
 
-    vel_l = np.clip(lowpass(p.vel_filter_cutoff_hz, hv_l), -vel_cap, vel_cap)
-    vel_r = np.clip(lowpass(p.vel_filter_cutoff_hz, hv_r), -vel_cap, vel_cap)
+    vel_l = np.clip(run(left.vel_filter, hv_l), -VEL_CAP, VEL_CAP)
+    vel_r = np.clip(run(right.vel_filter, hv_r), -VEL_CAP, VEL_CAP)
     diff_dot = vel_l - vel_r
     hs_events = detect_columns(p.loop_rate_hz, t, acc_l, acc_r, acc_p,
                                th_l, th_r, diff_dot)
@@ -205,7 +203,7 @@ def _replay_columns(params: ControllerParams, columns):
 
     latch = {i: alpha_at_heelstrike(event.thigh_snapshot, p.descent)
              for i, event in hs_events if event.side == LEFT}
-    mod = ModulationState(beta_ema=EmaState(smoothing=sym.ema_smoothing))
+    mod = left.mod
     alpha = []
     beta = []
     for i, (ti, b) in enumerate(zip(t.tolist(), b_raw.tolist())):
@@ -233,7 +231,7 @@ def _replay_columns(params: ControllerParams, columns):
     scale = 1.0 - p.descent.lam * alpha
     tau_gait_mod = scale * _neg_part(tau_gait) + _pos_part(tau_gait)
     tau_act_raw = beta * tau_sts_mod + (1.0 - beta) * tau_gait_mod
-    tau_cmd = np.clip(lowpass(p.cmd_filter_cutoff_hz, tau_act_raw),
+    tau_cmd = np.clip(run(left.cmd_filter, tau_act_raw),
                       -p.torque_limit, p.torque_limit)
     return dict(
         tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,

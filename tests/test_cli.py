@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,24 @@ class TestOptimize:
                      "--seed", seed]) == 0
         assert_same_tree(a, b)
 
+    def test_unset_objective_settings_take_spec_defaults(self, tmp_path):
+        """A config without c_static, c_sign and target_scale gives the
+        artifacts of one that sets ObjectiveSpec's defaults, 0.5, 1.0 and
+        20.0, apart from the config hash in the header."""
+        def artifacts(name, **over):
+            (tmp_path / name).mkdir()
+            cfg = write_opt_config(tmp_path / name, budget=60, **over)
+            out = tmp_path / name / "out"
+            assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+            return {p.name: [line for line in p.read_text().splitlines()
+                             if not line.startswith("# config_sha256")]
+                    for p in sorted(out.iterdir())}
+
+        unset = artifacts("unset")
+        assert unset == artifacts("set", c_static=0.5, c_sign=1.0,
+                                  target_scale=20.0)
+        assert unset != artifacts("other", c_static=0.05)
+
 
 # the paper's changes over its hip-intensive tasks, assisted relative to
 # unassisted, in percent
@@ -530,6 +549,26 @@ class TestDetectHs:
         gated = left_events("stream")
         assert "skipped=1" in capsys.readouterr().out
         assert gated == clean and gated
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["thigh_accel_l", "thigh_accel_r",
+                                        "pelvis_accel", "thigh_angle_l",
+                                        "thigh_angle_r"])
+    def test_non_finite_rows_skipped_before_detector(
+            self, tmp_path, capsys, detector_timestamps, column, value):
+        """The row gate counts and skips each row with a non-finite cell;
+        the detector, which takes finite samples only, sees the rest."""
+        frames, _ = synth_imu_stream(5.0, seed=6)
+        frames[column][[100, 400]] = value
+        write_stream_csv(tmp_path / "stream.csv", frames)
+        cfg = write_yaml(tmp_path / "hs.yaml",
+                         {"input": str(tmp_path / "stream.csv")})
+        assert main(["detect-hs", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "skipped=2" in capsys.readouterr().out
+        assert detector_timestamps == [
+            t for k, t in enumerate(frames["t"].tolist())
+            if k not in (100, 400)]
 
     def test_gated_row_keeps_timestamp_contract(self, tmp_path, capsys):
         frames, _ = synth_imu_stream(5.0, seed=6)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hipexo
 from hipexo.controller import ControllerParams, HipController, SensorFrame
 from hipexo.modulation import DescentModParams, SymmetryParams, blend
 from hipexo.signals import SigmoidParams
@@ -189,6 +194,23 @@ class TestFaultHandling:
         res = ctl.step(zero_frame(2 * DT))
         assert not res.left.fault
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["thigh_accel_l", "thigh_accel_r",
+                                       "pelvis_accel", "thigh_angle_l",
+                                       "thigh_angle_r"])
+    def test_non_finite_sample_never_reaches_detector(
+            self, default_params, detector_timestamps, field, value):
+        """The frame gate stops the frame: the detector, which takes finite
+        samples only, sees every other frame and only finite values."""
+        ctl = HipController(default_params)
+        rng = np.random.default_rng(18)
+        frames = [random_frame(rng, k * DT) for k in range(300)]
+        setattr(frames[150], field, value)
+        faults = [ctl.step(f).left.fault for f in frames]
+        assert faults == [k == 150 for k in range(300)]
+        assert detector_timestamps == [
+            f.timestamp for k, f in enumerate(frames) if k != 150]
+
     def test_timestamp_regression_raises(self, default_params):
         ctl = HipController(default_params)
         ctl.step(zero_frame(1.0))
@@ -229,3 +251,17 @@ class TestParamsValidation:
     def test_torque_limit_finite(self, default_params, limit):
         with pytest.raises(ValueError, match="torque_limit"):
             replace(default_params, torque_limit=limit)
+
+
+def test_runtime_import_loads_no_offline_tools():
+    """``import hipexo.controller`` loads the runtime modules only: no
+    scipy, no yaml, and none of the offline tools."""
+    src = str(Path(hipexo.__file__).resolve().parent.parent)
+    code = ("import sys, hipexo.controller; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    for name in ("scipy", "yaml", "hipexo.gaitdata", "hipexo.optimize",
+                 "hipexo.cli"):
+        assert name not in out, name

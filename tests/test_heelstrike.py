@@ -6,8 +6,8 @@ import pytest
 from hipexo import replay
 from hipexo.gaitdata import synth_battery, synth_imu_stream
 from hipexo.heelstrike import (HsDetector, HsDetectorConfig, _Channel,
-                               _confirmations, _threshold_column,
-                               detect_columns, match_events)
+                               _threshold_column, detect_columns,
+                               match_events)
 from hipexo.modulation import BilateralSample
 
 RATE = 250.0
@@ -169,26 +169,21 @@ def _reference_threshold(window, k_mad):
 
 
 def _mixed_stream(rng, window, n):
-    """Seeded samples in blocks of continuous values, heavy ties, signed
-    zeros, infinities and finite pairs whose mean overflows, with NaN bursts
-    entering and leaving the window."""
+    """Seeded finite samples in blocks of continuous values, heavy ties,
+    signed zeros and finite pairs whose mean overflows to an infinite
+    median."""
     regimes = (
         lambda k: rng.normal(size=k),
         lambda k: rng.integers(-2, 3, size=k).astype(float),
         lambda k: rng.choice([0.0, -0.0, 1.0], size=k),
-        lambda k: rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], size=k),
-        lambda k: rng.choice([-np.inf, 0.0, np.inf], size=k),
         lambda k: rng.choice([-1.7e308, -1e308, 0.5, 1e308, 1.7e308],
                              size=k),
+        lambda k: rng.choice([-1.7e308, 1.7e308], size=k),
     )
     out = []
     while len(out) < n:
         k = int(rng.integers(1, 2 * window))
-        block = regimes[int(rng.integers(len(regimes)))](k)
-        if rng.random() < 0.3:
-            a = int(rng.integers(k))
-            block[a:a + int(rng.integers(1, window))] = np.nan
-        out.extend(block.tolist())
+        out.extend(regimes[int(rng.integers(len(regimes)))](k).tolist())
     return out[:n]
 
 
@@ -209,6 +204,7 @@ class TestIncrementalThreshold:
                                             k_mad)
                 got = ch.threshold
                 if math.isnan(want):
+                    # an overflowed -inf median plus an infinite MAD
                     assert math.isnan(got), (i, got)
                     kinds.add("nan")
                 else:
@@ -216,7 +212,25 @@ class TestIncrementalThreshold:
                     assert np.float64(got).tobytes() == \
                         np.float64(want).tobytes(), (i, got, want)
                     kinds.add("finite" if math.isfinite(want) else "inf")
-        assert {"nan", "finite", "inf"} <= kinds
+        assert {"finite", "inf"} <= kinds
+
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+    def test_overflowed_median(self, big):
+        """A finite middle pair whose mean overflows gives an infinite
+        median and MAD: the threshold of a full recompute, +inf, or NaN
+        for -inf + inf, and no sample exceeds it."""
+        ch = _Channel(8, 4, 4.0, 1, confirm=1)
+        snap = BilateralSample(0.0, 0.0, 0.0)
+        values = [0.0, big, 1.0, big, big, -1.0, big, big]
+        for i, v in enumerate(values):
+            ch.push(v, float(i), snap)
+        want = _reference_threshold(values, 4.0)
+        assert math.isinf(want) if big > 0 else math.isnan(want)
+        assert np.float64(ch.threshold).tobytes() == \
+            np.float64(want).tobytes()
+        last_above = ch.last_above_t
+        ch.push(1.7e308, 8.0, snap)
+        assert ch.last_above_t == last_above
 
 
 def stepped_events(columns, config=None):
@@ -413,7 +427,15 @@ class TestColumnDetector:
     def test_nan_acceleration_rejected(self):
         columns = spike_columns(20, {})
         columns[3][4] = math.nan
-        with pytest.raises(ValueError, match="NaN-free"):
+        with pytest.raises(ValueError, match="finite accelerations"):
+            detect_columns(RATE, *columns)
+
+    @pytest.mark.parametrize("channel", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_acceleration_rejected(self, channel, bad):
+        columns = spike_columns(20, {})
+        columns[channel][4] = bad
+        with pytest.raises(ValueError, match="finite accelerations"):
             detect_columns(RATE, *columns)
 
     @pytest.mark.parametrize("window", [8, 9, 500, 501])
@@ -422,10 +444,7 @@ class TestColumnDetector:
                                                             refresh):
         rng = np.random.default_rng(window * 10 + refresh)
         warmup, k_mad = 3, 4.0
-        # the NaN bursts become +inf runs: NaN-free, and the median can
-        # land on an infinity
-        values = [v if v == v else math.inf
-                  for v in _mixed_stream(rng, window, 12 * window + 7)]
+        values = _mixed_stream(rng, window, 12 * window + 7)
         thr = _threshold_column(values, window, warmup, refresh, k_mad)
         ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
         snap = BilateralSample(0.0, 0.0, 0.0)
@@ -442,25 +461,32 @@ class TestColumnDetector:
                     np.float64(want).tobytes(), (i, thr[i + 1], want)
                 kinds.add("finite" if math.isfinite(want) else
                           "nan" if math.isnan(want) else "inf")
-        assert {"nan", "finite", "inf"} <= kinds
+        assert {"finite", "inf"} <= kinds
 
     @pytest.mark.parametrize("confirm", [1, 2, 3, 6])
     def test_sparse_scan_matches_channel_push(self, confirm):
-        """Dense runs over the threshold: supersede, age and confirm as
-        _Channel.push does, frame by frame."""
+        """Dense runs over the threshold on one channel: the column path,
+        which visits only the samples that can touch a candidate,
+        supersedes, ages and confirms as _Channel.push does, frame by
+        frame."""
         rng = np.random.default_rng(confirm)
-        n, window, warmup, refresh = 4000, 50, 20, 5
+        n = 4000
+        cfg = HsDetectorConfig(k_mad=1.0, window_s=0.2, warmup_s=0.08,
+                               refresh_every=5, confirm_samples=confirm,
+                               refractory_s=1e-9)
         x = np.where(rng.random(n) < 0.3,
                      rng.integers(3, 9, size=n).astype(float),
                      rng.normal(size=n))
-        thr = _threshold_column(x.tolist(), window, warmup, refresh, 1.0)
-        got = _confirmations(x, np.flatnonzero(x > thr), confirm)
-        ch = _Channel(window, warmup, 1.0, refresh, confirm)
+        columns = [np.arange(n) / RATE, x, np.zeros(n), np.zeros(n),
+                   np.zeros(n), np.zeros(n), np.zeros(n)]
+        got = [(i, e.timestamp) for i, e in detect_columns(RATE, *columns,
+                                                          config=cfg)]
+        ch = _Channel(50, 20, 1.0, 5, confirm)
         want = []
-        for i, v in enumerate(x.tolist()):
-            confirmed = ch.push(v, float(i), BilateralSample(0.0, 0.0, 0.0))
+        for i, (v, t) in enumerate(zip(x.tolist(), columns[0].tolist())):
+            confirmed = ch.push(v, t, BilateralSample(0.0, 0.0, 0.0))
             if confirmed is not None:
-                want.append((i, int(confirmed[0])))
+                want.append((i, confirmed[0]))
         assert got == want
         assert len(want) > 100
 
