@@ -110,6 +110,26 @@ def _config_int(section: dict, key: str, default: int,
     return value
 
 
+def _config_float(value, name: str) -> float:
+    """``value`` as a float. A bool, or a value that ``float`` rejects, is
+    a config error."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _config_list(section: dict, key: str, default) -> list:
+    """``section[key]``, else ``default``, which must be a list; a bare
+    string is a config error, not a list of its characters."""
+    value = section.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return list(value)
+
+
 def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
     """``--seed``, else the first ``seed`` key among ``configs``, else
     ``default``. A negative seed is a config error."""
@@ -128,16 +148,30 @@ def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSerie
     if not spec:
         raise ConfigError("config needs a 'battery' section")
     if spec.get("synthetic"):
+        tasks = _config_list(spec, "tasks", DEFAULT_BATTERY)
+        try:
+            tasks = [ActivityLabel.parse(str(task)) for task in tasks]
+        except ValueError as exc:
+            raise ConfigError(f"battery tasks: {exc}") from exc
+        body_mass = _config_float(spec.get("body_mass", 70.0), "body_mass")
+        if not 0 < body_mass < math.inf:
+            raise ConfigError(f"body_mass must be finite and > 0, "
+                              f"got {body_mass}")
         return synth_battery(
-            tasks=spec.get("tasks", DEFAULT_BATTERY),
+            tasks=tasks,
             strides_per_task=_config_int(spec, "strides_per_task", 3,
                                          minimum=1),
             seed=seed,
-            body_mass=float(spec.get("body_mass", 70.0)),
+            body_mass=body_mass,
         )
     if "dataset" in spec:
         battery: dict[ActivityLabel, list[StrideSeries]] = {}
-        for entry in spec["dataset"]:
+        for entry in _config_list(spec, "dataset", []):
+            missing = [k for k in ("schema", "csv")
+                       if not isinstance(entry, dict) or k not in entry]
+            if missing:
+                raise ConfigError(f"dataset entry {entry!r} needs keys "
+                                  f"{missing}")
             n = _config_int(entry, "n_samples", 101)
             schema = load_schema(entry["schema"])
             trial = load_trial(entry["csv"], schema)
@@ -153,7 +187,8 @@ def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSerie
 def _battery_tasks(battery, weights: dict) -> list[TaskSet]:
     tasks = []
     for label, strides in battery.items():
-        w = float(weights.get(label.kind, 1.0))
+        w = _config_float(weights.get(label.kind, 1.0),
+                          f"weights.{label.kind}")
         tasks.append(TaskSet(label, strides, w))
     return tasks
 
@@ -250,9 +285,11 @@ def cmd_optimize(args) -> int:
                 raise ConfigError(
                     f"task {t.label.code}: missing channel {CH_HIP_MOMENT!r}")
 
-    bounds = {k: tuple(float(x) for x in v)
-              for k, v in cfg.get("bounds", {}).items()}
-    free = tuple(cfg.get("free", DEFAULT_FREE))
+    section = cfg.get("bounds", {})
+    bounds = {k: tuple(_config_float(x, f"bounds.{k}")
+                       for x in _config_list(section, k, ()))
+              for k in section}
+    free = tuple(_config_list(cfg, "free", DEFAULT_FREE))
     try:
         # a setting the config leaves out takes ObjectiveSpec's default
         settings = {k: float(cfg[k]) for k in ("c_static", "c_sign",
@@ -295,11 +332,13 @@ def cmd_metrics(args) -> int:
     if not unassisted and not assisted:
         raise ConfigError("metrics needs at least one of unassisted/assisted")
 
+    # stride files do not carry the replay's extension scale, so an
+    # assisted set reports nan rather than a value no run measured
     rows = []
     for code, strides in unassisted.items():
-        rows.append(task_energetics(strides, "unassisted"))
+        rows.append(task_energetics(strides, "unassisted", 1.0))
     for code, strides in assisted.items():
-        rows.append(task_energetics(strides, "assisted"))
+        rows.append(task_energetics(strides, "assisted", math.nan))
     unmatched = set(unassisted) ^ set(assisted)
     if unassisted and assisted and unmatched:
         print(f"warning: unmatched task sets: {sorted(unmatched)}; "
@@ -365,6 +404,9 @@ def cmd_detect_hs(args) -> int:
     if cfg.get("truth"):
         truth = _read_columns(cfg["truth"], ("side", "time"), "truth",
                               lambda row: (row["side"], float(row["time"])))
+    tol_s = _config_float(cfg.get("match_tol_s", 0.03), "match_tol_s")
+    if not 0 < tol_s < math.inf:
+        raise ConfigError(f"match_tol_s must be finite and > 0, got {tol_s}")
 
     events = []
     skipped = 0
@@ -393,8 +435,7 @@ def cmd_detect_hs(args) -> int:
                   run.header)
 
         if truth is not None:
-            scores = match_events(events, truth,
-                                  tol_s=float(cfg.get("match_tol_s", 0.03)))
+            scores = match_events(events, truth, tol_s=tol_s)
             write_csv(run.path("summary.csv"),
                       ["precision", "recall", "true_positives",
                        "detected", "truth"],

@@ -29,6 +29,14 @@ FAULT_DECAY_S = 0.2   # then decay it linearly to zero
 VEL_CAP = VEL_BOUND * 0.999
 
 
+def fault_hold_scale(elapsed: float) -> float:
+    """Factor on the last good command ``elapsed`` seconds into a fault:
+    1 for FAULT_HOLD_S, then a linear decay to 0 over FAULT_DECAY_S."""
+    if elapsed <= FAULT_HOLD_S:
+        return 1.0
+    return max(0.0, 1.0 - (elapsed - FAULT_HOLD_S) / FAULT_DECAY_S)
+
+
 @dataclass
 class ControllerParams:
     """Every tunable of the controller plus the runtime constants."""
@@ -145,11 +153,7 @@ class HipController:
             t = (self._t_prev + 1.0 / p.loop_rate_hz) if self._t_prev is not None else 0.0
         if self._fault_since is None:
             self._fault_since = t
-        elapsed = t - self._fault_since
-        if elapsed <= FAULT_HOLD_S:
-            scale = 1.0
-        else:
-            scale = max(0.0, 1.0 - (elapsed - FAULT_HOLD_S) / FAULT_DECAY_S)
+        scale = fault_hold_scale(t - self._fault_since)
         result = StepResult(timestamp=t, left=TorqueBreakdown(fault=True),
                             right=TorqueBreakdown(fault=True))
         for side, bd in ((LEFT, result.left), (RIGHT, result.right)):

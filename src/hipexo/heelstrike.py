@@ -9,9 +9,11 @@ refractory window suppresses duplicates. Thresholds are relative to the
 stream's own statistics, so scaling a stream by any positive constant leaves
 the detected event set unchanged.
 
-The detector takes finite accelerations only. Every caller drops a frame
-with a non-finite value before it gets here (the controller's frame gate,
-replay's gate and detect-hs's row gate), so no per-sample check is made.
+The detector takes finite accelerations only, so no per-sample check is
+made. Each caller keeps a frame with a non-finite value away from it: the
+controller skips the detector on a frame its gate rejects, detect-hs
+passes a skipped row's timestamp to ``advance_clock`` alone, and replay
+gives ``detect_columns`` the admitted frames only.
 
 The window is kept twice: as a ring buffer, and as a sorted list updated by
 one bisect delete and one insert per sample. Each threshold refresh reads
@@ -230,8 +232,9 @@ class HsDetector:
         return timestamp - self._last_event_t[side] >= self.config.refractory_s
 
     def advance_clock(self, timestamp: float) -> None:
-        """Check and record a frame's timestamp. Called alone for a frame
-        whose samples are gated out, so the stream contract still covers it.
+        """Check and record a frame's timestamp. detect-hs calls it alone
+        for a row it skips, so the timestamp contract still covers that row;
+        the controller and replay do not call it for a gated frame.
 
         Raises ``ValueError`` on non-finite or non-monotonic timestamps.
         """
@@ -249,8 +252,9 @@ class HsDetector:
 
         The thigh values are thigh-normal linear accelerations and
         ``pelvis_accel`` is the magnitude of the high-pass residual of pelvis
-        acceleration. All three must be finite: the caller's frame gate
-        gives a frame with a non-finite sample to ``advance_clock`` alone.
+        acceleration. All three must be finite: the controller skips this
+        call on a gated frame, and detect-hs gives a row with a non-finite
+        sample to ``advance_clock`` alone.
         Raises ``ValueError`` on non-finite or non-monotonic timestamps.
         """
         self.advance_clock(timestamp)

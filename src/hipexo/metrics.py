@@ -154,8 +154,9 @@ def stride_energetics(stride: StrideSeries) -> dict:
 
 
 def task_energetics(strides: list[StrideSeries], condition: str,
-                    mean_extension_scale: float = 1.0) -> TaskEnergetics:
-    """Average per-stride outcomes over one task's stride set."""
+                    mean_extension_scale: float) -> TaskEnergetics:
+    """Average per-stride outcomes over one task's stride set, with the
+    replay's mean extension scale as measured by the caller."""
     if not strides:
         raise ValueError("empty stride set")
     per = [stride_energetics(s) for s in strides]

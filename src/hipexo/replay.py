@@ -2,31 +2,32 @@
 
 A normalized stride is unrolled into sensor frames at the control rate
 (cyclically for gait, once with a seated lead-in for sit-to-stand), run
-through a fresh controller, and the commanded torque of the last full cycle
-is mapped back onto the stride grid as the exo_torque channel.
+through the controller's pipeline from a fresh state, and the commanded
+torque of the last full cycle is mapped back onto the stride grid as the
+exo_torque channel.
 
-When every frame passes the controller's frame gate, as on the synthetic
-battery, the replay runs along the time axis: the frame-pure stages (spring
-bases, sigmoids, beta_raw, descent attenuation, blend, clamps) are numpy
-column expressions over the whole stride, in the controller's operation
-order and with ``math.exp``. The heel-strike detector runs once per stride
-through ``heelstrike.detect_columns``, which returns each event with its
-frame index. Only the filters, the beta EMA, the alpha latch and the reset
-ramp run per sample. A stride with a gated frame is stepped through
-``HipController.step`` instead. Both paths give the step log and events of
-stepping the controller, bit for bit.
+The replay runs along the time axis. One mask applies the controller's
+frame gate to every frame (all values finite, both hip velocities inside
+VEL_BOUND). Over the admitted frames, the frame-pure stages (spring bases,
+sigmoids, beta_raw, descent attenuation, blend, clamps) are numpy column
+expressions in the controller's operation order and with ``math.exp``; the
+heel-strike detector runs once through ``heelstrike.detect_columns``,
+which returns each event with its frame index; only the filters, the beta
+EMA, the alpha latch and the reset ramp run per sample. A gated frame
+advances no state and logs the ``TorqueBreakdown`` defaults with the last
+admitted command scaled by ``controller.fault_hold_scale``. The step log
+and events are those of stepping ``HipController`` frame by frame, bit for
+bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
 from .controller import (STANDING_BETA, VEL_CAP, ControllerParams,
-                         HipController, SensorFrame, TorqueBreakdown,
-                         _SideState)
+                         TorqueBreakdown, _SideState, fault_hold_scale)
 from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
@@ -128,31 +129,6 @@ def _frames(stride: StrideSeries, rate: float, cycles: int):
     return tgrid, phase, columns, lead_in_s + (cycles - 1) * T
 
 
-def _passes_gate(columns) -> bool:
-    """True iff HipController.step would admit every frame: all values
-    finite and both hip velocities inside VEL_BOUND."""
-    return bool(np.isfinite(columns).all()
-                and (np.abs(columns[3:5]) < VEL_BOUND).all())
-
-
-def _step_frames(params: ControllerParams, columns):
-    """Step a fresh HipController frame by frame; (series, events)."""
-    # frames of Python floats: the controller's scalar arithmetic is cheaper
-    # on them than on numpy scalars, and gives the same floats
-    step = HipController(params).step
-    breakdown_row = attrgetter(*BREAKDOWN_FIELDS)
-    rows = []
-    events = []
-    for values in zip(*(c.tolist() for c in columns)):
-        result = step(SensorFrame(*values))
-        rows.append(breakdown_row(result.left))
-        if result.hs_event is not None:
-            events.append(result.hs_event)
-    series = {name: np.array(col, dtype=float)
-              for name, col in zip(BREAKDOWN_FIELDS, zip(*rows))}
-    return series, events
-
-
 def _sigmoid_column(x: np.ndarray, p: SigmoidParams) -> np.ndarray:
     """signals.sigmoid over a column, bit for bit: math.exp, because np.exp
     can differ from it in the last bit."""
@@ -171,26 +147,31 @@ def _pos_part(x: np.ndarray) -> np.ndarray:
 
 
 def _replay_columns(params: ControllerParams, columns):
-    """The left-side breakdown of HipController.step over gate-passing
-    frames, computed a column at a time; (series, events).
+    """The left-side breakdown of HipController.step over the frames whose
+    field values are ``columns``, computed a column at a time; (series,
+    events). The timestamps must be finite, as replay's time grid is.
 
-    Gives the same floats and events as ``_step_frames``. The detector
-    runs over the whole stride, and a left event latches alpha at the frame
-    that returns it. Only the filters, beta EMA, alpha latch and reset ramp
-    run per sample, on the scalar objects the controller uses; every other
-    stage is a column expression in the controller's operation order. The
-    right side's command path feeds nothing on the left, so it is not
-    computed; its filtered velocity feeds the detector and beta.
+    The controller's frame gate is one mask over the frames. The admitted
+    frames run the pipeline: the detector runs over all of them, and a left
+    event latches alpha at the frame that returns it. Only the filters, beta
+    EMA, alpha latch and reset ramp run per sample, on the scalar objects
+    the controller uses; every other stage is a column expression in the
+    controller's operation order. The right side's command path feeds
+    nothing on the left, so it is not computed; its filtered velocity feeds
+    the detector and beta. A gated frame logs the ``TorqueBreakdown``
+    defaults, and its command is the last admitted one scaled by
+    ``fault_hold_scale`` of the time since its gated run began.
     """
     p = params
-    t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = columns
+    frames = np.asarray(columns, dtype=float)
+    admit = (np.isfinite(frames).all(axis=0)
+             & (np.abs(frames[3:5]) < VEL_BOUND).all(axis=0))
+    t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = \
+        frames[:, admit]
     left, right = _SideState(p), _SideState(p)
 
-    def run(lowpass, x):
-        return np.array(list(map(lowpass.step, x.tolist())))
-
-    vel_l = np.clip(run(left.vel_filter, hv_l), -VEL_CAP, VEL_CAP)
-    vel_r = np.clip(run(right.vel_filter, hv_r), -VEL_CAP, VEL_CAP)
+    vel_l = np.clip(left.vel_filter.run(hv_l), -VEL_CAP, VEL_CAP)
+    vel_r = np.clip(right.vel_filter.run(hv_r), -VEL_CAP, VEL_CAP)
     diff_dot = vel_l - vel_r
     hs_events = detect_columns(p.loop_rate_hz, t, acc_l, acc_r, acc_p,
                                th_l, th_r, diff_dot)
@@ -231,14 +212,31 @@ def _replay_columns(params: ControllerParams, columns):
     scale = 1.0 - p.descent.lam * alpha
     tau_gait_mod = scale * _neg_part(tau_gait) + _pos_part(tau_gait)
     tau_act_raw = beta * tau_sts_mod + (1.0 - beta) * tau_gait_mod
-    tau_cmd = np.clip(run(left.cmd_filter, tau_act_raw),
+    tau_cmd = np.clip(left.cmd_filter.run(tau_act_raw),
                       -p.torque_limit, p.torque_limit)
-    return dict(
+    admitted = dict(
         tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
         tau_gait_mod=tau_gait_mod, tau_sts=tau_sts, tau_sts_mod=tau_sts_mod,
         tau_act_raw=tau_act_raw, tau_cmd=tau_cmd, eta_ext=eta_ext,
         eta_flex=eta_flex, alpha=alpha, beta=beta, extension_scale=scale,
-        hip_vel_filt=vel_l), [event for _, event in hs_events]
+        hip_vel_filt=vel_l)
+
+    defaults = TorqueBreakdown()
+    series = {}
+    for name in BREAKDOWN_FIELDS:
+        series[name] = np.full(admit.size, getattr(defaults, name))
+        series[name][admit] = admitted[name]
+    # each gated frame's last admitted frame (-1 if none); its gated run
+    # began on the frame after that one
+    gated = np.flatnonzero(~admit)
+    last = np.maximum.accumulate(np.where(admit, np.arange(admit.size), -1))
+    last = last[gated]
+    elapsed = frames[0, gated] - frames[0, last + 1]
+    hold = np.fromiter(map(fault_hold_scale, elapsed.tolist()), float,
+                       gated.size)
+    cmd = series["tau_cmd"]
+    cmd[gated] = np.where(last >= 0, cmd[last], 0.0) * hold
+    return series, [event for _, event in hs_events]
 
 
 def replay_stride(params: ControllerParams, stride: StrideSeries,
@@ -250,17 +248,12 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     after a lead-in that holds the seated first sample for STS_LEAD_IN_S.
     The measured cycle (for the exo-torque grid and the mean extension
     scale) is the last one. Raises ``ValueError`` when ``cycles`` < 1.
-
-    When every frame passes the controller's frame gate, the step log is
-    computed a column at a time over the whole stride; otherwise a fresh
-    HipController is stepped frame by frame (see the module docstring).
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     tgrid, phase, columns, t_meas0 = _frames(stride, params.loop_rate_hz,
                                              cycles)
-    run = _replay_columns if _passes_gate(columns) else _step_frames
-    series, events = run(params, columns)
+    series, events = _replay_columns(params, columns)
 
     # map the measured (last) cycle's command back onto the stride grid
     grid_t = t_meas0 + np.linspace(0.0, 1.0, stride.n) * stride.cycle_duration

@@ -110,6 +110,10 @@ class LowpassFilter:
         self.z2 = self.b2 * x - self.a2 * y
         return y
 
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """``step`` over each sample of ``x`` in order, as float64."""
+        return np.array(list(map(self.step, x.tolist())), dtype=float)
+
     def prime(self, value: float):
         """Set the internal state to the DC steady state for ``value``."""
         self.z1 = value * (1.0 - self.b0)
@@ -147,10 +151,7 @@ def lowpass_zero_lag(signal, spec: BiquadSpec) -> np.ndarray:
     def _one_pass(series):
         f = LowpassFilter(spec)
         f.prime(series[0])
-        out = np.empty_like(series)
-        for i, v in enumerate(series):
-            out[i] = f.step(v)
-        return out
+        return f.run(series)
 
     y = _one_pass(xp)
     y = _one_pass(y[::-1])[::-1]

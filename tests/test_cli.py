@@ -212,7 +212,21 @@ class TestSimulate:
         ({"cycles": 0}, None, None, "cycles must be >= 1"),
         ({}, "sts", None, "missing key 'sts'"),
         ({}, "gait", {"k_ext": float("nan")}, "k_ext=nan"),
-    ], ids=["cycles-0", "params-missing-section", "params-k_ext-nan"])
+        ({"battery": {**SMALL_BATTERY, "tasks": ["jogging:2"]}}, None, None,
+         "unknown activity kind 'jogging'"),
+        ({"battery": {**SMALL_BATTERY, "tasks": ["level-walk:9"]}}, None,
+         None, "walking speed 9.0 m/s out of range"),
+        ({"battery": {**SMALL_BATTERY, "tasks": "level-walk"}}, None, None,
+         "tasks must be a list, got 'level-walk'"),
+        ({"battery": {**SMALL_BATTERY, "body_mass": "abc"}}, None, None,
+         "body_mass must be a number, got 'abc'"),
+        ({"battery": {**SMALL_BATTERY, "body_mass": -5}}, None, None,
+         "body_mass must be finite and > 0"),
+        ({"battery": {"dataset": [{"csv": "trial.csv"}]}}, None, None,
+         "needs keys ['schema']"),
+    ], ids=["cycles-0", "params-missing-section", "params-k_ext-nan",
+            "task-unknown-kind", "task-out-of-range", "tasks-bare-string",
+            "body_mass-str", "body_mass-negative", "dataset-no-schema"])
     def test_bad_config_exits_2_without_artifacts(self, tmp_path, capsys,
                                                   over, section, value,
                                                   message):
@@ -283,8 +297,13 @@ class TestOptimize:
         ({"target_scale": float("nan")}, "must be finite"),
         ({"target_scale": float("inf")}, "must be finite"),
         ({"budget": 0}, "budget must be >= 1"),
+        ({"weights": {"level-walk": "abc"}},
+         "weights.level-walk must be a number, got 'abc'"),
+        ({"bounds": {**OPT_BOUNDS, "w_ext": ["abc", -0.2]}},
+         "bounds.w_ext must be a number, got 'abc'"),
+        ({"free": "w_ext"}, "free must be a list, got 'w_ext'"),
     ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf",
-            "budget-0"])
+            "budget-0", "weight-str", "bound-str", "free-bare-string"])
     def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over,
                                                 message):
         cfg = write_opt_config(tmp_path, **over)
@@ -408,6 +427,21 @@ class TestMetrics:
             assert rec["peak_bio_power_assisted"] < \
                 rec["peak_bio_power_unassisted"], rec["task"]
 
+    def test_extension_scale_not_invented(self, default_met):
+        """Stride files do not carry the replay's extension scale: metrics
+        reports 1.0 for unassisted sets and nan for assisted ones, where
+        simulate's report has the measured value."""
+        rows = read_report(default_met / "report.csv")
+        assert len(rows) == 22
+        for row in rows:
+            if row.condition == "unassisted":
+                assert row.mean_extension_scale == 1.0, row.task
+            else:
+                assert math.isnan(row.mean_extension_scale), row.task
+        header, paired = read_csv(default_met / "paired.csv")
+        col = header.index("mean_extension_scale")
+        assert [row[col] for row in paired] == ["nan"] * 11
+
     def test_empty_inputs_error(self, tmp_path):
         cfg = write_yaml(tmp_path / "met.yaml", {})
         assert main(["metrics", "--config", cfg,
@@ -505,8 +539,11 @@ class TestDetectHs:
         ({"rate_hz": 0}, None, "rate_hz must be finite and > 0"),
         ({}, ("stream.csv", "abc"), "bad stream row"),
         ({}, ("truth.csv", "soon"), "bad truth row"),
+        ({"match_tol_s": "abc"}, None, "match_tol_s must be a number"),
+        ({"match_tol_s": -1}, None, "match_tol_s must be finite and > 0"),
     ], ids=["detector-not-mapping", "detector-unknown-key", "k_mad-negative",
-            "k_mad-nan", "rate_hz-0", "stream-cell", "truth-cell"])
+            "k_mad-nan", "rate_hz-0", "stream-cell", "truth-cell",
+            "match_tol_s-str", "match_tol_s-negative"])
     def test_bad_config_exits_2_before_detecting(self, tmp_path, capsys, over,
                                                  bad_cell, message):
         cfg_path = write_hs_config(tmp_path, 5.0, 6)

@@ -180,7 +180,7 @@ class TestEnergetics:
 
     def test_report_roundtrip(self, tmp_path, battery):
         strides = battery[ActivityLabel("sit-to-stand")]
-        rows = [task_energetics(strides, "unassisted")]
+        rows = [task_energetics(strides, "unassisted", 1.0)]
         path = tmp_path / "report.csv"
         write_report(rows, path, header_lines=["seed: 0"])
         back = read_report(path)
@@ -198,8 +198,8 @@ class TestEnergetics:
 
     def test_paired_summary(self, battery):
         strides = battery[ActivityLabel("level-walk", 0.85)]
-        un = task_energetics(strides, "unassisted")
-        ex = task_energetics(strides, "assisted")
+        un = task_energetics(strides, "unassisted", 1.0)
+        ex = task_energetics(strides, "assisted", 1.0)
         recs = paired_summary([un, ex])
         assert recs[0]["hip_work_change_pct"] == pytest.approx(0.0, abs=1e-12)
         lonely = paired_summary([un])

@@ -64,18 +64,17 @@ class TestReplay:
             assert CH_EXO not in stride.channels  # input untouched
 
 
-@pytest.fixture
-def stepped(monkeypatch):
-    """The frames that replay_stride feeds to HipController.step."""
-    frames = []
+def _forbidden(*args):
+    raise AssertionError("replay stepped HipController or HsDetector")
 
-    class Recording(HipController):
-        def step(self, frame):
-            frames.append(frame)
-            return super().step(frame)
 
-    monkeypatch.setattr(replay, "HipController", Recording)
-    return frames
+def unstepped(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with HipController.step and
+    HsDetector.update raising, so a replay that calls either fails."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(HipController, "step", _forbidden)
+        m.setattr(heelstrike.HsDetector, "update", _forbidden)
+        return fn(*args, **kwargs)
 
 
 def step_reference(params, columns):
@@ -110,12 +109,11 @@ class TestReplayFeed:
     @pytest.mark.parametrize("label", [ActivityLabel("stair-descent", 0.178),
                                        ActivityLabel("sit-to-stand")])
     def test_float_frames_match_numpy_scalar_frames(
-            self, default_params, battery, stepped, label):
+            self, default_params, battery, label):
         """The step log and events of a replay equal those of
         HipController.step fed the same frames as np.float64 scalars."""
         stride = battery[label][0]
-        log = replay_stride(default_params, stride)
-        assert not stepped   # every frame passes the gate: the column path
+        log = unstepped(replay_stride, default_params, stride)
         columns = float_columns(default_params, stride, 4)
         assert all(type(v) is float for c in columns for v in c)
 
@@ -135,45 +133,87 @@ class TestReplayFeed:
         assert len(log.events) > 0 or not label.is_gait
 
 
+def _set(column, index, value):
+    def gate(columns):
+        columns[column][index] = value
+    return gate
+
+
+# frame-gate patterns over a replay's columns (t, hip_l, hip_r, vel_l,
+# vel_r, thigh_l, thigh_r, torso, acc_l, acc_r, acc_p), applied in place
+GATE_PATTERNS = {
+    "nan-first-frame": _set(1, 0, math.nan),
+    "hip-vel-at-bound": _set(4, 120, VEL_BOUND),
+    "inf-accel": _set(8, 140, math.inf),
+    # 0.32 s: past the hold, part way down the decay
+    "nan-burst-80": _set(7, slice(60, 140), math.nan),
+    # 0.6 s: the held command decays to zero
+    "nan-burst-150": _set(5, slice(60, 210), math.nan),
+    "nan-last-frames": _set(2, slice(-30, None), math.nan),
+    "vel-spikes-every-17": _set(3, slice(5, None, 17), -2 * VEL_BOUND),
+    "all-frames": _set(10, slice(None), math.nan),
+}
+
+
 @pytest.fixture(scope="module")
 def battery_11():
     return synth_battery(strides_per_task=3, seed=11)
 
 
 class TestColumnReplay:
-    """The column path against HipController.step, frame by frame."""
+    """The column replay against HipController.step, frame by frame."""
 
     @pytest.mark.parametrize("cycles", [1, 4])
     @pytest.mark.parametrize("seed", [7, 11])
     def test_default_battery_bit_identical(self, default_params, battery,
-                                           battery_11, stepped, seed, cycles):
+                                           battery_11, seed, cycles):
         strides = [s for task in (battery if seed == 7 else battery_11).values()
                    for s in task]
         assert len(strides) == 33
         for stride in strides:
-            log = replay_stride(default_params, stride, cycles=cycles)
+            log = unstepped(replay_stride, default_params, stride,
+                            cycles=cycles)
             ref = step_reference(default_params,
                                  float_columns(default_params, stride, cycles))
             assert_same_log(log.series, log.events, *ref)
-        assert not stepped
 
+    @pytest.mark.parametrize("cycles", [1, 3])
     @pytest.mark.parametrize("channel, value", [(CH_HIP_ANGLE, math.nan),
                                                 (CH_HIP_VEL, VEL_BOUND)],
                              ids=["nan-hip-angle", "hip-vel-at-bound"])
-    def test_gated_frame_takes_scalar_fallback(self, default_params, battery,
-                                               stepped, channel, value):
+    def test_gated_stride_matches_step_reference(self, default_params,
+                                                 battery, channel, value,
+                                                 cycles):
         stride = battery[ActivityLabel("ramp-ascent", 11)][0]
         values = stride.channels[channel].copy()
-        # sample 0 is hit exactly at the start of every replayed cycle
+        # sample 0 is hit exactly at the start of every replayed cycle, so
+        # the first frame is gated too
         values[0] = value
         stride = stride.copy_with(**{channel: values})
-        columns = replay._frames(stride, default_params.loop_rate_hz, 2)[2]
-        assert not replay._passes_gate(columns)
-        log = replay_stride(default_params, stride, cycles=2)
-        assert len(stepped) == len(log.t)
-        assert all(type(v) is float for f in stepped for v in astuple(f))
-        ref = step_reference(default_params, [c.tolist() for c in columns])
+        log = unstepped(replay_stride, default_params, stride, cycles=cycles)
+        ref = step_reference(default_params,
+                             float_columns(default_params, stride, cycles))
         assert_same_log(log.series, log.events, *ref)
+        assert log.events
+
+    @pytest.mark.parametrize("cycles", [1, 3])
+    @pytest.mark.parametrize("label", [ActivityLabel("stair-descent", 0.178),
+                                       ActivityLabel("sit-to-stand")],
+                             ids=["stair-descent", "sit-to-stand"])
+    @pytest.mark.parametrize("gate", sorted(GATE_PATTERNS))
+    def test_gate_patterns_match_step_reference(self, default_params,
+                                                battery, gate, label, cycles):
+        columns = replay._frames(battery[label][0],
+                                 default_params.loop_rate_hz, cycles)[2]
+        GATE_PATTERNS[gate](columns)
+        series, events = unstepped(replay._replay_columns, default_params,
+                                   columns)
+        ref_series, ref_events = step_reference(
+            default_params, [c.tolist() for c in columns])
+        assert_same_log(series, events, ref_series, ref_events)
+        gated = ~(np.isfinite(columns).all(axis=0)
+                  & (np.abs(np.array(columns[3:5])) < VEL_BOUND).all(axis=0))
+        assert gated.all() if gate == "all-frames" else gated.any()
 
     @pytest.mark.parametrize("k_gait", [None, 0.0],
                              ids=["default", "zero-gait-stiffness"])
@@ -202,9 +242,8 @@ class TestColumnReplay:
         zeros = np.zeros_like(t)
         columns = [t, hip, hip, vel, vel, th_l, th_r, torso, acc_l, zeros,
                    zeros]
-        assert replay._passes_gate(columns)
 
-        series, events = replay._replay_columns(p, columns)
+        series, events = unstepped(replay._replay_columns, p, columns)
         assert_same_log(series, events,
                         *step_reference(p, [c.tolist() for c in columns]))
 
@@ -217,20 +256,6 @@ class TestColumnReplay:
         assert t[ramp].min() >= 1.2 + p.descent.t_wait
         assert series["beta"][-1] > 0.99               # seated override
         assert series["tau_sts_mod"][seated].min() < 0.0
-
-    def test_only_gated_strides_step_the_detector(self, default_params,
-                                                  battery, monkeypatch):
-        def update(self, *args):
-            raise RuntimeError("HsDetector.update called")
-
-        monkeypatch.setattr(heelstrike.HsDetector, "update", update)
-        stride = battery[ActivityLabel("stair-descent", 0.178)][0]
-        assert replay_stride(default_params, stride).events
-        values = stride.channels[CH_HIP_ANGLE].copy()
-        values[0] = math.nan
-        with pytest.raises(RuntimeError, match="HsDetector.update called"):
-            replay_stride(default_params,
-                          stride.copy_with(**{CH_HIP_ANGLE: values}))
 
     def test_beta_outside_unit_range_raises_like_blend(
             self, default_params, battery, monkeypatch):
@@ -259,7 +284,7 @@ class TestColumnReplay:
                     params, float_columns(params, stride, 2)))
             frames = [random_frame(rng, k * DT) for k in range(400)]
             columns = [np.array(c) for c in zip(*map(astuple, frames))]
-            assert replay._passes_gate(columns)
-            series, events = replay._replay_columns(params, columns)
+            series, events = unstepped(replay._replay_columns, params,
+                                       columns)
             assert_same_log(series, events, *step_reference(
                 params, [c.tolist() for c in columns]))
