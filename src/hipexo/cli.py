@@ -130,6 +130,16 @@ def _config_list(section: dict, key: str, default) -> list:
     return list(value)
 
 
+def _config_section(cfg: dict, key: str) -> dict:
+    """``cfg[key]`` as a mapping, ``{}`` when the key is absent or empty."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} section must be a mapping, got {value!r}")
+    return value
+
+
 def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
     """``--seed``, else the first ``seed`` key among ``configs``, else
     ``default``. A negative seed is a config error."""
@@ -144,7 +154,7 @@ def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
 
 
 def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSeries]]:
-    spec = cfg.get("battery")
+    spec = _config_section(cfg, "battery")
     if not spec:
         raise ConfigError("config needs a 'battery' section")
     if spec.get("synthetic"):
@@ -157,15 +167,15 @@ def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSerie
         if not 0 < body_mass < math.inf:
             raise ConfigError(f"body_mass must be finite and > 0, "
                               f"got {body_mass}")
-        return synth_battery(
+        battery = synth_battery(
             tasks=tasks,
             strides_per_task=_config_int(spec, "strides_per_task", 3,
                                          minimum=1),
             seed=seed,
             body_mass=body_mass,
         )
-    if "dataset" in spec:
-        battery: dict[ActivityLabel, list[StrideSeries]] = {}
+    elif "dataset" in spec:
+        battery = {}
         for entry in _config_list(spec, "dataset", []):
             missing = [k for k in ("schema", "csv")
                        if not isinstance(entry, dict) or k not in entry]
@@ -178,10 +188,11 @@ def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSerie
             for rng in segment_strides(trial):
                 stride = normalize_stride(trial, rng, n)
                 battery.setdefault(stride.label, []).append(stride)
-        if not battery:
-            raise ConfigError("dataset battery produced no strides")
-        return battery
-    raise ConfigError("battery must be synthetic or list dataset entries")
+    else:
+        raise ConfigError("battery must be synthetic or list dataset entries")
+    if not battery:
+        raise ConfigError("battery has no tasks")
+    return battery
 
 
 def _battery_tasks(battery, weights: dict) -> list[TaskSet]:
@@ -225,7 +236,8 @@ def cmd_simulate(args) -> int:
     cfg, raw = _read_config(args.config, "simulate")
     params = _load_params(cfg.get("params", "default"))
     cycles = _config_int(cfg, "cycles", 4, minimum=1)
-    seed = _resolve_seed(args.seed, cfg.get("battery") or {}, cfg, default=7)
+    seed = _resolve_seed(args.seed, _config_section(cfg, "battery"), cfg,
+                         default=7)
     battery = _build_battery(cfg, seed)
     with _Run(Path(args.out), raw, seed) as run:
         _simulate_into(run, params, battery, cycles)
@@ -277,23 +289,24 @@ def cmd_optimize(args) -> int:
     warm = _load_params(cfg.get("params", "default"))
     seed = _resolve_seed(args.seed, cfg)
     battery = _build_battery(
-        cfg, _config_int(cfg.get("battery", {}), "seed", 7, minimum=0))
-    tasks = _battery_tasks(battery, cfg.get("weights", {}))
+        cfg, _config_int(_config_section(cfg, "battery"), "seed", 7,
+                         minimum=0))
+    tasks = _battery_tasks(battery, _config_section(cfg, "weights"))
     for t in tasks:
         for s in t.strides:
             if CH_HIP_MOMENT not in s.channels:
                 raise ConfigError(
                     f"task {t.label.code}: missing channel {CH_HIP_MOMENT!r}")
 
-    section = cfg.get("bounds", {})
+    section = _config_section(cfg, "bounds")
     bounds = {k: tuple(_config_float(x, f"bounds.{k}")
                        for x in _config_list(section, k, ()))
               for k in section}
     free = tuple(_config_list(cfg, "free", DEFAULT_FREE))
     try:
         # a setting the config leaves out takes ObjectiveSpec's default
-        settings = {k: float(cfg[k]) for k in ("c_static", "c_sign",
-                                               "target_scale") if k in cfg}
+        settings = {k: _config_float(cfg[k], k) for k in (
+            "c_static", "c_sign", "target_scale") if k in cfg}
         spec = ObjectiveSpec(tasks=tasks, free=free, bounds=bounds, **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -379,9 +392,7 @@ _HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",
 def _build_detector(cfg: dict) -> HsDetector:
     """The detector that the ``rate_hz`` and ``detector`` keys describe; any
     bad key or value is a config error."""
-    section = cfg.get("detector", {})
-    if not isinstance(section, dict):
-        raise ConfigError("detector section must be a mapping")
+    section = _config_section(cfg, "detector")
     unknown = set(section) - {f.name for f in fields(HsDetectorConfig)}
     if unknown:
         raise ConfigError(f"unknown detector keys {sorted(map(str, unknown))}")

@@ -563,7 +563,7 @@ def _synth_gait(label, rng, n, body_mass):
     # normative hip moment: the reference-spring profile on these
     # kinematics, plus an out-of-family eccentric component for descent and
     # a small smooth residual for realism
-    spring = gait_torque_series(hip, hip_vel, _REF_GAIT) / _REF_SCALE
+    spring = gait_torque_series(hip, hip_vel, _REF_GAIT)[-1] / _REF_SCALE
     residual_amp = 0.02 * float(np.max(np.abs(spring)))
     residual = residual_amp * (np.sin(2 * np.pi * x + rng.uniform(0, 2 * np.pi))
                                + 0.5 * np.sin(4 * np.pi * x
@@ -633,7 +633,7 @@ def _synth_sts(label, rng, n, body_mass):
     hip_vel = np.gradient(hip, dx) / duration
 
     # normative moment from the reference STS spring on these kinematics
-    moment = sts_torque_series(thigh, hip_vel, torso, _REF_STS) / _REF_SCALE
+    moment = sts_torque_series(thigh, hip_vel, torso, _REF_STS)[-1] / _REF_SCALE
     moment += 0.01 * np.sin(2 * np.pi * x + rng.uniform(0, 2 * np.pi))
     grf = G * (0.55 + 0.45 * _smoothstep(x, 0.3, 0.6))
     knee_vel = np.gradient(1.6 * (1.0 - _smoothstep(x, 0.3, 0.75)), dx) / duration

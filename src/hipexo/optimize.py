@@ -205,8 +205,8 @@ class _Evaluator:
 
     def _estimates(self, params: ControllerParams) -> list:
         """Estimated torque of each block, in block order."""
-        return [gait_torque_series(*inputs, params.gait) if is_gait
-                else sts_torque_series(*inputs, params.sts)
+        return [gait_torque_series(*inputs, params.gait)[-1] if is_gait
+                else sts_torque_series(*inputs, params.sts)[-1]
                 for is_gait, inputs, *_ in self._blocks]
 
     def value(self, x) -> float:
@@ -245,17 +245,6 @@ def objective(params: ControllerParams, spec: ObjectiveSpec) -> float:
     x = ev.x0()
     ev.check_bounds(x)
     return ev.value(x)
-
-
-def report_similarity(params: ControllerParams, tasks: list[TaskSet],
-                      target_scale: float = 20.0) -> dict:
-    """Per-task cosine similarity of the replayed estimated torque against
-    the biological moment target."""
-    if not tasks:
-        raise ValueError("tasks must be non-empty")
-    bounds = {n: (-1e9, 1e9) for n in DEFAULT_FREE}
-    spec = ObjectiveSpec(tasks=tasks, bounds=bounds, target_scale=target_scale)
-    return _Evaluator(spec, params).similarities(params)
 
 
 def format_sim_table(sims: dict) -> str:

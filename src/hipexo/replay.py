@@ -8,9 +8,10 @@ exo_torque channel.
 
 The replay runs along the time axis. One mask applies the controller's
 frame gate to every frame (all values finite, both hip velocities inside
-VEL_BOUND). Over the admitted frames, the frame-pure stages (spring bases,
-sigmoids, beta_raw, descent attenuation, blend, clamps) are numpy column
-expressions in the controller's operation order and with ``math.exp``; the
+VEL_BOUND). Over the admitted frames, the frame-pure stages are columns:
+the spring kernels that the optimizer and stride synthesis share, called
+with ``signals.exp_exact`` (they pass ``np.exp``), then beta_raw, descent
+attenuation, blend and clamps in the controller's operation order. The
 heel-strike detector runs once through ``heelstrike.detect_columns``,
 which returns each event with its frame index; only the filters, the beta
 EMA, the alpha latch and the reset ramp run per sample. A gated frame
@@ -21,7 +22,6 @@ bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,8 +33,8 @@ from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
 from .heelstrike import LEFT, detect_columns
 from .modulation import alpha_at_heelstrike, beta_smoothed, reset_tick
-from .signals import EXP_CLAMP, SigmoidParams
-from .springs import VEL_BOUND
+from .signals import exp_exact, neg_part, pos_part, sigmoid_array
+from .springs import VEL_BOUND, gait_torque_series, sts_torque_series
 
 # the float fields of TorqueBreakdown, in step-log column order
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(TorqueBreakdown)
@@ -129,23 +129,6 @@ def _frames(stride: StrideSeries, rate: float, cycles: int):
     return tgrid, phase, columns, lead_in_s + (cycles - 1) * T
 
 
-def _sigmoid_column(x: np.ndarray, p: SigmoidParams) -> np.ndarray:
-    """signals.sigmoid over a column, bit for bit: math.exp, because np.exp
-    can differ from it in the last bit."""
-    z = np.clip(-p.w * x + p.phi, -EXP_CLAMP, EXP_CLAMP)
-    return 1.0 / (1.0 + np.fromiter(map(math.exp, z.tolist()), float, z.size))
-
-
-def _neg_part(x: np.ndarray) -> np.ndarray:
-    """min(0.0, x) per element, with the same zero sign."""
-    return np.where(x < 0.0, x, 0.0)
-
-
-def _pos_part(x: np.ndarray) -> np.ndarray:
-    """max(0.0, x) per element, with the same zero sign."""
-    return np.where(x > 0.0, x, 0.0)
-
-
 def _replay_columns(params: ControllerParams, columns):
     """The left-side breakdown of HipController.step over the frames whose
     field values are ``columns``, computed a column at a time; (series,
@@ -180,7 +163,8 @@ def _replay_columns(params: ControllerParams, columns):
     b_raw = np.where(
         (th_l > sym.seated_ext_threshold) & (th_r > sym.seated_ext_threshold),
         1.0, np.where(np.abs(diff_dot) >= sym.vel_threshold, 0.0,
-                      _sigmoid_column(np.abs(th_l - th_r), sym.sym_mod)))
+                      sigmoid_array(np.abs(th_l - th_r), sym.sym_mod,
+                                    exp_exact)))
 
     latch = {i: alpha_at_heelstrike(event.thigh_snapshot, p.descent)
              for i, event in hs_events if event.side == LEFT}
@@ -200,17 +184,12 @@ def _replay_columns(params: ControllerParams, columns):
         raise ValueError(
             f"beta must be in [0, 1], got {beta[outside.argmax()].item()}")
 
-    g, s = p.gait, p.sts
-    tau_ext = _neg_part(g.k_ext * (hip_l - g.theta_ext_eq))
-    tau_flex = _pos_part(g.k_flex * (g.theta_flex_eq - hip_l))
-    eta_ext = _sigmoid_column(vel_l, g.vel_mod_ext)
-    eta_flex = _sigmoid_column(vel_l, g.vel_mod_flex)
-    tau_gait = eta_ext * tau_ext + eta_flex * tau_flex
-    tau_sts = _neg_part(-s.k_sts * th_l)
-    tau_sts_mod = (tau_sts * _sigmoid_column(vel_l, s.vel_mod)
-                   * _sigmoid_column(_pos_part(torso), s.torso_mod))
+    tau_ext, tau_flex, eta_ext, eta_flex, tau_gait = gait_torque_series(
+        hip_l, vel_l, p.gait, exp_exact)
+    tau_sts, tau_sts_mod = sts_torque_series(th_l, vel_l, torso, p.sts,
+                                             exp_exact)
     scale = 1.0 - p.descent.lam * alpha
-    tau_gait_mod = scale * _neg_part(tau_gait) + _pos_part(tau_gait)
+    tau_gait_mod = scale * neg_part(tau_gait) + pos_part(tau_gait)
     tau_act_raw = beta * tau_sts_mod + (1.0 - beta) * tau_gait_mod
     tau_cmd = np.clip(left.cmd_filter.run(tau_act_raw),
                       -p.torque_limit, p.torque_limit)

@@ -1,6 +1,6 @@
-"""Shared numeric kernels: sigmoid modulation, Butterworth low-pass filters
-(causal streaming and zero-lag batch), exponential moving average, and
-positive-work integration.
+"""Shared numeric kernels: sigmoid modulation (scalar and column), the
+column zero-sign rules, Butterworth low-pass filters (causal streaming and
+zero-lag batch), exponential moving average, and positive-work integration.
 
 All kernels are either pure functions or operate on caller-owned state, so
 they are safe to use from multiple simulation workers on disjoint state.
@@ -45,12 +45,28 @@ def sigmoid(x: float, p: SigmoidParams) -> float:
     return 1.0 / (1.0 + math.exp(z))
 
 
-def sigmoid_array(x, p: SigmoidParams) -> np.ndarray:
-    """Vectorized twin of :func:`sigmoid` for the optimizer and stride
-    synthesis. Not bit-identical to it: ``np.exp`` can differ from
-    ``math.exp`` in the last bit, so replay does not use it."""
+def sigmoid_array(x, p: SigmoidParams, exp=np.exp) -> np.ndarray:
+    """:func:`sigmoid` over a column, with ``exp`` mapping the clamped
+    exponent column. With :func:`exp_exact` it equals :func:`sigmoid` bit
+    for bit, as replay needs; the optimizer and stride synthesis keep the
+    faster ``np.exp``, which can differ from ``math.exp`` in the last bit."""
     z = np.clip(-p.w * np.asarray(x, dtype=float) + p.phi, -EXP_CLAMP, EXP_CLAMP)
-    return 1.0 / (1.0 + np.exp(z))
+    return 1.0 / (1.0 + exp(z))
+
+
+def exp_exact(z: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element of a float column."""
+    return np.fromiter(map(math.exp, z.tolist()), float, z.size)
+
+
+# min(0.0, v) and max(0.0, v) per element, with the same zero sign: on a
+# tie numpy returns the second argument, so -0.0 gives +0.0 as it does there
+def neg_part(x: np.ndarray) -> np.ndarray:
+    return np.minimum(x, 0.0)
+
+
+def pos_part(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 @dataclass

@@ -4,10 +4,12 @@ springs and the sit-to-stand (STS) spring, each shaped by sigmoid velocity
 
 Sign conventions: hip flexion is positive, so extension torque is negative
 and flexion torque positive. Angles in rad, velocities in rad/s, torques in
-Nm. Every kernel is a pure function of plain float inputs and its params;
-the scalar kernels take their inputs in the same positional order as their
-series twins. Inputs are not validated here: the controller's frame gate
-admits only finite samples with |hip velocity| < VEL_BOUND.
+Nm. The scalar kernels step the live controller. Each law has one column
+kernel, with the same positional inputs, that replay, the optimizer and
+stride synthesis share; it takes the exponential as ``exp``: replay passes
+``signals.exp_exact`` and so matches the scalar kernels bit for bit, the
+others ``np.exp``. Inputs are not validated here: the controller's frame
+gate admits only finite samples with |hip velocity| < VEL_BOUND.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SigmoidParams, sigmoid, sigmoid_array
+from .signals import (SigmoidParams, neg_part, pos_part, sigmoid,
+                      sigmoid_array)
 
 # joint range-of-motion sanity bound for equilibrium angles, rad
 ROM_MIN = -1.0
@@ -112,26 +115,27 @@ def sts_modulated_torque(theta_thigh: float, theta_ips_dot: float,
     return tau_sts * eta_vel * eta_torso
 
 
-# --- vectorized twins for the optimizer and stride synthesis -------------
-# (replay cannot use them: np.exp can differ from math.exp in the last bit)
+# --- column kernels: np.exp can differ from math.exp in the last bit
 
-def gait_torque_series(theta_ips, theta_ips_dot, p: GaitSpringParams) -> np.ndarray:
-    """Vectorized gait-spring torque over angle/velocity series."""
+def gait_torque_series(theta_ips, theta_ips_dot, p: GaitSpringParams,
+                       exp=np.exp) -> tuple[np.ndarray, ...]:
+    """Gait springs over angle/velocity columns: (tau_ext, tau_flex,
+    eta_ext, eta_flex, tau_gait), in the scalar kernels' operation order."""
     th = np.asarray(theta_ips, dtype=float)
-    om = np.asarray(theta_ips_dot, dtype=float)
-    tau_ext = np.minimum(0.0, p.k_ext * (th - p.theta_ext_eq))
-    tau_flex = np.maximum(0.0, p.k_flex * (p.theta_flex_eq - th))
-    return (sigmoid_array(om, p.vel_mod_ext) * tau_ext
-            + sigmoid_array(om, p.vel_mod_flex) * tau_flex)
+    tau_ext = neg_part(p.k_ext * (th - p.theta_ext_eq))
+    tau_flex = pos_part(p.k_flex * (p.theta_flex_eq - th))
+    eta_ext = sigmoid_array(theta_ips_dot, p.vel_mod_ext, exp)
+    eta_flex = sigmoid_array(theta_ips_dot, p.vel_mod_flex, exp)
+    return (tau_ext, tau_flex, eta_ext, eta_flex,
+            eta_ext * tau_ext + eta_flex * tau_flex)
 
 
 def sts_torque_series(theta_thigh, theta_ips_dot, theta_torso,
-                      p: StsSpringParams) -> np.ndarray:
-    """Vectorized modulated STS torque over thigh/velocity/torso series."""
-    th = np.asarray(theta_thigh, dtype=float)
-    om = np.asarray(theta_ips_dot, dtype=float)
-    to = np.asarray(theta_torso, dtype=float)
-    tau_sts = np.minimum(0.0, -p.k_sts * th)
-    return (tau_sts
-            * sigmoid_array(om, p.vel_mod)
-            * sigmoid_array(np.maximum(0.0, to), p.torso_mod))
+                      p: StsSpringParams,
+                      exp=np.exp) -> tuple[np.ndarray, np.ndarray]:
+    """STS spring over thigh/velocity/torso columns: (tau_sts,
+    tau_sts_mod), in the scalar kernels' operation order."""
+    tau_sts = neg_part(-p.k_sts * np.asarray(theta_thigh, dtype=float))
+    eta_vel = sigmoid_array(theta_ips_dot, p.vel_mod, exp)
+    eta_torso = sigmoid_array(pos_part(theta_torso), p.torso_mod, exp)
+    return tau_sts, tau_sts * eta_vel * eta_torso

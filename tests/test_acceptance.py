@@ -211,7 +211,7 @@ def test_criterion_05_optimizer_self_consistency(default_params):
             continue
         fixed = [s.copy_with(hip_moment=gait_torque_series(
             s.channels[CH_HIP_ANGLE], s.channels[CH_HIP_VEL],
-            theta_star.gait) / 20.0) for s in strides]
+            theta_star.gait)[-1] / 20.0) for s in strides]
         tasks.append(TaskSet(label, fixed, 1.0))
     bounds = {k: tuple(map(float, v)) for k, v in cfg["bounds"].items()}
     spec = ObjectiveSpec(tasks=tasks, c_static=1e-3, c_sign=1.0,

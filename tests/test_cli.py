@@ -224,9 +224,14 @@ class TestSimulate:
          "body_mass must be finite and > 0"),
         ({"battery": {"dataset": [{"csv": "trial.csv"}]}}, None, None,
          "needs keys ['schema']"),
+        ({"battery": {**SMALL_BATTERY, "tasks": []}}, None, None,
+         "battery has no tasks"),
+        ({"battery": ["level-walk:1.15"]}, None, None,
+         "battery section must be a mapping, got ['level-walk:1.15']"),
     ], ids=["cycles-0", "params-missing-section", "params-k_ext-nan",
             "task-unknown-kind", "task-out-of-range", "tasks-bare-string",
-            "body_mass-str", "body_mass-negative", "dataset-no-schema"])
+            "body_mass-str", "body_mass-negative", "dataset-no-schema",
+            "tasks-empty", "battery-list"])
     def test_bad_config_exits_2_without_artifacts(self, tmp_path, capsys,
                                                   over, section, value,
                                                   message):
@@ -302,8 +307,15 @@ class TestOptimize:
         ({"bounds": {**OPT_BOUNDS, "w_ext": ["abc", -0.2]}},
          "bounds.w_ext must be a number, got 'abc'"),
         ({"free": "w_ext"}, "free must be a list, got 'w_ext'"),
+        ({"weights": [1, 2]}, "weights section must be a mapping, got [1, 2]"),
+        ({"bounds": [1, 2]}, "bounds section must be a mapping, got [1, 2]"),
+        ({"battery": [1, 2]}, "battery section must be a mapping, got [1, 2]"),
+        ({"battery": {"synthetic": True, "tasks": []}}, "battery has no tasks"),
+        ({"c_sign": [1]}, "c_sign must be a number, got [1]"),
     ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf",
-            "budget-0", "weight-str", "bound-str", "free-bare-string"])
+            "budget-0", "weight-str", "bound-str", "free-bare-string",
+            "weights-list", "bounds-list", "battery-list", "tasks-empty",
+            "c_sign-list"])
     def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over,
                                                 message):
         cfg = write_opt_config(tmp_path, **over)

@@ -10,8 +10,8 @@ from hipexo.gaitdata import (CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
 from hipexo.metrics import cosine_similarity
 from hipexo.optimize import (DEFAULT_FREE, PARAM_PATHS, SIGN_MASK_FRAC,
                              ObjectiveSpec, TaskSet, apply_vector,
-                             format_sim_table, get_param, objective, optimize,
-                             report_similarity)
+                             _Evaluator, format_sim_table, get_param,
+                             objective, optimize)
 from hipexo.springs import (ROM_MAX, gait_torque, gait_torque_series,
                             sts_torque_series)
 
@@ -31,7 +31,8 @@ def in_family_tasks(params, seed=21, tasks=3):
         fixed = []
         for s in strides:
             tau = gait_torque_series(s.channels[CH_HIP_ANGLE],
-                                     s.channels[CH_HIP_VEL], params.gait) / 20.0
+                                     s.channels[CH_HIP_VEL],
+                                     params.gait)[-1] / 20.0
             fixed.append(s.copy_with(hip_moment=tau))
         out.append(TaskSet(label, fixed, 1.0))
         if len(out) == tasks:
@@ -194,9 +195,18 @@ class TestOptimize:
         assert statics[2] < 0.05
 
 
+def similarities(params, tasks, target_scale=20.0):
+    """Per-task SIM of ``params`` from ``_Evaluator.similarities``, with
+    every default free parameter left free in an open box."""
+    spec = ObjectiveSpec(tasks=tasks, bounds={n: (-1e9, 1e9)
+                                              for n in DEFAULT_FREE},
+                         target_scale=target_scale)
+    return _Evaluator(spec, params).similarities(params)
+
+
 class TestSimilarityReport:
     def test_perfect_match_gives_ones(self, star_params, star_tasks):
-        sims = report_similarity(star_params, star_tasks)
+        sims = similarities(star_params, star_tasks)
         assert all(v == pytest.approx(1.0, abs=1e-9) for v in sims.values())
 
     def test_sign_flip_negates(self, star_params, star_tasks):
@@ -204,15 +214,15 @@ class TestSimilarityReport:
         flipped = TaskSet(task.label,
                           [s.copy_with(hip_moment=-s.channels[CH_HIP_MOMENT])
                            for s in task.strides], 1.0)
-        sims = report_similarity(star_params, [flipped])
+        sims = similarities(star_params, [flipped])
         assert sims[task.label.code] == pytest.approx(-1.0, abs=1e-9)
 
     def test_empty_tasks_rejected(self, star_params):
         with pytest.raises(ValueError):
-            report_similarity(star_params, [])
+            similarities(star_params, [])
 
     def test_table_layout(self, star_params, star_tasks):
-        sims = report_similarity(star_params, star_tasks)
+        sims = similarities(star_params, star_tasks)
         table = format_sim_table(sims)
         assert "Activity" in table and "SIM" in table
         for code in sims:
@@ -307,10 +317,10 @@ def per_task_reference(params, spec):
         target = spec.target_scale * cat(CH_HIP_MOMENT)
         if task.label.is_gait:
             est = gait_torque_series(cat(CH_HIP_ANGLE), cat(CH_HIP_VEL),
-                                     params.gait)
+                                     params.gait)[-1]
         else:
             est = sts_torque_series(cat(CH_THIGH), cat(CH_HIP_VEL),
-                                    cat(CH_TORSO), params.sts)
+                                    cat(CH_TORSO), params.sts)[-1]
         err = est - target
         total += task.weight * float(np.mean(err * err))
         mask = np.abs(target) > SIGN_MASK_FRAC * np.max(np.abs(target))
@@ -340,7 +350,7 @@ class TestFusedObjective:
                                   lo + rng.uniform(size=lo.size) * (hi - lo))
             want, want_sims = per_task_reference(params, spec)
             assert objective(params, spec).hex() == want.hex()
-            sims = report_similarity(params, nonzero, target_scale=17.5)
+            sims = similarities(params, nonzero, target_scale=17.5)
             assert list(sims) == list(want_sims)
             assert [v.hex() for v in sims.values()] == \
                 [v.hex() for v in want_sims.values()]

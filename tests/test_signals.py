@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hipexo.signals import (BiquadSpec, EmaState, LowpassFilter, SigmoidParams,
-                            ema_step, integrate_positive, lowpass_zero_lag,
-                            sigmoid, sigmoid_array, zero_lag_pad_len)
+                            ema_step, exp_exact, integrate_positive,
+                            lowpass_zero_lag, neg_part, pos_part, sigmoid,
+                            sigmoid_array, zero_lag_pad_len)
 
 
 class TestSigmoid:
@@ -49,10 +50,38 @@ class TestSigmoid:
         for xi, yi in zip(x, vec):
             # np.exp and math.exp may differ in the last ulp
             assert sigmoid(float(xi), p) == pytest.approx(yi, rel=1e-15)
+        # exp_exact maps math.exp, so the column is the scalar bit for bit,
+        # also at both exponent clamps
+        x = np.concatenate([np.random.default_rng(5).uniform(-40, 40, 5000),
+                            [0.0, -0.0, 1e300, -1e300]])
+        assert sigmoid_array(x, p, exp_exact).tobytes() == np.array(
+            [sigmoid(v, p) for v in x.tolist()]).tobytes()
 
     def test_nonfinite_params_rejected(self):
         with pytest.raises(ValueError):
             SigmoidParams(float("nan"), 0.0)
+
+
+class TestZeroSign:
+    """neg_part/pos_part give scalar min(0.0, v)/max(0.0, v) with the same
+    zero sign (+0.0 for a -0.0 input), over lengths and unaligned offsets
+    that reach numpy's SIMD loops and their tails."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 1000, 100_003])
+    def test_matches_scalar_min_max(self, n, offset):
+        rng = np.random.default_rng(n + offset)
+        pick = rng.integers(0, 4, n + offset)
+        values = np.choose(pick, [np.zeros(n + offset),
+                                  np.full(n + offset, -0.0),
+                                  -rng.uniform(1e-300, 5.0, n + offset),
+                                  rng.uniform(1e-300, 5.0, n + offset)])
+        x = values[offset:]
+        assert np.signbit(x[x == 0.0]).any() or n < 16
+        assert neg_part(x).tobytes() == np.array(
+            [min(0.0, v) for v in x.tolist()]).tobytes()
+        assert pos_part(x).tobytes() == np.array(
+            [max(0.0, v) for v in x.tolist()]).tobytes()
 
 
 class TestCausalLowpass:

@@ -5,7 +5,7 @@ import pytest
 
 from hipexo.configio import load_params
 from hipexo.controller import HipController, SensorFrame
-from hipexo.signals import EXP_CLAMP, SigmoidParams
+from hipexo.signals import EXP_CLAMP, SigmoidParams, exp_exact
 from hipexo.springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
                             gait_spring_torques, gait_torque,
                             gait_torque_series, gait_velocity_factors,
@@ -200,9 +200,11 @@ class TestProperties:
         assert sts_modulated_torque(0.0, 0.0, 0.0, sp) == 0.0
 
     def test_series_matches_scalar_path(self):
-        # the scalar kernels use math.exp and the series twins np.exp, which
-        # differ in the last bit for some inputs; the torques then agree to
-        # a relative (and absolute, near 0 Nm) tolerance of 1e-12
+        # with exp_exact (math.exp, as replay passes) every part of the
+        # column kernels equals the scalar kernels bit for bit; with the
+        # default np.exp, which differs from math.exp in the last bit for
+        # some inputs, the torques agree to a relative (and absolute, near
+        # 0 Nm) tolerance of 1e-12
         tol = dict(rel=1e-12, abs=1e-12)
         rng = np.random.default_rng(44)
         gp, sp = self._random_params(rng)
@@ -223,12 +225,24 @@ class TestProperties:
                      (sp.vel_mod, vel), (sp.torso_mod, np.maximum(0.0, torso))):
             assert np.any(np.abs(-m.w * x + m.phi) > EXP_CLAMP)
 
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
         gait_args = (theta, vel)
         sts_args = (thigh, vel, torso)
-        gait_vec = gait_torque_series(*gait_args, gp)
-        sts_vec = sts_torque_series(*sts_args, sp)
+        gait_cols = gait_torque_series(*gait_args, gp, exp_exact)
+        sts_cols = sts_torque_series(*sts_args, sp, exp_exact)
+        gait_vec = gait_torque_series(*gait_args, gp)[-1]
+        sts_vec = sts_torque_series(*sts_args, sp)[-1]
         for i in range(n):
-            assert gait_torque(*(float(a[i]) for a in gait_args), gp) == \
-                pytest.approx(gait_vec[i], **tol)
-            assert sts_modulated_torque(*(float(a[i]) for a in sts_args), sp) \
-                == pytest.approx(sts_vec[i], **tol)
+            th, om = (float(a[i]) for a in gait_args)
+            gait_parts = (*gait_spring_torques(th, gp),
+                          *gait_velocity_factors(om, gp),
+                          gait_torque(th, om, gp))
+            assert hexes(gait_parts) == hexes(c[i] for c in gait_cols)
+            sts_in = [float(a[i]) for a in sts_args]
+            sts_parts = (sts_spring_torque(sts_in[0], sp),
+                         sts_modulated_torque(*sts_in, sp))
+            assert hexes(sts_parts) == hexes(c[i] for c in sts_cols)
+            assert gait_parts[-1] == pytest.approx(gait_vec[i], **tol)
+            assert sts_parts[-1] == pytest.approx(sts_vec[i], **tol)
