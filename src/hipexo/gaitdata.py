@@ -5,7 +5,8 @@ Internal units are rad, rad/s, Nm/kg, N/kg, and seconds. CSV inputs are
 adapted through a schema map (column names + units), so exports of different
 public datasets can be used without code changes. Synthetic profiles stand
 in for normative datasets when none are on disk: smooth periodic kinematic
-and moment profiles per activity, with seeded inter-stride jitter.
+and moment profiles per activity, with seeded inter-stride jitter, drawn
+through a periodic cubic spline written here in numpy.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .csvio import LoadError, read_csv, write_float_columns
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
@@ -429,11 +429,86 @@ SYNTH_N = 201  # grid length of generated strides
 
 
 def _periodic(xk, yk, x):
-    xk = np.asarray(xk, dtype=float)
-    yk = np.asarray(yk, dtype=float)
-    spline = CubicSpline(np.append(xk, 1.0), np.append(yk, yk[0]),
-                         bc_type="periodic")
-    return spline(x % 1.0), spline.derivative()(x % 1.0)
+    """Value and phase derivative at ``x`` of the periodic C2 cubic spline
+    through the knots ``(xk, yk)`` closed at phase 1 (three knots or more).
+
+    A port of scipy 1.17's ``CubicSpline(bc_type="periodic")`` evaluated
+    through ``PPoly``: it repeats scipy's floating-point operations in the
+    same order, so the synthetic strides, and the artifact digests the
+    benchmark records from them, are bit-identical to the scipy version.
+    """
+    xs = np.append(np.asarray(xk, dtype=float), 1.0)
+    ys = np.asarray(yk, dtype=float)
+    ys = np.append(ys, ys[0])
+    dx = np.diff(xs)
+    slope = np.diff(ys) / dx
+    s = _periodic_slopes(dx, slope)
+    # Hermite coefficients, highest power first, as CubicHermiteSpline
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], ys[:-1]
+    # PPoly's periodic wrap; each interval is closed on the left, the last
+    # one on both sides
+    x = x % 1.0
+    x = xs[0] + (x - xs[0]) % (xs[-1] - xs[0])
+    i = np.minimum(np.searchsorted(xs, x, side="right") - 1, xs.size - 2)
+    h = x - xs[i]
+    hh = h * h
+    # PPoly sums powers of h from the constant term up; this is not Horner
+    value = ((0.0 + c3[i]) + c2[i] * h) + c1[i] * hh + c0[i] * (hh * h)
+    slope_at = ((0.0 + c2[i]) + (2.0 * c1)[i] * h) + (3.0 * c0)[i] * hh
+    return value, slope_at
+
+
+def _periodic_slopes(dx, slope) -> np.ndarray:
+    """Knot slopes of the periodic spline, closing knot included.
+
+    Row j of the cyclic system is ``dx[j] s[j-1] + 2 (dx[j-1] + dx[j]) s[j]
+    + dx[j-1] s[j+1] = 3 (dx[j] slope[j-1] + dx[j-1] slope[j])`` over the
+    n - 1 distinct knots, indices mod n - 1. As scipy does, the last
+    unknown is condensed out: two tridiagonal solves of the leading
+    n - 2 rows, then a back-substitution for it.
+    """
+    dxm = np.roll(dx, 1)                  # dx[j - 1]
+    rhs = 3 * (dx * np.roll(slope, 1) + dxm * slope)
+    diag = (2 * (dxm + dx))[:-1].tolist()
+    upper = dxm[:-2].tolist()
+    lower = dx[1:-1].tolist()
+    m = len(diag)
+    s1 = _solve_tridiagonal(lower, diag, upper, rhs[:-1].tolist())
+    s2 = _solve_tridiagonal(lower, diag, upper,
+                            [-dx[0]] + [0.0] * (m - 2) + [-dx[-3]])
+    a_m1_0, a_m1_m2 = dx[-2], dx[-1]
+    s_m1 = ((rhs[-1] - a_m1_0 * s1[0] - a_m1_m2 * s1[-1])
+            / (2 * (dx[-1] + dx[-2]) + a_m1_0 * s2[0] + a_m1_m2 * s2[-1]))
+    s = np.empty(m + 2)
+    s[:-2] = np.array(s1) + s_m1 * np.array(s2)
+    s[-2] = s_m1
+    s[-1] = s[0]
+    return s
+
+
+def _solve_tridiagonal(lower, diag, upper, b) -> list:
+    """LAPACK ``dgtsv`` without row interchanges, for one right-hand side.
+
+    ``dgtsv`` swaps rows only where ``|diag[i]| < |lower[i]|`` during the
+    elimination. That never happens for the knot phases of
+    ``_GAIT_SHAPES``, and the spline system is strictly diagonally dominant
+    by rows (2 (dx- + dx+) > dx- + dx+), so elimination without pivoting is
+    stable on any knots. The ``0.0 * b[i + 2]`` term is the second
+    superdiagonal that ``dgtsv`` zeroes on rows it does not swap; it can
+    flip the sign of a zero.
+    """
+    d, b = list(diag), list(b)
+    m = len(d)
+    for i in range(m - 1):
+        fact = lower[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * upper[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
+    b[m - 1] = b[m - 1] / d[m - 1]
+    b[m - 2] = (b[m - 2] - upper[m - 2] * b[m - 1]) / d[m - 2]
+    for i in range(m - 3, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    return b
 
 
 def _bump(x, center, width):

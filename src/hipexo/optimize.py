@@ -6,7 +6,8 @@ The estimated torque for each task is the spring basis with velocity (and,
 for sit-to-stand, torso) modulation replayed open loop over the task's
 kinematics; the descent and blending layers stay out of the fitting loop.
 The search is a bound-constrained Nelder-Mead simplex with seeded restarts
-on stagnation; the returned point is never worse than the warm start.
+on stagnation; the returned point is never worse than the warm start. The
+simplex is an in-module port of scipy's, so the package needs no scipy.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .controller import ControllerParams
 from .gaitdata import CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL, CH_THIGH, CH_TORSO, \
@@ -46,6 +46,8 @@ DEFAULT_FREE = ("w_ext", "phi_ext", "w_flex", "phi_flex",
 SIGN_MASK_FRAC = 0.05        # sign penalty only where |target| > this * peak
 RESTART_SCALE = 0.05         # restart perturbation, as a fraction of the box
 MAX_STAGNANT_RESTARTS = 2    # stop after this many restarts without gain
+XATOL = 1e-10                # simplex converged: vertex spread in x ...
+FATOL = 1e-14                # ... and in objective value both within these
 
 # series inputs of each fused block, keyed by TaskSet.label.is_gait
 _BLOCK_CHANNELS = {True: (CH_HIP_ANGLE, CH_HIP_VEL),
@@ -116,6 +118,10 @@ class ObjectiveSpec:
         for t in self.tasks:
             if not np.isfinite(t.weight) or t.weight < 0:
                 raise ValueError(f"bad weight for {t.label.code}")
+        if not self.free:
+            raise ValueError("at least one free parameter required")
+        if len(set(self.free)) != len(self.free):
+            raise ValueError(f"free parameters listed twice: {list(self.free)}")
         for name in self.free:
             if name not in PARAM_PATHS:
                 raise ValueError(f"unknown free parameter {name!r}")
@@ -263,8 +269,109 @@ def format_sim_table(sims: dict) -> str:
     return "\n".join(lines)
 
 
-class _BudgetExhausted(Exception):
+class _MaxFevReached(Exception):
     pass
+
+
+def minimize(fun, x0, lo, hi, maxfev: int):
+    """Bound-constrained Nelder-Mead simplex search (Nelder & Mead,
+    *Comput. J.* 7(4), 1965) from ``x0`` over the box ``[lo, hi]``.
+
+    Stops once the vertices agree within ``XATOL`` in x and ``FATOL`` in
+    value, or after ``maxfev`` calls of ``fun``, each on a copy of the
+    point. Every vertex is clipped into the box. Returns the best vertex
+    and its value. ``lo < hi`` must hold, finite, in every coordinate.
+
+    A port of scipy 1.17's ``minimize(method="Nelder-Mead", bounds=...)``
+    with its default coefficients: it repeats scipy's floating-point
+    operations in the same order, so it visits the same points, and the
+    fitted parameters and artifact digests the benchmark records stay
+    bit-identical to the scipy version.
+    """
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n = x0.size
+    # initial simplex: +5 % along each axis, or 0.00025 from a zero
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + 0.05) * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+    # a vertex past the upper bound is reflected into the box, so clipping
+    # cannot collapse the simplex
+    sim = np.where(sim > hi, 2 * hi - sim, sim)
+    sim = np.clip(sim, lo, hi)
+
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _MaxFevReached
+        calls += 1
+        return fun(np.copy(x))
+
+    def sort(sim, fsim):
+        # argsort need not be stable: sorting twice, as scipy does after
+        # the first vertices, can reorder tied values
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    sim, fsim = sort(sim, fsim)
+    sim, fsim = sort(sim, fsim)
+    # reflection, expansion, outside and inside contraction, shrink; the
+    # coefficients 1, 2, 1/2, 1/2 are written out
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[-1]:
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        shrink = True
+                else:
+                    xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]),
+                                         lo, hi)
+                        fsim[j] = f(sim[j])
+        except _MaxFevReached:
+            pass
+        sim, fsim = sort(sim, fsim)
+    return sim[0], fsim[0]
 
 
 def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
@@ -285,8 +392,6 @@ def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
     state = {"n": 0, "best_f": np.inf, "best_x": x0.copy(), "trace": []}
 
     def f(x):
-        if state["n"] >= budget:
-            raise _BudgetExhausted
         state["n"] += 1
         val = ev.value(x)
         if val < state["best_f"]:
@@ -299,18 +404,12 @@ def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
     reason = "budget exhausted"
     if budget > 1:
         rng = np.random.default_rng(seed)
-        bounds = Bounds(ev.lo, ev.hi)
         span = ev.hi - ev.lo
         x_start = x0
         stagnant = 0
         while state["n"] < budget:
             f_before = state["best_f"]
-            try:
-                minimize(f, x_start, method="Nelder-Mead", bounds=bounds,
-                         options={"maxfev": budget - state["n"],
-                                  "xatol": 1e-10, "fatol": 1e-14})
-            except _BudgetExhausted:
-                break
+            minimize(f, x_start, ev.lo, ev.hi, budget - state["n"])
             rel_gain = (f_before - state["best_f"]) / max(abs(f_before), 1e-30)
             stagnant = stagnant + 1 if rel_gain < 1e-9 else 0
             if stagnant > MAX_STAGNANT_RESTARTS:

@@ -312,10 +312,13 @@ class TestOptimize:
         ({"battery": [1, 2]}, "battery section must be a mapping, got [1, 2]"),
         ({"battery": {"synthetic": True, "tasks": []}}, "battery has no tasks"),
         ({"c_sign": [1]}, "c_sign must be a number, got [1]"),
+        ({"free": []}, "at least one free parameter required"),
+        ({"free": ["w_ext", "w_ext"]},
+         "free parameters listed twice: ['w_ext', 'w_ext']"),
     ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf",
             "budget-0", "weight-str", "bound-str", "free-bare-string",
             "weights-list", "bounds-list", "battery-list", "tasks-empty",
-            "c_sign-list"])
+            "c_sign-list", "free-empty", "free-repeated"])
     def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over,
                                                 message):
         cfg = write_opt_config(tmp_path, **over)

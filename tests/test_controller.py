@@ -265,3 +265,29 @@ def test_runtime_import_loads_no_offline_tools():
     for name in ("scipy", "yaml", "hipexo.gaitdata", "hipexo.optimize",
                  "hipexo.cli"):
         assert name not in out, name
+
+
+def test_offline_tools_run_without_scipy(tmp_path):
+    """``simulate`` and ``optimize`` on the default configs succeed with
+    scipy unimportable, and importing the CLI, the optimizer and stride
+    synthesis loads no scipy module."""
+    src = str(Path(hipexo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, hipexo.cli, hipexo.optimize, hipexo.gaitdata; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout.split()
+    assert [name for name in out if name.split(".")[0] == "scipy"] == []
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # every scipy import now fails\n"
+        "from hipexo.cli import main\n"
+        f"rc = main(['simulate', '--config', 'default', '--seed', '7', "
+        f"'--out', {str(tmp_path / 'sim')!r}])\n"
+        "assert rc == 0, ('simulate', rc)\n"
+        f"rc = main(['optimize', '--config', 'default', '--seed', '0', "
+        f"'--out', {str(tmp_path / 'opt')!r}])\n"
+        "assert rc == 0, ('optimize', rc)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr

@@ -6,10 +6,11 @@ import pytest
 import yaml
 
 from hipexo.gaitdata import (CH_GRF, CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
-                             CH_THIGH, CH_TORSO, G, ActivityLabel, LoadError,
-                             RawTrial, StrideSeries, load_schema, load_stride,
-                             load_trial, normalize_stride, save_stride,
-                             segment_strides, synth_battery, synth_profiles)
+                             CH_THIGH, CH_TORSO, G, SYNTH_N, _GAIT_SHAPES,
+                             ActivityLabel, LoadError, RawTrial, StrideSeries,
+                             _periodic, load_schema, load_stride, load_trial,
+                             normalize_stride, save_stride, segment_strides,
+                             synth_battery, synth_profiles)
 
 
 class TestActivityLabel:
@@ -290,3 +291,90 @@ class TestSynthProfiles:
         for strides in battery.values():
             for s in strides:
                 assert np.all(np.isfinite(s.channels[CH_HIP_MOMENT]))
+
+
+# every knot table the synthesis splines: (kind, phase key, value key)
+KNOT_TABLES = [(kind, xk, yk) for kind, shape in _GAIT_SHAPES.items()
+               for xk, yk in (("xa", "ya"), ("xe", "ye")) if xk in shape]
+
+
+def scipy_periodic(xk, yk, x):
+    """What ``_periodic`` computed with scipy's periodic ``CubicSpline``."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    xk = np.asarray(xk, dtype=float)
+    yk = np.asarray(yk, dtype=float)
+    spline = interpolate.CubicSpline(np.append(xk, 1.0),
+                                     np.append(yk, yk[0]), bc_type="periodic")
+    return spline(x % 1.0), spline.derivative()(x % 1.0)
+
+
+class TestPeriodicSpline:
+    @pytest.mark.parametrize("kind, xk, yk", KNOT_TABLES)
+    def test_knot_tables_bit_identical_to_scipy(self, kind, xk, yk):
+        """Under the battery's kinematic scales and jitter, and at the
+        contralateral +0.5 phase shift."""
+        shape = _GAIT_SHAPES[kind]
+        x = np.linspace(0.0, 1.0, SYNTH_N)
+        scales = np.random.default_rng(5).uniform(0.4, 1.6, 12)
+        for kin_scale in scales * (1.0 + 0.04 * np.random.default_rng(
+                6).standard_normal(scales.size)):
+            values = np.asarray(shape[yk]) * kin_scale
+            for phase in (x, x + 0.5):
+                got = _periodic(shape[xk], values, phase)
+                want = scipy_periodic(shape[xk], values, phase)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("kind, xk, yk", KNOT_TABLES)
+    def test_knot_tables_need_no_row_interchange(self, kind, xk, yk):
+        """LAPACK ``dgtsv``'s elimination on the condensed periodic system
+        never meets ``|d[i]| < |dl[i]|``, the one case where it swaps rows
+        and the port would round differently."""
+        dx = np.diff(np.append(_GAIT_SHAPES[kind][xk], 1.0))
+        m = dx.size - 1
+        d = (2 * (np.roll(dx, 1) + dx))[:m]
+        upper = np.roll(dx, 1)[:m - 1]
+        lower = dx[1:m]
+        for i in range(m - 1):
+            assert abs(d[i]) >= abs(lower[i]), (kind, xk, i)
+            d[i + 1] = d[i + 1] - lower[i] / d[i] * upper[i]
+
+    def test_random_knots_close_to_scipy(self):
+        """Uneven knots can make ``dgtsv`` swap rows, which the port
+        never does: the two then differ in rounding only."""
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.0, 2.0, 300)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(3, 12))
+            first = 0.0 if checked % 2 else rng.uniform(0.0, 0.3)
+            xk = np.append(first, np.sort(rng.uniform(first, 1.0, n - 1)))
+            if np.min(np.diff(np.append(xk, 1.0))) < 1e-3:
+                continue
+            yk = rng.uniform(-1.0, 1.0, n)
+            for got, want in zip(_periodic(xk, yk, x),
+                                 scipy_periodic(xk, yk, x)):
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want))
+            checked += 1
+
+    @pytest.mark.parametrize("kind, xk, yk, value, slope", [
+        ("level-walk", "xa", "ya",
+         ["0x1.0a3d70a3d70a4p-1", "0x1.5f514528beb86p-3",
+          "-0x1.e7005b1b9e3a0p-9", "0x1.0edcf563d732ap-1"],
+         ["-0x1.da1a6e503e0a7p-1", "-0x1.c7903baa59e22p+0",
+          "0x1.27d238748266ep+1", "-0x1.c1740879e6f98p-1"]),
+        ("stair-descent", "xe", "ye",
+         ["0x0.0p+0", "0x1.6666666666666p-2", "0x1.a00b5c69bc185p-7",
+          "-0x1.594a79c1acaa0p-8"],
+         ["0x1.41ee71df5717fp-1", "0x1.92b668b2f215fp-1",
+          "-0x1.1c1f963c0277dp+0", "0x1.b7c78dd272650p-2"]),
+    ])
+    def test_matches_recorded_scipy_values(self, kind, xk, yk, value, slope):
+        """Values scipy 1.17.1 gave at phases 0, 0.25, 0.61 and 0.99; they
+        hold where scipy is not installed."""
+        shape = _GAIT_SHAPES[kind]
+        got = _periodic(shape[xk], shape[yk],
+                        np.array([0.0, 0.25, 0.61, 0.99]))
+        assert [float(v).hex() for v in got[0]] == value
+        assert [float(v).hex() for v in got[1]] == slope

@@ -8,10 +8,10 @@ from hipexo.gaitdata import (CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
                              CH_THIGH, CH_TORSO, ActivityLabel, synth_battery,
                              synth_profiles)
 from hipexo.metrics import cosine_similarity
-from hipexo.optimize import (DEFAULT_FREE, PARAM_PATHS, SIGN_MASK_FRAC,
-                             ObjectiveSpec, TaskSet, apply_vector,
+from hipexo.optimize import (DEFAULT_FREE, FATOL, PARAM_PATHS, SIGN_MASK_FRAC,
+                             XATOL, ObjectiveSpec, TaskSet, apply_vector,
                              _Evaluator, format_sim_table, get_param,
-                             objective, optimize)
+                             minimize, objective, optimize)
 from hipexo.springs import (ROM_MAX, gait_torque, gait_torque_series,
                             sts_torque_series)
 
@@ -354,3 +354,100 @@ class TestFusedObjective:
             assert list(sims) == list(want_sims)
             assert [v.hex() for v in sims.values()] == \
                 [v.hex() for v in want_sims.values()]
+
+
+def weighted_quadratic(center):
+    center = np.asarray(center, dtype=float)
+    weights = np.arange(1.0, center.size + 1.0)
+    return lambda x: float(np.sum(weights * (x - center) ** 2))
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+# name: (function, x0, lo, hi, maxfev)
+SIMPLEX_CASES = {
+    # the minimum lies past the upper bound of x[0], so the simplex
+    # collapses onto that face and shrinks; x[0] starts at zero
+    "quadratic-zero": (weighted_quadratic([1.5, -0.3, 0.2]),
+                       [0.0, 0.5, -0.5], [-1.0] * 3, [1.0] * 3, 5000),
+    # the same run cut after 2 of the 3 evaluations of the shrink that
+    # starts after evaluation 296
+    "quadratic-shrink-cut": (weighted_quadratic([1.5, -0.3, 0.2]),
+                             [0.0, 0.5, -0.5], [-1.0] * 3, [1.0] * 3, 298),
+    "rosenbrock": (rosenbrock, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], 5000),
+    # x0 on the upper bound: the +5 % vertex is reflected into the box
+    "rosenbrock-upper": (rosenbrock, [2.0, 0.5], [-2.0, -2.0], [2.0, 2.0],
+                         5000),
+    "one-dimensional": (weighted_quadratic([0.3]), [0.9], [-1.0], [1.0],
+                        5000),
+}
+
+# what scipy 1.17.1's bounded Nelder-Mead did on each case: evaluations,
+# the last point evaluated and the best value, as float.hex
+SIMPLEX_RECORDED = {
+    "quadratic-zero": (324, ["0x1.0000000000000p+0", "-0x1.33333362c136ap-2",
+                             "0x1.999999f562c8ap-3"], "0x1.0000000000000p-2"),
+    "quadratic-shrink-cut": (298, ["0x1.0000000000000p+0",
+                                   "-0x1.3333335d5924cp-2",
+                                   "0x1.999999aac1282p-3"],
+                             "0x1.0000000000000p-2"),
+    "rosenbrock": (249, ["0x1.000000000e5acp+0", "0x1.000000001f2e5p+0"],
+                   "0x1.608ee3ea80000p-71"),
+    "rosenbrock-upper": (200, ["0x1.ffffffffde7cep-1", "0x1.ffffffffbc432p-1"],
+                         "0x1.257d5fb500000p-72"),
+    "one-dimensional": (72, ["0x1.33333332b8522p-2"], "0x1.d7da48e908000p-71"),
+}
+
+
+def recorded(fun, points):
+    def record(x):
+        points.append(x.copy())
+        return fun(x)
+    return record
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("name", SIMPLEX_CASES)
+    def test_same_points_as_scipy(self, name):
+        """The port evaluates the points scipy's bounded Nelder-Mead does,
+        in the same order and number, and ends on the same best vertex."""
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        fun, x0, lo, hi, maxfev = SIMPLEX_CASES[name]
+        want, got = [], []
+        res = scipy_optimize.minimize(
+            recorded(fun, want), np.array(x0), method="Nelder-Mead",
+            bounds=scipy_optimize.Bounds(lo, hi),
+            options={"maxfev": maxfev, "xatol": XATOL, "fatol": FATOL})
+        x, f = minimize(recorded(fun, got), np.array(x0), np.array(lo),
+                        np.array(hi), maxfev)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert x.tobytes() == res.x.tobytes()
+        assert f == res.fun
+
+    @pytest.mark.parametrize("name", SIMPLEX_CASES)
+    def test_matches_recorded_scipy_run(self, name):
+        """Holds where scipy is not installed."""
+        fun, x0, lo, hi, maxfev = SIMPLEX_CASES[name]
+        n_evals, last, best = SIMPLEX_RECORDED[name]
+        points = []
+        _, f = minimize(recorded(fun, points), np.array(x0), np.array(lo),
+                        np.array(hi), maxfev)
+        assert len(points) == n_evals
+        assert [float(v).hex() for v in points[-1]] == last
+        assert float(f).hex() == best
+
+    def test_objective_gets_a_copy(self):
+        """A function that writes into its argument does not move the
+        simplex."""
+        fun, x0, lo, hi, maxfev = SIMPLEX_CASES["rosenbrock"]
+
+        def clobber(x):
+            value = fun(x)
+            x[:] = np.nan
+            return value
+        assert minimize(clobber, np.array(x0), np.array(lo), np.array(hi),
+                        maxfev)[1] == minimize(fun, np.array(x0), np.array(lo),
+                                               np.array(hi), maxfev)[1]
