@@ -5,6 +5,11 @@ reporting into reproducible runs: fixed config + seed give byte-identical
 artifacts. Every CSV, YAML and text artifact opens with a ``#`` header block
 (see :mod:`hipexo.csvio`) with the config hash, seed, and tool version. Exit codes: 0 ok, 1 runtime failure, 2 usage or
 config error.
+
+``detect-hs`` works on its whole stream at once, as replay does: it checks
+the timestamp column once over every row, gates rows with one finite mask
+over the five signals, and runs ``heelstrike.detect_columns`` over the
+admitted rows. The detector itself checks no input.
 """
 from __future__ import annotations
 
@@ -27,11 +32,11 @@ from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, DEFAULT_BATTERY,
                        ActivityLabel, LoadError, StrideSeries,
                        list_stride_files, load_schema, load_stride,
                        load_trial, normalize_stride, save_stride,
-                       segment_strides, synth_battery)
-from .heelstrike import HsDetector, HsDetectorConfig, match_events
+                       segment_strides, stride_meta_path, synth_battery)
+from .heelstrike import (HsDetector, HsDetectorConfig, detect_columns,
+                         match_events)
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
-from .modulation import BilateralSample
 from .optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet, format_sim_table,
                        optimize)
 from .replay import simulate_task, write_step_log
@@ -91,7 +96,7 @@ class _Run:
             for p in self.created:
                 try:
                     p.unlink(missing_ok=True)
-                    p.with_name(p.stem + ".meta.json").unlink(missing_ok=True)
+                    stride_meta_path(p).unlink(missing_ok=True)
                 except OSError:
                     pass
         return False
@@ -389,18 +394,33 @@ _HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",
                "thigh_angle_l", "thigh_angle_r")
 
 
-def _build_detector(cfg: dict) -> HsDetector:
-    """The detector that the ``rate_hz`` and ``detector`` keys describe; any
-    bad key or value is a config error."""
+def _detector_settings(cfg: dict) -> tuple[float, HsDetectorConfig]:
+    """The stream rate and detector config that the ``rate_hz`` and
+    ``detector`` keys describe; any bad key or value is a config error."""
     section = _config_section(cfg, "detector")
     unknown = set(section) - {f.name for f in fields(HsDetectorConfig)}
     if unknown:
         raise ConfigError(f"unknown detector keys {sorted(map(str, unknown))}")
+    rate = _config_float(cfg.get("rate_hz", 250.0), "rate_hz")
     try:
-        return HsDetector(float(cfg.get("rate_hz", 250.0)),
-                          HsDetectorConfig(**section))
+        config = HsDetectorConfig(**section)
+        HsDetector(rate, config)  # the detector's own rate rule
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"detector: {exc}") from exc
+    return rate, config
+
+
+def _check_timestamps(t: np.ndarray) -> None:
+    """Raise ``ValueError`` at the first timestamp that is not finite or not
+    later than the one before it."""
+    ok = np.isfinite(t)
+    ok[1:] &= t[1:] > t[:-1]
+    if not ok.all():
+        i = int(ok.argmin())
+        if not math.isfinite(t[i]):
+            raise ValueError(f"non-finite timestamp {t[i].item()}")
+        raise ValueError(f"non-monotonic timestamp {t[i].item()} "
+                         f"after {t[i - 1].item()}")
 
 
 def cmd_detect_hs(args) -> int:
@@ -408,9 +428,9 @@ def cmd_detect_hs(args) -> int:
     src = Path(cfg.get("input", ""))
     if not src.exists():
         raise ConfigError(f"input stream not found: {src}")
-    detector = _build_detector(cfg)
-    stream = _read_columns(src, ("t",) + _HS_SIGNALS, "stream",
-                           lambda row: {k: float(v) for k, v in row.items()})
+    rate, config = _detector_settings(cfg)
+    rows = _read_columns(src, ("t",) + _HS_SIGNALS, "stream",
+                         lambda row: [float(v) for v in row.values()])
     truth = None
     if cfg.get("truth"):
         truth = _read_columns(cfg["truth"], ("side", "time"), "truth",
@@ -419,21 +439,17 @@ def cmd_detect_hs(args) -> int:
     if not 0 < tol_s < math.inf:
         raise ConfigError(f"match_tol_s must be finite and > 0, got {tol_s}")
 
-    events = []
-    skipped = 0
-    for row in stream:
-        # the controller's frame gate: the detector takes finite samples
-        # only, so a row with a non-finite sample passes just its timestamp
-        if not all(math.isfinite(row[c]) for c in _HS_SIGNALS):
-            detector.advance_clock(row["t"])
-            skipped += 1
-            continue
-        ev = detector.update(
-            row["t"], row["thigh_accel_l"], row["thigh_accel_r"],
-            row["pelvis_accel"],
-            BilateralSample(row["thigh_angle_l"], row["thigh_angle_r"], 0.0))
-        if ev is not None:
-            events.append(ev)
+    # the timestamp contract covers every row; the row gate then admits
+    # the rows whose five signals are finite, and only those reach the
+    # detector
+    frames = np.array(rows, dtype=float).reshape(-1, 1 + len(_HS_SIGNALS)).T
+    _check_timestamps(frames[0])
+    admit = np.isfinite(frames[1:]).all(axis=0)
+    skipped = int(admit.size - admit.sum())
+    t, acc_l, acc_r, acc_p, th_l, th_r = frames[:, admit]
+    events = [event for _, event in detect_columns(
+        rate, t, acc_l, acc_r, acc_p, th_l, th_r, np.zeros(t.size),
+        config=config)]
 
     with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg)) as run:
         write_csv(run.path("events.csv"),

@@ -20,12 +20,33 @@ from .springs import GaitSpringParams, StsSpringParams
 DEG = math.pi / 180.0
 
 
+# the optional keys of each params section, each with the dataclass field
+# it sets and the factor that converts it to internal units; a key the
+# file leaves out takes the field's dataclass default
+_OPTIONAL = {
+    "descent": (("lambda", "lam", 1.0), ("thigh_min_deg", "thigh_min", DEG),
+                ("thigh_max_deg", "thigh_max", DEG), ("t_wait", "t_wait", 1.0),
+                ("t_decay", "t_decay", 1.0)),
+    "symmetry": (("seated_threshold_deg", "seated_ext_threshold", DEG),
+                 ("ema_smoothing", "ema_smoothing", 1.0)),
+    "runtime": tuple((key, key, 1.0) for key in (
+        "torque_limit", "loop_rate_hz", "vel_filter_cutoff_hz",
+        "cmd_filter_cutoff_hz")),
+}
+
+
+def _optional(cfg: dict, section: str) -> dict:
+    """{field: value} for each optional key that ``cfg[section]`` sets."""
+    values = cfg.get(section, {})
+    return {name: float(values[key]) * factor
+            for key, name, factor in _OPTIONAL[section] if key in values}
+
+
 def params_from_dict(cfg: dict) -> ControllerParams:
     g = cfg["gait"]
     s = cfg["sts"]
     d = cfg["descent"]
     y = cfg["symmetry"]
-    r = cfg.get("runtime", {})
     return ControllerParams(
         gait=GaitSpringParams(
             k_ext=float(g["k_ext"]),
@@ -42,22 +63,14 @@ def params_from_dict(cfg: dict) -> ControllerParams:
         ),
         descent=DescentModParams(
             step_mod=SigmoidParams(float(d["w_step"]), float(d["phi_step"])),
-            lam=float(d.get("lambda", 1.0)),
-            thigh_min=float(d.get("thigh_min_deg", -20.0)) * DEG,
-            thigh_max=float(d.get("thigh_max_deg", 51.6)) * DEG,
-            t_wait=float(d.get("t_wait", 2.0)),
-            t_decay=float(d.get("t_decay", 1.0)),
+            **_optional(cfg, "descent"),
         ),
         symmetry=SymmetryParams(
             sym_mod=SigmoidParams(float(y["w_sc"]), float(y["phi_sc"])),
             vel_threshold=float(y["vel_threshold_deg_s"]) * DEG,
-            seated_ext_threshold=float(y.get("seated_threshold_deg", 57.3)) * DEG,
-            ema_smoothing=float(y.get("ema_smoothing", 0.1)),
+            **_optional(cfg, "symmetry"),
         ),
-        torque_limit=float(r.get("torque_limit", 22.0)),
-        loop_rate_hz=float(r.get("loop_rate_hz", 250.0)),
-        vel_filter_cutoff_hz=float(r.get("vel_filter_cutoff_hz", 10.0)),
-        cmd_filter_cutoff_hz=float(r.get("cmd_filter_cutoff_hz", 5.0)),
+        **_optional(cfg, "runtime"),
     )
 
 

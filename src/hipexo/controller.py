@@ -141,6 +141,7 @@ class HipController:
         self._sides = {LEFT: _SideState(self.params), RIGHT: _SideState(self.params)}
         self.detector = HsDetector(self.params.loop_rate_hz)
         self._t_prev: float | None = None
+        self._t_admitted = -math.inf
         self._fault_since: float | None = None
 
     # -- fault path --------------------------------------------------------
@@ -170,19 +171,23 @@ class HipController:
         VEL_BOUND are rejected: the previous command is held (then decayed
         after sustained faults) and the fault flag is raised. This gate is
         the pipeline's only input check; the stages after it take plain
-        floats. Timestamp regressions raise ``ValueError``.
+        floats. An admitted frame whose timestamp is not later than the
+        last frame's, or than the last admitted frame's, raises
+        ``ValueError``: a gated frame cannot turn the detector's clock back.
         """
         p = self.params
         if (not frame.is_finite()
                 or abs(frame.hip_vel_l) >= VEL_BOUND
                 or abs(frame.hip_vel_r) >= VEL_BOUND):
             return self._fault_step(frame.timestamp)
-        if self._t_prev is not None and frame.timestamp <= self._t_prev:
-            raise ValueError(
-                f"timestamp regression: {frame.timestamp} after {self._t_prev}")
-        self._fault_since = None
-
         t = frame.timestamp
+        if t <= self._t_admitted or (self._t_prev is not None
+                                     and t <= self._t_prev):
+            raise ValueError(f"timestamp regression: {t} after "
+                             f"{max(self._t_admitted, self._t_prev)}")
+        self._fault_since = None
+        self._t_admitted = t
+
         left, right = self._sides[LEFT], self._sides[RIGHT]
         vel_l = clamp(left.vel_filter.step(frame.hip_vel_l),
                       -VEL_CAP, VEL_CAP)

@@ -108,8 +108,7 @@ class ActivityLabel:
         if ":" in text:
             kind, param = text.split(":", 1)
             return cls(kind.strip(), float(param))
-        return cls(text.strip(), 0.0) if text.strip() == "sit-to-stand" \
-            else cls(text.strip())
+        return cls(text.strip())
 
 
 @dataclass
@@ -141,10 +140,6 @@ class StrideSeries:
     @property
     def n(self) -> int:
         return len(self.channels[CH_HIP_ANGLE])
-
-    @property
-    def dt(self) -> float:
-        return self.cycle_duration / (self.n - 1)
 
     def contra(self, name: str) -> np.ndarray:
         """Contralateral counterpart of a channel.
@@ -316,10 +311,11 @@ def filter_trial(trial: RawTrial, kinematics_hz: float = 6.0,
 # --- stride segmentation and normalization --------------------------------
 
 STRIDE_DURATION_SANE = (0.4, 5.0)  # seconds
+HS_GRF_FRACTION = 0.05  # heel-strike threshold, fraction of bodyweight
+HS_DEBOUNCE_S = 0.2     # crossings closer than this to the last are chatter
 
 
-def segment_strides(trial: RawTrial, threshold_frac: float = 0.05,
-                    debounce_s: float = 0.2) -> list[tuple[int, int]]:
+def segment_strides(trial: RawTrial) -> list[tuple[int, int]]:
     """Heel strikes at upward crossings of a bodyweight-fraction GRF
     threshold; strides are consecutive HS-to-HS index ranges.
 
@@ -330,10 +326,10 @@ def segment_strides(trial: RawTrial, threshold_frac: float = 0.05,
     if CH_GRF not in trial.channels:
         raise LoadError("segmentation requires the vertical GRF channel")
     grf = trial.channels[CH_GRF]
-    thr = threshold_frac * G  # N/kg per unit bodyweight
+    thr = HS_GRF_FRACTION * G  # N/kg per unit bodyweight
     above = grf >= thr
     crossings = np.flatnonzero(~above[:-1] & above[1:]) + 1
-    debounce = int(round(debounce_s * trial.sample_rate_hz))
+    debounce = int(round(HS_DEBOUNCE_S * trial.sample_rate_hz))
     events = []
     for i in crossings:
         if not events or i - events[-1] >= debounce:
@@ -743,14 +739,14 @@ DEFAULT_BATTERY = (
 
 
 def synth_battery(tasks=DEFAULT_BATTERY, strides_per_task: int = 3,
-                  seed: int = 7, body_mass: float = 70.0,
-                  n_samples: int = SYNTH_N) -> dict[ActivityLabel, list[StrideSeries]]:
+                  seed: int = 7, body_mass: float = 70.0
+                  ) -> dict[ActivityLabel, list[StrideSeries]]:
     """Deterministic multi-activity stride battery keyed by label."""
     battery: dict[ActivityLabel, list[StrideSeries]] = {}
     for i, task in enumerate(tasks):
         label = task if isinstance(task, ActivityLabel) else ActivityLabel.parse(task)
         battery[label] = [
-            synth_profiles(label, seed + 1000 * i + j, n_samples, body_mass)
+            synth_profiles(label, seed + 1000 * i + j, SYNTH_N, body_mass)
             for j in range(strides_per_task)
         ]
     return battery

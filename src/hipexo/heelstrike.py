@@ -9,11 +9,14 @@ refractory window suppresses duplicates. Thresholds are relative to the
 stream's own statistics, so scaling a stream by any positive constant leaves
 the detected event set unchanged.
 
-The detector takes finite accelerations only, so no per-sample check is
-made. Each caller keeps a frame with a non-finite value away from it: the
-controller skips the detector on a frame its gate rejects, detect-hs
-passes a skipped row's timestamp to ``advance_clock`` alone, and replay
-gives ``detect_columns`` the admitted frames only.
+The detector takes only frames that a gate has admitted: finite values
+and strictly increasing finite timestamps. It checks neither. The
+controller skips it on a frame its gate rejects, and raises when an
+admitted frame is not later than the last frame or the last admitted one,
+so a gated frame cannot turn the detector's clock back; replay and
+detect-hs give ``detect_columns`` the frames their finite mask admits,
+replay on its uniform time grid and detect-hs after checking every row's
+timestamp.
 
 The window is kept twice: as a ring buffer, and as a sorted list updated by
 one bisect delete and one insert per sample. Each threshold refresh reads
@@ -224,26 +227,11 @@ class HsDetector:
         self._thigh = {LEFT: make(), RIGHT: make()}
         self._pelvis = make()
         self._last_event_t = {LEFT: -math.inf, RIGHT: -math.inf}
-        self._last_t: float | None = None
         self._pending: list[HsEvent] = []
 
     def refractory_ok(self, side: str, timestamp: float) -> bool:
         """True iff an event at ``timestamp`` respects the per-side refractory."""
         return timestamp - self._last_event_t[side] >= self.config.refractory_s
-
-    def advance_clock(self, timestamp: float) -> None:
-        """Check and record a frame's timestamp. detect-hs calls it alone
-        for a row it skips, so the timestamp contract still covers that row;
-        the controller and replay do not call it for a gated frame.
-
-        Raises ``ValueError`` on non-finite or non-monotonic timestamps.
-        """
-        if not math.isfinite(timestamp):
-            raise ValueError(f"non-finite timestamp {timestamp}")
-        if self._last_t is not None and timestamp <= self._last_t:
-            raise ValueError(
-                f"non-monotonic timestamp {timestamp} after {self._last_t}")
-        self._last_t = timestamp
 
     def update(self, timestamp: float, thigh_accel_l: float,
                thigh_accel_r: float, pelvis_accel: float,
@@ -252,12 +240,9 @@ class HsDetector:
 
         The thigh values are thigh-normal linear accelerations and
         ``pelvis_accel`` is the magnitude of the high-pass residual of pelvis
-        acceleration. All three must be finite: the controller skips this
-        call on a gated frame, and detect-hs gives a row with a non-finite
-        sample to ``advance_clock`` alone.
-        Raises ``ValueError`` on non-finite or non-monotonic timestamps.
+        acceleration. The frame must be one the controller's gate admits:
+        finite values, and a finite timestamp later than the last frame's.
         """
-        self.advance_clock(timestamp)
         return self._merge(
             self._thigh[LEFT].push(thigh_accel_l, timestamp, bilateral),
             self._thigh[RIGHT].push(thigh_accel_r, timestamp, bilateral),
@@ -348,19 +333,9 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
 
     Frame i feeds ``update(t[i], thigh_accel_l[i], thigh_accel_r[i],
     pelvis_accel[i], BilateralSample(thigh_l[i], thigh_r[i],
-    theta_diff_dot[i]))``. Raises ``ValueError`` if an acceleration is not
-    finite, and the ``ValueError`` that ``HsDetector.update`` raises at the
-    first non-finite or non-increasing timestamp.
+    theta_diff_dot[i]))``; the frames must be ones that ``update`` takes.
     """
     det = HsDetector(rate_hz, config)
-    # the first frame whose timestamp update would reject: replay it and
-    # the one before through advance_clock, which raises the same error
-    ok = np.isfinite(t)
-    ok[1:] &= t[1:] > t[:-1]
-    if not ok.all():
-        i = int(ok.argmin())
-        for ti in t[max(0, i - 1):i + 1].tolist():
-            det.advance_clock(ti)
     c = det.config
     window, warmup = _channel_sizes(rate_hz, c)
     n = len(t)
@@ -370,8 +345,6 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     # and pelvis at it, the arguments of HsDetector._merge
     hits: dict[int, list] = {}
     for k, x in enumerate((thigh_accel_l, thigh_accel_r, pelvis_accel)):
-        if not np.isfinite(x).all():
-            raise ValueError("detect_columns needs finite accelerations")
         above = x > _threshold_column(x.tolist(), window, warmup,
                                       c.refresh_every, c.k_mad)
         if x is pelvis_accel:

@@ -52,7 +52,6 @@ class ReplayLog:
     events: list
     exo_torque_grid: np.ndarray  # tau_cmd of the measured cycle on the stride grid
     mean_extension_scale: float
-    stride: StrideSeries
 
 
 def write_step_log(log: ReplayLog, path, header_lines=()):
@@ -63,19 +62,25 @@ def write_step_log(log: ReplayLog, path, header_lines=()):
         header_lines, numpy_repr=True)
 
 
-def _interp_cyclic(stride: StrideSeries, name: str, contra: bool = False):
-    grid = np.linspace(0.0, 1.0, stride.n)
-    values = stride.contra(name) if contra else stride.channels[name]
-    return lambda x: np.interp(x, grid, values)
+# the stride channel of each SensorFrame field after the timestamp, in
+# field order, and whether the field takes its contralateral counterpart
+_FRAME_CHANNELS = (
+    (CH_HIP_ANGLE, False), (CH_HIP_ANGLE, True),
+    (CH_HIP_VEL, False), (CH_HIP_VEL, True),
+    (CH_THIGH, False), (CH_THIGH, True), (CH_TORSO, False),
+    (CH_THIGH_ACC, False), (CH_THIGH_ACC, True), (CH_PELVIS_ACC, False),
+)
+_HOLD_ZERO_ROWS = [3, 4, 8, 9, 10]   # hip velocities and accelerations
 
 
 def _frames(stride: StrideSeries, rate: float, cycles: int):
-    """The replay's sensor frames as float64 columns.
+    """The replay's sensor frames as a float64 array.
 
-    Returns (tgrid, phase, columns, t_meas0): the step times, the cycle
-    phase of each step, one column per SensorFrame field in field order,
-    and the start time of the measured (last) cycle. Sit-to-stand runs one
-    cycle after the seated lead-in whatever ``cycles`` says.
+    Returns (tgrid, phase, frames, t_meas0): the step times, the cycle
+    phase of each step, one row per SensorFrame field in field order (a
+    channel the stride lacks stays zero), and the start time of the
+    measured (last) cycle. Sit-to-stand runs one cycle after the seated
+    lead-in whatever ``cycles`` says.
     """
     is_gait = stride.label.is_gait
     if is_gait:
@@ -95,38 +100,17 @@ def _frames(stride: StrideSeries, rate: float, cycles: int):
     else:
         phase = np.clip(rel, 0.0, 1.0)
 
-    channels = {
-        "hip_l": _interp_cyclic(stride, CH_HIP_ANGLE),
-        "hip_r": _interp_cyclic(stride, CH_HIP_ANGLE, contra=True),
-        "vel_l": _interp_cyclic(stride, CH_HIP_VEL),
-        "vel_r": _interp_cyclic(stride, CH_HIP_VEL, contra=True),
-        "thigh_l": _interp_cyclic(stride, CH_THIGH),
-        "thigh_r": _interp_cyclic(stride, CH_THIGH, contra=True),
-        "torso": _interp_cyclic(stride, CH_TORSO),
-    }
-    sampled = {k: fn(phase) for k, fn in channels.items()}
-    if CH_THIGH_ACC in stride.channels:
-        sampled["acc_l"] = _interp_cyclic(stride, CH_THIGH_ACC)(phase)
-        sampled["acc_r"] = _interp_cyclic(stride, CH_THIGH_ACC, contra=True)(phase)
-    else:
-        sampled["acc_l"] = np.zeros(n_steps)
-        sampled["acc_r"] = np.zeros(n_steps)
-    if CH_PELVIS_ACC in stride.channels:
-        sampled["acc_p"] = _interp_cyclic(stride, CH_PELVIS_ACC)(phase)
-    else:
-        sampled["acc_p"] = np.zeros(n_steps)
-    # lead-in is a quiet hold: no acceleration transients
-    lead = tgrid < lead_in_s
-    for k in ("acc_l", "acc_r", "acc_p"):
-        sampled[k] = np.where(lead, 0.0, sampled[k])
-    # velocity is zero while holding the first sample
-    sampled["vel_l"] = np.where(lead, 0.0, sampled["vel_l"])
-    sampled["vel_r"] = np.where(lead, 0.0, sampled["vel_r"])
-
-    columns = [tgrid] + [sampled[k] for k in (
-        "hip_l", "hip_r", "vel_l", "vel_r", "thigh_l", "thigh_r", "torso",
-        "acc_l", "acc_r", "acc_p")]
-    return tgrid, phase, columns, lead_in_s + (cycles - 1) * T
+    grid = np.linspace(0.0, 1.0, stride.n)
+    frames = np.zeros((1 + len(_FRAME_CHANNELS), n_steps))
+    frames[0] = tgrid
+    for row, (name, contra) in enumerate(_FRAME_CHANNELS, 1):
+        if name in stride.channels:
+            values = stride.contra(name) if contra else stride.channels[name]
+            frames[row] = np.interp(phase, grid, values)
+    # the lead-in holds the first sample: zero velocity, and no
+    # acceleration transients
+    frames[np.ix_(_HOLD_ZERO_ROWS, tgrid < lead_in_s)] = 0.0
+    return tgrid, phase, frames, lead_in_s + (cycles - 1) * T
 
 
 def _replay_columns(params: ControllerParams, columns):
@@ -230,9 +214,9 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    tgrid, phase, columns, t_meas0 = _frames(stride, params.loop_rate_hz,
-                                             cycles)
-    series, events = _replay_columns(params, columns)
+    tgrid, phase, frames, t_meas0 = _frames(stride, params.loop_rate_hz,
+                                            cycles)
+    series, events = _replay_columns(params, frames)
 
     # map the measured (last) cycle's command back onto the stride grid
     grid_t = t_meas0 + np.linspace(0.0, 1.0, stride.n) * stride.cycle_duration
@@ -243,8 +227,7 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     mean_scale = float(np.mean(series["extension_scale"][meas]))
 
     return ReplayLog(t=tgrid, phase=phase, series=series, events=events,
-                     exo_torque_grid=exo_grid, mean_extension_scale=mean_scale,
-                     stride=stride)
+                     exo_torque_grid=exo_grid, mean_extension_scale=mean_scale)
 
 
 def simulate_task(params: ControllerParams, strides: list[StrideSeries],

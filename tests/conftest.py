@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from hipexo import cli
 from hipexo.configio import load_params
 from hipexo.gaitdata import synth_battery
-from hipexo.heelstrike import HsDetector
+from hipexo.heelstrike import HsDetector, detect_columns
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +22,10 @@ def battery():
 
 @pytest.fixture
 def detector_timestamps(monkeypatch):
-    """The timestamps of the frames ``HsDetector.update`` is fed, in order;
-    a frame with a non-finite value fails the test."""
+    """The timestamps of the frames the heel-strike detector is fed, in
+    order: through ``HsDetector.update`` on the controller's path and
+    through ``detect_columns`` on detect-hs's. A non-finite input fails
+    the test."""
     update = HsDetector.update
     seen = []
 
@@ -32,5 +36,12 @@ def detector_timestamps(monkeypatch):
         seen.append(timestamp)
         return update(self, timestamp, acc_l, acc_r, acc_p, bilateral)
 
+    def checked_columns(rate_hz, t, *columns, config=None):
+        for x in (t, *columns):
+            assert np.isfinite(x).all(), x
+        seen.extend(t.tolist())
+        return detect_columns(rate_hz, t, *columns, config=config)
+
     monkeypatch.setattr(HsDetector, "update", checked_update)
+    monkeypatch.setattr(cli, "detect_columns", checked_columns)
     return seen

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hipexo import cli
 from hipexo.cli import main
 from hipexo.configio import load_params, params_to_dict
 from hipexo.csvio import read_csv
@@ -247,6 +248,24 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failure_after_first_files_leaves_none(self, tmp_path, capsys,
+                                                    sim_config, monkeypatch):
+        """A run that fails once stride files and their ``.meta.json``
+        sidecars are written removes every file it made."""
+        out = tmp_path / "o"
+        written = []
+
+        def failing_report(*args):
+            written.extend(p for p in out.rglob("*") if p.is_file())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_report", failing_report)
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(out)]) == 1
+        assert "runtime failure: disk full" in capsys.readouterr().err
+        assert any(p.name.endswith(".meta.json") for p in written)
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
     @pytest.mark.xfail(
         np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
@@ -552,12 +571,15 @@ class TestDetectHs:
         ({"detector": {"k_mad": float("nan")}}, None,
          "must be finite and > 0"),
         ({"rate_hz": 0}, None, "rate_hz must be finite and > 0"),
+        ({"rate_hz": True}, None, "rate_hz must be a number, got True"),
+        ({"rate_hz": "abc"}, None, "rate_hz must be a number, got 'abc'"),
         ({}, ("stream.csv", "abc"), "bad stream row"),
         ({}, ("truth.csv", "soon"), "bad truth row"),
         ({"match_tol_s": "abc"}, None, "match_tol_s must be a number"),
         ({"match_tol_s": -1}, None, "match_tol_s must be finite and > 0"),
     ], ids=["detector-not-mapping", "detector-unknown-key", "k_mad-negative",
-            "k_mad-nan", "rate_hz-0", "stream-cell", "truth-cell",
+            "k_mad-nan", "rate_hz-0", "rate_hz-bool",
+            "rate_hz-str", "stream-cell", "truth-cell",
             "match_tol_s-str", "match_tol_s-negative"])
     def test_bad_config_exits_2_before_detecting(self, tmp_path, capsys, over,
                                                  bad_cell, message):
@@ -622,16 +644,41 @@ class TestDetectHs:
             t for k, t in enumerate(frames["t"].tolist())
             if k not in (100, 400)]
 
-    def test_gated_row_keeps_timestamp_contract(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row, bad, gated, message", [
+        (0, math.nan, False, "non-finite timestamp nan"),
+        (0, math.inf, False, "non-finite timestamp inf"),
+        (5, math.nan, False, "non-finite timestamp nan"),
+        (5, -math.inf, False, "non-finite timestamp -inf"),
+        (5, 1, False, "non-monotonic timestamp 0.016 after 0.016"),
+        (5, 2, False, "non-monotonic timestamp 0.012 after 0.016"),
+        (100, math.nan, True, "non-finite timestamp nan"),
+        (100, 1, True, "non-monotonic timestamp 0.396 after 0.396"),
+        (100, 2, True, "non-monotonic timestamp 0.392 after 0.396"),
+    ], ids=["first-nan", "first-inf", "admitted-nan", "admitted-neg-inf",
+            "admitted-repeat", "admitted-decrease", "gated-nan",
+            "gated-repeat", "gated-decrease"])
+    def test_gated_row_keeps_timestamp_contract(self, tmp_path, capsys,
+                                                detector_timestamps, row,
+                                                bad, gated, message):
+        """The timestamp check covers every row, gated or admitted, the
+        first row included, and names the first bad one before the
+        detector runs. ``row`` takes the non-finite ``bad``, or the
+        timestamp of the row ``bad`` rows before it; a later bad row is
+        not reached."""
         frames, _ = synth_imu_stream(5.0, seed=6)
-        frames["thigh_accel_l"][100] = np.nan
-        frames["t"][100] = frames["t"][98]
+        t = frames["t"]
+        if gated:
+            frames["thigh_accel_l"][row] = np.nan
+        t[row] = t[row - bad] if isinstance(bad, int) else bad
+        t[row + 3] = -1.0
         write_stream_csv(tmp_path / "stream.csv", frames)
         cfg = write_yaml(tmp_path / "hs.yaml",
                          {"input": str(tmp_path / "stream.csv")})
-        assert main(["detect-hs", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 1
-        assert "non-monotonic timestamp" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["detect-hs", "--config", cfg, "--out", str(out)]) == 1
+        assert f"runtime failure: {message}\n" == capsys.readouterr().err
+        assert detector_timestamps == []
+        assert not out.exists()
 
 
 class TestReport:

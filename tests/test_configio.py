@@ -4,6 +4,8 @@ import pytest
 
 from hipexo.configio import (load_params, params_from_dict, params_to_dict,
                              save_params)
+from hipexo.controller import ControllerParams
+from hipexo.modulation import DescentModParams, SymmetryParams
 
 
 class TestParamsIO:
@@ -41,6 +43,28 @@ class TestParamsIO:
         rad = default_params.gait.theta_ext_eq
         assert d["gait"]["theta_ext_eq_deg"] == pytest.approx(
             rad * 180.0 / math.pi)
+
+
+def test_omitted_optional_keys_take_dataclass_defaults(default_params):
+    d = params_to_dict(default_params)
+    for section, keys in (("descent", ("lambda", "thigh_min_deg",
+                                       "thigh_max_deg", "t_wait", "t_decay")),
+                          ("symmetry", ("seated_threshold_deg",
+                                        "ema_smoothing"))):
+        for key in keys:
+            del d[section][key]
+    del d["runtime"]
+    p = params_from_dict(d)
+    want_descent = DescentModParams(step_mod=default_params.descent.step_mod)
+    want_symmetry = SymmetryParams(
+        sym_mod=default_params.symmetry.sym_mod,
+        vel_threshold=default_params.symmetry.vel_threshold)
+    assert p.descent == want_descent
+    assert (p.descent.thigh_min, p.descent.thigh_max) == (-0.35, 0.9)
+    assert p.symmetry == want_symmetry
+    assert p.symmetry.seated_ext_threshold == 1.0
+    assert p == ControllerParams(default_params.gait, default_params.sts,
+                                 want_descent, want_symmetry)
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf"])

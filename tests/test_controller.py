@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -195,9 +196,9 @@ class TestFaultHandling:
         assert not res.left.fault
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["thigh_accel_l", "thigh_accel_r",
-                                       "pelvis_accel", "thigh_angle_l",
-                                       "thigh_angle_r"])
+    @pytest.mark.parametrize("field", ["timestamp", "thigh_accel_l",
+                                       "thigh_accel_r", "pelvis_accel",
+                                       "thigh_angle_l", "thigh_angle_r"])
     def test_non_finite_sample_never_reaches_detector(
             self, default_params, detector_timestamps, field, value):
         """The frame gate stops the frame: the detector, which takes finite
@@ -211,11 +212,42 @@ class TestFaultHandling:
         assert detector_timestamps == [
             f.timestamp for k, f in enumerate(frames) if k != 150]
 
-    def test_timestamp_regression_raises(self, default_params):
+    @pytest.mark.parametrize("first, gated, second", [
+        (1.0, None, 0.5),
+        (0.0, None, 0.0),
+        (1.0, 0.5, 0.6),
+    ], ids=["decrease", "repeat", "behind-gated-frame"])
+    def test_timestamp_regression_raises(self, default_params,
+                                         detector_timestamps, first, gated,
+                                         second):
+        """An admitted frame must be later than the last admitted one,
+        also when a gated frame with an earlier timestamp came between;
+        the detector never sees the regressed frame."""
         ctl = HipController(default_params)
-        ctl.step(zero_frame(1.0))
+        ctl.step(zero_frame(first))
+        if gated is not None:
+            frame = zero_frame(gated)
+            frame.pelvis_accel = math.nan
+            assert ctl.step(frame).left.fault
+        with pytest.raises(ValueError, match=re.escape(
+                f"timestamp regression: {second} after {first}")):
+            ctl.step(zero_frame(second))
+        assert detector_timestamps == [first]
+
+    @pytest.mark.parametrize("bad_t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_keeps_regression_check_armed(
+            self, default_params, detector_timestamps, bad_t):
+        """A frame with a non-finite timestamp is gated, on a clock the
+        gate advances by one period; the regression check stays armed
+        and the detector sees only the admitted frames."""
+        ctl = HipController(default_params)
+        ctl.step(zero_frame(0.0))
+        res = ctl.step(zero_frame(bad_t))
+        assert res.left.fault and res.timestamp == DT
         with pytest.raises(ValueError):
-            ctl.step(zero_frame(0.5))
+            ctl.step(zero_frame(0.0))
+        assert not ctl.step(zero_frame(2 * DT)).left.fault
+        assert detector_timestamps == [0.0, 2 * DT]
 
 
 class TestLatency:

@@ -84,25 +84,6 @@ def test_config_sample_counts_must_be_positive_ints(field, value):
 
 
 class TestStreamContract:
-    def test_non_monotonic_timestamps_rejected(self):
-        det = HsDetector(RATE)
-        b = BilateralSample(0.0, 0.0, 0.0)
-        det.update(0.0, 0, 0, 0, b)
-        with pytest.raises(ValueError):
-            det.update(0.0, 0, 0, 0, b)
-
-    @pytest.mark.parametrize("bad_t", [math.nan, math.inf, -math.inf])
-    def test_non_finite_timestamps_rejected(self, bad_t):
-        det = HsDetector(RATE)
-        b = BilateralSample(0.0, 0.0, 0.0)
-        det.update(0.0, 0, 0, 0, b)
-        with pytest.raises(ValueError):
-            det.update(bad_t, 0, 0, 0, b)
-        # the rejected frame leaves the monotonic check armed
-        with pytest.raises(ValueError):
-            det.update(0.0, 0, 0, 0, b)
-        assert det.update(1.0 / RATE, 0, 0, 0, b) is None
-
     def test_refractory_window_enforced_on_stream(self):
         frames, _ = synth_imu_stream(60.0, seed=5)
         events = run_stream(frames)
@@ -404,39 +385,6 @@ class TestColumnDetector:
         columns = spike_columns(n, spikes)
         got = assert_same_events(columns, HsDetectorConfig(confirm_samples=1))
         assert bool(got) == (n > 127)
-
-    @pytest.mark.parametrize("where, bad", [
-        (0, math.nan), (0, math.inf), (5, math.nan), (5, -math.inf),
-        (5, "repeat"), (5, "decrease")])
-    def test_bad_timestamp_raises_like_update(self, where, bad):
-        columns = spike_columns(20, {})
-        t = columns[0]
-        if bad == "repeat":
-            t[where] = t[where - 1]
-        elif bad == "decrease":
-            t[where] = t[where - 1] - 1.0
-        else:
-            t[where] = bad
-        t[where + 3] = math.nan    # a later bad frame is not reached
-        with pytest.raises(ValueError) as want:
-            stepped_events(columns)
-        with pytest.raises(ValueError) as got:
-            detect_columns(RATE, *columns)
-        assert str(got.value) == str(want.value)
-
-    def test_nan_acceleration_rejected(self):
-        columns = spike_columns(20, {})
-        columns[3][4] = math.nan
-        with pytest.raises(ValueError, match="finite accelerations"):
-            detect_columns(RATE, *columns)
-
-    @pytest.mark.parametrize("channel", [1, 2, 3])
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
-    def test_infinite_acceleration_rejected(self, channel, bad):
-        columns = spike_columns(20, {})
-        columns[channel][4] = bad
-        with pytest.raises(ValueError, match="finite accelerations"):
-            detect_columns(RATE, *columns)
 
     @pytest.mark.parametrize("window", [8, 9, 500, 501])
     @pytest.mark.parametrize("refresh", [1, 5, 7])

@@ -6,8 +6,11 @@ import pytest
 
 from hipexo import controller, heelstrike, replay
 from hipexo.controller import HipController, SensorFrame
-from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_VEL, ActivityLabel,
-                             synth_battery)
+from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_ANGLE_CON,
+                             CH_HIP_VEL, CH_HIP_VEL_CON, CH_PELVIS_ACC,
+                             CH_THIGH, CH_THIGH_ACC, CH_THIGH_ACC_CON,
+                             CH_THIGH_CON, CH_TORSO, ActivityLabel,
+                             StrideSeries, synth_battery)
 from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, simulate_task
 from hipexo.springs import VEL_BOUND
 from test_controller import DT, random_frame, random_params
@@ -53,6 +56,33 @@ class TestReplay:
     def test_cycles_below_one_rejected(self, default_params, battery, task):
         with pytest.raises(ValueError, match="cycles must be >= 1"):
             replay_stride(default_params, battery[task][0], cycles=0)
+
+    @pytest.mark.parametrize("drop", [(), (CH_THIGH_ACC, CH_THIGH_ACC_CON,
+                                           CH_PELVIS_ACC)],
+                             ids=["imu", "no-imu"])
+    def test_sts_frames_hold_first_sample(self, battery, drop):
+        """Through the sit-to-stand lead-in every field holds the stride's
+        first sample, with zero hip velocities and accelerations; then each
+        field follows its channel. A channel the stride lacks stays zero."""
+        sts = battery[ActivityLabel("sit-to-stand")][0]
+        stride = StrideSeries(sts.label, {k: v for k, v in sts.channels.items()
+                                          if k not in drop},
+                              sts.body_mass, sts.cycle_duration)
+        tgrid, phase, frames, t_meas0 = replay._frames(stride, 250.0, 4)
+        lead = tgrid < replay.STS_LEAD_IN_S
+        assert lead.sum() == 375 and t_meas0 == replay.STS_LEAD_IN_S
+        grid = np.linspace(0.0, 1.0, stride.n)
+        want = [tgrid] + [
+            np.interp(phase, grid, stride.channels.get(name, np.zeros(stride.n)))
+            for name in (CH_HIP_ANGLE, CH_HIP_ANGLE_CON, CH_HIP_VEL,
+                         CH_HIP_VEL_CON, CH_THIGH, CH_THIGH_CON, CH_TORSO,
+                         CH_THIGH_ACC, CH_THIGH_ACC_CON, CH_PELVIS_ACC)]
+        for row in (3, 4, 8, 9, 10):
+            want[row] = np.where(lead, 0.0, want[row])
+        assert frames.tobytes() == np.array(want).tobytes()
+        held = frames[[1, 2, 5, 6, 7]]
+        assert (held[:, lead] == held[:, :1]).all()
+        assert frames[8:].any() == (not drop)
 
     def test_simulate_task_attaches_exo_channel(self, default_params, battery):
         strides = battery[ActivityLabel("stair-ascent", 0.178)]
