@@ -77,6 +77,7 @@ class _Run:
     def __init__(self, out_dir: Path, config_raw: bytes, seed: int):
         self.out = out_dir
         self.created: list[Path] = []
+        self.made_dirs: list[Path] = []   # in creation order, parents first
         digest = hashlib.sha256(config_raw).hexdigest()
         self.header = [f"tool: hipexo {__version__}",
                        f"config_sha256: {digest}",
@@ -84,7 +85,14 @@ class _Run:
 
     def path(self, *parts) -> Path:
         p = self.out.joinpath(*parts)
-        p.parent.mkdir(parents=True, exist_ok=True)
+        missing = []
+        d = p.parent
+        while not d.exists():
+            missing.append(d)
+            d = d.parent
+        for d in reversed(missing):
+            d.mkdir()
+            self.made_dirs.append(d)
         self.created.append(p)
         return p
 
@@ -97,6 +105,13 @@ class _Run:
                 try:
                     p.unlink(missing_ok=True)
                     stride_meta_path(p).unlink(missing_ok=True)
+                except OSError:
+                    pass
+            # deepest first; a directory holding anything the run did not
+            # make stays, and a pre-existing --out is never in the list
+            for d in reversed(self.made_dirs):
+                try:
+                    d.rmdir()
                 except OSError:
                     pass
         return False
@@ -251,42 +266,58 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate_into(run: _Run, params, battery, cycles: int):
-    rows = []
-    for label, strides in battery.items():
-        assisted, logs = simulate_task(params, strides, cycles=cycles)
-        code = label.code.replace(" ", "_")
+    # Formatting the step logs is most of a run's time, so one forked
+    # process writes them while this one replays. Forked, not spawned: a
+    # fresh interpreter would spend about what the overlap saves on imports.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-        for k, (stride, out, log) in enumerate(zip(strides, assisted, logs)):
-            save_stride(stride, run.path("strides", "unassisted", f"{code}_{k}.csv"),
-                        run.header)
-            save_stride(out, run.path("strides", "assisted", f"{code}_{k}.csv"),
-                        run.header)
-            write_step_log(log, run.path("steps", f"{code}_{k}.csv"),
-                           run.header)
+    writer = ProcessPoolExecutor(max_workers=1, mp_context=get_context("fork"))
+    try:
+        writes = []
+        rows = []
+        for label, strides in battery.items():
+            assisted, logs = simulate_task(params, strides, cycles=cycles)
+            code = label.code.replace(" ", "_")
 
-        # ensemble profiles over the task's strides (torque and power)
-        n = strides[0].n
-        if all(s.n == n for s in strides) and len(strides) >= 2:
-            exo_mean, exo_sd = ensemble_average(assisted, "exo_torque")
-            bio_mean, bio_sd = ensemble_average(strides, CH_HIP_MOMENT)
-            power = [s.copy_with(power=s.channels[CH_HIP_MOMENT]
-                                 * s.channels[CH_HIP_VEL]) for s in strides]
-            p_mean, p_sd = ensemble_average(power, "power")
-            write_float_columns(
-                run.path("profiles", f"{code}.csv"),
-                ["percent", "bio_moment_mean", "bio_moment_sd",
-                 "exo_torque_mean", "exo_torque_sd",
-                 "bio_power_mean", "bio_power_sd"],
-                [np.linspace(0.0, 100.0, n), bio_mean, bio_sd,
-                 exo_mean, exo_sd, p_mean, p_sd],
-                run.header, numpy_repr=True)
+            for k, (stride, out, log) in enumerate(zip(strides, assisted, logs)):
+                save_stride(stride, run.path("strides", "unassisted", f"{code}_{k}.csv"),
+                            run.header)
+                save_stride(out, run.path("strides", "assisted", f"{code}_{k}.csv"),
+                            run.header)
+                writes.append(writer.submit(
+                    write_step_log, log, run.path("steps", f"{code}_{k}.csv"),
+                    run.header))
 
-        scale = float(np.mean([log.mean_extension_scale for log in logs]))
-        rows.append(task_energetics(strides, "unassisted", 1.0))
-        rows.append(task_energetics(assisted, "assisted", scale))
+            # ensemble profiles over the task's strides (torque and power)
+            n = strides[0].n
+            if all(s.n == n for s in strides) and len(strides) >= 2:
+                exo_mean, exo_sd = ensemble_average(assisted, "exo_torque")
+                bio_mean, bio_sd = ensemble_average(strides, CH_HIP_MOMENT)
+                power = [s.copy_with(power=s.channels[CH_HIP_MOMENT]
+                                     * s.channels[CH_HIP_VEL]) for s in strides]
+                p_mean, p_sd = ensemble_average(power, "power")
+                write_float_columns(
+                    run.path("profiles", f"{code}.csv"),
+                    ["percent", "bio_moment_mean", "bio_moment_sd",
+                     "exo_torque_mean", "exo_torque_sd",
+                     "bio_power_mean", "bio_power_sd"],
+                    [np.linspace(0.0, 100.0, n), bio_mean, bio_sd,
+                     exo_mean, exo_sd, p_mean, p_sd],
+                    run.header, numpy_repr=True)
 
-    write_report(rows, run.path("report.csv"), run.header)
-    save_params(params, run.path("params_used.yaml"), run.header)
+            scale = float(np.mean([log.mean_extension_scale for log in logs]))
+            rows.append(task_energetics(strides, "unassisted", 1.0))
+            rows.append(task_energetics(assisted, "assisted", scale))
+
+        write_report(rows, run.path("report.csv"), run.header)
+        save_params(params, run.path("params_used.yaml"), run.header)
+        for write in writes:
+            write.result()
+    finally:
+        # on an error, no queued or running write may outlive the run's
+        # cleanup of its files
+        writer.shutdown(wait=True, cancel_futures=True)
 
 
 def cmd_optimize(args) -> int:

@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from hipexo import cli
+from hipexo import cli, replay
 from hipexo.cli import main
 from hipexo.configio import load_params, params_to_dict
 from hipexo.csvio import read_csv
@@ -265,7 +267,61 @@ class TestSimulate:
                      "--out", str(out)]) == 1
         assert "runtime failure: disk full" in capsys.readouterr().err
         assert any(p.name.endswith(".meta.json") for p in written)
-        assert not [p for p in out.rglob("*") if p.is_file()]
+        assert not out.exists()
+
+    def test_failed_write_in_writer_process_leaves_none(
+            self, tmp_path, capsys, sim_config, monkeypatch):
+        """A step-log write that fails in the writer process fails the run
+        (exit 1), removes every file and directory the run made and leaves
+        no child process. The forked writer inherits the patch."""
+        out = tmp_path / "o"
+
+        def failing_write(*args, **kwargs):
+            raise OSError(f"disk full in pid {os.getpid()}")
+
+        monkeypatch.setattr(replay, "write_float_columns", failing_write)
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "runtime failure: disk full in pid" in err
+        assert f"pid {os.getpid()}" not in err   # raised in the child
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_failure_keeps_existing_out_and_foreign_files(
+            self, tmp_path, sim_config, monkeypatch):
+        """Cleanup removes only directories the run made, and only when
+        empty: a pre-existing ``--out`` and a directory that holds a file
+        the run did not write stay."""
+        out = tmp_path / "o"
+        (out / "steps").mkdir(parents=True)
+        (out / "steps" / "keep.txt").write_text("mine")
+        monkeypatch.setattr(cli, "write_report", lambda *args: 1 / 0)
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(out)]) == 1
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == [
+            Path("steps"), Path("steps/keep.txt")]
+
+    def test_step_logs_match_in_process_writes(self, tmp_path, sim_config):
+        """Each step log that simulate's writer process wrote equals, byte
+        for byte, the same stride's replay written in this process."""
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", sim_config, "--out", str(out)]) == 0
+        cfg = yaml.safe_load(Path(sim_config).read_text())
+        header = cli._Run(out, Path(sim_config).read_bytes(), 7).header
+        params = load_params("default")
+        ref = tmp_path / "ref.csv"
+        written = sorted(p.name for p in (out / "steps").iterdir())
+        expected = []
+        for label, strides in cli._build_battery(cfg, 7).items():
+            for k, stride in enumerate(strides):
+                name = f"{label.code.replace(' ', '_')}_{k}.csv"
+                expected.append(name)
+                replay.write_step_log(
+                    replay.replay_stride(params, stride, cycles=cfg["cycles"]),
+                    ref, header)
+                assert (out / "steps" / name).read_bytes() == ref.read_bytes()
+        assert written == sorted(expected)
 
     @pytest.mark.xfail(
         np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
