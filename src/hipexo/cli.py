@@ -37,8 +37,8 @@ from .heelstrike import (HsDetector, HsDetectorConfig, detect_columns,
                          match_events)
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
-from .optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet, format_sim_table,
-                       optimize)
+from .optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet, check_in_bounds,
+                       format_sim_table, optimize)
 from .replay import simulate_task, write_step_log
 
 _PACKAGED_CONFIGS = {
@@ -344,6 +344,7 @@ def cmd_optimize(args) -> int:
         settings = {k: _config_float(cfg[k], k) for k in (
             "c_static", "c_sign", "target_scale") if k in cfg}
         spec = ObjectiveSpec(tasks=tasks, free=free, bounds=bounds, **settings)
+        check_in_bounds(spec, warm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     budget = _config_int(cfg, "budget", 6000, minimum=1)

@@ -12,7 +12,7 @@ simplex is an in-module port of scipy's, so the package needs no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -61,29 +61,69 @@ def get_param(params: ControllerParams, name: str) -> float:
     return float(obj)
 
 
+def _plan(base, names) -> tuple[list, dict]:
+    """Compile the rebuild of every dataclass the named parameters reach.
+
+    Slots ``0 .. len(names) - 1`` hold the parameter values; step ``j``,
+    ``(cls, fixed, sets)``, builds slot ``len(names) + j`` as
+    ``cls(**fixed, **{attr: slots[k] for attr, k in sets})``, where
+    ``fixed`` holds the fields of the base object that no name reaches.
+    Innermost owners come first, so each parent is built once from its
+    rebuilt children. Returns the steps and ``{attr: slot}`` of the
+    touched fields of ``base`` itself.
+    """
+    groups: dict[tuple, dict] = {(): {}}
+    for i, name in enumerate(names):
+        *owner, attr = PARAM_PATHS[name]
+        groups.setdefault(tuple(owner), {})[attr] = i
+    steps = []
+    while True:
+        owner = max(groups, key=len)
+        sets = groups.pop(owner)
+        if not owner:
+            return steps, sets
+        obj = base
+        for attr in owner:
+            obj = getattr(obj, attr)
+        fixed = {f.name: getattr(obj, f.name) for f in fields(obj)
+                 if f.name not in sets}
+        steps.append((type(obj), fixed, tuple(sets.items())))
+        slot = len(names) + len(steps) - 1
+        groups.setdefault(owner[:-1], {})[owner[-1]] = slot
+
+
+def _build(steps, values: list) -> list:
+    """The slots of a :func:`_plan` run on ``values``."""
+    slots = list(values)
+    for cls, fixed, sets in steps:
+        slots.append(cls(**fixed, **{attr: slots[k] for attr, k in sets}))
+    return slots
+
+
 def apply_vector(base: ControllerParams, names, values) -> ControllerParams:
     """Copy of ``base`` with the named parameters replaced; frozen entries
     keep the base values bit-exactly.
 
-    Each dataclass on a touched path is rebuilt once with
-    ``dataclasses.replace``, so its validation runs again; untouched
-    sub-objects are shared with ``base``.
+    Each dataclass on a touched path is rebuilt once through its
+    constructor, so its validation runs again; untouched sub-objects are
+    shared with ``base``.
     """
-    groups: dict[tuple, dict] = {(): {}}
-    for name, value in zip(names, values):
-        *owner, attr = PARAM_PATHS[name]
-        groups.setdefault(tuple(owner), {})[attr] = float(value)
-    # innermost owners first, so each parent is replaced once with its
-    # rebuilt children
-    while True:
-        owner = max(groups, key=len)
-        obj = base
-        for attr in owner:
-            obj = getattr(obj, attr)
-        rebuilt = replace(obj, **groups.pop(owner))
-        if not owner:
-            return rebuilt
-        groups.setdefault(owner[:-1], {})[owner[-1]] = rebuilt
+    steps, top = _plan(base, names)
+    slots = _build(steps, [float(v) for v in values])
+    return replace(base, **{attr: slots[k] for attr, k in top.items()})
+
+
+def check_in_bounds(spec: ObjectiveSpec, params: ControllerParams):
+    """Raise ``ValueError`` naming each free parameter of ``params`` that
+    lies outside ``spec.bounds``, with its value and its bounds."""
+    outside = []
+    for name in spec.free:
+        value = get_param(params, name)
+        lo, hi = spec.bounds[name]
+        if not lo <= value <= hi:
+            outside.append(f"{name}={value!r} not in [{lo!r}, {hi!r}]")
+    if outside:
+        raise ValueError("parameters outside bounds: " + "; ".join(outside))
 
 
 @dataclass
@@ -157,6 +197,16 @@ class _Evaluator:
     then reduced over its own slice with the same pairwise sum ``np.mean``
     applies to a separate array, in task order, so the objective is
     bit-identical to evaluating the tasks one by one.
+
+    Everything that does not depend on the point is built here: the
+    parameter plan (which spring and sigmoid fields each free parameter
+    sets, see :func:`_plan`), each block's negated target signs and
+    squared-error and hinge buffers, and each task's weight, sample count
+    and sign count with its slices of those buffers. An evaluation rebuilds
+    only the touched spring and sigmoid objects, through their
+    constructors, so their checks still run, and writes the squared error
+    and the sign hinge into the buffers in place; an evaluator is
+    therefore not reentrant.
     """
 
     def __init__(self, spec: ObjectiveSpec, base: ControllerParams):
@@ -165,6 +215,9 @@ class _Evaluator:
         self.names = tuple(spec.free)
         self.lo = np.array([spec.bounds[n][0] for n in self.names])
         self.hi = np.array([spec.bounds[n][1] for n in self.names])
+        self._steps, top = _plan(base, self.names)
+        self._gait_slot = top.get("gait")
+        self._sts_slot = top.get("sts")
         per_task = []   # (is_gait, inputs, target, sign mask) in task order
         for t in spec.tasks:
             g = t.label.is_gait
@@ -174,72 +227,91 @@ class _Evaluator:
                 [s.channels[CH_HIP_MOMENT] for s in t.strides])
             mask = np.abs(target) > SIGN_MASK_FRAC * np.max(np.abs(target))
             per_task.append((g, inputs, target, mask))
-        # blocks: (is_gait, inputs, target, sign-mask index, target sign);
-        # slices: (task, block, start, stop, sign start, sign stop)
+        # blocks: (is_gait, inputs, target, sign-mask index, -target sign,
+        # squared-error buffer, hinge buffer). Per task, in task order:
+        # rows, its (block, sample slice); terms, its (weight, squared-error
+        # rows, n, hinge rows, m), the rows as views of its block's buffers
         self._blocks = []
-        self._slices = [None] * len(per_task)
+        self._rows = [None] * len(per_task)
+        self._terms = [None] * len(per_task)
         for g in (True, False):
             members = [i for i, p in enumerate(per_task) if p[0] == g]
             if not members:
                 continue
-            starts = [0, *accumulate(per_task[i][2].size for i in members)]
-            sign_starts = [0, *accumulate(int(per_task[i][3].sum())
-                                          for i in members)]
-            for j, i in enumerate(members):
-                self._slices[i] = (spec.tasks[i], len(self._blocks),
-                                   starts[j], starts[j + 1],
-                                   sign_starts[j], sign_starts[j + 1])
             _, inputs, targets, masks = zip(*(per_task[i] for i in members))
+            starts = [0, *accumulate(target.size for target in targets)]
+            sign_starts = [0, *accumulate(int(mask.sum()) for mask in masks)]
+            sq = np.empty(starts[-1])
+            hinge = np.empty(sign_starts[-1])
+            for j, i in enumerate(members):
+                a, b = starts[j], starts[j + 1]
+                ha, hb = sign_starts[j], sign_starts[j + 1]
+                self._rows[i] = (len(self._blocks), slice(a, b))
+                self._terms[i] = (spec.tasks[i].weight, sq[a:b], b - a,
+                                  hinge[ha:hb], hb - ha)
             self._blocks.append((
                 g,
                 tuple(np.concatenate(ch) for ch in zip(*inputs)),
                 np.concatenate(targets),
                 np.concatenate([start + np.flatnonzero(mask)
                                 for start, mask in zip(starts, masks)]),
-                np.concatenate([np.sign(target[mask])
-                                for target, mask in zip(targets, masks)])))
+                -np.concatenate([np.sign(target[mask])
+                                 for target, mask in zip(targets, masks)]),
+                sq, hinge))
 
     def x0(self) -> np.ndarray:
         return np.array([get_param(self.base, n) for n in self.names])
 
-    def check_bounds(self, x):
-        if np.any(x < self.lo) or np.any(x > self.hi):
-            raise ValueError("parameters outside bounds")
-
     def params_at(self, x) -> ControllerParams:
         return apply_vector(self.base, self.names, x)
 
-    def _estimates(self, params: ControllerParams) -> list:
+    def springs_at(self, x: np.ndarray) -> tuple:
+        """(gait, sts) spring parameters at the point ``x``, a float array:
+        ``params_at(x).gait`` and ``.sts`` without the rebuild of the
+        :class:`ControllerParams` that no free parameter reaches."""
+        slots = _build(self._steps, x.tolist())
+        g, s = self._gait_slot, self._sts_slot
+        return (self.base.gait if g is None else slots[g],
+                self.base.sts if s is None else slots[s])
+
+    def _estimates(self, gait, sts) -> list:
         """Estimated torque of each block, in block order."""
-        return [gait_torque_series(*inputs, params.gait)[-1] if is_gait
-                else sts_torque_series(*inputs, params.sts)[-1]
+        return [gait_torque_series(*inputs, gait)[-1] if is_gait
+                else sts_torque_series(*inputs, sts)[-1]
                 for is_gait, inputs, *_ in self._blocks]
 
-    def value(self, x) -> float:
-        params = self.params_at(x)
-        sq, hinge = [], []
-        for est, (_, _, target, idx, sign) in zip(self._estimates(params),
-                                                  self._blocks):
-            err = est - target
-            sq.append(err * err)
-            hinge.append(np.maximum(0.0, -est[idx] * sign))
+    def value(self, x: np.ndarray) -> float:
+        gait, sts = self.springs_at(x)
+        for est, (_, _, target, idx, neg_sign, sq, hinge) in zip(
+                self._estimates(gait, sts), self._blocks):
+            np.subtract(est, target, out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.multiply(est[idx], neg_sign, out=hinge)
+            np.maximum(0.0, hinge, out=hinge)
         total = 0.0
         sign_term = 0.0
-        for task, k, a, b, ha, hb in self._slices:
-            total += task.weight * float(np.add.reduce(sq[k][a:b]) / (b - a))
-            if hb > ha:
-                sign_term += float(np.add.reduce(hinge[k][ha:hb]) / (hb - ha))
-        static = gait_torque(0.0, 0.0, params.gait)
+        # float division of the float sum: np.float64 / int rounds the same
+        for weight, sq, n, hinge, m in self._terms:
+            total += weight * (float(np.add.reduce(sq)) / n)
+            if m:
+                sign_term += float(np.add.reduce(hinge)) / m
+        static = gait_torque(0.0, 0.0, gait)
         total += self.spec.c_static * static * static
         total += self.spec.c_sign * sign_term
         return total
 
     def similarities(self, params: ControllerParams) -> dict:
-        est = self._estimates(params)
-        targets = [target for _, _, target, _, _ in self._blocks]
-        return {task.label.code: cosine_similarity(est[k][a:b],
-                                                   targets[k][a:b])
-                for task, k, a, b, _, _ in self._slices}
+        """SIM of each task at ``params``; ``nan`` where the estimate or
+        the target has zero norm, so the cosine is undefined."""
+        ests = self._estimates(params.gait, params.sts)
+        sims = {}
+        for task, (k, rows) in zip(self.spec.tasks, self._rows):
+            est, target = ests[k][rows], self._blocks[k][2][rows]
+            sims[task.label.code] = (
+                cosine_similarity(est, target)
+                if np.linalg.norm(est) and np.linalg.norm(target)
+                else math.nan)
+        return sims
 
 
 def objective(params: ControllerParams, spec: ObjectiveSpec) -> float:
@@ -247,10 +319,9 @@ def objective(params: ControllerParams, spec: ObjectiveSpec) -> float:
 
     Raises ``ValueError`` when the free parameters sit outside the bounds.
     """
+    check_in_bounds(spec, params)
     ev = _Evaluator(spec, params)
-    x = ev.x0()
-    ev.check_bounds(x)
-    return ev.value(x)
+    return ev.value(ev.x0())
 
 
 def format_sim_table(sims: dict) -> str:
@@ -288,7 +359,12 @@ def minimize(fun, x0, lo, hi, maxfev: int):
     fitted parameters and artifact digests the benchmark records stay
     bit-identical to the scipy version.
     """
-    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    def clip(x):
+        # np.clip's result, ±0 ties included, without its Python wrappers,
+        # which cost more than the clip of a few coordinates
+        return np.minimum(np.maximum(x, lo), hi)
+
+    x0 = clip(np.asarray(x0, dtype=float))
     n = x0.size
     # initial simplex: +5 % along each axis, or 0.00025 from a zero
     sim = np.empty((n + 1, n))
@@ -303,7 +379,7 @@ def minimize(fun, x0, lo, hi, maxfev: int):
     # a vertex past the upper bound is reflected into the box, so clipping
     # cannot collapse the simplex
     sim = np.where(sim > hi, 2 * hi - sim, sim)
-    sim = np.clip(sim, lo, hi)
+    sim = clip(sim)
 
     fsim = np.full(n + 1, np.inf)
     calls = 0
@@ -318,8 +394,8 @@ def minimize(fun, x0, lo, hi, maxfev: int):
     def sort(sim, fsim):
         # argsort need not be stable: sorting twice, as scipy does after
         # the first vertices, can reorder tied values
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
 
     try:
         for k in range(n + 1):
@@ -336,10 +412,10 @@ def minimize(fun, x0, lo, hi, maxfev: int):
                     and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            xr = clip(2 * xbar - sim[-1])
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                xe = clip(3 * xbar - 2 * sim[-1])
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -350,14 +426,14 @@ def minimize(fun, x0, lo, hi, maxfev: int):
             else:
                 shrink = False
                 if fxr < fsim[-1]:
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    xc = clip(1.5 * xbar - 0.5 * sim[-1])
                     fxc = f(xc)
                     if fxc <= fxr:
                         sim[-1], fsim[-1] = xc, fxc
                     else:
                         shrink = True
                 else:
-                    xcc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    xcc = clip(0.5 * xbar + 0.5 * sim[-1])
                     fxcc = f(xcc)
                     if fxcc < fsim[-1]:
                         sim[-1], fsim[-1] = xcc, fxcc
@@ -365,8 +441,7 @@ def minimize(fun, x0, lo, hi, maxfev: int):
                         shrink = True
                 if shrink:
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]),
-                                         lo, hi)
+                        sim[j] = clip(sim[0] + 0.5 * (sim[j] - sim[0]))
                         fsim[j] = f(sim[j])
         except _MaxFevReached:
             pass
@@ -385,9 +460,9 @@ def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    check_in_bounds(spec, warm_start)
     ev = _Evaluator(spec, warm_start)
     x0 = ev.x0()
-    ev.check_bounds(x0)
 
     state = {"n": 0, "best_f": np.inf, "best_x": x0.copy(), "trace": []}
 

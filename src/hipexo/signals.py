@@ -50,23 +50,43 @@ def sigmoid_array(x, p: SigmoidParams, exp=np.exp) -> np.ndarray:
     exponent column. With :func:`exp_exact` it equals :func:`sigmoid` bit
     for bit, as replay needs; the optimizer and stride synthesis keep the
     faster ``np.exp``, which can differ from ``math.exp`` in the last bit."""
-    z = np.clip(-p.w * np.asarray(x, dtype=float) + p.phi, -EXP_CLAMP, EXP_CLAMP)
-    return 1.0 / (1.0 + exp(z))
+    z = np.multiply(-p.w, np.asarray(x, dtype=float))
+    z += p.phi
+    return logistic_inplace(z, exp)
 
 
-def exp_exact(z: np.ndarray) -> np.ndarray:
-    """``math.exp`` of each element of a float column."""
-    return np.fromiter(map(math.exp, z.tolist()), float, z.size)
+def logistic_inplace(z: np.ndarray, exp=np.exp) -> np.ndarray:
+    """``1 / (1 + exp(z))`` of a float exponent array of any shape after
+    the ±EXP_CLAMP clamp: :func:`sigmoid`'s last steps, in its operation
+    order. Every step overwrites ``z``, which the caller hands over, so
+    ``exp`` must take ``out`` as ``np.exp`` and :func:`exp_exact` do."""
+    np.maximum(z, -EXP_CLAMP, out=z)
+    np.minimum(z, EXP_CLAMP, out=z)
+    exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def exp_exact(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``math.exp`` of each element of a float array of any shape, written
+    to ``out`` when it is given, as ``np.exp`` does."""
+    e = np.fromiter(map(math.exp, z.ravel().tolist()), float,
+                    z.size).reshape(z.shape)
+    if out is None:
+        return e
+    out[...] = e
+    return out
 
 
 # min(0.0, v) and max(0.0, v) per element, with the same zero sign: on a
-# tie numpy returns the second argument, so -0.0 gives +0.0 as it does there
-def neg_part(x: np.ndarray) -> np.ndarray:
-    return np.minimum(x, 0.0)
+# tie numpy returns the second argument, so -0.0 gives +0.0 as it does
+# there. ``out`` may be ``x`` itself.
+def neg_part(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.minimum(x, 0.0, out=out)
 
 
-def pos_part(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def pos_part(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 @dataclass

@@ -6,10 +6,13 @@ Sign conventions: hip flexion is positive, so extension torque is negative
 and flexion torque positive. Angles in rad, velocities in rad/s, torques in
 Nm. The scalar kernels step the live controller. Each law has one column
 kernel, with the same positional inputs, that replay, the optimizer and
-stride synthesis share; it takes the exponential as ``exp``: replay passes
-``signals.exp_exact`` and so matches the scalar kernels bit for bit, the
-others ``np.exp``. Inputs are not validated here: the controller's frame
-gate admits only finite samples with |hip velocity| < VEL_BOUND.
+stride synthesis share; it takes the exponential as ``exp``, called with
+``out`` as ``np.exp`` is: replay passes ``signals.exp_exact`` and so matches
+the scalar kernels bit for bit, the others ``np.exp``. The column kernels
+form each step in place on their own temporaries, and the gait kernel runs
+its two velocity sigmoids as one (2, N) pass. Inputs are not validated
+here: the controller's frame gate admits only finite samples with |hip
+velocity| < VEL_BOUND.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (SigmoidParams, neg_part, pos_part, sigmoid,
-                      sigmoid_array)
+from .signals import (SigmoidParams, logistic_inplace, neg_part, pos_part,
+                      sigmoid, sigmoid_array)
 
 # joint range-of-motion sanity bound for equilibrium angles, rad
 ROM_MIN = -1.0
@@ -120,22 +123,39 @@ def sts_modulated_torque(theta_thigh: float, theta_ips_dot: float,
 def gait_torque_series(theta_ips, theta_ips_dot, p: GaitSpringParams,
                        exp=np.exp) -> tuple[np.ndarray, ...]:
     """Gait springs over angle/velocity columns: (tau_ext, tau_flex,
-    eta_ext, eta_flex, tau_gait), in the scalar kernels' operation order."""
+    eta_ext, eta_flex, tau_gait), in the scalar kernels' operation order.
+
+    Both velocity sigmoids share the velocity column, so they run as one
+    (2, N) pass: the outer product of (-w_ext, -w_flex) with the column,
+    plus (phi_ext, phi_flex), then the clamp, ``exp``, +1 and reciprocal
+    in place on that one array, whose rows are eta_ext and eta_flex. Each
+    spring term likewise reuses its own temporary. ``exp`` must take
+    ``out`` as ``np.exp`` does."""
     th = np.asarray(theta_ips, dtype=float)
-    tau_ext = neg_part(p.k_ext * (th - p.theta_ext_eq))
-    tau_flex = pos_part(p.k_flex * (p.theta_flex_eq - th))
-    eta_ext = sigmoid_array(theta_ips_dot, p.vel_mod_ext, exp)
-    eta_flex = sigmoid_array(theta_ips_dot, p.vel_mod_flex, exp)
-    return (tau_ext, tau_flex, eta_ext, eta_flex,
-            eta_ext * tau_ext + eta_flex * tau_flex)
+    tau_ext = np.subtract(th, p.theta_ext_eq)
+    tau_ext *= p.k_ext
+    neg_part(tau_ext, out=tau_ext)
+    tau_flex = np.subtract(p.theta_flex_eq, th)
+    tau_flex *= p.k_flex
+    pos_part(tau_flex, out=tau_flex)
+    ext, flex = p.vel_mod_ext, p.vel_mod_flex
+    z = np.multiply.outer((-ext.w, -flex.w),
+                          np.asarray(theta_ips_dot, dtype=float))
+    z += ((ext.phi,), (flex.phi,))
+    eta_ext, eta_flex = logistic_inplace(z, exp)
+    tau_gait = eta_ext * tau_ext
+    tau_gait += eta_flex * tau_flex
+    return tau_ext, tau_flex, eta_ext, eta_flex, tau_gait
 
 
 def sts_torque_series(theta_thigh, theta_ips_dot, theta_torso,
                       p: StsSpringParams,
                       exp=np.exp) -> tuple[np.ndarray, np.ndarray]:
     """STS spring over thigh/velocity/torso columns: (tau_sts,
-    tau_sts_mod), in the scalar kernels' operation order."""
-    tau_sts = neg_part(-p.k_sts * np.asarray(theta_thigh, dtype=float))
-    eta_vel = sigmoid_array(theta_ips_dot, p.vel_mod, exp)
-    eta_torso = sigmoid_array(pos_part(theta_torso), p.torso_mod, exp)
-    return tau_sts, tau_sts * eta_vel * eta_torso
+    tau_sts_mod), in the scalar kernels' operation order. ``exp`` must take
+    ``out`` as ``np.exp`` does."""
+    tau_sts = np.multiply(-p.k_sts, np.asarray(theta_thigh, dtype=float))
+    neg_part(tau_sts, out=tau_sts)
+    tau_mod = tau_sts * sigmoid_array(theta_ips_dot, p.vel_mod, exp)
+    tau_mod *= sigmoid_array(pos_part(theta_torso), p.torso_mod, exp)
+    return tau_sts, tau_mod

@@ -369,6 +369,24 @@ class TestOptimize:
         assert rc in (1, 2)
         assert not (tmp_path / "x" / "best_params.yaml").exists()
 
+    def test_warm_start_outside_bounds_exits_2(self, tmp_path, capsys):
+        # was a runtime failure (exit 1) raised from inside the run
+        warm = load_params("default").gait
+        bounds = {**OPT_BOUNDS, "theta_ext_eq": [2.1, 3.0],
+                  "w_flex": [5.0, 10.0]}
+        cfg = write_opt_config(tmp_path, bounds=bounds)
+        out = tmp_path / "x"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "parameters outside bounds" in err
+        for name in ("theta_ext_eq", "w_flex"):
+            lo, hi = bounds[name]
+            value = (warm.theta_ext_eq if name == "theta_ext_eq"
+                     else warm.vel_mod_flex.w)
+            assert f"{name}={value!r} not in [{lo!r}, {hi!r}]" in err
+        assert "phi_ext" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("over, message", [
         ({"bounds": {**OPT_BOUNDS, "w_ext": [float("-inf"), -0.2]}},
          "must be finite"),

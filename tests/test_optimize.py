@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hipexo import cli
 from hipexo.gaitdata import (CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
                              CH_THIGH, CH_TORSO, ActivityLabel, synth_battery,
                              synth_profiles)
@@ -12,8 +13,8 @@ from hipexo.optimize import (DEFAULT_FREE, FATOL, PARAM_PATHS, SIGN_MASK_FRAC,
                              XATOL, ObjectiveSpec, TaskSet, apply_vector,
                              _Evaluator, format_sim_table, get_param,
                              minimize, objective, optimize)
-from hipexo.springs import (ROM_MAX, gait_torque, gait_torque_series,
-                            sts_torque_series)
+from hipexo.springs import (ROM_MAX, ROM_MIN, gait_torque,
+                            gait_torque_series, sts_torque_series)
 
 BOUNDS = {"w_ext": (-10.0, -0.2), "phi_ext": (0.0, 8.0),
           "w_flex": (0.2, 10.0), "phi_flex": (0.0, 8.0),
@@ -228,6 +229,27 @@ class TestSimilarityReport:
         for code in sims:
             assert code in table
 
+    def test_zero_norm_target_reports_nan_after_the_search(self,
+                                                           default_params):
+        # the all-zero stair-descent target made the finished search raise
+        spec = ObjectiveSpec(tasks=mixed_tasks(), free=MIXED_FREE,
+                             bounds=MIXED_BOUNDS)
+        res = optimize(spec, default_params, budget=40, seed=0)
+        assert res.n_evals == 40
+        zero = ActivityLabel.parse("stair-descent:0.178").code
+        assert math.isnan(res.per_task_sim[zero])
+        assert all(math.isfinite(v) for code, v in res.per_task_sim.items()
+                   if code != zero)
+        assert "nan" in format_sim_table(res.per_task_sim)
+
+    def test_zero_norm_estimate_reports_nan(self, default_params):
+        # no gait stiffness: every gait estimate is 0 Nm, the STS one is not
+        params = apply_vector(default_params, ("k_ext", "k_flex"), (0.0, 0.0))
+        tasks = [t for t in mixed_tasks() if t.label.kind != "stair-descent"]
+        sims = similarities(params, tasks)
+        for task in tasks:
+            assert math.isnan(sims[task.label.code]) == task.label.is_gait
+
 
 class TestParamSurface:
     def test_get_param_through_apply_vector(self, default_params):
@@ -354,6 +376,81 @@ class TestFusedObjective:
             assert list(sims) == list(want_sims)
             assert [v.hex() for v in sims.values()] == \
                 [v.hex() for v in want_sims.values()]
+
+
+class TestParameterPlan:
+    """``_Evaluator.value`` rebuilds only the spring and sigmoid objects a
+    free parameter reaches, through their constructors."""
+
+    @pytest.mark.parametrize("name, bound, bad", [
+        ("theta_ext_eq", (-3.0, 3.0), ROM_MAX + 0.1),
+        ("theta_ext_eq", (-3.0, 3.0), ROM_MIN - 0.1),
+        ("theta_flex_eq", (-3.0, 3.0), ROM_MAX + 0.5),
+        ("k_sts", (-5.0, 80.0), -1.0),
+    ])
+    def test_value_raises_what_apply_vector_raises(self, default_params,
+                                                   star_tasks, name, bound,
+                                                   bad):
+        free = DEFAULT_FREE + (("k_sts",) if name == "k_sts" else ())
+        spec = ObjectiveSpec(tasks=star_tasks, free=free,
+                             bounds={**MIXED_BOUNDS, name: bound})
+        ev = _Evaluator(spec, default_params)
+        x = ev.x0()
+        x[free.index(name)] = bad
+        with pytest.raises(ValueError, match=name) as want:
+            apply_vector(default_params, free, x)
+        with pytest.raises(ValueError) as got:
+            ev.value(x)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("free", [DEFAULT_FREE, MIXED_FREE,
+                                      tuple(PARAM_PATHS), ("k_sts",),
+                                      ("phi_torso", "k_flex")])
+    def test_springs_match_apply_vector_bit_for_bit(self, default_params,
+                                                    free):
+        spec = ObjectiveSpec(tasks=mixed_tasks(), free=free,
+                             bounds={n: (-1e9, 1e9) for n in free})
+        ev = _Evaluator(spec, default_params)
+        rng = np.random.default_rng(len(free))
+        for _ in range(5):
+            x = ev.x0() * rng.uniform(0.5, 0.9, len(free))
+            want = apply_vector(default_params, free, x)
+            gait, sts = ev.springs_at(x)
+            assert repr((gait, sts)) == repr((want.gait, want.sts))
+            # an object no free parameter reaches is the base's own
+            groups = {PARAM_PATHS[n][0] for n in free}
+            assert (gait is default_params.gait) == ("gait" not in groups)
+            assert (sts is default_params.sts) == ("sts" not in groups)
+            assert ev.value(x) == objective(want, spec)
+
+
+# the fit of the packaged default optimize config at seed 0, bit for bit:
+# evaluations, stop reason, best objective and each free parameter
+DEFAULT_FIT = (2051, "converged (stagnant restarts)", "0x1.804548e942060p+3",
+               {"w_ext": "-0x1.c72e936c0c65cp+1",
+                "phi_ext": "0x1.241f353057ed3p+2",
+                "w_flex": "0x1.7814c851dc85ep+1",
+                "phi_flex": "0x1.20da0d92d796ap+1",
+                "theta_ext_eq": "0x1.cdd73c51f0dd5p-2",
+                "theta_flex_eq": "0x1.440ba8e90c09ap-2"})
+
+
+def test_default_config_fit_is_pinned(tmp_path, monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(optimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "optimize", recording)
+    assert cli.main(["optimize", "--config", "default", "--seed", "0",
+                     "--out", str(tmp_path / "opt")]) == 0
+    res, = results
+    n_evals, reason, best, params = DEFAULT_FIT
+    assert (res.n_evals, res.reason) == (n_evals, reason)
+    assert res.best_objective.hex() == best
+    assert {n: get_param(res.best_params, n).hex()
+            for n in DEFAULT_FREE} == params
 
 
 def weighted_quadratic(center):

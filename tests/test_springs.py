@@ -5,7 +5,7 @@ import pytest
 
 from hipexo.configio import load_params
 from hipexo.controller import HipController, SensorFrame
-from hipexo.signals import EXP_CLAMP, SigmoidParams, exp_exact
+from hipexo.signals import EXP_CLAMP, SigmoidParams, exp_exact, sigmoid_array
 from hipexo.springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
                             gait_spring_torques, gait_torque,
                             gait_torque_series, gait_velocity_factors,
@@ -218,12 +218,16 @@ class TestProperties:
         theta[4:8] = gp.theta_flex_eq
         thigh[8:16] = 0.0
         torso[16:24] = [0.0, -0.0, *-rng.uniform(0.0, 1.0, 6)]
-        # sigmoid clamp region, |z| > EXP_CLAMP
+        # sigmoid clamp region, |z| > EXP_CLAMP; both gait rows of the one
+        # (2, N) sigmoid pass go past both ends of the clamp
         vel[24:32] = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(4, 8, 8)
+        vel[40:44] = [1e8, -1e8, 1e6, -1e6]
         torso[32:40] = 10.0 ** rng.uniform(4, 8, 8)
-        for m, x in ((gp.vel_mod_ext, vel), (gp.vel_mod_flex, vel),
-                     (sp.vel_mod, vel), (sp.torso_mod, np.maximum(0.0, torso))):
+        for m, x in ((sp.vel_mod, vel), (sp.torso_mod, np.maximum(0.0, torso))):
             assert np.any(np.abs(-m.w * x + m.phi) > EXP_CLAMP)
+        for m in (gp.vel_mod_ext, gp.vel_mod_flex):
+            z = -m.w * vel + m.phi
+            assert np.any(z > EXP_CLAMP) and np.any(z < -EXP_CLAMP)
 
         def hexes(values):
             return [float(v).hex() for v in values]
@@ -232,8 +236,20 @@ class TestProperties:
         sts_args = (thigh, vel, torso)
         gait_cols = gait_torque_series(*gait_args, gp, exp_exact)
         sts_cols = sts_torque_series(*sts_args, sp, exp_exact)
-        gait_vec = gait_torque_series(*gait_args, gp)[-1]
+        gait_np = gait_torque_series(*gait_args, gp)
+        gait_vec = gait_np[-1]
         sts_vec = sts_torque_series(*sts_args, sp)[-1]
+        # each row of the (2, N) pass is the one-row sigmoid column under
+        # either exp, saturated samples included
+        for exp, cols in ((exp_exact, gait_cols), (np.exp, gait_np)):
+            for m, eta in ((gp.vel_mod_ext, cols[2]),
+                           (gp.vel_mod_flex, cols[3])):
+                assert eta.tobytes() == sigmoid_array(vel, m, exp).tobytes()
+                z = -m.w * vel + m.phi
+                top, bottom = 1.0 / (1.0 + exp(np.array([-EXP_CLAMP,
+                                                         EXP_CLAMP])))
+                assert (eta[z < -EXP_CLAMP] == top).all()
+                assert (eta[z > EXP_CLAMP] == bottom).all()
         for i in range(n):
             th, om = (float(a[i]) for a in gait_args)
             gait_parts = (*gait_spring_torques(th, gp),
