@@ -3,8 +3,12 @@
 Subcommands wire data ingestion, simulation, optimization, detection, and
 reporting into reproducible runs: fixed config + seed give byte-identical
 artifacts. Every CSV, YAML and text artifact opens with a ``#`` header block
-(see :mod:`hipexo.csvio`) with the config hash, seed, and tool version. Exit codes: 0 ok, 1 runtime failure, 2 usage or
-config error.
+(see :mod:`hipexo.csvio`) with the config hash, seed, and tool version.
+Exit codes: 0 ok, 1 runtime failure, 2 usage or config error.
+
+Each config is checked against its subcommand's key table in
+:mod:`hipexo.configio` before any artifact is written; the commands keep
+only the rules that need data: battery tasks and channels, warm-start bounds.
 
 ``detect-hs`` works on its whole stream at once, as replay does: it checks
 the timestamp column once over every row, gates rows with one finite mask
@@ -17,7 +21,6 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -25,38 +28,30 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .configio import load_params, save_params
+from .configio import CONFIGS, ConfigError, check, load_params, save_params
 from .csvio import (open_artifact, read_csv, write_csv,
                     write_float_columns)
-from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, DEFAULT_BATTERY,
+from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH_ACC,
                        ActivityLabel, LoadError, StrideSeries,
                        list_stride_files, load_schema, load_stride,
                        load_trial, normalize_stride, save_stride,
                        segment_strides, stride_meta_path, synth_battery)
-from .heelstrike import (HsDetector, HsDetectorConfig, detect_columns,
-                         match_events)
+from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
-from .optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet, check_in_bounds,
+from .optimize import (ObjectiveSpec, TaskSet, check_in_bounds,
                        format_sim_table, optimize)
 from .replay import simulate_task, write_step_log
 
-_PACKAGED_CONFIGS = {
-    "simulate": "default_simulate.yaml",
-    "optimize": "default_optimize.yaml",
-}
-
-
-class ConfigError(ValueError):
-    pass
-
-
 def _read_config(path: str, command: str) -> tuple[dict, bytes]:
+    """The config at ``path``, checked against ``command``'s key table and
+    with its defaults filled in, and the file's bytes."""
     if path == "default":
-        name = _PACKAGED_CONFIGS.get(command)
-        if name is None:
+        packaged = resources.files("hipexo.data").joinpath(
+            f"default_{command}.yaml")
+        if not packaged.is_file():
             raise ConfigError(f"no packaged default config for {command!r}")
-        raw = resources.files("hipexo.data").joinpath(name).read_bytes()
+        raw = packaged.read_bytes()
     else:
         p = Path(path)
         if not p.exists():
@@ -66,9 +61,7 @@ def _read_config(path: str, command: str) -> tuple[dict, bytes]:
         cfg = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} is not a mapping")
-    return cfg, raw
+    return check(CONFIGS[command], cfg), raw
 
 
 class _Run:
@@ -117,111 +110,35 @@ class _Run:
         return False
 
 
-def _config_int(section: dict, key: str, default: int,
-                minimum: int | None = None) -> int:
-    """``section[key]``, else ``default``. A value that is not an int, such
-    as a bool, a float or a string, is a config error, not truncated; so is
-    one below ``minimum``."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
+def _resolve_seed(args_seed, *fallbacks) -> int:
+    """``--seed``, else the first of ``fallbacks`` that is set."""
+    if args_seed is not None and args_seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args_seed}")
+    return next(seed for seed in (args_seed, *fallbacks) if seed is not None)
 
 
-def _config_float(value, name: str) -> float:
-    """``value`` as a float. A bool, or a value that ``float`` rejects, is
-    a config error."""
-    if not isinstance(value, bool):
+def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeries]]:
+    """The battery that a checked ``battery`` section describes."""
+    if spec["synthetic"]:
         try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _config_list(section: dict, key: str, default) -> list:
-    """``section[key]``, else ``default``, which must be a list; a bare
-    string is a config error, not a list of its characters."""
-    value = section.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return list(value)
-
-
-def _config_section(cfg: dict, key: str) -> dict:
-    """``cfg[key]`` as a mapping, ``{}`` when the key is absent or empty."""
-    value = cfg.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} section must be a mapping, got {value!r}")
-    return value
-
-
-def _resolve_seed(args_seed, *configs: dict, default: int = 0) -> int:
-    """``--seed``, else the first ``seed`` key among ``configs``, else
-    ``default``. A negative seed is a config error."""
-    if args_seed is not None:
-        if args_seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args_seed}")
-        return args_seed
-    for cfg in configs:
-        if "seed" in cfg:
-            return _config_int(cfg, "seed", default, minimum=0)
-    return default
-
-
-def _build_battery(cfg: dict, seed: int) -> dict[ActivityLabel, list[StrideSeries]]:
-    spec = _config_section(cfg, "battery")
-    if not spec:
-        raise ConfigError("config needs a 'battery' section")
-    if spec.get("synthetic"):
-        tasks = _config_list(spec, "tasks", DEFAULT_BATTERY)
-        try:
-            tasks = [ActivityLabel.parse(str(task)) for task in tasks]
+            tasks = [ActivityLabel.parse(str(task)) for task in spec["tasks"]]
         except ValueError as exc:
             raise ConfigError(f"battery tasks: {exc}") from exc
-        body_mass = _config_float(spec.get("body_mass", 70.0), "body_mass")
-        if not 0 < body_mass < math.inf:
-            raise ConfigError(f"body_mass must be finite and > 0, "
-                              f"got {body_mass}")
-        battery = synth_battery(
-            tasks=tasks,
-            strides_per_task=_config_int(spec, "strides_per_task", 3,
-                                         minimum=1),
-            seed=seed,
-            body_mass=body_mass,
-        )
-    elif "dataset" in spec:
+        battery = synth_battery(tasks=tasks,
+                                strides_per_task=spec["strides_per_task"],
+                                seed=seed, body_mass=spec["body_mass"])
+    elif spec["dataset"] is not None:
         battery = {}
-        for entry in _config_list(spec, "dataset", []):
-            missing = [k for k in ("schema", "csv")
-                       if not isinstance(entry, dict) or k not in entry]
-            if missing:
-                raise ConfigError(f"dataset entry {entry!r} needs keys "
-                                  f"{missing}")
-            n = _config_int(entry, "n_samples", 101)
-            schema = load_schema(entry["schema"])
-            trial = load_trial(entry["csv"], schema)
+        for entry in spec["dataset"]:
+            trial = load_trial(entry["csv"], load_schema(entry["schema"]))
             for rng in segment_strides(trial):
-                stride = normalize_stride(trial, rng, n)
+                stride = normalize_stride(trial, rng, entry["n_samples"])
                 battery.setdefault(stride.label, []).append(stride)
     else:
         raise ConfigError("battery must be synthetic or list dataset entries")
     if not battery:
         raise ConfigError("battery has no tasks")
     return battery
-
-
-def _battery_tasks(battery, weights: dict) -> list[TaskSet]:
-    tasks = []
-    for label, strides in battery.items():
-        w = _config_float(weights.get(label.kind, 1.0),
-                          f"weights.{label.kind}")
-        tasks.append(TaskSet(label, strides, w))
-    return tasks
 
 
 def _read_columns(path, required: tuple, what: str, parse) -> list:
@@ -240,27 +157,23 @@ def _read_columns(path, required: tuple, what: str, parse) -> list:
         raise LoadError(f"{path}: bad {what} row: {exc}") from exc
 
 
-def _load_params(path):
-    """:func:`load_params`, with a malformed params file as a config error."""
-    try:
-        return load_params(path)
-    except KeyError as exc:
-        raise ConfigError(f"params {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params {path}: {exc}") from exc
-
-
 # --- subcommands ------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     cfg, raw = _read_config(args.config, "simulate")
-    params = _load_params(cfg.get("params", "default"))
-    cycles = _config_int(cfg, "cycles", 4, minimum=1)
-    seed = _resolve_seed(args.seed, _config_section(cfg, "battery"), cfg,
-                         default=7)
-    battery = _build_battery(cfg, seed)
+    params = load_params(cfg["params"])
+    seed = _resolve_seed(args.seed, cfg["battery"]["seed"], cfg["seed"], 7)
+    battery = _build_battery(cfg["battery"], seed)
+    for label, strides in battery.items():
+        missing = sorted({name for s in strides
+                          for name in (CH_THIGH_ACC, CH_PELVIS_ACC)
+                          if name not in s.channels})
+        if missing:
+            raise ConfigError(
+                f"task {label.code}: missing channels {missing}; heel-strike "
+                "detection and descent attenuation need them")
     with _Run(Path(args.out), raw, seed) as run:
-        _simulate_into(run, params, battery, cycles)
+        _simulate_into(run, params, battery, cfg["cycles"])
     print(f"simulated {len(battery)} tasks -> {Path(args.out)}")
     return 0
 
@@ -322,35 +235,24 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
 
 def cmd_optimize(args) -> int:
     cfg, raw = _read_config(args.config, "optimize")
-    warm = _load_params(cfg.get("params", "default"))
-    seed = _resolve_seed(args.seed, cfg)
-    battery = _build_battery(
-        cfg, _config_int(_config_section(cfg, "battery"), "seed", 7,
-                         minimum=0))
-    tasks = _battery_tasks(battery, _config_section(cfg, "weights"))
-    for t in tasks:
-        for s in t.strides:
-            if CH_HIP_MOMENT not in s.channels:
-                raise ConfigError(
-                    f"task {t.label.code}: missing channel {CH_HIP_MOMENT!r}")
-
-    section = _config_section(cfg, "bounds")
-    bounds = {k: tuple(_config_float(x, f"bounds.{k}")
-                       for x in _config_list(section, k, ()))
-              for k in section}
-    free = tuple(_config_list(cfg, "free", DEFAULT_FREE))
+    warm = load_params(cfg["params"])
+    seed = _resolve_seed(args.seed, cfg["seed"])
+    battery = _build_battery(cfg["battery"],
+                             _resolve_seed(None, cfg["battery"]["seed"], 7))
+    tasks = [TaskSet(label, strides, cfg["weights"][label.kind])
+             for label, strides in battery.items()]
     try:
-        # a setting the config leaves out takes ObjectiveSpec's default
-        settings = {k: _config_float(cfg[k], k) for k in (
-            "c_static", "c_sign", "target_scale") if k in cfg}
-        spec = ObjectiveSpec(tasks=tasks, free=free, bounds=bounds, **settings)
+        spec = ObjectiveSpec(
+            tasks=tasks, free=tuple(cfg["free"]),
+            bounds={k: v for k, v in cfg["bounds"].items() if v is not None},
+            c_static=cfg["c_static"], c_sign=cfg["c_sign"],
+            target_scale=cfg["target_scale"])
         check_in_bounds(spec, warm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    budget = _config_int(cfg, "budget", 6000, minimum=1)
 
     with _Run(Path(args.out), raw, seed) as run:
-        result = optimize(spec, warm, budget=budget, seed=seed)
+        result = optimize(spec, warm, budget=cfg["budget"], seed=seed)
         save_params(result.best_params, run.path("best_params.yaml"), run.header)
         write_csv(run.path("trace.csv"), ["evaluation", "best_objective"],
                   [[str(i), repr(v)] for i, v in result.trace], run.header)
@@ -367,7 +269,7 @@ def cmd_metrics(args) -> int:
     cfg, raw = _read_config(args.config, "metrics")
 
     def read_set(key) -> dict[str, list[StrideSeries]]:
-        d = cfg.get(key)
+        d = cfg[key]
         if not d:
             return {}
         files = list_stride_files(d)
@@ -395,7 +297,7 @@ def cmd_metrics(args) -> int:
               "report is partial", file=sys.stderr)
 
     summary = paired_summary(rows)
-    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg)) as run:
+    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg["seed"])) as run:
         write_report(rows, run.path("report.csv"), run.header)
         header = ["task", "hip_work_unassisted", "hip_work_assisted",
                   "hip_work_change_pct", "lowerlimb_work_change_pct",
@@ -426,22 +328,6 @@ _HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",
                "thigh_angle_l", "thigh_angle_r")
 
 
-def _detector_settings(cfg: dict) -> tuple[float, HsDetectorConfig]:
-    """The stream rate and detector config that the ``rate_hz`` and
-    ``detector`` keys describe; any bad key or value is a config error."""
-    section = _config_section(cfg, "detector")
-    unknown = set(section) - {f.name for f in fields(HsDetectorConfig)}
-    if unknown:
-        raise ConfigError(f"unknown detector keys {sorted(map(str, unknown))}")
-    rate = _config_float(cfg.get("rate_hz", 250.0), "rate_hz")
-    try:
-        config = HsDetectorConfig(**section)
-        HsDetector(rate, config)  # the detector's own rate rule
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"detector: {exc}") from exc
-    return rate, config
-
-
 def _check_timestamps(t: np.ndarray) -> None:
     """Raise ``ValueError`` at the first timestamp that is not finite or not
     later than the one before it."""
@@ -457,19 +343,19 @@ def _check_timestamps(t: np.ndarray) -> None:
 
 def cmd_detect_hs(args) -> int:
     cfg, raw = _read_config(args.config, "detect-hs")
-    src = Path(cfg.get("input", ""))
+    src = Path(cfg["input"])
     if not src.exists():
         raise ConfigError(f"input stream not found: {src}")
-    rate, config = _detector_settings(cfg)
+    try:
+        config = HsDetectorConfig(**cfg["detector"])
+    except ValueError as exc:
+        raise ConfigError(f"detector: {exc}") from exc
     rows = _read_columns(src, ("t",) + _HS_SIGNALS, "stream",
                          lambda row: [float(v) for v in row.values()])
     truth = None
-    if cfg.get("truth"):
+    if cfg["truth"]:
         truth = _read_columns(cfg["truth"], ("side", "time"), "truth",
                               lambda row: (row["side"], float(row["time"])))
-    tol_s = _config_float(cfg.get("match_tol_s", 0.03), "match_tol_s")
-    if not 0 < tol_s < math.inf:
-        raise ConfigError(f"match_tol_s must be finite and > 0, got {tol_s}")
 
     # the timestamp contract covers every row; the row gate then admits
     # the rows whose five signals are finite, and only those reach the
@@ -480,10 +366,10 @@ def cmd_detect_hs(args) -> int:
     skipped = int(admit.size - admit.sum())
     t, acc_l, acc_r, acc_p, th_l, th_r = frames[:, admit]
     events = [event for _, event in detect_columns(
-        rate, t, acc_l, acc_r, acc_p, th_l, th_r, np.zeros(t.size),
+        cfg["rate_hz"], t, acc_l, acc_r, acc_p, th_l, th_r, np.zeros(t.size),
         config=config)]
 
-    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg)) as run:
+    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg["seed"])) as run:
         write_csv(run.path("events.csv"),
                   ["side", "timestamp", "source", "thigh_angle_l",
                    "thigh_angle_r", "theta_diff"],
@@ -494,7 +380,7 @@ def cmd_detect_hs(args) -> int:
                   run.header)
 
         if truth is not None:
-            scores = match_events(events, truth, tol_s=tol_s)
+            scores = match_events(events, truth, tol_s=cfg["match_tol_s"])
             write_csv(run.path("summary.csv"),
                       ["precision", "recall", "true_positives",
                        "detected", "truth"],

@@ -1,132 +1,244 @@
-"""Controller parameter files.
+"""Config and controller parameter files, each read against one key table.
 
-YAML in/out with degree-valued angle fields (``*_deg``, ``*_deg_s``) at the
-boundary; everything is radians internally. Sigmoid slopes and offsets are
-stored as-is.
+A subcommand config's table (:data:`CONFIGS`) maps each key to (type,
+minimum, default), and :func:`check` walks it: it checks each value the
+file sets, fills in the default of each key the file leaves out, and
+raises :class:`ConfigError` on a key the table lacks, naming the nearest
+known key. Rules that tie fields together stay with the classes the
+values build (their ``__post_init__`` checks, ``optimize.check_in_bounds``).
+
+Parameter files hold degree-valued angle fields (``*_deg``, ``*_deg_s``)
+at the boundary; everything is radians internally. Sigmoid slopes and
+offsets are stored as-is. One table (:data:`PARAMS`) maps each file key
+to the :class:`ControllerParams` field it sets and its unit factor, and
+both :func:`params_from_dict` and :func:`params_to_dict` walk it.
 """
 from __future__ import annotations
 
+import difflib
 import math
+from dataclasses import MISSING, fields
+from functools import reduce
 from importlib import resources
+from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
 from .controller import ControllerParams
 from .csvio import open_artifact
-from .modulation import DescentModParams, SymmetryParams
-from .signals import SigmoidParams
-from .springs import GaitSpringParams, StsSpringParams
+from .gaitdata import DEFAULT_BATTERY, KINDS, MIN_SAMPLES
+from .heelstrike import HsDetectorConfig
+from .optimize import DEFAULT_FREE, PARAM_PATHS, ObjectiveSpec
 
 DEG = math.pi / 180.0
 
 
-# the optional keys of each params section, each with the dataclass field
-# it sets and the factor that converts it to internal units; a key the
-# file leaves out takes the field's dataclass default
-_OPTIONAL = {
-    "descent": (("lambda", "lam", 1.0), ("thigh_min_deg", "thigh_min", DEG),
-                ("thigh_max_deg", "thigh_max", DEG), ("t_wait", "t_wait", 1.0),
-                ("t_decay", "t_decay", 1.0)),
-    "symmetry": (("seated_threshold_deg", "seated_ext_threshold", DEG),
-                 ("ema_smoothing", "ema_smoothing", 1.0)),
-    "runtime": tuple((key, key, 1.0) for key in (
-        "torque_limit", "loop_rate_hz", "vel_filter_cutoff_hz",
-        "cmd_filter_cutoff_hz")),
+class ConfigError(ValueError):
+    """A config or params file that its key table rejects."""
+
+
+# A type is int, float, str, bool or list; a dict is a nested table, a
+# one-table list a list of such tables, and a tuple a list of exactly that
+# many values. An int must be >= its minimum, a float finite and > its
+# minimum. MISSING marks a key the file must set. A section the file
+# leaves out or sets to null is read as empty, so its keys take their
+# defaults; any other null is checked like a value, and rejected.
+_SEED = (int, 0, None)
+_BATTERY = {
+    "synthetic": (bool, None, False),
+    "seed": _SEED,
+    "tasks": (list, None, DEFAULT_BATTERY),
+    "strides_per_task": (int, 1, 3),
+    "body_mass": (float, 0, 70.0),
+    "dataset": ([{"schema": (str, None, MISSING), "csv": (str, None, MISSING),
+                  "n_samples": (int, MIN_SAMPLES, 101)}], None, None),
+}
+CONFIGS = {
+    "simulate": {"params": (str, None, "default"),
+                 "battery": (_BATTERY, None, MISSING),
+                 "seed": _SEED, "cycles": (int, 1, 4)},
+    "optimize": {
+        "params": (str, None, "default"),
+        "battery": (_BATTERY, None, MISSING),
+        "seed": (int, 0, 0),
+        "weights": ({kind: (float, None, 1.0) for kind in KINDS}, None, None),
+        "free": (list, None, DEFAULT_FREE),
+        "bounds": ({name: ((float, float), None, None)
+                    for name in PARAM_PATHS}, None, None),
+        **{f.name: (float, None, f.default) for f in fields(ObjectiveSpec)
+           if f.name in ("c_static", "c_sign", "target_scale")},
+        "budget": (int, 1, 6000),
+    },
+    "metrics": {"unassisted": (str, None, None), "assisted": (str, None, None),
+                "seed": (int, 0, 0)},
+    "detect-hs": {
+        "input": (str, None, MISSING),
+        "rate_hz": (float, 0, 250.0),
+        "detector": ({f.name: (type(f.default), None, f.default)
+                      for f in fields(HsDetectorConfig)}, None, None),
+        "truth": (str, None, None),
+        "match_tol_s": (float, 0, 0.03),
+        "seed": (int, 0, 0),
+    },
 }
 
-
-def _optional(cfg: dict, section: str) -> dict:
-    """{field: value} for each optional key that ``cfg[section]`` sets."""
-    values = cfg.get(section, {})
-    return {name: float(values[key]) * factor
-            for key, name, factor in _OPTIONAL[section] if key in values}
+# the values that YAML gives for each type, and its name in messages
+_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+          str: (str, "a string"), bool: (bool, "true or false"),
+          list: (list, "a list")}
 
 
-def params_from_dict(cfg: dict) -> ControllerParams:
-    g = cfg["gait"]
-    s = cfg["sts"]
-    d = cfg["descent"]
-    y = cfg["symmetry"]
-    return ControllerParams(
-        gait=GaitSpringParams(
-            k_ext=float(g["k_ext"]),
-            k_flex=float(g["k_flex"]),
-            theta_ext_eq=float(g["theta_ext_eq_deg"]) * DEG,
-            theta_flex_eq=float(g["theta_flex_eq_deg"]) * DEG,
-            vel_mod_ext=SigmoidParams(float(g["w_ext"]), float(g["phi_ext"])),
-            vel_mod_flex=SigmoidParams(float(g["w_flex"]), float(g["phi_flex"])),
-        ),
-        sts=StsSpringParams(
-            k_sts=float(s["k_sts"]),
-            vel_mod=SigmoidParams(float(s["w_vel"]), float(s["phi_vel"])),
-            torso_mod=SigmoidParams(float(s["w_torso"]), float(s["phi_torso"])),
-        ),
-        descent=DescentModParams(
-            step_mod=SigmoidParams(float(d["w_step"]), float(d["phi_step"])),
-            **_optional(cfg, "descent"),
-        ),
-        symmetry=SymmetryParams(
-            sym_mod=SigmoidParams(float(y["w_sc"]), float(y["phi_sc"])),
-            vel_threshold=float(y["vel_threshold_deg_s"]) * DEG,
-            **_optional(cfg, "symmetry"),
-        ),
-        **_optional(cfg, "runtime"),
-    )
+def check(table: dict, values, where: str = "") -> dict:
+    """``values``, the mapping at ``where`` ('' at the top level), checked
+    against ``table``, with the default of each key it leaves out."""
+    name = where or "top-level"
+    if values is None:   # an empty YAML section
+        values = {}
+    if not isinstance(values, dict):
+        raise ConfigError(f"{name} section must be a mapping, got {values!r}")
+    unknown = sorted(map(str, set(values) - set(table)))
+    if unknown:
+        near = [f"{match[0]!r} for {key!r}" for key in unknown
+                for match in [difflib.get_close_matches(key, table, 1)]
+                if match]
+        raise ConfigError(f"unknown {name} keys {unknown}" + (
+            f"; did you mean {', '.join(near)}?" if near else ""))
+    missing = [key for key, (_, _, default) in table.items()
+               if default is MISSING and key not in values]
+    if missing:
+        raise ConfigError(f"{name} needs keys {missing}")
+    out = {}
+    for key, (kind, minimum, default) in table.items():
+        # a value the file sets is checked, null included; a section is
+        # walked even when left out, so that its keys take their defaults
+        if key in values or isinstance(kind, dict):
+            out[key] = _value(kind, minimum, values.get(key, default),
+                              f"{where}.{key}" if where else key)
+        else:
+            out[key] = default
+    return out
+
+
+def _value(kind, minimum, value, path: str):
+    """``value`` of the key at ``path``, checked as ``kind``."""
+    if isinstance(kind, dict):
+        return check(kind, value, path)
+    if isinstance(kind, list):
+        return [check(kind[0], item, f"{path}[{i}]")
+                for i, item in enumerate(_value(list, None, value, path))]
+    if isinstance(kind, tuple):
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise ConfigError(f"{path} must be a list of {len(kind)} "
+                              f"numbers, got {value!r}")
+        return tuple(_value(k, minimum, v, path) for k, v in zip(kind, value))
+    accepted, what = _TYPES[kind]
+    if not isinstance(value, accepted) or \
+            isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    if kind is float:
+        value = float(value)
+        if minimum is not None and not minimum < value < math.inf:
+            raise ConfigError(f"{path} must be finite and > {minimum}, "
+                              f"got {value}")
+    elif minimum is not None and value < minimum:
+        raise ConfigError(f"{path} must be >= {minimum}, got {value}")
+    return value
+
+
+# each params-file key, by section: the ControllerParams field it sets, as
+# a dotted path, and the factor that converts it to internal units; a key
+# the file leaves out takes the field's dataclass default
+PARAMS = {
+    "gait": {
+        "k_ext": ("gait.k_ext", 1),
+        "k_flex": ("gait.k_flex", 1),
+        "theta_ext_eq_deg": ("gait.theta_ext_eq", DEG),
+        "theta_flex_eq_deg": ("gait.theta_flex_eq", DEG),
+        "w_ext": ("gait.vel_mod_ext.w", 1),
+        "phi_ext": ("gait.vel_mod_ext.phi", 1),
+        "w_flex": ("gait.vel_mod_flex.w", 1),
+        "phi_flex": ("gait.vel_mod_flex.phi", 1),
+    },
+    "sts": {
+        "k_sts": ("sts.k_sts", 1),
+        "w_vel": ("sts.vel_mod.w", 1),
+        "phi_vel": ("sts.vel_mod.phi", 1),
+        "w_torso": ("sts.torso_mod.w", 1),
+        "phi_torso": ("sts.torso_mod.phi", 1),
+    },
+    "descent": {
+        "w_step": ("descent.step_mod.w", 1),
+        "phi_step": ("descent.step_mod.phi", 1),
+        "lambda": ("descent.lam", 1),
+        "thigh_min_deg": ("descent.thigh_min", DEG),
+        "thigh_max_deg": ("descent.thigh_max", DEG),
+        "t_wait": ("descent.t_wait", 1),
+        "t_decay": ("descent.t_decay", 1),
+    },
+    "symmetry": {
+        "w_sc": ("symmetry.sym_mod.w", 1),
+        "phi_sc": ("symmetry.sym_mod.phi", 1),
+        "vel_threshold_deg_s": ("symmetry.vel_threshold", DEG),
+        "seated_threshold_deg": ("symmetry.seated_ext_threshold", DEG),
+        "ema_smoothing": ("symmetry.ema_smoothing", 1),
+    },
+    "runtime": {key: (key, 1) for key in (
+        "torque_limit", "loop_rate_hz", "vel_filter_cutoff_hz",
+        "cmd_filter_cutoff_hz")},
+}
+_PARAMS_TABLE = {section: ({key: (float, None, None) for key in keys},
+                           None, None) for section, keys in PARAMS.items()}
+
+
+def params_from_dict(cfg) -> ControllerParams:
+    values = {}
+    for section, given in check(_PARAMS_TABLE, cfg).items():
+        for key, value in given.items():
+            if value is not None:
+                path, factor = PARAMS[section][key]
+                values[path] = value * factor
+    return _build(ControllerParams, values, "")
+
+
+def _build(cls, values: dict, prefix: str):
+    """``cls`` with the fields under ``prefix`` that ``values``, {field
+    path: value}, sets; a field that it leaves out takes its dataclass
+    default."""
+    types = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        path = prefix + f.name
+        if path in values:
+            kwargs[f.name] = values[path]
+        elif any(key.startswith(path + ".") for key in values):
+            kwargs[f.name] = _build(types[f.name], values, path + ".")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            # name a missing section, else the first file key under the field
+            name = path if path in PARAMS else next(
+                f"{section}.{key}" for section, keys in PARAMS.items()
+                for key, (field, _) in keys.items()
+                if (field + ".").startswith(path + "."))
+            raise ConfigError(f"missing key {name!r}")
+    return cls(**kwargs)
 
 
 def params_to_dict(p: ControllerParams) -> dict:
-    return {
-        "gait": {
-            "k_ext": float(p.gait.k_ext),
-            "k_flex": float(p.gait.k_flex),
-            "theta_ext_eq_deg": p.gait.theta_ext_eq / DEG,
-            "theta_flex_eq_deg": p.gait.theta_flex_eq / DEG,
-            "w_ext": p.gait.vel_mod_ext.w,
-            "phi_ext": p.gait.vel_mod_ext.phi,
-            "w_flex": p.gait.vel_mod_flex.w,
-            "phi_flex": p.gait.vel_mod_flex.phi,
-        },
-        "sts": {
-            "k_sts": float(p.sts.k_sts),
-            "w_vel": p.sts.vel_mod.w,
-            "phi_vel": p.sts.vel_mod.phi,
-            "w_torso": p.sts.torso_mod.w,
-            "phi_torso": p.sts.torso_mod.phi,
-        },
-        "descent": {
-            "w_step": p.descent.step_mod.w,
-            "phi_step": p.descent.step_mod.phi,
-            "lambda": p.descent.lam,
-            "thigh_min_deg": p.descent.thigh_min / DEG,
-            "thigh_max_deg": p.descent.thigh_max / DEG,
-            "t_wait": p.descent.t_wait,
-            "t_decay": p.descent.t_decay,
-        },
-        "symmetry": {
-            "w_sc": p.symmetry.sym_mod.w,
-            "phi_sc": p.symmetry.sym_mod.phi,
-            "vel_threshold_deg_s": p.symmetry.vel_threshold / DEG,
-            "seated_threshold_deg": p.symmetry.seated_ext_threshold / DEG,
-            "ema_smoothing": p.symmetry.ema_smoothing,
-        },
-        "runtime": {
-            "torque_limit": p.torque_limit,
-            "loop_rate_hz": p.loop_rate_hz,
-            "vel_filter_cutoff_hz": p.vel_filter_cutoff_hz,
-            "cmd_filter_cutoff_hz": p.cmd_filter_cutoff_hz,
-        },
-    }
+    return {section: {key: reduce(getattr, path.split("."), p) / factor
+                      for key, (path, factor) in keys.items()}
+            for section, keys in PARAMS.items()}
 
 
 def load_params(path) -> ControllerParams:
     """Load controller parameters; 'default' loads the packaged example
-    config produced by the optimizer."""
-    if str(path) == "default":
-        text = resources.files("hipexo.data").joinpath(
-            "default_params.yaml").read_text()
-        return params_from_dict(yaml.safe_load(text))
-    with open(path) as fh:
-        return params_from_dict(yaml.safe_load(fh))
+    config produced by the optimizer. A file that is not YAML, or that
+    the table or the parameter classes reject, is a :class:`ConfigError`."""
+    source = (resources.files("hipexo.data").joinpath("default_params.yaml")
+              if str(path) == "default" else Path(path))
+    try:
+        return params_from_dict(yaml.safe_load(source.read_text()))
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"params {path}: {exc}") from exc
 
 
 def save_params(params: ControllerParams, path, header_lines=()):

@@ -313,6 +313,7 @@ def filter_trial(trial: RawTrial, kinematics_hz: float = 6.0,
 STRIDE_DURATION_SANE = (0.4, 5.0)  # seconds
 HS_GRF_FRACTION = 0.05  # heel-strike threshold, fraction of bodyweight
 HS_DEBOUNCE_S = 0.2     # crossings closer than this to the last are chatter
+MIN_SAMPLES = 50        # fewest samples a normalized stride may have
 
 
 def segment_strides(trial: RawTrial) -> list[tuple[int, int]]:
@@ -352,8 +353,8 @@ def normalize_stride(trial: RawTrial, stride_range: tuple[int, int],
     n_trial = len(next(iter(trial.channels.values())))
     if not (0 <= i0 < i1 < n_trial):
         raise ValueError(f"stride range {stride_range} outside trial")
-    if n_samples < 50:
-        raise ValueError("n_samples must be >= 50")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")
     src = np.arange(i0, i1 + 1, dtype=float)
     dst = np.linspace(i0, i1, n_samples)
     channels = {name: np.interp(dst, src, series[i0:i1 + 1])

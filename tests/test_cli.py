@@ -11,10 +11,12 @@ import yaml
 
 from hipexo import cli, replay
 from hipexo.cli import main
-from hipexo.configio import load_params, params_to_dict
+from hipexo.configio import (CONFIGS, PARAMS, check, load_params,
+                             params_to_dict)
 from hipexo.csvio import read_csv
 from hipexo.gaitdata import load_stride, synth_imu_stream
 from hipexo.metrics import paired_summary, read_report
+from test_gaitdata import make_grf_trial, write_trial_csv
 
 SMALL_BATTERY = {
     "synthetic": True,
@@ -179,6 +181,109 @@ def test_zero_strides_per_task_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# a valid config of each subcommand with every section present, the
+# dataset entry included, so that each key of its table can be set
+BASE_CONFIGS = {
+    "simulate": {"params": "default", "cycles": 3, "battery": {
+        **SMALL_BATTERY,
+        "dataset": [{"schema": "schema.yaml", "csv": "trial.csv"}]}},
+    "optimize": {"params": "default", "battery": {
+        **SMALL_BATTERY,
+        "dataset": [{"schema": "schema.yaml", "csv": "trial.csv"}]},
+        "weights": {}, "bounds": OPT_BOUNDS},
+    "metrics": {"unassisted": "unassisted"},
+    "detect-hs": {"input": "stream.csv", "detector": {}},
+}
+WRONG_TYPE = {int: 2.5, float: "abc", str: [1], bool: "abc", list: "abc"}
+
+
+def table_cases():
+    """(command, key path, value, variant, message) for every entry of
+    every key table: a value of the wrong type, an explicit null (a
+    section reads null as empty, so only its keys get one) and one below
+    the entry's minimum where it has one, each with the start of the
+    message that rejects it; and a misspelled key. The params file's keys
+    are set through ``simulate``."""
+    def dotted(path):
+        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                       for k in path)[1:]
+
+    def cases(command, path, kind, wrong):
+        name = dotted(path)
+        if isinstance(kind, dict):
+            yield command, path, wrong, "wrong-type", \
+                f"{name} section must be a mapping"
+        else:
+            yield command, path, wrong, "wrong-type", f"{name} must be"
+            yield command, path, None, "null", f"{name} must be"
+        yield command, path, None, "misspelled", None
+
+    def walk(command, table, path):
+        for key, (kind, minimum, _) in table.items():
+            here = path + (key,)
+            yield from cases(command, here, kind, (
+                [1] if isinstance(kind, dict) else
+                [1.0] if isinstance(kind, tuple) else
+                "abc" if isinstance(kind, list) else WRONG_TYPE[kind]))
+            if minimum is not None:
+                below = minimum - 1 if kind is int else minimum
+                yield command, here, below, "below-minimum", \
+                    f"{dotted(here)} must be"
+            if isinstance(kind, dict):
+                yield from walk(command, kind, here)
+            elif isinstance(kind, list):
+                yield from walk(command, kind[0], here + (0,))
+
+    for command, table in CONFIGS.items():
+        yield from walk(command, table, ())
+    for section, keys in PARAMS.items():
+        yield from cases("params", (section,), {}, [1])
+        for key in keys:
+            yield from cases("params", (section, key), float, "abc")
+
+
+TABLE_CASES = list(table_cases())
+
+
+@pytest.mark.parametrize(
+    "command, path, value, variant, message", TABLE_CASES,
+    ids=[f"{command}:{'.'.join(map(str, path))}:{variant}"
+         for command, path, _, variant, _ in TABLE_CASES])
+def test_every_table_entry_is_checked(tmp_path, capsys, command, path, value,
+                                      variant, message):
+    """Each key of each key table exits 2 with no ``--out`` tree when its
+    value has the wrong type, is null or is below its minimum, and the
+    message names the key and the value; when the key is misspelled, the
+    message names the nearest known key."""
+    if command == "params":
+        cfg = params_to_dict(load_params("default"))
+        base = {"params": str(tmp_path / "p.yaml"), "battery": SMALL_BATTERY}
+    else:
+        cfg = base = BASE_CONFIGS[command]
+    cfg = yaml.safe_load(yaml.safe_dump(cfg))   # a deep copy
+    *owners, key = path
+    node = cfg
+    for owner in owners:
+        node = node.setdefault(owner, {}) if isinstance(owner, str) \
+            else node[owner]
+    if variant == "misspelled":
+        misspelled = key[:-2] + key[-1]
+        node[misspelled] = node.pop(key, 1)
+        messages = [f"did you mean {key!r} for {misspelled!r}?"]
+    else:
+        node[key] = value
+        messages = [message, f"got {value!r}"]
+    if command == "params":
+        write_yaml(tmp_path / "p.yaml", cfg)
+        cfg, command = base, "simulate"
+    config = write_yaml(tmp_path / "cfg.yaml", cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in messages), err
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_smoke_outputs(self, tmp_path, sim_config):
         out = tmp_path / "out"
@@ -307,13 +412,14 @@ class TestSimulate:
         for byte, the same stride's replay written in this process."""
         out = tmp_path / "out"
         assert main(["simulate", "--config", sim_config, "--out", str(out)]) == 0
-        cfg = yaml.safe_load(Path(sim_config).read_text())
+        cfg = check(CONFIGS["simulate"],
+                    yaml.safe_load(Path(sim_config).read_text()))
         header = cli._Run(out, Path(sim_config).read_bytes(), 7).header
         params = load_params("default")
         ref = tmp_path / "ref.csv"
         written = sorted(p.name for p in (out / "steps").iterdir())
         expected = []
-        for label, strides in cli._build_battery(cfg, 7).items():
+        for label, strides in cli._build_battery(cfg["battery"], 7).items():
             for k, stride in enumerate(strides):
                 name = f"{label.code.replace(' ', '_')}_{k}.csv"
                 expected.append(name)
@@ -322,6 +428,48 @@ class TestSimulate:
                     ref, header)
                 assert (out / "steps" / name).read_bytes() == ref.read_bytes()
         assert written == sorted(expected)
+
+    @pytest.mark.parametrize("imu", [False, True], ids=["no-imu", "imu"])
+    def test_dataset_stride_needs_imu_channels(self, tmp_path, capsys, imu):
+        """simulate refuses a dataset stride without the thigh and pelvis
+        acceleration channels, which heel-strike detection and descent
+        attenuation need, before any artifact; optimize, which replays
+        nothing, accepts it."""
+        trial = make_grf_trial(n_contacts=4)
+        channels = dict(trial.channels)
+        if imu:
+            channels["thigh_accel"] = channels["pelvis_accel"] = \
+                np.cos(np.arange(channels["grf_vertical"].size) / 10.0)
+        units = {"grf_vertical": "N/kg", "hip_vel": "rad/s",
+                 "hip_moment": "Nm/kg", "thigh_accel": "m/s^2",
+                 "pelvis_accel": "m/s^2"}
+        write_trial_csv(tmp_path / "trial.csv", zip(*channels.values()),
+                        list(channels))
+        schema = write_yaml(tmp_path / "schema.yaml", {
+            "sample_rate_hz": trial.sample_rate_hz, "body_mass_kg": 70.0,
+            "task": "level-walk:1.0",
+            "columns": {name: {"name": name, "unit": units.get(name, "rad")}
+                        for name in channels}})
+        battery = {"dataset": [{"schema": schema,
+                                "csv": str(tmp_path / "trial.csv")}]}
+        sim = write_yaml(tmp_path / "sim.yaml",
+                         {"params": "default", "battery": battery})
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--config", sim, "--out", str(out)])
+        err = capsys.readouterr().err
+        if imu:
+            assert rc == 0, err
+            assert len(list((out / "steps").iterdir())) == 3
+        else:
+            assert rc == 2
+            assert err == (
+                "error: task LG 1: missing channels ['pelvis_accel', "
+                "'thigh_accel']; heel-strike detection and descent "
+                "attenuation need them\n")
+            assert not out.exists()
+        opt = write_opt_config(tmp_path, battery=battery, budget=20)
+        assert main(["optimize", "--config", opt,
+                     "--out", str(tmp_path / "opt")]) == 0
 
     @pytest.mark.xfail(
         np.lib.NumpyVersion(np.__version__) >= "2.0.0", strict=True,
@@ -399,6 +547,8 @@ class TestOptimize:
          "weights.level-walk must be a number, got 'abc'"),
         ({"bounds": {**OPT_BOUNDS, "w_ext": ["abc", -0.2]}},
          "bounds.w_ext must be a number, got 'abc'"),
+        ({"bounds": {**OPT_BOUNDS, "w_ext": [-10]}},
+         "bounds.w_ext must be a list of 2 numbers, got [-10]"),
         ({"free": "w_ext"}, "free must be a list, got 'w_ext'"),
         ({"weights": [1, 2]}, "weights section must be a mapping, got [1, 2]"),
         ({"bounds": [1, 2]}, "bounds section must be a mapping, got [1, 2]"),
@@ -409,7 +559,8 @@ class TestOptimize:
         ({"free": ["w_ext", "w_ext"]},
          "free parameters listed twice: ['w_ext', 'w_ext']"),
     ], ids=["w_ext-inf", "phi_flex-inf", "target_scale-nan", "target_scale-inf",
-            "budget-0", "weight-str", "bound-str", "free-bare-string",
+            "budget-0", "weight-str", "bound-str", "bound-one-value",
+            "free-bare-string",
             "weights-list", "bounds-list", "battery-list", "tasks-empty",
             "c_sign-list", "free-empty", "free-repeated"])
     def test_bad_spec_exits_2_without_artifacts(self, tmp_path, capsys, over,

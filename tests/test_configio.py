@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import pytest
 
@@ -37,6 +38,17 @@ class TestParamsIO:
         assert set(back) == set(d)
         for section in d:
             assert back[section] == pytest.approx(d[section])
+
+    def test_save_reproduces_packaged_file(self, default_params, tmp_path):
+        """Loading and saving the packaged params writes its body, every
+        line but the comment block, byte for byte."""
+        path = tmp_path / "params.yaml"
+        save_params(default_params, path)
+        packaged = resources.files("hipexo.data").joinpath(
+            "default_params.yaml").read_bytes()
+        body = b"".join(line for line in packaged.splitlines(keepends=True)
+                        if not line.startswith(b"#"))
+        assert path.read_bytes() == body
 
     def test_dict_angles_are_degrees(self, default_params):
         d = params_to_dict(default_params)
