@@ -8,7 +8,8 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage or config error.
 
 Each config is checked against its subcommand's key table in
 :mod:`hipexo.configio` before any artifact is written; the commands keep
-only the rules that need data: battery tasks and channels, warm-start bounds.
+only the rules that need data: battery tasks and channels, warm-start
+bounds, a stride directory that holds no stride file.
 
 ``detect-hs`` works on its whole stream at once, as replay does: it checks
 the timestamp column once over every row, gates rows with one finite mask
@@ -29,13 +30,13 @@ import yaml
 
 from . import __version__
 from .configio import CONFIGS, ConfigError, check, load_params, save_params
-from .csvio import (open_artifact, read_csv, write_csv,
+from .csvio import (open_artifact, read_columns, write_csv,
                     write_float_columns)
 from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH_ACC,
                        ActivityLabel, LoadError, StrideSeries,
-                       list_stride_files, load_schema, load_stride,
-                       load_trial, normalize_stride, save_stride,
-                       segment_strides, stride_meta_path, synth_battery)
+                       load_schema, load_stride, load_trial,
+                       normalize_stride, save_stride, segment_strides,
+                       stride_meta_path, synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
@@ -46,17 +47,11 @@ from .replay import simulate_task, write_step_log
 def _read_config(path: str, command: str) -> tuple[dict, bytes]:
     """The config at ``path``, checked against ``command``'s key table and
     with its defaults filled in, and the file's bytes."""
-    if path == "default":
-        packaged = resources.files("hipexo.data").joinpath(
-            f"default_{command}.yaml")
-        if not packaged.is_file():
-            raise ConfigError(f"no packaged default config for {command!r}")
-        raw = packaged.read_bytes()
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        raw = p.read_bytes()
+    source = (resources.files("hipexo.data").joinpath(
+        f"default_{command}.yaml") if path == "default" else Path(path))
+    if not source.is_file():
+        raise ConfigError(f"no {command} config file {path!r}")
+    raw = source.read_bytes()
     try:
         cfg = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
@@ -139,22 +134,6 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
     if not battery:
         raise ConfigError("battery has no tasks")
     return battery
-
-
-def _read_columns(path, required: tuple, what: str, parse) -> list:
-    """Rows of a ``#``-header CSV, each ``parse``d from {column: cell} over
-    ``required``. A missing column is a config error naming every missing
-    one; a short row or a cell that ``parse`` rejects is a load error."""
-    header, rows = read_csv(path)
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ConfigError(f"{path}: missing {what} columns {missing}")
-    index = [header.index(c) for c in required]
-    try:
-        return [parse(dict(zip(required, [row[j] for j in index])))
-                for row in rows]
-    except (IndexError, ValueError) as exc:
-        raise LoadError(f"{path}: bad {what} row: {exc}") from exc
 
 
 # --- subcommands ------------------------------------------------------------
@@ -269,13 +248,14 @@ def cmd_metrics(args) -> int:
     cfg, raw = _read_config(args.config, "metrics")
 
     def read_set(key) -> dict[str, list[StrideSeries]]:
-        d = cfg[key]
-        if not d:
+        if cfg[key] is None:
             return {}
-        files = list_stride_files(d)
+        files = sorted(Path(cfg[key]).glob("*.csv"))
+        if not files:
+            raise LoadError(f"{key} directory {cfg[key]} holds no stride "
+                            "files (*.csv)")
         groups: dict[str, list[StrideSeries]] = {}
-        for f in files:
-            s = load_stride(f)
+        for s in map(load_stride, files):
             groups.setdefault(s.label.code, []).append(s)
         return groups
 
@@ -343,24 +323,19 @@ def _check_timestamps(t: np.ndarray) -> None:
 
 def cmd_detect_hs(args) -> int:
     cfg, raw = _read_config(args.config, "detect-hs")
-    src = Path(cfg["input"])
-    if not src.exists():
-        raise ConfigError(f"input stream not found: {src}")
     try:
         config = HsDetectorConfig(**cfg["detector"])
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
-    rows = _read_columns(src, ("t",) + _HS_SIGNALS, "stream",
-                         lambda row: [float(v) for v in row.values()])
-    truth = None
-    if cfg["truth"]:
-        truth = _read_columns(cfg["truth"], ("side", "time"), "truth",
-                              lambda row: (row["side"], float(row["time"])))
+    stream = read_columns(cfg["input"], "stream",
+                          dict.fromkeys(("t",) + _HS_SIGNALS, float))
+    truth = None if cfg["truth"] is None else list(zip(*read_columns(
+        cfg["truth"], "truth", {"side": str, "time": float}).values()))
 
     # the timestamp contract covers every row; the row gate then admits
     # the rows whose five signals are finite, and only those reach the
     # detector
-    frames = np.array(rows, dtype=float).reshape(-1, 1 + len(_HS_SIGNALS)).T
+    frames = np.array(list(stream.values()), dtype=float)
     _check_timestamps(frames[0])
     admit = np.isfinite(frames[1:]).all(axis=0)
     skipped = int(admit.size - admit.sum())

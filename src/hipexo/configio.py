@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import os
 from dataclasses import MISSING, fields
 from functools import reduce
 from importlib import resources
@@ -38,12 +39,14 @@ class ConfigError(ValueError):
     """A config or params file that its key table rejects."""
 
 
-# A type is int, float, str, bool or list; a dict is a nested table, a
+# A type is int, float, str, bool or list, or FILE or DIR: a string that
+# names an existing file or directory; a dict is a nested table, a
 # one-table list a list of such tables, and a tuple a list of exactly that
 # many values. An int must be >= its minimum, a float finite and > its
 # minimum. MISSING marks a key the file must set. A section the file
 # leaves out or sets to null is read as empty, so its keys take their
 # defaults; any other null is checked like a value, and rejected.
+FILE, DIR = "file", "directory"
 _SEED = (int, 0, None)
 _BATTERY = {
     "synthetic": (bool, None, False),
@@ -51,7 +54,8 @@ _BATTERY = {
     "tasks": (list, None, DEFAULT_BATTERY),
     "strides_per_task": (int, 1, 3),
     "body_mass": (float, 0, 70.0),
-    "dataset": ([{"schema": (str, None, MISSING), "csv": (str, None, MISSING),
+    "dataset": ([{"schema": (FILE, None, MISSING),
+                  "csv": (FILE, None, MISSING),
                   "n_samples": (int, MIN_SAMPLES, 101)}], None, None),
 }
 CONFIGS = {
@@ -70,14 +74,14 @@ CONFIGS = {
            if f.name in ("c_static", "c_sign", "target_scale")},
         "budget": (int, 1, 6000),
     },
-    "metrics": {"unassisted": (str, None, None), "assisted": (str, None, None),
-                "seed": (int, 0, 0)},
+    "metrics": {"unassisted": (DIR, None, None),
+                "assisted": (DIR, None, None), "seed": (int, 0, 0)},
     "detect-hs": {
-        "input": (str, None, MISSING),
+        "input": (FILE, None, MISSING),
         "rate_hz": (float, 0, 250.0),
         "detector": ({f.name: (type(f.default), None, f.default)
                       for f in fields(HsDetectorConfig)}, None, None),
-        "truth": (str, None, None),
+        "truth": (FILE, None, None),
         "match_tol_s": (float, 0, 0.03),
         "seed": (int, 0, 0),
     },
@@ -86,7 +90,9 @@ CONFIGS = {
 # the values that YAML gives for each type, and its name in messages
 _TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
           str: (str, "a string"), bool: (bool, "true or false"),
-          list: (list, "a list")}
+          list: (list, "a list"), FILE: (str, "a string"),
+          DIR: (str, "a string")}
+_IS_KIND = {FILE: os.path.isfile, DIR: os.path.isdir}
 
 
 def check(table: dict, values, where: str = "") -> dict:
@@ -143,6 +149,8 @@ def _value(kind, minimum, value, path: str):
                               f"got {value}")
     elif minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value}")
+    elif kind in _IS_KIND and not _IS_KIND[kind](value):
+        raise ConfigError(f"{path} must be an existing {kind}, got {value!r}")
     return value
 
 

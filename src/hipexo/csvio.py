@@ -4,6 +4,7 @@ A file opens with a block of ``# <line>`` comment lines (tool version,
 config hash and seed on CLI artifacts), followed by the body: one CSV header
 row and data rows, or YAML or plain text. Callers format the cells of
 :func:`write_csv`; :func:`write_float_columns` formats float columns itself.
+Every CSV input is read by :func:`read_columns`.
 """
 from __future__ import annotations
 
@@ -66,3 +67,31 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise LoadError(f"{path}: empty file")
     return rows[0], rows[1:]
+
+
+def read_columns(path, what: str, parsers=None) -> dict[str, list]:
+    """{column: parsed cells} of a ``#``-header CSV, the one reader of every
+    CSV input: the columns that ``parsers``, {column: parse}, names, or
+    every column as float. Header names are stripped of spaces. A missing
+    column (all are named), a row without a cell for a column, or a cell
+    that its parser rejects raises :class:`LoadError`, so every column
+    returned has one cell per row."""
+    header, rows = read_csv(path)
+    header = [name.strip() for name in header]
+    parsers = dict.fromkeys(header, float) if parsers is None else parsers
+    missing = [name for name in parsers if name not in header]
+    if missing:
+        raise LoadError(f"{path}: missing {what} columns {missing}")
+    columns = {}
+    for name, parse in parsers.items():
+        j = header.index(name)
+        try:
+            columns[name] = [parse(row[j]) for row in rows]
+        except IndexError:
+            i = next(i for i, row in enumerate(rows) if len(row) <= j)
+            raise LoadError(f"{path}: bad {what} row: data row {i + 1} has "
+                            f"no cell for column {name!r}") from None
+        except ValueError as exc:
+            raise LoadError(f"{path}: bad {what} row: column {name!r}: "
+                            f"{exc}") from exc
+    return columns

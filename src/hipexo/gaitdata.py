@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import LoadError, read_csv, write_float_columns
+from .csvio import LoadError, read_columns, write_float_columns
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
 from .springs import (GaitSpringParams, StsSpringParams, gait_torque_series,
                       sts_torque_series)
@@ -173,7 +173,7 @@ class RawTrial:
 
     sample_rate_hz: float
     channels: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
+    meta: dict   # body_mass and label, stance_fraction where known
 
 
 # --- schema-mapped CSV ingestion -----------------------------------------
@@ -234,47 +234,38 @@ def load_trial(path, schema: dict) -> RawTrial:
     """Read a one-header-row CSV through a schema map into internal units.
 
     The schema provides sample_rate_hz, body_mass_kg, task, and a 'columns'
-    mapping of canonical channel -> {name, unit}. Missing columns, unknown
-    units, and NaN runs longer than 5 samples raise :class:`LoadError`.
+    mapping of canonical channel -> {name, unit} (or a bare name, in rad).
+    An empty cell reads as NaN. Missing columns, short rows, cells that are
+    not numbers, unknown units, a column spec key other than name and
+    unit, and NaN runs longer than 5 samples raise :class:`LoadError`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise LoadError(f"no such file: {path}")
     rate = float(schema.get("sample_rate_hz", 0))
     if not rate > 0:
         raise LoadError("schema must set sample_rate_hz > 0")
     mass = float(schema.get("body_mass_kg", 0))
     if not mass > 0:
         raise LoadError("schema must set body_mass_kg > 0")
+    if "task" not in schema:
+        raise LoadError("schema must set task")
 
-    header, rows = read_csv(path)
-    col_index = {name.strip(): i for i, name in enumerate(header)}
-
-    channels: dict[str, np.ndarray] = {}
+    specs = {}
     for canonical, spec in schema["columns"].items():
-        name = spec["name"] if isinstance(spec, dict) else str(spec)
-        unit = spec.get("unit", "rad") if isinstance(spec, dict) else "rad"
-        if name not in col_index:
-            raise LoadError(f"{path}: missing channel column {name!r} "
-                            f"(mapped to {canonical!r})")
-        j = col_index[name]
-        try:
-            raw = np.array([float(r[j]) if r[j].strip() != "" else np.nan
-                            for r in rows])
-        except (ValueError, IndexError) as exc:
-            raise LoadError(f"{path}: cannot parse column {name!r}: {exc}") from exc
-        raw = _fill_short_nan_runs(raw, name)
-        channels[canonical] = _convert(raw, unit, mass)
-
-    if not channels:
+        spec = spec if isinstance(spec, dict) else {"name": str(spec)}
+        if "name" not in spec or set(spec) - {"name", "unit"}:
+            raise LoadError(f"schema column {canonical!r} takes keys name "
+                            f"and unit, got {sorted(map(str, spec))}")
+        specs[canonical] = (spec["name"], spec.get("unit", "rad"))
+    if not specs:
         raise LoadError(f"{path}: schema mapped no channels")
-    lengths = {len(v) for v in channels.values()}
-    if len(lengths) != 1:
-        raise LoadError(f"{path}: ragged columns {sorted(lengths)}")
+    cells = read_columns(path, "trial", {
+        name: lambda cell: float(cell) if cell.strip() else math.nan
+        for name, _ in specs.values()})
+    channels = {canonical: _convert(_fill_short_nan_runs(
+                    np.array(cells[name]), name), unit, mass)
+                for canonical, (name, unit) in specs.items()}
 
-    meta = {"body_mass": mass, "source": str(path)}
-    if "task" in schema:
-        meta["label"] = ActivityLabel.parse(str(schema["task"]))
+    meta = {"body_mass": mass,
+            "label": ActivityLabel.parse(str(schema["task"]))}
     if "stance_fraction" in schema:
         meta["stance_fraction"] = float(schema["stance_fraction"])
 
@@ -359,11 +350,10 @@ def normalize_stride(trial: RawTrial, stride_range: tuple[int, int],
     dst = np.linspace(i0, i1, n_samples)
     channels = {name: np.interp(dst, src, series[i0:i1 + 1])
                 for name, series in trial.channels.items()}
-    label = trial.meta.get("label") or ActivityLabel("level-walk", 1.0)
     return StrideSeries(
-        label=label,
+        label=trial.meta["label"],
         channels=channels,
-        body_mass=float(trial.meta.get("body_mass", 70.0)),
+        body_mass=trial.meta["body_mass"],
         cycle_duration=(i1 - i0) / trial.sample_rate_hz,
         stance_fraction=trial.meta.get("stance_fraction"),
     )
@@ -396,28 +386,28 @@ def save_stride(stride: StrideSeries, path, header_lines=()):
 
 
 def load_stride(path) -> StrideSeries:
-    """Reload a stride written by :func:`save_stride` (bit-identical grids)."""
+    """Reload a stride written by :func:`save_stride` (bit-identical grids).
+    A stride that :class:`StrideSeries` rejects, such as one without a
+    required channel, raises :class:`LoadError`."""
     path = Path(path)
     meta_path = stride_meta_path(path)
     if not meta_path.exists():
         raise LoadError(f"missing metadata sidecar {meta_path}")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    header, data = read_csv(path)
-    channels = {name: np.array([float(row[j]) for row in data])
-                for j, name in enumerate(header)}
-    return StrideSeries(
-        label=ActivityLabel(meta["kind"], meta["parameter"]),
-        channels=channels,
-        body_mass=float(meta["body_mass"]),
-        cycle_duration=float(meta["cycle_duration"]),
-        stance_fraction=meta.get("stance_fraction"),
-        condition=meta.get("condition", "unassisted"),
-    )
-
-
-def list_stride_files(directory) -> list[Path]:
-    return sorted(p for p in Path(directory).glob("*.csv"))
+    channels = {name: np.array(cells)
+                for name, cells in read_columns(path, "stride").items()}
+    try:
+        return StrideSeries(
+            label=ActivityLabel(meta["kind"], meta["parameter"]),
+            channels=channels,
+            body_mass=float(meta["body_mass"]),
+            cycle_duration=float(meta["cycle_duration"]),
+            stance_fraction=meta.get("stance_fraction"),
+            condition=meta.get("condition", "unassisted"),
+        )
+    except ValueError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
 
 
 # --- synthetic activity profiles ------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import read_columns, write_csv
 from .gaitdata import (CH_ANKLE_MOMENT, CH_ANKLE_VEL, CH_EXO, CH_HIP_MOMENT,
                        CH_HIP_VEL, CH_KNEE_MOMENT, CH_KNEE_VEL, StrideSeries)
 from .signals import integrate_positive
@@ -20,8 +20,8 @@ from .signals import integrate_positive
 def cosine_similarity(a, b) -> float:
     """Normalized inner product of two equal-length series, in [-1, 1].
 
-    Raises ``ValueError`` for length mismatch, length < 2, or zero-norm
-    input (similarity undefined).
+    ``nan`` when either input has zero norm (similarity undefined). Raises
+    ``ValueError`` for length mismatch or length < 2.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -29,10 +29,9 @@ def cosine_similarity(a, b) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ValueError("need at least 2 samples")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("similarity undefined for zero-norm input")
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if not (na > 0.0 and nb > 0.0):
+        return float("nan")
     sim = float(np.dot(a, b) / (na * nb))
     return min(1.0, max(-1.0, sim))
 
@@ -146,10 +145,8 @@ def stride_energetics(stride: StrideSeries) -> dict:
             lower += positive_work(p, stride.cycle_duration)
     out["lowerlimb_work"] = lower
 
-    if exo is not None and np.linalg.norm(exo) > 0 and np.linalg.norm(bio) > 0:
-        out["sim"] = cosine_similarity(exo / mass, bio)
-    else:
-        out["sim"] = float("nan")
+    out["sim"] = (float("nan") if exo is None
+                  else cosine_similarity(exo / mass, bio))
     return out
 
 
@@ -184,13 +181,8 @@ def write_report(rows: list[TaskEnergetics], path, header_lines=()):
 
 
 def read_report(path) -> list[TaskEnergetics]:
-    header, records = read_csv(path)
-    rows = []
-    for rec in records:
-        d = dict(zip(header, rec))
-        rows.append(TaskEnergetics(**{k: parse(d[k])
-                                      for k, parse in _CELL_PARSE.items()}))
-    return rows
+    columns = read_columns(path, "report", _CELL_PARSE)
+    return [TaskEnergetics(*row) for row in zip(*columns.values())]
 
 
 def percent_change(assisted: float, unassisted: float) -> float:

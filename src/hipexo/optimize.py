@@ -304,14 +304,9 @@ class _Evaluator:
         """SIM of each task at ``params``; ``nan`` where the estimate or
         the target has zero norm, so the cosine is undefined."""
         ests = self._estimates(params.gait, params.sts)
-        sims = {}
-        for task, (k, rows) in zip(self.spec.tasks, self._rows):
-            est, target = ests[k][rows], self._blocks[k][2][rows]
-            sims[task.label.code] = (
-                cosine_similarity(est, target)
-                if np.linalg.norm(est) and np.linalg.norm(target)
-                else math.nan)
-        return sims
+        return {task.label.code: cosine_similarity(ests[k][rows],
+                                                   self._blocks[k][2][rows])
+                for task, (k, rows) in zip(self.spec.tasks, self._rows)}
 
 
 def objective(params: ControllerParams, spec: ObjectiveSpec) -> float:

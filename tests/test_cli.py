@@ -11,11 +11,13 @@ import yaml
 
 from hipexo import cli, replay
 from hipexo.cli import main
-from hipexo.configio import (CONFIGS, PARAMS, check, load_params,
+from hipexo.configio import (CONFIGS, DIR, FILE, PARAMS, check, load_params,
                              params_to_dict)
 from hipexo.csvio import read_csv
-from hipexo.gaitdata import load_stride, synth_imu_stream
-from hipexo.metrics import paired_summary, read_report
+from hipexo.gaitdata import (ActivityLabel, load_stride, save_stride,
+                             synth_battery, synth_imu_stream, synth_profiles)
+from hipexo.metrics import (paired_summary, read_report, task_energetics,
+                            write_report)
 from test_gaitdata import make_grf_trial, write_trial_csv
 
 SMALL_BATTERY = {
@@ -112,6 +114,20 @@ def test_yaml_syntax_error_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("simulate", "nowhere.yaml"), ("optimize", "."), ("metrics", "default"),
+    ("detect-hs", "default")], ids=["missing", "directory",
+                                    "no-packaged-metrics", "no-packaged-hs"])
+def test_config_that_is_not_a_file_exits_2(tmp_path, capsys, monkeypatch,
+                                           command, config):
+    # a directory was a runtime failure (exit 1)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", config, "--out", "o"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: no {command} config file {config!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 BAD_INTS = [2.7, "abc", True]
 
 
@@ -122,7 +138,7 @@ BAD_INTS = [2.7, "abc", True]
     ("simulate", lambda v: {"battery": {**SMALL_BATTERY,
                                         "strides_per_task": v}}),
     ("simulate", lambda v: {"battery": {"dataset": [
-        {"schema": "none.yaml", "csv": "none.csv", "n_samples": v}]}}),
+        {"schema": "schema.yaml", "csv": "trial.csv", "n_samples": v}]}}),
     ("optimize", lambda v: {"budget": v}),
     ("optimize", lambda v: {"seed": v}),
     ("optimize", lambda v: {"battery": {"synthetic": True, "seed": v}}),
@@ -130,8 +146,8 @@ BAD_INTS = [2.7, "abc", True]
     ("detect-hs", lambda v: {"detector": {"refresh_every": v}}),
 ], ids=["cycles", "battery-seed", "strides_per_task", "n_samples", "budget",
         "seed", "opt-battery-seed", "confirm_samples", "refresh_every"])
-def test_non_integer_config_value_exits_2(tmp_path, capsys, command, over,
-                                          value):
+def test_non_integer_config_value_exits_2(tmp_path, capsys, base_files,
+                                          command, over, value):
     cfg_path = {
         "simulate": lambda: write_yaml(tmp_path / "sim.yaml",
                                        {"params": "default",
@@ -182,7 +198,8 @@ def test_zero_strides_per_task_exits_2(tmp_path, capsys):
 
 
 # a valid config of each subcommand with every section present, the
-# dataset entry included, so that each key of its table can be set
+# dataset entry included, so that each key of its table can be set; the
+# files and directory it names are made by the base_files fixture
 BASE_CONFIGS = {
     "simulate": {"params": "default", "cycles": 3, "battery": {
         **SMALL_BATTERY,
@@ -194,7 +211,19 @@ BASE_CONFIGS = {
     "metrics": {"unassisted": "unassisted"},
     "detect-hs": {"input": "stream.csv", "detector": {}},
 }
-WRONG_TYPE = {int: 2.5, float: "abc", str: [1], bool: "abc", list: "abc"}
+WRONG_TYPE = {int: 2.5, float: "abc", str: [1], bool: "abc", list: "abc",
+              FILE: [1], DIR: [1]}
+
+
+@pytest.fixture
+def base_files(tmp_path, monkeypatch):
+    """The files and the directory that BASE_CONFIGS name, empty, in the
+    working directory: the key-table walk checks only that each path
+    exists and is of its kind."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("schema.yaml", "trial.csv", "stream.csv"):
+        (tmp_path / name).touch()
+    (tmp_path / "unassisted").mkdir()
 
 
 def table_cases():
@@ -202,8 +231,9 @@ def table_cases():
     every key table: a value of the wrong type, an explicit null (a
     section reads null as empty, so only its keys get one) and one below
     the entry's minimum where it has one, each with the start of the
-    message that rejects it; and a misspelled key. The params file's keys
-    are set through ``simulate``."""
+    message that rejects it; and a misspelled key. A file or directory
+    key also gets a path that does not exist and one of the other kind.
+    The params file's keys are set through ``simulate``."""
     def dotted(path):
         return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                        for k in path)[1:]
@@ -229,6 +259,11 @@ def table_cases():
                 below = minimum - 1 if kind is int else minimum
                 yield command, here, below, "below-minimum", \
                     f"{dotted(here)} must be"
+            if kind in (FILE, DIR):
+                message = f"{dotted(here)} must be an existing {kind}"
+                yield command, here, "nowhere", "missing-path", message
+                yield command, here, "." if kind is FILE else "trial.csv", \
+                    "wrong-kind", message
             if isinstance(kind, dict):
                 yield from walk(command, kind, here)
             elif isinstance(kind, list):
@@ -249,12 +284,13 @@ TABLE_CASES = list(table_cases())
     "command, path, value, variant, message", TABLE_CASES,
     ids=[f"{command}:{'.'.join(map(str, path))}:{variant}"
          for command, path, _, variant, _ in TABLE_CASES])
-def test_every_table_entry_is_checked(tmp_path, capsys, command, path, value,
-                                      variant, message):
+def test_every_table_entry_is_checked(tmp_path, capsys, base_files, command,
+                                      path, value, variant, message):
     """Each key of each key table exits 2 with no ``--out`` tree when its
-    value has the wrong type, is null or is below its minimum, and the
-    message names the key and the value; when the key is misspelled, the
-    message names the nearest known key."""
+    value has the wrong type, is null, is below its minimum or names no
+    file or directory of its kind, and the message names the key and the
+    value; when the key is misspelled, the message names the nearest known
+    key."""
     if command == "params":
         cfg = params_to_dict(load_params("default"))
         base = {"params": str(tmp_path / "p.yaml"), "battery": SMALL_BATTERY}
@@ -489,6 +525,89 @@ class TestSimulate:
                     float(cell)
 
 
+# the units of each exported channel that is not in m/s^2 (the IMU ones)
+EXPORT_UNITS = {**dict.fromkeys(("hip_angle", "hip_angle_contra", "thigh_angle",
+                                 "thigh_angle_contra", "torso_angle"), "deg"),
+                **dict.fromkeys(("hip_vel", "hip_vel_contra", "knee_vel",
+                                 "ankle_vel"), "deg/s"),
+                **dict.fromkeys(("hip_moment", "knee_moment", "ankle_moment"),
+                                "Nm"),
+                "grf_vertical": "N"}
+
+
+def export_trials(root, tasks=("RD 11", "SD 7"), rate_hz=100.0):
+    """Write each task's strides of the default battery (seed 7), played
+    twice in a row, as a raw trial sampled at ``rate_hz`` in deg, Nm and N
+    units, IMU columns included, with a schema map per trial; and the
+    ``simulate`` and ``optimize`` configs over them, ``sim.yaml`` and
+    ``opt.yaml``. Returns the battery and the ``dataset`` entries."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    battery = synth_battery(seed=7)
+    entries = []
+    for label, strides in battery.items():
+        if label.code not in tasks:
+            continue
+        names = sorted(strides[0].channels)
+        mass = strides[0].body_mass
+        columns = {name: [] for name in names}
+        for stride in strides * 2:
+            grid = np.linspace(0.0, stride.cycle_duration, stride.n)
+            t = np.arange(0.0, stride.cycle_duration, 1.0 / rate_hz)
+            for name in names:
+                columns[name].append(np.interp(t, grid, stride.channels[name]))
+        scale = {"deg": 180.0 / math.pi, "deg/s": 180.0 / math.pi,
+                 "Nm": mass, "N": mass}
+        units = {name: EXPORT_UNITS.get(name, "m/s^2") for name in names}
+        tag = label.code.replace(" ", "_")
+        write_trial_csv(root / f"{tag}.csv", zip(*(
+            np.concatenate(columns[name]) * scale.get(units[name], 1.0)
+            for name in names)), [f"Raw_{name}" for name in names])
+        write_yaml(root / f"{tag}.yaml", {
+            "sample_rate_hz": rate_hz, "body_mass_kg": mass,
+            "task": f"{label.kind}:{label.parameter}",
+            "columns": {name: {"name": f"Raw_{name}", "unit": units[name]}
+                        for name in names}})
+        entries.append({"schema": str(root / f"{tag}.yaml"),
+                        "csv": str(root / f"{tag}.csv")})
+    write_yaml(root / "sim.yaml", {"battery": {"dataset": entries}})
+    write_yaml(root / "opt.yaml", {"battery": {"dataset": entries},
+                                   "bounds": OPT_BOUNDS, "budget": 100})
+    return battery, entries
+
+
+class TestDatasetRoute:
+    def test_export_replays_as_the_synthetic_battery(self, tmp_path, capsys):
+        """The real-data route, run on an export of synthetic strides,
+        segments 5 of each task's 6 strides (the last one has no closing
+        heel strike), and replays them with the synthetic path's mean
+        extension scale within 0.004 and its heel-strike events per stride
+        within 1. ``simulate`` and ``optimize`` run on it end to end."""
+        synthetic, entries = export_trials(tmp_path)
+        cfg = check(CONFIGS["simulate"], {"battery": {"dataset": entries}})
+        dataset = cli._build_battery(cfg["battery"], 7)
+        assert sorted(label.code for label in dataset) == ["RD 11", "SD 7"]
+        params = load_params("default")
+        for label, strides in dataset.items():
+            assert len(strides) == 5, label.code
+            runs = [replay.simulate_task(params, s, cycles=cfg["cycles"])[1]
+                    for s in (strides, synthetic[label])]
+            scale_d, scale_s = [np.mean([log.mean_extension_scale
+                                         for log in logs]) for logs in runs]
+            events_d, events_s = [[len(log.events) for log in logs]
+                                  for logs in runs]
+            print(f"\n{label.code}: scale {scale_d:.4f} vs {scale_s:.4f}, "
+                  f"events per stride {events_d} vs {events_s}")
+            assert abs(scale_d - scale_s) <= 0.004, label.code
+            assert events_s == [7, 7, 7]
+            assert all(abs(n - 7) <= 1 for n in events_d), label.code
+        assert main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert len(list((tmp_path / "sim" / "steps").iterdir())) == 10
+        assert main(["optimize", "--config", str(tmp_path / "opt.yaml"),
+                     "--out", str(tmp_path / "opt")]) == 0
+
+
 class TestOptimize:
     def test_smoke(self, tmp_path, capsys):
         cfg = write_opt_config(tmp_path)
@@ -706,6 +825,22 @@ class TestMetrics:
         assert main(["metrics", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_directory_without_stride_files_exits_2(self, tmp_path, capsys):
+        # was exit 0 with an "(incomplete pair)" row per task
+        stride = synth_profiles(ActivityLabel("level-walk", 1.15), seed=0)
+        (tmp_path / "un").mkdir()
+        (tmp_path / "empty").mkdir()
+        save_stride(stride, tmp_path / "un" / "LG_0.csv")
+        cfg = write_yaml(tmp_path / "met.yaml", {
+            "unassisted": str(tmp_path / "un"),
+            "assisted": str(tmp_path / "empty")})
+        out = tmp_path / "o"
+        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: assisted directory {tmp_path / 'empty'} holds no "
+            "stride files (*.csv)\n")
+        assert not out.exists()
+
     def test_unmatched_sets_warn_partial(self, tmp_path, sim_config, capsys):
         sim_out = tmp_path / "sim"
         main(["simulate", "--config", sim_config, "--out", str(sim_out)])
@@ -915,3 +1050,72 @@ class TestReport:
         text = capsys.readouterr().out
         assert "hip W+" in text
         assert "STS" in text
+
+
+def csv_input(tmp_path, name):
+    """A valid input of the CSV kind ``name`` and its route through the
+    command line: (argv, the CSV file, a column that the route reads)."""
+    out = ["--out", str(tmp_path / "o")]
+    if name in ("stream", "truth"):
+        cfg = write_hs_config(tmp_path, 5.0, 6)
+        column = "pelvis_accel" if name == "stream" else "time"
+        return ["detect-hs", "--config", cfg, *out], \
+            tmp_path / f"{name}.csv", column
+    if name == "trial":
+        trial = make_grf_trial(n_contacts=4)
+        channels = dict(trial.channels)
+        channels["thigh_accel"] = channels["pelvis_accel"] = \
+            np.cos(np.arange(channels["grf_vertical"].size) / 10.0)
+        write_trial_csv(tmp_path / "trial.csv", zip(*channels.values()),
+                        list(channels))
+        schema = write_yaml(tmp_path / "schema.yaml", {
+            "sample_rate_hz": trial.sample_rate_hz, "body_mass_kg": 70.0,
+            "task": "level-walk:1.0",
+            "columns": {name: {"name": name, "unit": "rad"}
+                        for name in channels}})
+        cfg = write_yaml(tmp_path / "sim.yaml", {"battery": {"dataset": [
+            {"schema": schema, "csv": str(tmp_path / "trial.csv")}]}})
+        return ["simulate", "--config", cfg, *out], \
+            tmp_path / "trial.csv", "hip_moment"
+    stride = synth_profiles(ActivityLabel("level-walk", 1.15), seed=0)
+    if name == "stride":
+        (tmp_path / "strides").mkdir()
+        save_stride(stride, tmp_path / "strides" / "LG_0.csv")
+        cfg = write_yaml(tmp_path / "met.yaml",
+                         {"unassisted": str(tmp_path / "strides")})
+        return ["metrics", "--config", cfg, *out], \
+            tmp_path / "strides" / "LG_0.csv", "hip_moment"
+    write_report([task_energetics([stride], "unassisted", 1.0)],
+                 tmp_path / "report.csv")
+    return ["report", "--report", str(tmp_path / "report.csv")], \
+        tmp_path / "report.csv", "sim"
+
+
+@pytest.mark.parametrize("fault", ["missing-column", "short-row",
+                                   "bad-cell"])
+@pytest.mark.parametrize("name", ["stream", "truth", "trial", "stride",
+                                  "report"])
+def test_bad_csv_input_exits_2(tmp_path, capsys, name, fault):
+    """Every CSV input is read by one column reader: a column the route
+    reads that is missing, a row without a cell for it, or a cell that
+    does not parse exits 2 with a message that names the file, and leaves
+    no ``--out`` tree. A short stride or report row was a runtime failure
+    (exit 1)."""
+    argv, path, column = csv_input(tmp_path, name)
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header, row = lines[head].split(","), lines[head + 1].split(",")
+    j = header.index(column)
+    if fault == "missing-column":
+        header[j] += "_x"
+    elif fault == "short-row":
+        row = row[:j]
+    else:
+        row[j] = "abc"
+    lines[head], lines[head + 1] = ",".join(header), ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert ("missing" if fault == "missing-column" else "row") in err, err
+    assert not (tmp_path / "o").exists()

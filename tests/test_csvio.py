@@ -3,13 +3,16 @@
 The references below are the row-wise writers it replaced: one numpy scalar
 index and ``repr`` per cell, through ``csv.writer``. The column writer must
 give the same bytes on every float, including the special values.
+``TestReadColumns`` tests the one reader that every CSV input goes through.
 """
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from hipexo.csvio import _NP_PREFIX, _NP_SUFFIX, write_float_columns
+from hipexo.csvio import (_NP_PREFIX, _NP_SUFFIX, LoadError, read_columns,
+                          write_float_columns)
 from hipexo.gaitdata import ActivityLabel, load_stride, save_stride
 from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, write_step_log
 
@@ -100,6 +103,47 @@ def test_profile_bytes_match_row_wise_reference(tmp_path):
     reference_profile(columns, tmp_path / "ref.csv", HEADER)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+class TestReadColumns:
+    def write(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text("# tool: hipexo\n" + text)
+        return path
+
+    def test_every_column_as_float_without_parsers(self, tmp_path):
+        path = self.write(tmp_path, "a, b\n1.5,2\n\n-3,inf\n")
+        assert read_columns(path, "test") == {"a": [1.5, -3.0],
+                                              "b": [2.0, math.inf]}
+
+    def test_parsers_pick_and_parse_columns(self, tmp_path):
+        path = self.write(tmp_path, "side,extra,time\nleft,x,0.5\n")
+        assert read_columns(path, "truth", {"time": float, "side": str}) == \
+            {"time": [0.5], "side": ["left"]}
+
+    def test_missing_columns_all_named(self, tmp_path):
+        path = self.write(tmp_path, "leg,t\nleft,1.5\n")
+        with pytest.raises(LoadError, match=r"missing truth columns "
+                           r"\['side', 'time'\]"):
+            read_columns(path, "truth", {"side": str, "time": float})
+
+    def test_short_row(self, tmp_path):
+        path = self.write(tmp_path, "a,b,c\n1,2,3\n4,5\n")
+        with pytest.raises(LoadError, match="bad stride row: data row 2 has "
+                           "no cell for column 'c'"):
+            read_columns(path, "stride")
+        # a column left unread may be short
+        assert read_columns(path, "stride", {"a": float}) == {"a": [1.0, 4.0]}
+
+    def test_cell_the_parser_rejects(self, tmp_path):
+        path = self.write(tmp_path, "a,b\n1,2\n3,abc\n")
+        with pytest.raises(LoadError, match="bad report row: column 'b': "
+                           "could not convert string to float: 'abc'"):
+            read_columns(path, "report")
+
+    def test_header_only(self, tmp_path):
+        path = self.write(tmp_path, "a,b\n")
+        assert read_columns(path, "test") == {"a": [], "b": []}
 
 
 def test_unequal_columns_rejected(tmp_path):

@@ -121,9 +121,37 @@ class TestLoadTrial:
         with pytest.raises(LoadError, match="unit"):
             load_trial(path, schema_dict)
 
-    def test_missing_file(self, schema_dict):
-        with pytest.raises(LoadError, match="nope.csv"):
-            load_trial("nope.csv", schema_dict)
+    @pytest.mark.parametrize("spec", [{"name": "HipAng", "units": "deg"},
+                                      {"unit": "deg"}],
+                             ids=["units-typo", "no-name"])
+    def test_column_spec_takes_name_and_unit_only(self, tmp_path,
+                                                  schema_dict, spec):
+        # a misspelled 'unit' key once loaded degrees as radians
+        schema_dict["columns"]["hip_angle"] = spec
+        header = ["HipAng", "HipVel", "Thigh", "ThighC", "Torso", "HipMom", "Fz"]
+        path = tmp_path / "trial.csv"
+        write_trial_csv(path, [[10.0] * 7] * 5, header)
+        with pytest.raises(LoadError, match="schema column 'hip_angle' "
+                           "takes keys name and unit"):
+            load_trial(path, schema_dict)
+
+    def test_task_required(self, tmp_path, schema_dict):
+        # a trial without one was once labelled level-walk 1.0
+        schema_dict["taks"] = schema_dict.pop("task")
+        header = ["HipAng", "HipVel", "Thigh", "ThighC", "Torso", "HipMom", "Fz"]
+        path = tmp_path / "trial.csv"
+        write_trial_csv(path, [[1] * 7] * 5, header)
+        with pytest.raises(LoadError, match="schema must set task"):
+            load_trial(path, schema_dict)
+
+    def test_empty_cell_reads_as_nan(self, tmp_path, schema_dict):
+        header = ["HipAng", "HipVel", "Thigh", "ThighC", "Torso", "HipMom", "Fz"]
+        rows = [[float(i), 1, 1, 1, 1, 1, 1] for i in range(10)]
+        rows[4][0] = " "
+        path = tmp_path / "trial.csv"
+        write_trial_csv(path, rows, header)
+        angle = load_trial(path, schema_dict).channels["hip_angle"]
+        assert angle[4] * 180.0 / math.pi == pytest.approx(4.0, abs=1e-12)
 
 
 def make_grf_trial(n_contacts=10, fs=100.0, period_s=1.1, stance_s=0.65):

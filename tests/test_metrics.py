@@ -39,8 +39,9 @@ class TestCosineSimilarity:
             cosine_similarity([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             cosine_similarity([1.0], [1.0])
-        with pytest.raises(ValueError):
-            cosine_similarity([0.0, 0.0], [1.0, 2.0])
+        # zero norm: the similarity is undefined
+        assert np.isnan(cosine_similarity([0.0, 0.0], [1.0, 2.0]))
+        assert np.isnan(cosine_similarity([1.0, 2.0], [0.0, 0.0]))
 
 
 class TestBiologicalMoment:
