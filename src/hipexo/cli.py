@@ -6,10 +6,10 @@ artifacts. Every CSV, YAML and text artifact opens with a ``#`` header block
 (see :mod:`hipexo.csvio`) with the config hash, seed, and tool version.
 Exit codes: 0 ok, 1 runtime failure, 2 usage or config error.
 
-Each config is checked against its subcommand's key table in
-:mod:`hipexo.configio` before any artifact is written; the commands keep
-only the rules that need data: battery tasks and channels, warm-start
-bounds, a stride directory that holds no stride file.
+Each config, and each params file and schema map it names, is read by
+:func:`hipexo.configio.read_yaml` against its key table before any artifact
+is written; the commands keep only the rules that need data: battery
+channels, warm-start bounds, a stride directory that holds no stride file.
 
 ``detect-hs`` works on its whole stream at once, as replay does: it checks
 the timestamp column once over every row, gates rows with one finite mask
@@ -22,42 +22,25 @@ import argparse
 import hashlib
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .configio import CONFIGS, ConfigError, check, load_params, save_params
+from .configio import (CONFIGS, SCHEMA, ConfigError, load_params, read_yaml,
+                       save_params)
 from .csvio import (open_artifact, read_columns, write_csv,
                     write_float_columns)
 from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH_ACC,
-                       ActivityLabel, LoadError, StrideSeries,
-                       load_schema, load_stride, load_trial,
-                       normalize_stride, save_stride, segment_strides,
-                       stride_meta_path, synth_battery)
+                       ActivityLabel, LoadError, StrideSeries, load_stride,
+                       load_trial, normalize_stride, save_stride,
+                       segment_strides, stride_meta_path, synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
 from .optimize import (ObjectiveSpec, TaskSet, check_in_bounds,
                        format_sim_table, optimize)
 from .replay import simulate_task, write_step_log
-
-def _read_config(path: str, command: str) -> tuple[dict, bytes]:
-    """The config at ``path``, checked against ``command``'s key table and
-    with its defaults filled in, and the file's bytes."""
-    source = (resources.files("hipexo.data").joinpath(
-        f"default_{command}.yaml") if path == "default" else Path(path))
-    if not source.is_file():
-        raise ConfigError(f"no {command} config file {path!r}")
-    raw = source.read_bytes()
-    try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
-    return check(CONFIGS[command], cfg), raw
-
 
 class _Run:
     """Tracks created artifacts so a failed run leaves nothing partial."""
@@ -115,17 +98,14 @@ def _resolve_seed(args_seed, *fallbacks) -> int:
 def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeries]]:
     """The battery that a checked ``battery`` section describes."""
     if spec["synthetic"]:
-        try:
-            tasks = [ActivityLabel.parse(str(task)) for task in spec["tasks"]]
-        except ValueError as exc:
-            raise ConfigError(f"battery tasks: {exc}") from exc
-        battery = synth_battery(tasks=tasks,
+        battery = synth_battery(tasks=spec["tasks"],
                                 strides_per_task=spec["strides_per_task"],
                                 seed=seed, body_mass=spec["body_mass"])
     elif spec["dataset"] is not None:
         battery = {}
         for entry in spec["dataset"]:
-            trial = load_trial(entry["csv"], load_schema(entry["schema"]))
+            schema, _ = read_yaml(entry["schema"], "schema", SCHEMA)
+            trial = load_trial(entry["csv"], schema)
             for rng in segment_strides(trial):
                 stride = normalize_stride(trial, rng, entry["n_samples"])
                 battery.setdefault(stride.label, []).append(stride)
@@ -139,7 +119,7 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
 # --- subcommands ------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg, raw = _read_config(args.config, "simulate")
+    cfg, raw = read_yaml(args.config, "simulate config", CONFIGS["simulate"])
     params = load_params(cfg["params"])
     seed = _resolve_seed(args.seed, cfg["battery"]["seed"], cfg["seed"], 7)
     battery = _build_battery(cfg["battery"], seed)
@@ -213,7 +193,7 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
 
 
 def cmd_optimize(args) -> int:
-    cfg, raw = _read_config(args.config, "optimize")
+    cfg, raw = read_yaml(args.config, "optimize config", CONFIGS["optimize"])
     warm = load_params(cfg["params"])
     seed = _resolve_seed(args.seed, cfg["seed"])
     battery = _build_battery(cfg["battery"],
@@ -245,7 +225,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    cfg, raw = _read_config(args.config, "metrics")
+    cfg, raw = read_yaml(args.config, "metrics config", CONFIGS["metrics"])
 
     def read_set(key) -> dict[str, list[StrideSeries]]:
         if cfg[key] is None:
@@ -322,7 +302,7 @@ def _check_timestamps(t: np.ndarray) -> None:
 
 
 def cmd_detect_hs(args) -> int:
-    cfg, raw = _read_config(args.config, "detect-hs")
+    cfg, raw = read_yaml(args.config, "detect-hs config", CONFIGS["detect-hs"])
     try:
         config = HsDetectorConfig(**cfg["detector"])
     except ValueError as exc:

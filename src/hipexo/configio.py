@@ -1,11 +1,12 @@
-"""Config and controller parameter files, each read against one key table.
+"""Configs, parameter files and schema maps: every YAML input, read by
+:func:`read_yaml` against one key table.
 
-A subcommand config's table (:data:`CONFIGS`) maps each key to (type,
-minimum, default), and :func:`check` walks it: it checks each value the
-file sets, fills in the default of each key the file leaves out, and
-raises :class:`ConfigError` on a key the table lacks, naming the nearest
-known key. Rules that tie fields together stay with the classes the
-values build (their ``__post_init__`` checks, ``optimize.check_in_bounds``).
+A table (:data:`CONFIGS`, :data:`SCHEMA`) maps each key to (kind, minimum,
+default), and :func:`check` walks it: it checks each value the file sets,
+fills in the default of each key the file leaves out, and raises
+:class:`ConfigError` on a key the table lacks, naming the nearest known
+key. Rules that tie fields together stay with the classes the values
+build (their ``__post_init__`` checks, ``optimize.check_in_bounds``).
 
 Parameter files hold degree-valued angle fields (``*_deg``, ``*_deg_s``)
 at the boundary; everything is radians internally. Sigmoid slopes and
@@ -28,7 +29,8 @@ import yaml
 
 from .controller import ControllerParams
 from .csvio import open_artifact
-from .gaitdata import DEFAULT_BATTERY, KINDS, MIN_SAMPLES
+from .gaitdata import (CHANNELS, DEFAULT_BATTERY, KINDS, MIN_SAMPLES,
+                       ActivityLabel)
 from .heelstrike import HsDetectorConfig
 from .optimize import DEFAULT_FREE, PARAM_PATHS, ObjectiveSpec
 
@@ -36,22 +38,23 @@ DEG = math.pi / 180.0
 
 
 class ConfigError(ValueError):
-    """A config or params file that its key table rejects."""
+    """A config, params or schema file that its table or rules reject."""
 
 
-# A type is int, float, str, bool or list, or FILE or DIR: a string that
-# names an existing file or directory; a dict is a nested table, a
-# one-table list a list of such tables, and a tuple a list of exactly that
-# many values. An int must be >= its minimum, a float finite and > its
-# minimum. MISSING marks a key the file must set. A section the file
-# leaves out or sets to null is read as empty, so its keys take their
-# defaults; any other null is checked like a value, and rejected.
-FILE, DIR = "file", "directory"
+# A type is int, float, str, bool or list; FILE or DIR, a string that
+# names an existing file or directory; or LABEL, a string that
+# ActivityLabel.parse accepts, read as the label. A dict is a nested
+# table (a section), a list [k] a list of kind k, and a tuple a list of
+# exactly that many values. An int must be >= its minimum, a float finite
+# and > its minimum. MISSING marks a key the file must set. A section left
+# out or null is read as empty, so its keys take their defaults, unless
+# its default is None: then it stays None. Any other null is rejected.
+FILE, DIR, LABEL = "file", "directory", "activity label"
 _SEED = (int, 0, None)
 _BATTERY = {
     "synthetic": (bool, None, False),
     "seed": _SEED,
-    "tasks": (list, None, DEFAULT_BATTERY),
+    "tasks": ([LABEL], None, DEFAULT_BATTERY),
     "strides_per_task": (int, 1, 3),
     "body_mass": (float, 0, 70.0),
     "dataset": ([{"schema": (FILE, None, MISSING),
@@ -66,10 +69,10 @@ CONFIGS = {
         "params": (str, None, "default"),
         "battery": (_BATTERY, None, MISSING),
         "seed": (int, 0, 0),
-        "weights": ({kind: (float, None, 1.0) for kind in KINDS}, None, None),
+        "weights": ({kind: (float, None, 1.0) for kind in KINDS}, None, {}),
         "free": (list, None, DEFAULT_FREE),
         "bounds": ({name: ((float, float), None, None)
-                    for name in PARAM_PATHS}, None, None),
+                    for name in PARAM_PATHS}, None, {}),
         **{f.name: (float, None, f.default) for f in fields(ObjectiveSpec)
            if f.name in ("c_static", "c_sign", "target_scale")},
         "budget": (int, 1, 6000),
@@ -80,18 +83,33 @@ CONFIGS = {
         "input": (FILE, None, MISSING),
         "rate_hz": (float, 0, 250.0),
         "detector": ({f.name: (type(f.default), None, f.default)
-                      for f in fields(HsDetectorConfig)}, None, None),
+                      for f in fields(HsDetectorConfig)}, None, {}),
         "truth": (FILE, None, None),
         "match_tol_s": (float, 0, 0.03),
         "seed": (int, 0, 0),
     },
 }
 
+# a dataset schema map (see gaitdata.load_trial): each canonical channel
+# that the trial holds maps to its CSV column and that column's unit
+SCHEMA = {
+    "sample_rate_hz": (float, 0, MISSING),
+    "body_mass_kg": (float, 0, MISSING),
+    "stance_fraction": (float, 0, None),
+    "task": (LABEL, None, MISSING),
+    "columns": ({name: ({"name": (str, None, MISSING),
+                         "unit": (str, None, "rad")}, None, None)
+                 for name in CHANNELS}, None, MISSING),
+    "prefilter": ({"kinematics_hz": (float, 0, 6.0),
+                   "moments_hz": (float, 0, 6.0),
+                   "grf_hz": (float, 0, 20.0)}, None, None),
+}
+
 # the values that YAML gives for each type, and its name in messages
 _TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
           str: (str, "a string"), bool: (bool, "true or false"),
           list: (list, "a list"), FILE: (str, "a string"),
-          DIR: (str, "a string")}
+          DIR: (str, "a string"), LABEL: (str, "an activity label")}
 _IS_KIND = {FILE: os.path.isfile, DIR: os.path.isdir}
 
 
@@ -116,10 +134,11 @@ def check(table: dict, values, where: str = "") -> dict:
         raise ConfigError(f"{name} needs keys {missing}")
     out = {}
     for key, (kind, minimum, default) in table.items():
-        # a value the file sets is checked, null included; a section is
-        # walked even when left out, so that its keys take their defaults
-        if key in values or isinstance(kind, dict):
-            out[key] = _value(kind, minimum, values.get(key, default),
+        value = values.get(key, default)
+        if isinstance(kind, dict) and default is None and value is None:
+            out[key] = None
+        elif key in values or isinstance(kind, dict):
+            out[key] = _value(kind, minimum, value,
                               f"{where}.{key}" if where else key)
         else:
             out[key] = default
@@ -131,7 +150,7 @@ def _value(kind, minimum, value, path: str):
     if isinstance(kind, dict):
         return check(kind, value, path)
     if isinstance(kind, list):
-        return [check(kind[0], item, f"{path}[{i}]")
+        return [_value(kind[0], minimum, item, f"{path}[{i}]")
                 for i, item in enumerate(_value(list, None, value, path))]
     if isinstance(kind, tuple):
         if not isinstance(value, list) or len(value) != len(kind):
@@ -151,6 +170,12 @@ def _value(kind, minimum, value, path: str):
         raise ConfigError(f"{path} must be >= {minimum}, got {value}")
     elif kind in _IS_KIND and not _IS_KIND[kind](value):
         raise ConfigError(f"{path} must be an existing {kind}, got {value!r}")
+    elif kind is LABEL:
+        try:
+            return ActivityLabel.parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path} must be an {kind}, got {value!r}: "
+                              f"{exc}") from exc
     return value
 
 
@@ -196,12 +221,33 @@ PARAMS = {
         "cmd_filter_cutoff_hz")},
 }
 _PARAMS_TABLE = {section: ({key: (float, None, None) for key in keys},
-                           None, None) for section, keys in PARAMS.items()}
+                           None, {}) for section, keys in PARAMS.items()}
 
 
-def params_from_dict(cfg) -> ControllerParams:
+def read_yaml(path, what: str, table: dict, build=None) -> tuple:
+    """The YAML file at ``path`` checked against ``table`` and passed to
+    ``build`` if given, and its bytes. ``what`` names the file in messages
+    ('default' is ``default_simulate.yaml`` for 'simulate config'); a
+    missing file, a YAML error or a value that the table or ``build``
+    rejects is a :class:`ConfigError`."""
+    source = (resources.files("hipexo.data").joinpath(
+        f"default_{what.removesuffix(' config')}.yaml")
+        if str(path) == "default" else Path(path))
+    if not source.is_file():
+        raise ConfigError(f"no {what} file {str(path)!r}")
+    raw = source.read_bytes()
+    try:
+        checked = check(table, yaml.safe_load(raw))
+        return (checked if build is None else build(checked)), raw
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
+def params_from_dict(cfg: dict) -> ControllerParams:
+    """The parameters that a params mapping, such as :func:`check` of a
+    params file against its table, sets."""
     values = {}
-    for section, given in check(_PARAMS_TABLE, cfg).items():
+    for section, given in cfg.items():
         for key, value in given.items():
             if value is not None:
                 path, factor = PARAMS[section][key]
@@ -239,14 +285,8 @@ def params_to_dict(p: ControllerParams) -> dict:
 
 def load_params(path) -> ControllerParams:
     """Load controller parameters; 'default' loads the packaged example
-    config produced by the optimizer. A file that is not YAML, or that
-    the table or the parameter classes reject, is a :class:`ConfigError`."""
-    source = (resources.files("hipexo.data").joinpath("default_params.yaml")
-              if str(path) == "default" else Path(path))
-    try:
-        return params_from_dict(yaml.safe_load(source.read_text()))
-    except (ValueError, yaml.YAMLError) as exc:
-        raise ConfigError(f"params {path}: {exc}") from exc
+    config produced by the optimizer."""
+    return read_yaml(path, "params", _PARAMS_TABLE, params_from_dict)[0]
 
 
 def save_params(params: ControllerParams, path, header_lines=()):

@@ -3,10 +3,11 @@ multi-activity profile generation.
 
 Internal units are rad, rad/s, Nm/kg, N/kg, and seconds. CSV inputs are
 adapted through a schema map (column names + units), so exports of different
-public datasets can be used without code changes. Synthetic profiles stand
-in for normative datasets when none are on disk: smooth periodic kinematic
-and moment profiles per activity, with seeded inter-stride jitter, drawn
-through a periodic cubic spline written here in numpy.
+public datasets can be used without code changes; :func:`load_trial` reads
+data only, through a map checked against :data:`hipexo.configio.SCHEMA`.
+Synthetic profiles stand in for normative datasets when none are on disk:
+smooth periodic kinematic and moment profiles per activity, with seeded
+inter-stride jitter, drawn through a periodic cubic spline written in numpy.
 """
 from __future__ import annotations
 
@@ -43,6 +44,10 @@ CH_THIGH_ACC = "thigh_accel"
 CH_THIGH_ACC_CON = "thigh_accel_contra"
 CH_PELVIS_ACC = "pelvis_accel"
 CH_EXO = "exo_torque"
+CHANNELS = (CH_HIP_ANGLE, CH_HIP_VEL, CH_HIP_ANGLE_CON, CH_HIP_VEL_CON,
+            CH_THIGH, CH_THIGH_CON, CH_TORSO, CH_HIP_MOMENT, CH_KNEE_MOMENT,
+            CH_ANKLE_MOMENT, CH_KNEE_VEL, CH_ANKLE_VEL, CH_GRF, CH_THIGH_ACC,
+            CH_THIGH_ACC_CON, CH_PELVIS_ACC, CH_EXO)
 
 REQUIRED_CHANNELS = (CH_HIP_ANGLE, CH_HIP_VEL, CH_THIGH, CH_THIGH_CON,
                      CH_TORSO, CH_HIP_MOMENT)
@@ -220,67 +225,33 @@ def _fill_short_nan_runs(values: np.ndarray, column: str) -> np.ndarray:
     return out
 
 
-def load_schema(path) -> dict:
-    """Load a YAML schema map for :func:`load_trial`."""
-    import yaml
-    with open(path) as fh:
-        schema = yaml.safe_load(fh)
-    if not isinstance(schema, dict) or "columns" not in schema:
-        raise LoadError(f"schema {path} must define a 'columns' mapping")
-    return schema
-
-
 def load_trial(path, schema: dict) -> RawTrial:
-    """Read a one-header-row CSV through a schema map into internal units.
-
-    The schema provides sample_rate_hz, body_mass_kg, task, and a 'columns'
-    mapping of canonical channel -> {name, unit} (or a bare name, in rad).
-    An empty cell reads as NaN. Missing columns, short rows, cells that are
-    not numbers, unknown units, a column spec key other than name and
-    unit, and NaN runs longer than 5 samples raise :class:`LoadError`.
+    """Read a one-header-row CSV through a checked schema map into
+    internal units, low-passed by :func:`filter_trial` if the map has a
+    ``prefilter`` section. An empty cell reads as NaN. Missing columns,
+    short rows, cells that are not numbers, unknown units and NaN runs
+    longer than 5 samples raise :class:`LoadError`.
     """
-    rate = float(schema.get("sample_rate_hz", 0))
-    if not rate > 0:
-        raise LoadError("schema must set sample_rate_hz > 0")
-    mass = float(schema.get("body_mass_kg", 0))
-    if not mass > 0:
-        raise LoadError("schema must set body_mass_kg > 0")
-    if "task" not in schema:
-        raise LoadError("schema must set task")
-
-    specs = {}
-    for canonical, spec in schema["columns"].items():
-        spec = spec if isinstance(spec, dict) else {"name": str(spec)}
-        if "name" not in spec or set(spec) - {"name", "unit"}:
-            raise LoadError(f"schema column {canonical!r} takes keys name "
-                            f"and unit, got {sorted(map(str, spec))}")
-        specs[canonical] = (spec["name"], spec.get("unit", "rad"))
-    if not specs:
-        raise LoadError(f"{path}: schema mapped no channels")
+    specs = {canonical: spec for canonical, spec in schema["columns"].items()
+             if spec is not None}
     cells = read_columns(path, "trial", {
-        name: lambda cell: float(cell) if cell.strip() else math.nan
-        for name, _ in specs.values()})
+        spec["name"]: lambda cell: float(cell) if cell.strip() else math.nan
+        for spec in specs.values()})
+    mass = schema["body_mass_kg"]
     channels = {canonical: _convert(_fill_short_nan_runs(
-                    np.array(cells[name]), name), unit, mass)
-                for canonical, (name, unit) in specs.items()}
-
-    meta = {"body_mass": mass,
-            "label": ActivityLabel.parse(str(schema["task"]))}
-    if "stance_fraction" in schema:
-        meta["stance_fraction"] = float(schema["stance_fraction"])
-
-    trial = RawTrial(sample_rate_hz=rate, channels=channels, meta=meta)
-    pre = schema.get("prefilter")
-    if pre:
-        filter_trial(trial,
-                     kinematics_hz=float(pre.get("kinematics_hz", 6.0)),
-                     moments_hz=float(pre.get("moments_hz", 6.0)),
-                     grf_hz=float(pre.get("grf_hz", 20.0)))
+                    np.array(cells[spec["name"]]), spec["name"]),
+                    spec["unit"], mass)
+                for canonical, spec in specs.items()}
+    trial = RawTrial(schema["sample_rate_hz"], channels, {
+        "body_mass": mass, "label": schema["task"],
+        "stance_fraction": schema["stance_fraction"]})
+    if schema["prefilter"] is not None:
+        filter_trial(trial, **schema["prefilter"])
     return trial
 
 
-def filter_trial(trial: RawTrial, kinematics_hz: float = 6.0,
-                 moments_hz: float = 6.0, grf_hz: float = 20.0):
+def filter_trial(trial: RawTrial, kinematics_hz: float, moments_hz: float,
+                 grf_hz: float):
     """Zero-lag low-pass of the raw uniform grid, in place.
 
     Applied before segmentation, never after resampling: the filter's

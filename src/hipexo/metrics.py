@@ -102,9 +102,17 @@ class TaskEnergetics:
 
 
 REPORT_COLUMNS = tuple(f.name for f in fields(TaskEnergetics))
+
+
+def _parse_flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
 # cell codec per annotated field type: floats via repr for exact round-trips
 _CELL_PARSE = {f.name: {"str": str, "float": float, "int": int,
-                        "bool": lambda cell: cell == "1"}[f.type]
+                        "bool": _parse_flag}[f.type]
                for f in fields(TaskEnergetics)}
 
 

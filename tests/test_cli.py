@@ -11,11 +11,12 @@ import yaml
 
 from hipexo import cli, replay
 from hipexo.cli import main
-from hipexo.configio import (CONFIGS, DIR, FILE, PARAMS, check, load_params,
-                             params_to_dict)
+from hipexo.configio import (CONFIGS, DIR, FILE, LABEL, PARAMS, SCHEMA, check,
+                             load_params, params_to_dict)
 from hipexo.csvio import read_csv
-from hipexo.gaitdata import (ActivityLabel, load_stride, save_stride,
-                             synth_battery, synth_imu_stream, synth_profiles)
+from hipexo.gaitdata import (CHANNELS, ActivityLabel, load_stride,
+                             save_stride, synth_battery, synth_imu_stream,
+                             synth_profiles)
 from hipexo.metrics import (paired_summary, read_report, task_energetics,
                             write_report)
 from test_gaitdata import make_grf_trial, write_trial_csv
@@ -110,7 +111,7 @@ def test_yaml_syntax_error_exits_2(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config {cfg}:"), err
+    assert err.startswith(f"error: {command} config {cfg}:"), err
     assert not out.exists()
 
 
@@ -211,8 +212,14 @@ BASE_CONFIGS = {
     "metrics": {"unassisted": "unassisted"},
     "detect-hs": {"input": "stream.csv", "detector": {}},
 }
+# a valid schema map with every section and channel present; its keys are
+# set through simulate on a dataset battery that names it as s.yaml
+BASE_SCHEMA = {"sample_rate_hz": 100.0, "body_mass_kg": 70.0,
+               "stance_fraction": 0.6, "task": "level-walk:1.0",
+               "columns": {name: {"name": name} for name in CHANNELS},
+               "prefilter": {}}
 WRONG_TYPE = {int: 2.5, float: "abc", str: [1], bool: "abc", list: "abc",
-              FILE: [1], DIR: [1]}
+              FILE: [1], DIR: [1], LABEL: "jogging:2"}
 
 
 @pytest.fixture
@@ -229,52 +236,49 @@ def base_files(tmp_path, monkeypatch):
 def table_cases():
     """(command, key path, value, variant, message) for every entry of
     every key table: a value of the wrong type, an explicit null (a
-    section reads null as empty, so only its keys get one) and one below
-    the entry's minimum where it has one, each with the start of the
-    message that rejects it; and a misspelled key. A file or directory
-    key also gets a path that does not exist and one of the other kind.
-    The params file's keys are set through ``simulate``."""
+    section reads null as empty or as unset, so only its keys get one) and
+    one below the entry's minimum where it has one, each with the start of
+    the message that rejects it; and a misspelled key. A file or directory
+    key also gets a path that does not exist and one of the other kind,
+    and a list its first item. The keys of a params file and of a schema
+    map are set through ``simulate``."""
     def dotted(path):
         return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                        for k in path)[1:]
 
-    def cases(command, path, kind, wrong):
+    def cases(command, path, kind, minimum):
         name = dotted(path)
         if isinstance(kind, dict):
-            yield command, path, wrong, "wrong-type", \
+            yield command, path, [1], "wrong-type", \
                 f"{name} section must be a mapping"
         else:
-            yield command, path, wrong, "wrong-type", f"{name} must be"
-            yield command, path, None, "null", f"{name} must be"
-        yield command, path, None, "misspelled", None
-
-    def walk(command, table, path):
-        for key, (kind, minimum, _) in table.items():
-            here = path + (key,)
-            yield from cases(command, here, kind, (
-                [1] if isinstance(kind, dict) else
+            yield command, path, (
                 [1.0] if isinstance(kind, tuple) else
-                "abc" if isinstance(kind, list) else WRONG_TYPE[kind]))
-            if minimum is not None:
-                below = minimum - 1 if kind is int else minimum
-                yield command, here, below, "below-minimum", \
-                    f"{dotted(here)} must be"
-            if kind in (FILE, DIR):
-                message = f"{dotted(here)} must be an existing {kind}"
-                yield command, here, "nowhere", "missing-path", message
-                yield command, here, "." if kind is FILE else "trial.csv", \
-                    "wrong-kind", message
-            if isinstance(kind, dict):
-                yield from walk(command, kind, here)
-            elif isinstance(kind, list):
-                yield from walk(command, kind[0], here + (0,))
+                "abc" if isinstance(kind, list) else WRONG_TYPE[kind]), \
+                "wrong-type", f"{name} must be"
+            yield command, path, None, "null", f"{name} must be"
+        if isinstance(path[-1], str):
+            yield command, path, None, "misspelled", None
+        if minimum is not None:
+            below = minimum - 1 if kind is int else minimum
+            yield command, path, below, "below-minimum", f"{name} must be"
+        if kind in (FILE, DIR):
+            message = f"{name} must be an existing {kind}"
+            yield command, path, "nowhere", "missing-path", message
+            yield command, path, "." if kind is FILE else "trial.csv", \
+                "wrong-kind", message
+        if isinstance(kind, dict):
+            for key, (sub, sub_minimum, _) in kind.items():
+                yield from cases(command, path + (key,), sub, sub_minimum)
+        elif isinstance(kind, list):
+            yield from cases(command, path + (0,), kind[0], minimum)
 
-    for command, table in CONFIGS.items():
-        yield from walk(command, table, ())
+    for command, table in {**CONFIGS, "schema": SCHEMA}.items():
+        for key, (kind, minimum, _) in table.items():
+            yield from cases(command, (key,), kind, minimum)
     for section, keys in PARAMS.items():
-        yield from cases("params", (section,), {}, [1])
-        for key in keys:
-            yield from cases("params", (section, key), float, "abc")
+        yield from cases("params", (section,),
+                         dict.fromkeys(keys, (float, None, None)), None)
 
 
 TABLE_CASES = list(table_cases())
@@ -294,6 +298,10 @@ def test_every_table_entry_is_checked(tmp_path, capsys, base_files, command,
     if command == "params":
         cfg = params_to_dict(load_params("default"))
         base = {"params": str(tmp_path / "p.yaml"), "battery": SMALL_BATTERY}
+    elif command == "schema":
+        cfg = BASE_SCHEMA
+        base = {"battery": {"dataset": [{"schema": str(tmp_path / "s.yaml"),
+                                         "csv": "trial.csv"}]}}
     else:
         cfg = base = BASE_CONFIGS[command]
     cfg = yaml.safe_load(yaml.safe_dump(cfg))   # a deep copy
@@ -309,8 +317,8 @@ def test_every_table_entry_is_checked(tmp_path, capsys, base_files, command,
     else:
         node[key] = value
         messages = [message, f"got {value!r}"]
-    if command == "params":
-        write_yaml(tmp_path / "p.yaml", cfg)
+    if command in ("params", "schema"):
+        write_yaml(tmp_path / f"{command[0]}.yaml", cfg)
         cfg, command = base, "simulate"
     config = write_yaml(tmp_path / "cfg.yaml", cfg)
     out = tmp_path / "o"
@@ -606,6 +614,84 @@ class TestDatasetRoute:
         assert len(list((tmp_path / "sim" / "steps").iterdir())) == 10
         assert main(["optimize", "--config", str(tmp_path / "opt.yaml"),
                      "--out", str(tmp_path / "opt")]) == 0
+
+
+@pytest.fixture(scope="module")
+def exported_rd(tmp_path_factory):
+    """The ``dataset`` entry of ``export_trials``' RD 11 trial."""
+    _, [entry] = export_trials(tmp_path_factory.mktemp("rd"), tasks=("RD 11",))
+    return entry
+
+
+def rename(mapping, old, new):
+    mapping[new] = mapping.pop(old)
+
+
+# (id, edit of a valid schema map or None for a YAML syntax error, part of
+# the message that rejects it)
+SCHEMA_FAULTS = [
+    ("sample_rate-str", lambda s: s.update(sample_rate_hz="abc"),
+     "sample_rate_hz must be a number, got 'abc'"),
+    ("task-unknown-kind", lambda s: s.update(task="jogging:2"),
+     "task must be an activity label, got 'jogging:2': "
+     "unknown activity kind 'jogging'"),
+    ("yaml-syntax", None, "while parsing a flow sequence"),
+    ("prefilter-str", lambda s: s.update(prefilter={"kinematics_hz": "x"}),
+     "prefilter.kinematics_hz must be a number, got 'x'"),
+    ("columns-list", lambda s: s.update(columns=[1]),
+     "columns section must be a mapping, got [1]"),
+    ("prefiltr", lambda s: s.update(prefiltr={"grf_hz": 20.0}),
+     "unknown top-level keys ['prefiltr']; "
+     "did you mean 'prefilter' for 'prefiltr'?"),
+    ("knee_momnet", lambda s: rename(s["columns"], "knee_moment",
+                                     "knee_momnet"),
+     "unknown columns keys ['knee_momnet']; "
+     "did you mean 'knee_moment' for 'knee_momnet'?"),
+    ("stance_fraction-negative", lambda s: s.update(stance_fraction=-3),
+     "stance_fraction must be finite and > 0, got -3.0"),
+    # a misspelled 'unit' key once loaded degrees as radians
+    ("column-units-typo",
+     lambda s: rename(s["columns"]["hip_angle"], "unit", "units"),
+     "unknown columns.hip_angle keys ['units']; "
+     "did you mean 'unit' for 'units'?"),
+    ("column-no-name", lambda s: s["columns"]["hip_angle"].pop("name"),
+     "columns.hip_angle needs keys ['name']"),
+    ("column-bare-name",
+     lambda s: s["columns"].update(hip_angle="Raw_hip_angle"),
+     "columns.hip_angle section must be a mapping, got 'Raw_hip_angle'"),
+    # a trial without a task was once labelled level-walk 1.0
+    ("task-misspelled", lambda s: rename(s, "task", "taks"),
+     "unknown top-level keys ['taks']; did you mean 'task' for 'taks'?"),
+    ("task-missing", lambda s: s.pop("task"),
+     "top-level needs keys ['task']"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [f[1:] for f in SCHEMA_FAULTS],
+                         ids=[f[0] for f in SCHEMA_FAULTS])
+def test_bad_schema_exits_2_before_artifacts(tmp_path, capsys, exported_rd,
+                                             edit, message):
+    """A dataset schema map is read against its key table before any
+    artifact: each fault of an otherwise valid map exits 2 with a message
+    that names the schema file and the key. Until the map had a table, the
+    first five cases were runtime failures (exit 1), and ``prefiltr``, a
+    misspelled ``knee_moment`` and a negative stance fraction ran (exit
+    0), the second without the knee moment in lower-limb W+."""
+    schema = tmp_path / "schema.yaml"
+    if edit is None:
+        schema.write_text("columns: [unclosed\n")
+    else:
+        values = yaml.safe_load(Path(exported_rd["schema"]).read_text())
+        edit(values)
+        write_yaml(schema, values)
+    cfg = write_yaml(tmp_path / "sim.yaml", {"battery": {"dataset": [
+        {"schema": str(schema), "csv": exported_rd["csv"]}]}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema {schema}: "), err
+    assert message in err, err
+    assert not out.exists()
 
 
 class TestOptimize:
@@ -1089,6 +1175,21 @@ def csv_input(tmp_path, name):
                  tmp_path / "report.csv")
     return ["report", "--report", str(tmp_path / "report.csv")], \
         tmp_path / "report.csv", "sim"
+
+
+@pytest.mark.parametrize("cell", ["yes", "", "2"])
+def test_report_flag_cell_must_be_0_or_1(tmp_path, capsys, cell):
+    """A ``hip_intensive`` cell other than 0 or 1 exits 2 naming the file
+    and the column; any such cell once read as false (exit 0)."""
+    argv, path, _ = csv_input(tmp_path, "report")
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index("hip_intensive")] = cell
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert f"column 'hip_intensive': expected 0 or 1, got {cell!r}" in err
 
 
 @pytest.mark.parametrize("fault", ["missing-column", "short-row",

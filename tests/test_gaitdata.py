@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import yaml
 
+from hipexo.configio import SCHEMA, check
 from hipexo.gaitdata import (CH_GRF, CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
                              CH_THIGH, CH_TORSO, G, SYNTH_N, _GAIT_SHAPES,
                              ActivityLabel, LoadError, RawTrial, StrideSeries,
-                             _periodic, load_schema, load_stride, load_trial,
+                             _periodic, filter_trial, load_stride, load_trial,
                              normalize_stride, save_stride, segment_strides,
                              synth_battery, synth_profiles)
 
@@ -47,22 +48,27 @@ def write_trial_csv(path, rows, header):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
+# a schema map as a file holds it
+SCHEMA_MAP = {
+    "sample_rate_hz": 100.0,
+    "body_mass_kg": 70.0,
+    "task": "level-walk:1.0",
+    "columns": {
+        "hip_angle": {"name": "HipAng", "unit": "deg"},
+        "hip_vel": {"name": "HipVel", "unit": "deg/s"},
+        "thigh_angle": {"name": "Thigh", "unit": "deg"},
+        "thigh_angle_contra": {"name": "ThighC", "unit": "deg"},
+        "torso_angle": {"name": "Torso", "unit": "deg"},
+        "hip_moment": {"name": "HipMom", "unit": "Nm"},
+        "grf_vertical": {"name": "Fz", "unit": "N"},
+    },
+}
+
+
 @pytest.fixture
 def schema_dict():
-    return {
-        "sample_rate_hz": 100.0,
-        "body_mass_kg": 70.0,
-        "task": "level-walk:1.0",
-        "columns": {
-            "hip_angle": {"name": "HipAng", "unit": "deg"},
-            "hip_vel": {"name": "HipVel", "unit": "deg/s"},
-            "thigh_angle": {"name": "Thigh", "unit": "deg"},
-            "thigh_angle_contra": {"name": "ThighC", "unit": "deg"},
-            "torso_angle": {"name": "Torso", "unit": "deg"},
-            "hip_moment": {"name": "HipMom", "unit": "Nm"},
-            "grf_vertical": {"name": "Fz", "unit": "N"},
-        },
-    }
+    """A schema map as ``load_trial`` takes it: checked by the table."""
+    return check(SCHEMA, SCHEMA_MAP)
 
 
 class TestLoadTrial:
@@ -72,7 +78,8 @@ class TestLoadTrial:
         path = tmp_path / "trial.csv"
         write_trial_csv(path, rows, header)
         trial = load_trial(path, schema_dict)
-        assert set(trial.channels) == set(schema_dict["columns"])
+        assert set(trial.channels) == {
+            name for name, spec in schema_dict["columns"].items() if spec}
         assert trial.channels["hip_angle"][0] == pytest.approx(10.0 * math.pi / 180)
         assert trial.channels["hip_moment"][0] == pytest.approx(0.5)  # 35/70
         assert trial.meta["label"].code == "LG 1"
@@ -121,28 +128,29 @@ class TestLoadTrial:
         with pytest.raises(LoadError, match="unit"):
             load_trial(path, schema_dict)
 
-    @pytest.mark.parametrize("spec", [{"name": "HipAng", "units": "deg"},
-                                      {"unit": "deg"}],
-                             ids=["units-typo", "no-name"])
-    def test_column_spec_takes_name_and_unit_only(self, tmp_path,
-                                                  schema_dict, spec):
-        # a misspelled 'unit' key once loaded degrees as radians
-        schema_dict["columns"]["hip_angle"] = spec
+    @pytest.mark.parametrize("prefilter, cutoffs", [
+        ("absent", None), (None, None), ({}, (6.0, 6.0, 20.0)),
+        ({"grf_hz": 15.0}, (6.0, 6.0, 15.0))],
+        ids=["absent", "null", "empty", "grf-only"])
+    def test_prefilter_section(self, tmp_path, schema_dict, prefilter,
+                               cutoffs):
+        """A schema without a ``prefilter`` section, or with a null one,
+        is read unfiltered; a section filters at the table's cutoffs
+        where it leaves one out (an empty section once filtered nothing)."""
         header = ["HipAng", "HipVel", "Thigh", "ThighC", "Torso", "HipMom", "Fz"]
+        rng = np.random.default_rng(3)
         path = tmp_path / "trial.csv"
-        write_trial_csv(path, [[10.0] * 7] * 5, header)
-        with pytest.raises(LoadError, match="schema column 'hip_angle' "
-                           "takes keys name and unit"):
-            load_trial(path, schema_dict)
-
-    def test_task_required(self, tmp_path, schema_dict):
-        # a trial without one was once labelled level-walk 1.0
-        schema_dict["taks"] = schema_dict.pop("task")
-        header = ["HipAng", "HipVel", "Thigh", "ThighC", "Torso", "HipMom", "Fz"]
-        path = tmp_path / "trial.csv"
-        write_trial_csv(path, [[1] * 7] * 5, header)
-        with pytest.raises(LoadError, match="schema must set task"):
-            load_trial(path, schema_dict)
+        write_trial_csv(path, rng.normal(size=(200, 7)).tolist(), header)
+        schema = dict(SCHEMA_MAP)
+        if prefilter != "absent":
+            schema["prefilter"] = prefilter
+        trial = load_trial(path, check(SCHEMA, schema))
+        expected = load_trial(path, schema_dict)
+        if cutoffs is not None:
+            filter_trial(expected, *cutoffs)
+        assert trial.channels.keys() == expected.channels.keys()
+        for name, series in expected.channels.items():
+            assert np.array_equal(trial.channels[name], series), name
 
     def test_empty_cell_reads_as_nan(self, tmp_path, schema_dict):
         header = ["HipAng", "HipVel", "Thigh", "ThighC", "Torso", "HipMom", "Fz"]
