@@ -18,27 +18,29 @@ detect-hs give ``detect_columns`` the frames their finite mask admits,
 replay on its uniform time grid and detect-hs after checking every row's
 timestamp.
 
-The window is kept twice: as a ring buffer, and as a sorted list updated by
-one bisect delete and one insert per sample. Each threshold refresh reads
-the median from the middle of the sorted list and selects the MAD in
-O(log n) from the two sorted runs of deviations on either side of it, so
-the threshold is the exact float that recomputing median and MAD over the
-whole window gives.
+The streaming channel keeps its window twice: as a ring buffer, and as
+a sorted list updated by one bisect delete and one insert per sample.
+Each threshold refresh reads the median from the middle of the sorted
+list and selects the MAD in O(log n) from the two sorted runs of
+deviations on either side of it (``_median_mad``). The column pass of
+``detect_columns`` sorts each refresh's window instead, in row blocks of
+bounded size, and runs the same bisection over all rows at once. Both
+give the floats that recomputing median and MAD over the whole window
+with ``np.median`` gives.
 
 ``HsDetector.update`` takes the frame's timestamp and three accelerations
 as plain floats, plus the ``BilateralSample`` that an event snapshots.
 
 ``detect_columns`` gives the events of updating a fresh detector with every
 frame of a stream held as columns, each with the index of the frame that
-returns it. Per channel it makes two passes. The first keeps the same
-sorted window, with no candidate bookkeeping, and yields each sample's
-threshold. The second feeds ``_Channel.track``, the candidate rule that
+returns it. Per channel it makes two passes. The first,
+``_threshold_column``, yields each sample's threshold with no candidate
+bookkeeping. The second feeds ``_Channel.track``, the candidate rule that
 ``_Channel.push`` applies to every sample, only the samples that can touch
 a candidate: those over their threshold and the ``confirm_samples`` after
-each. ``_median_mad`` computes the statistic for both paths, and
-``HsDetector._merge`` turns one frame's confirmations into events for both
-(time order, leading-leg attribution, refractory, fusion, one event out
-per frame).
+each. ``HsDetector._merge`` turns one frame's confirmations into events
+for both paths (time order, leading-leg attribution, refractory, fusion,
+one event out per frame).
 """
 from __future__ import annotations
 
@@ -287,37 +289,65 @@ class HsDetector:
         return None
 
 
-def _threshold_column(x: list[float], window: int, warmup: int,
+# most elements _threshold_column sorts at once, 1 MB: 262 rows at the
+# default 500-sample window, one block for 87 of the default battery's 99
+# channels (the longest has 281 refresh rows)
+_BLOCK_ELEMENTS = 2 ** 17
+
+
+def _threshold_column(x: np.ndarray, window: int, warmup: int,
                       refresh: int, k_mad: float) -> np.ndarray:
     """The threshold ``_Channel.push`` compares each sample of the finite
-    stream ``x`` against: inf before the first refresh, then the value of
-    the latest refresh at or before the sample.
+    float64 stream ``x`` against: inf before the first refresh, then the
+    value of the latest refresh at or before the sample.
 
-    Keeps the same sorted window (one bisect delete and one insert per
-    sample) and reads it only at the refreshes, every ``refresh`` samples
-    from ``warmup`` on.
+    Row c of the padded stream's sliding windows is the window at sample
+    count c: x[c - window:c], led by inf pads while c < window, which sort
+    to the end of the row. The refresh rows are sorted in blocks of at
+    most ``_BLOCK_ELEMENTS``; each row's median is read from its middle
+    and its MAD found by ``_median_mad``'s bisection, run over all rows
+    with clamped indices.
     """
     n = len(x)
     thr = np.full(n, math.inf)
     first = max(1, -(-warmup // refresh)) * refresh   # count of 1st refresh
     if first >= n:
         return thr
-    s = sorted(x[max(0, first - window):first])
+    rows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.full(window, math.inf), x)), window)
+    block = max(1, _BLOCK_ELEMENTS // window) * refresh
     values = []
-    for c in range(first, n, refresh):
-        j = c - refresh
-        if j >= first:   # move the window from count j to count c
-            if j < window:
-                fill = min(c, window)
-                for new in x[j:fill]:
-                    insort(s, new)
-                j = fill
-            for old, new in zip(x[j - window:c - window], x[j:c]):
-                del s[bisect_left(s, old)]
-                insort(s, new)
-        med, mad = _median_mad(s)
-        values.append(med + k_mad * mad)
-    thr[first:] = np.repeat(values, refresh)[:n - first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(first, n, block):
+            count = np.arange(start, min(n, start + block), refresh)
+            s = np.sort(rows[start:count[-1] + 1:refresh]).ravel()
+            m = np.minimum(count, window)   # real samples of each row
+            h = m // 2
+            odd = m % 2 == 1
+            # flat indices into s: each row's start, middle and end
+            row = np.arange(0, len(s), window)
+            mid = row + h
+            end = row + m
+            med = np.where(odd, s[mid], (s[mid - 1] + s[mid]) / 2)
+            # _median_mad's bisection, a fixed number of halvings
+            lo, hi = row, mid
+            for _ in range(int(h.max()).bit_length()):
+                k = (lo + hi) // 2
+                fewer = med - s[k] < s[np.minimum(k + h, end - 1)] - med
+                lo, hi = (np.where(fewer, lo, np.minimum(k + 1, hi)),
+                          np.where(fewer, k, hi))
+            mad = np.minimum(
+                np.where(lo > row, med - s[lo - 1], math.inf),
+                np.where(lo + h < end, s[np.minimum(lo + h, end - 1)] - med,
+                         math.inf))
+            last = np.maximum(
+                np.where(lo < mid, med - s[lo], -math.inf),
+                np.where(lo > row, s[lo + h - 1] - med, -math.inf))
+            mad = np.where(odd, mad, (last + mad) / 2)
+            # a finite pair overflowed to an infinite median
+            mad = np.where(np.isinf(med), math.inf, np.abs(mad))
+            values.append(med + k_mad * mad)
+    thr[first:] = np.repeat(np.concatenate(values), refresh)[:n - first]
     return thr
 
 
@@ -345,8 +375,8 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     # and pelvis at it, the arguments of HsDetector._merge
     hits: dict[int, list] = {}
     for k, x in enumerate((thigh_accel_l, thigh_accel_r, pelvis_accel)):
-        above = x > _threshold_column(x.tolist(), window, warmup,
-                                      c.refresh_every, c.k_mad)
+        above = x > _threshold_column(x, window, warmup, c.refresh_every,
+                                      c.k_mad)
         if x is pelvis_accel:
             pelvis_above = np.flatnonzero(above).tolist()
         # a candidate starts on a sample over its threshold and lives at

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hipexo import replay
+from hipexo import heelstrike, replay
 from hipexo.gaitdata import synth_battery, synth_imu_stream
 from hipexo.heelstrike import (HsDetector, HsDetectorConfig, _Channel,
-                               _threshold_column, detect_columns,
-                               match_events)
+                               _channel_sizes, _threshold_column,
+                               detect_columns, match_events)
 from hipexo.modulation import BilateralSample
 
 RATE = 250.0
@@ -437,6 +438,85 @@ class TestColumnDetector:
                 want.append((i, confirmed[0]))
         assert got == want
         assert len(want) > 100
+
+
+def channel_thresholds(values, window, warmup, refresh, k_mad=4.0):
+    """The threshold _Channel.push compares each of ``values`` against."""
+    ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
+    snap = BilateralSample(0.0, 0.0, 0.0)
+    out = []
+    for i, v in enumerate(values):
+        out.append(ch.threshold)
+        ch.push(v, float(i), snap)
+    return np.array(out)
+
+
+class TestThresholdBlocks:
+    """_threshold_column sorts the refresh rows in blocks; where the
+    blocks end must not change a bit of the thresholds."""
+
+    @staticmethod
+    def blocked(monkeypatch, values, window, warmup, refresh):
+        """The thresholds at the default block budget, then with blocks
+        of 1, 2 and 3 rows."""
+        out = [_threshold_column(values, window, warmup, refresh, 4.0)]
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(heelstrike, "_BLOCK_ELEMENTS", rows * window)
+            out.append(_threshold_column(values, window, warmup, refresh,
+                                         4.0))
+        monkeypatch.undo()
+        return out
+
+    @pytest.mark.parametrize("window", [8, 9, 500, 501])
+    @pytest.mark.parametrize("refresh", [1, 5, 7, 9])
+    def test_block_seams(self, monkeypatch, window, refresh):
+        rng = np.random.default_rng(window * 10 + refresh)
+        values = _mixed_stream(rng, window, 3 * window + 7)
+        want = channel_thresholds(values, window, 3, refresh).tobytes()
+        for thr in self.blocked(monkeypatch, values, window, 3, refresh):
+            assert thr.tobytes() == want
+
+    @pytest.mark.parametrize("window", [8, 500])
+    @pytest.mark.parametrize("refresh", [1, 5, 9])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_streams_around_first_refresh(self, monkeypatch, window,
+                                          refresh, past):
+        """Shorter than the sample count of the first refresh, exactly
+        at it and one past it: all inf, all inf, one refresh."""
+        warmup = 3
+        first = max(1, -(-warmup // refresh)) * refresh
+        values = np.random.default_rng(refresh).normal(size=first + past)
+        want = channel_thresholds(values, window, warmup, refresh)
+        assert np.isfinite(want).sum() == max(0, past)
+        for thr in self.blocked(monkeypatch, values, window, warmup,
+                                refresh):
+            assert thr.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+    @pytest.mark.parametrize("refresh", [1, 5])
+    def test_overflowed_median_rows(self, monkeypatch, big, refresh):
+        """Rows whose finite middle pair overflows to an infinite median
+        give MAD inf: thresholds +inf, or NaN for -inf + inf."""
+        values = [0.0, big, 1.0, big, big, -1.0, big, big] * 6
+        want = channel_thresholds(values, 8, 4, refresh)
+        assert (np.isinf(want) if big > 0 else np.isnan(want))[8:].any()
+        for thr in self.blocked(monkeypatch, values, 8, 4, refresh):
+            assert thr.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_bounded(self):
+        """A 10-minute stream at 250 Hz holds 29,975 refresh rows, 120 MB
+        as one matrix; sorted in blocks the pass stays under 8 MB."""
+        cfg = HsDetectorConfig()
+        window, warmup = _channel_sizes(RATE, cfg)
+        x = np.random.default_rng(0).normal(size=150_000)
+        tracemalloc.start()
+        try:
+            _threshold_column(x, window, warmup, cfg.refresh_every,
+                              cfg.k_mad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestRefractoryCheck:
