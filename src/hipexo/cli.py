@@ -3,7 +3,12 @@
 Subcommands wire data ingestion, simulation, optimization, detection, and
 reporting into reproducible runs: fixed config + seed give byte-identical
 artifacts. Every CSV, YAML and text artifact opens with a ``#`` header block
-(see :mod:`hipexo.csvio`) with the config hash, seed, and tool version.
+(see :mod:`hipexo.csvio`) with the tool version and config hash;
+``simulate`` and ``optimize``, the commands that draw random numbers, add
+the seed. Each draw has one seed, ``--seed`` if given, else the config's:
+``battery.seed`` draws ``simulate``'s synthetic battery, and ``optimize``'s
+top-level ``seed`` draws its search restarts (``battery.seed`` its
+battery).
 Exit codes: 0 ok, 1 runtime failure, 2 usage or config error.
 
 Each config, and each params file and schema map it names, is read by
@@ -45,14 +50,16 @@ from .replay import simulate_task, write_step_log
 class _Run:
     """Tracks created artifacts so a failed run leaves nothing partial."""
 
-    def __init__(self, out_dir: Path, config_raw: bytes, seed: int):
+    def __init__(self, out_dir: Path, config_raw: bytes,
+                 seed: int | None = None):
         self.out = out_dir
         self.created: list[Path] = []
         self.made_dirs: list[Path] = []   # in creation order, parents first
         digest = hashlib.sha256(config_raw).hexdigest()
         self.header = [f"tool: hipexo {__version__}",
-                       f"config_sha256: {digest}",
-                       f"seed: {seed}"]
+                       f"config_sha256: {digest}"]
+        if seed is not None:
+            self.header.append(f"seed: {seed}")
 
     def path(self, *parts) -> Path:
         p = self.out.joinpath(*parts)
@@ -88,15 +95,11 @@ class _Run:
         return False
 
 
-def _resolve_seed(args_seed, *fallbacks) -> int:
-    """``--seed``, else the first of ``fallbacks`` that is set."""
-    if args_seed is not None and args_seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args_seed}")
-    return next(seed for seed in (args_seed, *fallbacks) if seed is not None)
-
-
 def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeries]]:
     """The battery that a checked ``battery`` section describes."""
+    if spec["synthetic"] and spec["dataset"] is not None:
+        raise ConfigError("battery must be synthetic or list dataset "
+                          "entries, not both")
     if spec["synthetic"]:
         battery = synth_battery(tasks=spec["tasks"],
                                 strides_per_task=spec["strides_per_task"],
@@ -121,7 +124,7 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
 def cmd_simulate(args) -> int:
     cfg, raw = read_yaml(args.config, "simulate config", CONFIGS["simulate"])
     params = load_params(cfg["params"])
-    seed = _resolve_seed(args.seed, cfg["battery"]["seed"], cfg["seed"], 7)
+    seed = cfg["battery"]["seed"] if args.seed is None else args.seed
     battery = _build_battery(cfg["battery"], seed)
     for label, strides in battery.items():
         missing = sorted({name for s in strides
@@ -195,9 +198,8 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
 def cmd_optimize(args) -> int:
     cfg, raw = read_yaml(args.config, "optimize config", CONFIGS["optimize"])
     warm = load_params(cfg["params"])
-    seed = _resolve_seed(args.seed, cfg["seed"])
-    battery = _build_battery(cfg["battery"],
-                             _resolve_seed(None, cfg["battery"]["seed"], 7))
+    seed = cfg["seed"] if args.seed is None else args.seed
+    battery = _build_battery(cfg["battery"], cfg["battery"]["seed"])
     tasks = [TaskSet(label, strides, cfg["weights"][label.kind])
              for label, strides in battery.items()]
     try:
@@ -257,7 +259,7 @@ def cmd_metrics(args) -> int:
               "report is partial", file=sys.stderr)
 
     summary = paired_summary(rows)
-    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg["seed"])) as run:
+    with _Run(Path(args.out), raw) as run:
         write_report(rows, run.path("report.csv"), run.header)
         header = ["task", "hip_work_unassisted", "hip_work_assisted",
                   "hip_work_change_pct", "lowerlimb_work_change_pct",
@@ -324,7 +326,7 @@ def cmd_detect_hs(args) -> int:
         cfg["rate_hz"], t, acc_l, acc_r, acc_p, th_l, th_r, np.zeros(t.size),
         config=config)]
 
-    with _Run(Path(args.out), raw, _resolve_seed(args.seed, cfg["seed"])) as run:
+    with _Run(Path(args.out), raw) as run:
         write_csv(run.path("events.csv"),
                   ["side", "timestamp", "source", "thigh_angle_l",
                    "thigh_angle_r", "theta_diff"],
@@ -363,17 +365,15 @@ def main(argv=None) -> int:
                     "energetics reporting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_out=True):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.add_argument("--config", default="default")
-        p.add_argument("--seed", type=int, default=None)
-        if needs_out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
         p.set_defaults(fn=fn)
         return p
 
-    add("simulate", cmd_simulate)
-    add("optimize", cmd_optimize)
+    add("simulate", cmd_simulate).add_argument("--seed", type=int)
+    add("optimize", cmd_optimize).add_argument("--seed", type=int)
     add("metrics", cmd_metrics)
     add("detect-hs", cmd_detect_hs)
     rep = sub.add_parser("report")
@@ -382,6 +382,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ConfigError, LoadError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,14 +46,14 @@ class ConfigError(ValueError):
 # ActivityLabel.parse accepts, read as the label. A dict is a nested
 # table (a section), a list [k] a list of kind k, and a tuple a list of
 # exactly that many values. An int must be >= its minimum, a float finite
-# and > its minimum. MISSING marks a key the file must set. A section left
-# out or null is read as empty, so its keys take their defaults, unless
-# its default is None: then it stays None. Any other null is rejected.
+# and > its minimum if it has one. MISSING marks a key the file must set.
+# A section left out or null is read as empty, so its keys take their
+# defaults, unless its default is None: then it stays None. Any other null
+# is rejected.
 FILE, DIR, LABEL = "file", "directory", "activity label"
-_SEED = (int, 0, None)
 _BATTERY = {
     "synthetic": (bool, None, False),
-    "seed": _SEED,
+    "seed": (int, 0, 7),
     "tasks": ([LABEL], None, DEFAULT_BATTERY),
     "strides_per_task": (int, 1, 3),
     "body_mass": (float, 0, 70.0),
@@ -64,7 +64,7 @@ _BATTERY = {
 CONFIGS = {
     "simulate": {"params": (str, None, "default"),
                  "battery": (_BATTERY, None, MISSING),
-                 "seed": _SEED, "cycles": (int, 1, 4)},
+                 "cycles": (int, 1, 4)},
     "optimize": {
         "params": (str, None, "default"),
         "battery": (_BATTERY, None, MISSING),
@@ -78,15 +78,16 @@ CONFIGS = {
         "budget": (int, 1, 6000),
     },
     "metrics": {"unassisted": (DIR, None, None),
-                "assisted": (DIR, None, None), "seed": (int, 0, 0)},
+                "assisted": (DIR, None, None)},
     "detect-hs": {
         "input": (FILE, None, MISSING),
         "rate_hz": (float, 0, 250.0),
-        "detector": ({f.name: (type(f.default), None, f.default)
-                      for f in fields(HsDetectorConfig)}, None, {}),
+        # HsDetectorConfig's ranges: a float > 0, an integer >= 1
+        "detector": ({f.name: (kind, 0 if kind is float else 1, f.default)
+                      for f in fields(HsDetectorConfig)
+                      for kind in [type(f.default)]}, None, {}),
         "truth": (FILE, None, None),
         "match_tol_s": (float, 0, 0.03),
-        "seed": (int, 0, 0),
     },
 }
 
@@ -162,10 +163,15 @@ def _value(kind, minimum, value, path: str):
             isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path} must be {what}, got {value!r}")
     if kind is float:
-        value = float(value)
-        if minimum is not None and not minimum < value < math.inf:
-            raise ConfigError(f"{path} must be finite and > {minimum}, "
-                              f"got {value}")
+        try:
+            value = float(value)
+        except OverflowError:   # an integer beyond the float range
+            value = math.inf
+        if not (math.isfinite(value)
+                and (minimum is None or value > minimum)):
+            raise ConfigError(f"{path} must be finite" + (
+                "" if minimum is None else f" and > {minimum}") +
+                f", got {value}")
     elif minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value}")
     elif kind in _IS_KIND and not _IS_KIND[kind](value):

@@ -16,7 +16,7 @@ from .modulation import (BilateralSample, DescentModParams, ModulationState,
                          SymmetryParams, alpha_at_heelstrike,
                          attenuate_extension, beta_raw, beta_smoothed, blend,
                          reset_tick)
-from .signals import BiquadSpec, EmaState, LowpassFilter, clamp
+from .signals import BiquadSpec, LowpassFilter, clamp
 from .springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
                       gait_spring_torques, gait_velocity_factors,
                       sts_modulated_torque, sts_spring_torque)
@@ -124,8 +124,7 @@ class _SideState:
             BiquadSpec(params.vel_filter_cutoff_hz, params.loop_rate_hz))
         self.cmd_filter = LowpassFilter(
             BiquadSpec(params.cmd_filter_cutoff_hz, params.loop_rate_hz))
-        self.mod = ModulationState(
-            beta_ema=EmaState(smoothing=params.symmetry.ema_smoothing))
+        self.mod = ModulationState()
         self.last_cmd = 0.0
 
 
@@ -210,7 +209,7 @@ class HipController:
             (left, frame.hip_angle_l, vel_l, frame.thigh_angle_l),
             (right, frame.hip_angle_r, vel_r, frame.thigh_angle_r),
         ):
-            beta = beta_smoothed(st.mod, b_raw)
+            beta = beta_smoothed(st.mod, b_raw, p.symmetry)
             reset_tick(st.mod, beta > STANDING_BETA, t, p.descent)
 
             tau_ext, tau_flex = gait_spring_torques(hip_angle, p.gait)

@@ -78,10 +78,11 @@ class HsDetectorConfig:
     refresh_every: int = 5        # samples between threshold recomputes
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in
-                   (self.k_mad, self.window_s, self.refractory_s)):
-            raise ValueError("k_mad, window_s, refractory_s must be finite "
-                             "and > 0")
+        if not all(0 < v < math.inf for v in (self.k_mad, self.window_s,
+                                              self.refractory_s,
+                                              self.warmup_s)):
+            raise ValueError("k_mad, window_s, refractory_s, warmup_s must "
+                             "be finite and > 0")
         for name in ("confirm_samples", "refresh_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) \

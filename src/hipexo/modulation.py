@@ -15,9 +15,9 @@ here: the controller's frame gate admits only finite samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .signals import EmaState, SigmoidParams, ema_step, sigmoid
+from .signals import SigmoidParams, sigmoid
 
 
 @dataclass
@@ -92,7 +92,7 @@ class ModulationState:
     """Per-leg persistent modulation state, owned by the controller runtime."""
 
     alpha: float = 0.0
-    beta_ema: EmaState = field(default_factory=lambda: EmaState(smoothing=0.1))
+    beta: float = 0.0                 # smoothed blend factor
     standing_since: float | None = None
     ramp_start: float | None = None
     ramp_initial_alpha: float = 0.0
@@ -171,9 +171,13 @@ def beta_raw(s: BilateralSample, p: SymmetryParams) -> float:
     return sigmoid(abs(s.theta_diff), p.sym_mod)
 
 
-def beta_smoothed(state: ModulationState, beta: float) -> float:
-    """EMA-filtered blend factor, stored in the state."""
-    return ema_step(state.beta_ema, beta)
+def beta_smoothed(state: ModulationState, beta: float,
+                  p: SymmetryParams) -> float:
+    """One EMA step of the blend factor at rate ``p.ema_smoothing``,
+    s*beta + (1-s)*state.beta; stores the new value and returns it."""
+    s = p.ema_smoothing
+    state.beta = s * beta + (1.0 - s) * state.beta
+    return state.beta
 
 
 def blend(tau_sts_mod: float, tau_gait_mod: float, beta: float) -> float:

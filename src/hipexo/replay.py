@@ -158,7 +158,7 @@ def _replay_columns(params: ControllerParams, columns):
     for i, (ti, b) in enumerate(zip(t.tolist(), b_raw.tolist())):
         if i in latch:
             mod.latch_alpha(latch[i])
-        b = beta_smoothed(mod, b)
+        b = beta_smoothed(mod, b, sym)
         beta.append(b)
         alpha.append(reset_tick(mod, b > STANDING_BETA, ti, p.descent))
     alpha = np.array(alpha)

@@ -1,6 +1,6 @@
 """Shared numeric kernels: sigmoid modulation (scalar and column), the
 column zero-sign rules, Butterworth low-pass filters (causal streaming and
-zero-lag batch), exponential moving average, and positive-work integration.
+zero-lag batch), and positive-work integration.
 
 All kernels are either pure functions or operate on caller-owned state, so
 they are safe to use from multiple simulation workers on disjoint state.
@@ -192,24 +192,6 @@ def lowpass_zero_lag(signal, spec: BiquadSpec) -> np.ndarray:
     y = _one_pass(xp)
     y = _one_pass(y[::-1])[::-1]
     return y[pad:pad + x.size]
-
-
-@dataclass
-class EmaState:
-    """Exponential moving average state; smoothing in (0, 1]."""
-
-    smoothing: float
-    value: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-
-
-def ema_step(state: EmaState, sample: float) -> float:
-    """One EMA update: value <- s*sample + (1-s)*value; returns the new value."""
-    state.value = state.smoothing * sample + (1.0 - state.smoothing) * state.value
-    return state.value
 
 
 def integrate_positive(power, dt: float) -> float:

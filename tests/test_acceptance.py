@@ -21,12 +21,13 @@ from hipexo.heelstrike import HsDetector, match_events
 from hipexo.metrics import read_report
 from hipexo.modulation import (BilateralSample, DescentModParams,
                                ModulationState, SymmetryParams,
-                               attenuate_extension, reset_tick)
+                               attenuate_extension, beta_smoothed,
+                               reset_tick)
 from hipexo.optimize import (DEFAULT_FREE, ObjectiveSpec, TaskSet,
                              apply_vector, get_param, objective, optimize)
 from hipexo.replay import replay_stride
-from hipexo.signals import (BiquadSpec, EmaState, LowpassFilter, SigmoidParams,
-                            ema_step, integrate_positive, sigmoid)
+from hipexo.signals import (BiquadSpec, LowpassFilter, SigmoidParams,
+                            integrate_positive, sigmoid)
 from hipexo.springs import (GaitSpringParams, StsSpringParams,
                             gait_spring_torques, gait_torque_series,
                             sts_modulated_torque)
@@ -168,9 +169,11 @@ def test_criterion_03_kernel_closed_forms():
     ratio_db = 20 * np.log10(np.max(np.abs(out[int(4 * fs):])))
     assert abs(ratio_db - (-3.0103)) <= 0.2
 
-    st = EmaState(smoothing=0.1)
+    st = ModulationState()
+    sym = SymmetryParams(sym_mod=SigmoidParams(-10.0, -4.0),
+                         vel_threshold=0.5, ema_smoothing=0.1)
     for n in range(1, 60):
-        out = ema_step(st, 1.0)
+        out = beta_smoothed(st, 1.0, sym)
         assert abs(out - (1.0 - 0.9 ** n)) <= 1e-12
     print(f"\nPASS criterion 3: sigmoid midpoint 0.5 +- 1e-12; DC gain "
           f"1 +- 1e-6; cutoff at {ratio_db:.3f} dB; EMA step exact to 1e-12")

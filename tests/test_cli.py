@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hipexo.gaitdata import (CHANNELS, ActivityLabel, load_stride,
                              synth_profiles)
 from hipexo.metrics import (paired_summary, read_report, task_energetics,
                             write_report)
+from hipexo.optimize import PARAM_PATHS
 from test_gaitdata import make_grf_trial, write_trial_csv
 
 SMALL_BATTERY = {
@@ -85,22 +87,39 @@ def sim_config(tmp_path):
                        "cycles": 3})
 
 
-@pytest.mark.parametrize("command", ["simulate", "optimize", "detect-hs"])
+def write_met_config(tmp_path, sim_config):
+    """A metrics config over the stride sets of a simulate run."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_config, "--out", str(sim)]) == 0
+    return write_yaml(tmp_path / "met.yaml",
+                      {"unassisted": str(sim / "strides" / "unassisted"),
+                       "assisted": str(sim / "strides" / "assisted")})
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "metrics",
+                                     "detect-hs"])
 def test_header_block_present(tmp_path, sim_config, command):
+    """Every artifact opens with the tool and config hash lines; only the
+    two commands that draw random numbers add a seed line."""
     config = {"simulate": lambda: sim_config,
               "optimize": lambda: write_opt_config(tmp_path),
+              "metrics": lambda: write_met_config(tmp_path, sim_config),
               "detect-hs": lambda: write_hs_config(tmp_path, 10.0, 5)}[command]()
     out = tmp_path / "out"
     assert main([command, "--config", config, "--out", str(out)]) == 0
     files = sorted(p for p in out.rglob("*") if p.is_file()
                    and not p.name.endswith(".meta.json"))
     assert files
+    # SMALL_BATTERY's seed, and the search seed's default
+    seed_line = {"simulate": ["# seed: 7"],
+                 "optimize": ["# seed: 0"]}.get(command, [])
     for path in files:
         assert path.suffix in (".csv", ".yaml", ".txt"), path
-        head = path.read_text().splitlines()[:3]
+        head = list(takewhile(lambda line: line.startswith("#"),
+                              path.read_text().splitlines()))
         assert head[0].startswith("# tool: hipexo"), path
         assert head[1].startswith("# config_sha256:"), path
-        assert head[2].startswith("# seed:"), path
+        assert head[2:] == seed_line, path
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "metrics",
@@ -166,12 +185,10 @@ def test_non_integer_config_value_exits_2(tmp_path, capsys, base_files,
 @pytest.mark.parametrize("command, over, flag", [
     ("simulate", {}, ["--seed", "-1"]),
     ("simulate", {"battery": {**SMALL_BATTERY, "seed": -1}}, []),
-    ("simulate", {"seed": -1, "battery": {
-        k: v for k, v in SMALL_BATTERY.items() if k != "seed"}}, []),
     ("optimize", {}, ["--seed", "-1"]),
     ("optimize", {"seed": -1}, []),
     ("optimize", {"battery": {"synthetic": True, "seed": -1}}, []),
-], ids=["sim-flag", "sim-battery-seed", "sim-seed", "opt-flag", "opt-seed",
+], ids=["sim-flag", "sim-battery-seed", "opt-flag", "opt-seed",
         "opt-battery-seed"])
 def test_negative_seed_exits_2(tmp_path, capsys, command, over, flag):
     cfg_path = {
@@ -188,6 +205,44 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, over, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "metrics", "detect-hs"],
+                         ids=["sim-seed", "metrics-seed", "hs-seed"])
+def test_seed_key_without_a_draw_exits_2(tmp_path, capsys, base_files,
+                                         command):
+    """Only ``battery.seed`` seeds simulate, and metrics and detect-hs
+    draw nothing, so a top-level ``seed`` in their configs is an unknown
+    key."""
+    config = write_yaml(tmp_path / "cfg.yaml",
+                        {**BASE_CONFIGS[command], "seed": 3})
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert "unknown top-level keys ['seed']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "detect-hs"])
+def test_seed_flag_without_a_draw_is_a_usage_error(tmp_path, capsys,
+                                                   base_files, command):
+    config = write_yaml(tmp_path / "cfg.yaml", BASE_CONFIGS[command])
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", config, "--out", str(out), "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_synthetic_and_dataset_battery_exits_2(tmp_path, capsys, base_files,
+                                               command):
+    config = write_yaml(tmp_path / "cfg.yaml", BASE_CONFIGS[command])
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert "battery must be synthetic or list dataset entries, not both" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_strides_per_task_exits_2(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path / "sim.yaml", {
         "params": "default",
@@ -198,9 +253,11 @@ def test_zero_strides_per_task_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# a valid config of each subcommand with every section present, the
-# dataset entry included, so that each key of its table can be set; the
-# files and directory it names are made by the base_files fixture
+# a config of each subcommand that its key table accepts, with every
+# section present, the dataset entry and a pair for each bound included,
+# so that each key of its table can be set (a battery both synthetic and
+# a dataset passes the table; _build_battery rejects it); the files and
+# directory it names are made by the base_files fixture
 BASE_CONFIGS = {
     "simulate": {"params": "default", "cycles": 3, "battery": {
         **SMALL_BATTERY,
@@ -208,7 +265,8 @@ BASE_CONFIGS = {
     "optimize": {"params": "default", "battery": {
         **SMALL_BATTERY,
         "dataset": [{"schema": "schema.yaml", "csv": "trial.csv"}]},
-        "weights": {}, "bounds": OPT_BOUNDS},
+        "weights": {},
+        "bounds": {name: [-100.0, 100.0] for name in PARAM_PATHS}},
     "metrics": {"unassisted": "unassisted"},
     "detect-hs": {"input": "stream.csv", "detector": {}},
 }
@@ -236,18 +294,19 @@ def base_files(tmp_path, monkeypatch):
 def table_cases():
     """(command, key path, value, variant, message) for every entry of
     every key table: a value of the wrong type, an explicit null (a
-    section reads null as empty or as unset, so only its keys get one) and
-    one below the entry's minimum where it has one, each with the start of
-    the message that rejects it; and a misspelled key. A file or directory
-    key also gets a path that does not exist and one of the other kind,
-    and a list its first item. The keys of a params file and of a schema
-    map are set through ``simulate``."""
+    section reads null as empty or as unset, so only its keys get one),
+    one below the entry's minimum where it has one, and a nan and an inf
+    for a number, each with the start of the message that rejects it; and
+    a misspelled key. A file or directory key also gets a path that does
+    not exist and one of the other kind, a list its first item and a pair
+    each of its items, checked under the pair's name. The keys of a
+    params file and of a schema map are set through ``simulate``."""
     def dotted(path):
         return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                        for k in path)[1:]
 
-    def cases(command, path, kind, minimum):
-        name = dotted(path)
+    def cases(command, path, kind, minimum, name=None):
+        name = name or dotted(path)
         if isinstance(kind, dict):
             yield command, path, [1], "wrong-type", \
                 f"{name} section must be a mapping"
@@ -262,6 +321,10 @@ def table_cases():
         if minimum is not None:
             below = minimum - 1 if kind is int else minimum
             yield command, path, below, "below-minimum", f"{name} must be"
+        if kind is float:
+            for bad in (math.nan, math.inf):
+                yield command, path, bad, f"non-finite-{bad}", \
+                    f"{name} must be finite"
         if kind in (FILE, DIR):
             message = f"{name} must be an existing {kind}"
             yield command, path, "nowhere", "missing-path", message
@@ -272,6 +335,9 @@ def table_cases():
                 yield from cases(command, path + (key,), sub, sub_minimum)
         elif isinstance(kind, list):
             yield from cases(command, path + (0,), kind[0], minimum)
+        elif isinstance(kind, tuple):
+            for i, item in enumerate(kind):
+                yield from cases(command, path + (i,), item, minimum, name)
 
     for command, table in {**CONFIGS, "schema": SCHEMA}.items():
         for key, (kind, minimum, _) in table.items():
@@ -291,10 +357,10 @@ TABLE_CASES = list(table_cases())
 def test_every_table_entry_is_checked(tmp_path, capsys, base_files, command,
                                       path, value, variant, message):
     """Each key of each key table exits 2 with no ``--out`` tree when its
-    value has the wrong type, is null, is below its minimum or names no
-    file or directory of its kind, and the message names the key and the
-    value; when the key is misspelled, the message names the nearest known
-    key."""
+    value has the wrong type, is null, is below its minimum, is not a
+    finite number or names no file or directory of its kind, and the
+    message names the key and the value; when the key is misspelled, the
+    message names the nearest known key."""
     if command == "params":
         cfg = params_to_dict(load_params("default"))
         base = {"params": str(tmp_path / "p.yaml"), "battery": SMALL_BATTERY}
@@ -363,7 +429,8 @@ class TestSimulate:
     @pytest.mark.parametrize("over, section, value, message", [
         ({"cycles": 0}, None, None, "cycles must be >= 1"),
         ({}, "sts", None, "missing key 'sts'"),
-        ({}, "gait", {"k_ext": float("nan")}, "k_ext=nan"),
+        ({}, "gait", {"k_ext": float("nan")},
+         "gait.k_ext must be finite, got nan"),
         ({"battery": {**SMALL_BATTERY, "tasks": ["jogging:2"]}}, None, None,
          "unknown activity kind 'jogging'"),
         ({"battery": {**SMALL_BATTERY, "tasks": ["level-walk:9"]}}, None,
@@ -1016,6 +1083,8 @@ class TestDetectHs:
         ({"detector": {"k_mad": -1}}, None, "must be finite and > 0"),
         ({"detector": {"k_mad": float("nan")}}, None,
          "must be finite and > 0"),
+        ({"detector": {"warmup_s": -3.0}}, None,
+         "detector.warmup_s must be finite and > 0, got -3.0"),
         ({"rate_hz": 0}, None, "rate_hz must be finite and > 0"),
         ({"rate_hz": True}, None, "rate_hz must be a number, got True"),
         ({"rate_hz": "abc"}, None, "rate_hz must be a number, got 'abc'"),
@@ -1024,7 +1093,7 @@ class TestDetectHs:
         ({"match_tol_s": "abc"}, None, "match_tol_s must be a number"),
         ({"match_tol_s": -1}, None, "match_tol_s must be finite and > 0"),
     ], ids=["detector-not-mapping", "detector-unknown-key", "k_mad-negative",
-            "k_mad-nan", "rate_hz-0", "rate_hz-bool",
+            "k_mad-nan", "warmup_s-negative", "rate_hz-0", "rate_hz-bool",
             "rate_hz-str", "stream-cell", "truth-cell",
             "match_tol_s-str", "match_tol_s-negative"])
     def test_bad_config_exits_2_before_detecting(self, tmp_path, capsys, over,

@@ -3,8 +3,8 @@ from importlib import resources
 
 import pytest
 
-from hipexo.configio import (load_params, params_from_dict, params_to_dict,
-                             save_params)
+from hipexo.configio import (ConfigError, check, load_params,
+                             params_from_dict, params_to_dict, save_params)
 from hipexo.controller import ControllerParams
 from hipexo.modulation import DescentModParams, SymmetryParams
 
@@ -91,3 +91,10 @@ def test_non_finite_stiffness_and_limit_rejected_on_load(default_params, tmp_pat
     path.write_text(text.replace(line, f"{line.split(':')[0]}: {value}"))
     with pytest.raises(ValueError, match=key):
         load_params(path)
+
+
+@pytest.mark.parametrize("minimum", [None, 0])
+def test_integer_beyond_float_range_is_not_finite(minimum):
+    # a YAML integer literal of more than 308 digits
+    with pytest.raises(ConfigError, match="x must be finite"):
+        check({"x": (float, minimum, 1.0)}, {"x": 10 ** 400})

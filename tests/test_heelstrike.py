@@ -84,6 +84,14 @@ def test_config_sample_counts_must_be_positive_ints(field, value):
         HsDetectorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["k_mad", "window_s", "refractory_s",
+                                   "warmup_s"])
+@pytest.mark.parametrize("value", [0.0, -3.0, math.nan, math.inf])
+def test_config_spans_must_be_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        HsDetectorConfig(**{field: value})
+
+
 class TestStreamContract:
     def test_refractory_window_enforced_on_stream(self):
         frames, _ = synth_imu_stream(60.0, seed=5)

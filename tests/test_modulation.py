@@ -7,7 +7,7 @@ from hipexo.modulation import (BilateralSample, DescentModParams,
                                ModulationState, SymmetryParams,
                                alpha_at_heelstrike, attenuate_extension,
                                beta_raw, beta_smoothed, blend, reset_tick)
-from hipexo.signals import EmaState, SigmoidParams
+from hipexo.signals import SigmoidParams
 
 
 def descent(**kw):
@@ -176,15 +176,55 @@ class TestBeta:
             symmetry(vel_threshold=0.0)
 
     def test_smoothing(self):
-        st = ModulationState(beta_ema=EmaState(smoothing=0.1))
-        assert beta_smoothed(st, 1.0) == pytest.approx(0.1, abs=1e-12)
-        st2 = ModulationState(beta_ema=EmaState(smoothing=1.0))
-        assert beta_smoothed(st2, 0.77) == 0.77
-        st3 = ModulationState(beta_ema=EmaState(smoothing=0.1))
+        st = ModulationState()
+        assert beta_smoothed(st, 1.0, symmetry()) == pytest.approx(
+            0.1, abs=1e-12)
+        assert st.beta == beta_smoothed(ModulationState(), 1.0, symmetry())
+        st2 = ModulationState()
+        assert beta_smoothed(st2, 0.77, symmetry(ema_smoothing=1.0)) == 0.77
+        st3 = ModulationState()
         out = 0.0
         for _ in range(400):
-            out = beta_smoothed(st3, 1.0)
+            out = beta_smoothed(st3, 1.0, symmetry())
         assert out == pytest.approx(1.0, abs=1e-10)
+
+
+class TestEma:
+    """beta_smoothed is an exponential moving average at the rate
+    ``SymmetryParams.ema_smoothing``."""
+
+    def test_passthrough_when_smoothing_one(self):
+        st = ModulationState(beta=0.3)
+        assert beta_smoothed(st, -2.5, symmetry(ema_smoothing=1.0)) == -2.5
+
+    def test_converges_to_constant(self):
+        st = ModulationState(beta=100.0)
+        for _ in range(500):
+            out = beta_smoothed(st, 4.0, symmetry())
+        assert out == pytest.approx(4.0, abs=1e-10)
+
+    def test_step_response_closed_form(self):
+        st = ModulationState()
+        outs = [beta_smoothed(st, 1.0, symmetry()) for _ in range(20)]
+        for n, out in enumerate(outs, start=1):
+            assert out == pytest.approx(1.0 - 0.9 ** n, abs=1e-12)
+        assert outs[9] == pytest.approx(0.6513215599, abs=1e-9)
+
+    def test_contraction_property(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            s = rng.uniform(0.01, 1.0)
+            prev = rng.uniform(-10, 10)
+            sample = rng.uniform(-10, 10)
+            out = beta_smoothed(ModulationState(beta=prev), sample,
+                                symmetry(ema_smoothing=s))
+            assert abs(out - sample) <= (1 - s) * abs(prev - sample) + 1e-12
+
+    def test_bad_smoothing(self):
+        with pytest.raises(ValueError, match="ema_smoothing"):
+            symmetry(ema_smoothing=0.0)
+        with pytest.raises(ValueError, match="ema_smoothing"):
+            symmetry(ema_smoothing=1.5)
 
 
 class TestBlend:

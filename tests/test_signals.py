@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hipexo.signals import (BiquadSpec, EmaState, LowpassFilter, SigmoidParams,
-                            ema_step, exp_exact, integrate_positive,
-                            lowpass_zero_lag, neg_part, pos_part, sigmoid,
-                            sigmoid_array, zero_lag_pad_len)
+from hipexo.signals import (BiquadSpec, LowpassFilter, SigmoidParams,
+                            exp_exact, integrate_positive, lowpass_zero_lag,
+                            neg_part, pos_part, sigmoid, sigmoid_array,
+                            zero_lag_pad_len)
 
 
 class TestSigmoid:
@@ -154,41 +154,6 @@ class TestZeroLag:
         spec = BiquadSpec(6.0, 250.0)
         with pytest.raises(ValueError):
             lowpass_zero_lag(np.zeros(zero_lag_pad_len(spec)), spec)
-
-
-class TestEma:
-    def test_passthrough_when_smoothing_one(self):
-        st = EmaState(smoothing=1.0, value=0.3)
-        assert ema_step(st, -2.5) == -2.5
-
-    def test_converges_to_constant(self):
-        st = EmaState(smoothing=0.1, value=100.0)
-        for _ in range(500):
-            out = ema_step(st, 4.0)
-        assert out == pytest.approx(4.0, abs=1e-10)
-
-    def test_step_response_closed_form(self):
-        st = EmaState(smoothing=0.1)
-        outs = [ema_step(st, 1.0) for _ in range(20)]
-        for n, out in enumerate(outs, start=1):
-            assert out == pytest.approx(1.0 - 0.9 ** n, abs=1e-12)
-        assert outs[9] == pytest.approx(0.6513215599, abs=1e-9)
-
-    def test_contraction_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            s = rng.uniform(0.01, 1.0)
-            prev = rng.uniform(-10, 10)
-            sample = rng.uniform(-10, 10)
-            st = EmaState(smoothing=s, value=prev)
-            out = ema_step(st, sample)
-            assert abs(out - sample) <= (1 - s) * abs(prev - sample) + 1e-12
-
-    def test_bad_smoothing(self):
-        with pytest.raises(ValueError):
-            EmaState(smoothing=0.0)
-        with pytest.raises(ValueError):
-            EmaState(smoothing=1.5)
 
 
 class TestIntegratePositive:
