@@ -91,7 +91,10 @@ class SensorFrame:
 
 @dataclass
 class TorqueBreakdown:
-    """Per-step, per-side decomposition of the command pipeline."""
+    """Per-step, per-side decomposition of the command pipeline.
+
+    ``HipController.step`` fills the fields by position, and the step log
+    takes its column order from them."""
 
     tau_ext: float = 0.0
     tau_flex: float = 0.0
@@ -187,7 +190,9 @@ class HipController:
         self._fault_since = None
         self._t_admitted = t
 
-        left, right = self._sides[LEFT], self._sides[RIGHT]
+        gait, sts, descent, symmetry = p.gait, p.sts, p.descent, p.symmetry
+        sides = self._sides
+        left, right = sides[LEFT], sides[RIGHT]
         vel_l = clamp(left.vel_filter.step(frame.hip_vel_l),
                       -VEL_CAP, VEL_CAP)
         vel_r = clamp(right.vel_filter.step(frame.hip_vel_r),
@@ -199,39 +204,37 @@ class HipController:
                                      frame.thigh_accel_r, frame.pelvis_accel,
                                      bilateral)
         if event is not None:
-            self._sides[event.side].mod.latch_alpha(
-                alpha_at_heelstrike(event.thigh_snapshot, p.descent))
+            sides[event.side].mod.latch_alpha(
+                alpha_at_heelstrike(event.thigh_snapshot, descent))
 
-        b_raw = beta_raw(bilateral, p.symmetry)
+        b_raw = beta_raw(bilateral, symmetry)
+        torso, limit = frame.torso_angle, p.torque_limit
 
         breakdowns = []
         for st, hip_angle, vel, thigh_angle in (
             (left, frame.hip_angle_l, vel_l, frame.thigh_angle_l),
             (right, frame.hip_angle_r, vel_r, frame.thigh_angle_r),
         ):
-            beta = beta_smoothed(st.mod, b_raw, p.symmetry)
-            reset_tick(st.mod, beta > STANDING_BETA, t, p.descent)
+            mod = st.mod
+            beta = beta_smoothed(mod, b_raw, symmetry)
+            reset_tick(mod, beta > STANDING_BETA, t, descent)
 
-            tau_ext, tau_flex = gait_spring_torques(hip_angle, p.gait)
-            eta_ext, eta_flex = gait_velocity_factors(vel, p.gait)
+            tau_ext, tau_flex = gait_spring_torques(hip_angle, gait)
+            eta_ext, eta_flex = gait_velocity_factors(vel, gait)
             tau_gait = eta_ext * tau_ext + eta_flex * tau_flex
-            tau_sts = sts_spring_torque(thigh_angle, p.sts)
-            tau_sts_mod = sts_modulated_torque(thigh_angle, vel,
-                                               frame.torso_angle, p.sts)
+            tau_sts = sts_spring_torque(thigh_angle, sts)
+            tau_sts_mod = sts_modulated_torque(thigh_angle, vel, torso, sts)
 
-            tau_gait_mod = attenuate_extension(tau_gait, st.mod, p.descent)
+            tau_gait_mod = attenuate_extension(tau_gait, mod, descent)
             tau_act_raw = blend(tau_sts_mod, tau_gait_mod, beta)
-            tau_cmd = clamp(st.cmd_filter.step(tau_act_raw),
-                            -p.torque_limit, p.torque_limit)
+            tau_cmd = clamp(st.cmd_filter.step(tau_act_raw), -limit, limit)
             st.last_cmd = tau_cmd
+            alpha = mod.alpha
+            # positional, in TorqueBreakdown's field order
             breakdowns.append(TorqueBreakdown(
-                tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
-                tau_gait_mod=tau_gait_mod, tau_sts=tau_sts,
-                tau_sts_mod=tau_sts_mod, tau_act_raw=tau_act_raw,
-                tau_cmd=tau_cmd, eta_ext=eta_ext, eta_flex=eta_flex,
-                alpha=st.mod.alpha, beta=beta,
-                extension_scale=1.0 - p.descent.lam * st.mod.alpha,
-                hip_vel_filt=vel))
+                tau_ext, tau_flex, tau_gait, tau_gait_mod, tau_sts,
+                tau_sts_mod, tau_act_raw, tau_cmd, eta_ext, eta_flex, alpha,
+                beta, 1.0 - descent.lam * alpha, vel))
 
         self._t_prev = t
-        return StepResult(t, *breakdowns, hs_event=event)
+        return StepResult(t, breakdowns[0], breakdowns[1], event)

@@ -31,16 +31,20 @@ with ``np.median`` gives.
 ``HsDetector.update`` takes the frame's timestamp and three accelerations
 as plain floats, plus the ``BilateralSample`` that an event snapshots.
 
+``_Channel.track`` is the candidate rule. ``_Channel.push`` applies it
+only to a sample over its threshold or one that arrives while a candidate
+is pending; no other sample changes a candidate.
+
 ``detect_columns`` gives the events of updating a fresh detector with every
 frame of a stream held as columns, each with the index of the frame that
 returns it. Per channel it makes two passes. The first,
 ``_threshold_column``, yields each sample's threshold with no candidate
-bookkeeping. The second feeds ``_Channel.track``, the candidate rule that
-``_Channel.push`` applies to every sample, only the samples that can touch
-a candidate: those over their threshold and the ``confirm_samples`` after
+bookkeeping. The second feeds ``track`` the samples that can touch a
+candidate: those over their threshold and the ``confirm_samples`` after
 each. ``HsDetector._merge`` turns one frame's confirmations into events
 for both paths (time order, leading-leg attribution, refractory, fusion,
-one event out per frame).
+one event out per frame); on a frame with no confirmation it only
+releases a queued event.
 """
 from __future__ import annotations
 
@@ -176,23 +180,28 @@ class _Channel:
         """Feed one finite sample; returns (peak_time, peak_snapshot) on
         confirmation."""
         # compare against the threshold from before this sample enters the
-        # statistics window (keeps the test causal)
+        # statistics window (keeps the test causal); a sample under it
+        # changes no candidate unless one is pending
         confirmed = None
-        if self.count >= self.warmup:
-            above = value > self.threshold
-            if above:
+        count = self.count
+        if count >= self.warmup:
+            if value > self.threshold:
                 self.last_above_t = t
-            confirmed = self.track(value, above, t, snapshot)
+                confirmed = self.track(value, True, t, snapshot)
+            elif self.cand_age >= 0:
+                confirmed = self.track(value, False, t, snapshot)
 
-        ring = self.ring
-        if self.count >= len(ring):
-            del self.sorted[bisect_left(self.sorted, ring[self.idx])]
-        ring[self.idx] = value
-        insort(self.sorted, value)
-        self.idx = (self.idx + 1) % len(ring)
-        self.count += 1
-        if self.count >= self.warmup and self.count % self.refresh == 0:
-            med, mad = _median_mad(self.sorted)
+        ring, srt, idx = self.ring, self.sorted, self.idx
+        window = len(ring)
+        if count >= window:
+            del srt[bisect_left(srt, ring[idx])]
+        ring[idx] = value
+        insort(srt, value)
+        self.idx = idx + 1 if idx + 1 < window else 0
+        count += 1
+        self.count = count
+        if count >= self.warmup and count % self.refresh == 0:
+            med, mad = _median_mad(srt)
             self.threshold = med + self.k_mad * mad
         return confirmed
 
@@ -227,8 +236,7 @@ class HsDetector:
             return _Channel(window, warmup, c.k_mad, c.refresh_every,
                             c.confirm_samples)
 
-        self._thigh = {LEFT: make(), RIGHT: make()}
-        self._pelvis = make()
+        self._thigh_l, self._thigh_r, self._pelvis = make(), make(), make()
         self._last_event_t = {LEFT: -math.inf, RIGHT: -math.inf}
         self._pending: list[HsEvent] = []
 
@@ -247,8 +255,8 @@ class HsDetector:
         finite values, and a finite timestamp later than the last frame's.
         """
         return self._merge(
-            self._thigh[LEFT].push(thigh_accel_l, timestamp, bilateral),
-            self._thigh[RIGHT].push(thigh_accel_r, timestamp, bilateral),
+            self._thigh_l.push(thigh_accel_l, timestamp, bilateral),
+            self._thigh_r.push(thigh_accel_r, timestamp, bilateral),
             self._pelvis.push(pelvis_accel, timestamp, bilateral),
             self._pelvis.last_above_t)
 
@@ -265,6 +273,8 @@ class HsDetector:
         pelvis channel's last above-threshold sample is fused. Events queue
         and come out one per frame.
         """
+        if left is None and right is None and pelvis is None:
+            return self._pending.pop(0) if self._pending else None
         hits = []
         if left is not None:
             hits.append((left[0], LEFT, SOURCE_THIGH, left[1]))

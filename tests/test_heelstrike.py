@@ -448,6 +448,42 @@ class TestColumnDetector:
         assert len(want) > 100
 
 
+class TestEnvelope:
+    """Both sides of the detection cliff on synth_imu_stream, whose thigh
+    channel carries a 3 m/s^2 baseline oscillation: every heel strike is
+    found at thigh/pelvis spikes of 7/1.5 m/s^2, and most are lost on some
+    seed at 3/0.6 (lowest recall 0.108). A detector change that moves the
+    cliff fails here."""
+
+    SEEDS = range(5)
+
+    @staticmethod
+    def scores(thigh_spike, pelvis_spike):
+        """(precision, recall) per seed of stepping HsDetector.update,
+        after checking that detect_columns gives the same events."""
+        out = []
+        for seed in TestEnvelope.SEEDS:
+            frames, truth = synth_imu_stream(60.0, seed=seed,
+                                             thigh_spike=thigh_spike,
+                                             pelvis_spike=pelvis_spike)
+            events = assert_same_events(
+                [frames[k] for k in ("t", "thigh_accel_l", "thigh_accel_r",
+                                     "pelvis_accel", "thigh_angle_l",
+                                     "thigh_angle_r")]
+                + [np.zeros(len(frames["t"]))])
+            s = match_events([e for _, e in events], truth, tol_s=0.03)
+            out.append((s["precision"], s["recall"]))
+        return out
+
+    def test_full_detection_down_to_7_and_1_5(self):
+        for precision, recall in self.scores(7.0, 1.5):
+            assert precision >= 0.99
+            assert recall >= 0.99
+
+    def test_detection_lost_at_3_and_0_6(self):
+        assert min(recall for _, recall in self.scores(3.0, 0.6)) < 0.5
+
+
 def channel_thresholds(values, window, warmup, refresh, k_mad=4.0):
     """The threshold _Channel.push compares each of ``values`` against."""
     ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
