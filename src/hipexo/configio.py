@@ -10,9 +10,10 @@ build (their ``__post_init__`` checks, ``optimize.check_in_bounds``).
 
 Parameter files hold degree-valued angle fields (``*_deg``, ``*_deg_s``)
 at the boundary; everything is radians internally. Sigmoid slopes and
-offsets are stored as-is. One table (:data:`PARAMS`) maps each file key
-to the :class:`ControllerParams` field it sets and its unit factor, and
-both :func:`params_from_dict` and :func:`params_to_dict` walk it.
+offsets are stored as-is. :data:`PARAMS` maps each file key to the field
+it sets and its unit factor, read off ``controller.TUNABLES``, the one
+table of tunables that the optimizer names its parameters from too; both
+:func:`params_from_dict` and :func:`params_to_dict` walk it.
 """
 from __future__ import annotations
 
@@ -20,14 +21,13 @@ import difflib
 import math
 import os
 from dataclasses import MISSING, fields
-from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
 import yaml
 
-from .controller import ControllerParams
+from .controller import TUNABLES, ControllerParams, field_at
 from .csvio import open_artifact
 from .gaitdata import (CHANNELS, DEFAULT_BATTERY, KINDS, MIN_SAMPLES,
                        ActivityLabel)
@@ -185,47 +185,15 @@ def _value(kind, minimum, value, path: str):
     return value
 
 
-# each params-file key, by section: the ControllerParams field it sets, as
-# a dotted path, and the factor that converts it to internal units; a key
-# the file leaves out takes the field's dataclass default
-PARAMS = {
-    "gait": {
-        "k_ext": ("gait.k_ext", 1),
-        "k_flex": ("gait.k_flex", 1),
-        "theta_ext_eq_deg": ("gait.theta_ext_eq", DEG),
-        "theta_flex_eq_deg": ("gait.theta_flex_eq", DEG),
-        "w_ext": ("gait.vel_mod_ext.w", 1),
-        "phi_ext": ("gait.vel_mod_ext.phi", 1),
-        "w_flex": ("gait.vel_mod_flex.w", 1),
-        "phi_flex": ("gait.vel_mod_flex.phi", 1),
-    },
-    "sts": {
-        "k_sts": ("sts.k_sts", 1),
-        "w_vel": ("sts.vel_mod.w", 1),
-        "phi_vel": ("sts.vel_mod.phi", 1),
-        "w_torso": ("sts.torso_mod.w", 1),
-        "phi_torso": ("sts.torso_mod.phi", 1),
-    },
-    "descent": {
-        "w_step": ("descent.step_mod.w", 1),
-        "phi_step": ("descent.step_mod.phi", 1),
-        "lambda": ("descent.lam", 1),
-        "thigh_min_deg": ("descent.thigh_min", DEG),
-        "thigh_max_deg": ("descent.thigh_max", DEG),
-        "t_wait": ("descent.t_wait", 1),
-        "t_decay": ("descent.t_decay", 1),
-    },
-    "symmetry": {
-        "w_sc": ("symmetry.sym_mod.w", 1),
-        "phi_sc": ("symmetry.sym_mod.phi", 1),
-        "vel_threshold_deg_s": ("symmetry.vel_threshold", DEG),
-        "seated_threshold_deg": ("symmetry.seated_ext_threshold", DEG),
-        "ema_smoothing": ("symmetry.ema_smoothing", 1),
-    },
-    "runtime": {key: (key, 1) for key in (
-        "torque_limit", "loop_rate_hz", "vel_filter_cutoff_hz",
-        "cmd_filter_cutoff_hz")},
-}
+# the params-file view of controller.TUNABLES: each file key, by section,
+# maps to the field path it sets and the factor from its file unit (DEG
+# for degrees) to internal units; a key the file leaves out takes the
+# field's dataclass default
+PARAMS = {section: {(f"{name}_{unit}" if unit else name):
+                    (path, DEG if unit else 1)
+                    for row_section, name, path, unit in TUNABLES
+                    if row_section == section}
+          for section in dict.fromkeys(row[0] for row in TUNABLES)}
 _PARAMS_TABLE = {section: ({key: (float, None, None) for key in keys},
                            None, {}) for section, keys in PARAMS.items()}
 
@@ -258,33 +226,33 @@ def params_from_dict(cfg: dict) -> ControllerParams:
             if value is not None:
                 path, factor = PARAMS[section][key]
                 values[path] = value * factor
-    return _build(ControllerParams, values, "")
+    return _build(ControllerParams, values)
 
 
-def _build(cls, values: dict, prefix: str):
+def _build(cls, values: dict, prefix: tuple = ()):
     """``cls`` with the fields under ``prefix`` that ``values``, {field
     path: value}, sets; a field that it leaves out takes its dataclass
     default."""
     types = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
-        path = prefix + f.name
+        path = prefix + (f.name,)
         if path in values:
             kwargs[f.name] = values[path]
-        elif any(key.startswith(path + ".") for key in values):
-            kwargs[f.name] = _build(types[f.name], values, path + ".")
+        elif any(key[:len(path)] == path for key in values):
+            kwargs[f.name] = _build(types[f.name], values, path)
         elif f.default is MISSING and f.default_factory is MISSING:
             # name a missing section, else the first file key under the field
-            name = path if path in PARAMS else next(
+            name = f.name if not prefix else next(
                 f"{section}.{key}" for section, keys in PARAMS.items()
                 for key, (field, _) in keys.items()
-                if (field + ".").startswith(path + "."))
+                if field[:len(path)] == path)
             raise ConfigError(f"missing key {name!r}")
     return cls(**kwargs)
 
 
 def params_to_dict(p: ControllerParams) -> dict:
-    return {section: {key: reduce(getattr, path.split("."), p) / factor
+    return {section: {key: field_at(p, path) / factor
                       for key, (path, factor) in keys.items()}
             for section, keys in PARAMS.items()}
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .heelstrike import LEFT, RIGHT, HsDetector, HsEvent
 from .modulation import (BilateralSample, DescentModParams, ModulationState,
@@ -58,6 +59,50 @@ class ControllerParams:
         if not (0 < self.vel_filter_cutoff_hz < nyq
                 and 0 < self.cmd_filter_cutoff_hz < nyq):
             raise ValueError("filter cutoffs must lie below loop_rate_hz / 2")
+
+
+# Every tunable leaf of ControllerParams, one row each: params-file
+# section, name in internal units, field path and file unit ('deg',
+# 'deg_s', or '' for internal units). The file key is the name plus '_'
+# and the unit (theta_ext_eq + deg -> theta_ext_eq_deg). Params files
+# (configio.PARAMS) and the optimizer's names (optimize.PARAM_PATHS, the
+# gait and sts rows) both read these rows.
+TUNABLES = (
+    ("gait", "k_ext", ("gait", "k_ext"), ""),
+    ("gait", "k_flex", ("gait", "k_flex"), ""),
+    ("gait", "theta_ext_eq", ("gait", "theta_ext_eq"), "deg"),
+    ("gait", "theta_flex_eq", ("gait", "theta_flex_eq"), "deg"),
+    ("gait", "w_ext", ("gait", "vel_mod_ext", "w"), ""),
+    ("gait", "phi_ext", ("gait", "vel_mod_ext", "phi"), ""),
+    ("gait", "w_flex", ("gait", "vel_mod_flex", "w"), ""),
+    ("gait", "phi_flex", ("gait", "vel_mod_flex", "phi"), ""),
+    ("sts", "k_sts", ("sts", "k_sts"), ""),
+    ("sts", "w_vel", ("sts", "vel_mod", "w"), ""),
+    ("sts", "phi_vel", ("sts", "vel_mod", "phi"), ""),
+    ("sts", "w_torso", ("sts", "torso_mod", "w"), ""),
+    ("sts", "phi_torso", ("sts", "torso_mod", "phi"), ""),
+    ("descent", "w_step", ("descent", "step_mod", "w"), ""),
+    ("descent", "phi_step", ("descent", "step_mod", "phi"), ""),
+    ("descent", "lambda", ("descent", "lam"), ""),
+    ("descent", "thigh_min", ("descent", "thigh_min"), "deg"),
+    ("descent", "thigh_max", ("descent", "thigh_max"), "deg"),
+    ("descent", "t_wait", ("descent", "t_wait"), ""),
+    ("descent", "t_decay", ("descent", "t_decay"), ""),
+    ("symmetry", "w_sc", ("symmetry", "sym_mod", "w"), ""),
+    ("symmetry", "phi_sc", ("symmetry", "sym_mod", "phi"), ""),
+    ("symmetry", "vel_threshold", ("symmetry", "vel_threshold"), "deg_s"),
+    ("symmetry", "seated_threshold",
+     ("symmetry", "seated_ext_threshold"), "deg"),
+    ("symmetry", "ema_smoothing", ("symmetry", "ema_smoothing"), ""),
+    *(("runtime", name, (name,), "") for name in (
+        "torque_limit", "loop_rate_hz", "vel_filter_cutoff_hz",
+        "cmd_filter_cutoff_hz")),
+)
+
+
+def field_at(obj, path: tuple):
+    """The field of ``obj`` at ``path``, a tuple of attribute names."""
+    return reduce(getattr, path, obj)
 
 
 @dataclass

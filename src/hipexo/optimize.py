@@ -8,6 +8,9 @@ kinematics; the descent and blending layers stay out of the fitting loop.
 The search is a bound-constrained Nelder-Mead simplex with seeded restarts
 on stagnation; the returned point is never worse than the warm start. The
 simplex is an in-module port of scipy's, so the package needs no scipy.
+The free parameters (:data:`PARAM_PATHS`) are the gait and sts rows of
+``controller.TUNABLES``, each named as its params-file key in internal
+units (``theta_ext_eq``, in rad, for ``theta_ext_eq_deg``).
 """
 from __future__ import annotations
 
@@ -17,28 +20,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .controller import ControllerParams
+from .controller import TUNABLES, ControllerParams, field_at
 from .gaitdata import CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL, CH_THIGH, CH_TORSO, \
     ActivityLabel, StrideSeries
 from .metrics import cosine_similarity
 from .springs import gait_torque, gait_torque_series, sts_torque_series
 
-# tunable scalar surface exposed to the optimizer (basis layer only)
-PARAM_PATHS = {
-    "k_ext": ("gait", "k_ext"),
-    "k_flex": ("gait", "k_flex"),
-    "theta_ext_eq": ("gait", "theta_ext_eq"),
-    "theta_flex_eq": ("gait", "theta_flex_eq"),
-    "w_ext": ("gait", "vel_mod_ext", "w"),
-    "phi_ext": ("gait", "vel_mod_ext", "phi"),
-    "w_flex": ("gait", "vel_mod_flex", "w"),
-    "phi_flex": ("gait", "vel_mod_flex", "phi"),
-    "k_sts": ("sts", "k_sts"),
-    "w_vel": ("sts", "vel_mod", "w"),
-    "phi_vel": ("sts", "vel_mod", "phi"),
-    "w_torso": ("sts", "torso_mod", "w"),
-    "phi_torso": ("sts", "torso_mod", "phi"),
-}
+PARAM_PATHS = {name: path for section, name, path, _ in TUNABLES
+               if section in ("gait", "sts")}
 
 DEFAULT_FREE = ("w_ext", "phi_ext", "w_flex", "phi_flex",
                 "theta_ext_eq", "theta_flex_eq")
@@ -55,10 +44,7 @@ _BLOCK_CHANNELS = {True: (CH_HIP_ANGLE, CH_HIP_VEL),
 
 
 def get_param(params: ControllerParams, name: str) -> float:
-    obj = params
-    for attr in PARAM_PATHS[name]:
-        obj = getattr(obj, attr)
-    return float(obj)
+    return float(field_at(params, PARAM_PATHS[name]))
 
 
 def _plan(base, names) -> tuple[list, dict]:
@@ -82,9 +68,7 @@ def _plan(base, names) -> tuple[list, dict]:
         sets = groups.pop(owner)
         if not owner:
             return steps, sets
-        obj = base
-        for attr in owner:
-            obj = getattr(obj, attr)
+        obj = field_at(base, owner)
         fixed = {f.name: getattr(obj, f.name) for f in fields(obj)
                  if f.name not in sets}
         steps.append((type(obj), fixed, tuple(sets.items())))

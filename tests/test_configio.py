@@ -1,12 +1,15 @@
 import math
+from dataclasses import is_dataclass
 from importlib import resources
+from typing import get_type_hints
 
 import pytest
 
-from hipexo.configio import (ConfigError, check, load_params,
+from hipexo.configio import (DEG, PARAMS, ConfigError, check, load_params,
                              params_from_dict, params_to_dict, save_params)
-from hipexo.controller import ControllerParams
+from hipexo.controller import TUNABLES, ControllerParams
 from hipexo.modulation import DescentModParams, SymmetryParams
+from hipexo.optimize import PARAM_PATHS, get_param
 
 
 class TestParamsIO:
@@ -55,6 +58,79 @@ class TestParamsIO:
         rad = default_params.gait.theta_ext_eq
         assert d["gait"]["theta_ext_eq_deg"] == pytest.approx(
             rad * 180.0 / math.pi)
+
+
+# the optimizer's names and field paths, in order, written out apart from
+# the tunables table they come from
+OPTIMIZER_PATHS = [
+    ("k_ext", ("gait", "k_ext")),
+    ("k_flex", ("gait", "k_flex")),
+    ("theta_ext_eq", ("gait", "theta_ext_eq")),
+    ("theta_flex_eq", ("gait", "theta_flex_eq")),
+    ("w_ext", ("gait", "vel_mod_ext", "w")),
+    ("phi_ext", ("gait", "vel_mod_ext", "phi")),
+    ("w_flex", ("gait", "vel_mod_flex", "w")),
+    ("phi_flex", ("gait", "vel_mod_flex", "phi")),
+    ("k_sts", ("sts", "k_sts")),
+    ("w_vel", ("sts", "vel_mod", "w")),
+    ("phi_vel", ("sts", "vel_mod", "phi")),
+    ("w_torso", ("sts", "torso_mod", "w")),
+    ("phi_torso", ("sts", "torso_mod", "phi")),
+]
+
+
+def leaf_paths(cls, prefix=()):
+    """The field path of every field under ``cls`` that is not itself a
+    dataclass."""
+    for name, kind in get_type_hints(cls).items():
+        if is_dataclass(kind):
+            yield from leaf_paths(kind, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+class TestTunablesTable:
+    def test_every_leaf_field_once(self):
+        paths = [path for _, _, path, _ in TUNABLES]
+        assert sorted(paths) == sorted(leaf_paths(ControllerParams))
+
+    def test_optimizer_names_and_paths_unchanged(self):
+        assert list(PARAM_PATHS.items()) == OPTIMIZER_PATHS
+
+    def test_get_param_walks_the_same_field(self, default_params):
+        for name, path in OPTIMIZER_PATHS:
+            obj = default_params
+            for attr in path:
+                obj = getattr(obj, attr)
+            assert get_param(default_params, name) == float(obj)
+
+    def test_file_key_reads_the_optimizer_field(self, default_params):
+        """Each optimizer name is its params-file key in internal units:
+        the file value times the key's factor is the same float."""
+        d = params_to_dict(default_params)
+        for name, path in OPTIMIZER_PATHS:
+            section = path[0]
+            key = name if name in PARAMS[section] else name + "_deg"
+            file_path, factor = PARAMS[section][key]
+            assert file_path == path
+            assert d[section][key] * factor == get_param(default_params, name)
+
+    def test_params_file_keys_and_factors_unchanged(self):
+        assert {section: list(keys) for section, keys in PARAMS.items()} == {
+            "gait": ["k_ext", "k_flex", "theta_ext_eq_deg",
+                     "theta_flex_eq_deg", "w_ext", "phi_ext", "w_flex",
+                     "phi_flex"],
+            "sts": ["k_sts", "w_vel", "phi_vel", "w_torso", "phi_torso"],
+            "descent": ["w_step", "phi_step", "lambda", "thigh_min_deg",
+                        "thigh_max_deg", "t_wait", "t_decay"],
+            "symmetry": ["w_sc", "phi_sc", "vel_threshold_deg_s",
+                         "seated_threshold_deg", "ema_smoothing"],
+            "runtime": ["torque_limit", "loop_rate_hz",
+                        "vel_filter_cutoff_hz", "cmd_filter_cutoff_hz"]}
+        for keys in PARAMS.values():
+            for key, (_, factor) in keys.items():
+                assert factor == (DEG if key.endswith(("_deg", "_deg_s"))
+                                  else 1)
 
 
 def test_omitted_optional_keys_take_dataclass_defaults(default_params):

