@@ -142,27 +142,41 @@ def cmd_simulate(args) -> int:
 
 def _simulate_into(run: _Run, params, battery, cycles: int):
     # Formatting the step logs is most of a run's time, so one forked
-    # process writes them while this one replays. Forked, not spawned: a
-    # fresh interpreter would spend about what the overlap saves on imports.
-    from concurrent.futures import ProcessPoolExecutor
+    # process writes them while this one replays and writes the rest; each
+    # step log is queued before its stride's files, so the writer starts
+    # early. Forked, not spawned: a fresh interpreter would spend about
+    # what the overlap saves on imports. Once its own files are written,
+    # this process takes back, from the last one down, every step log the
+    # writer has not started (a future that cancel() accepts) and writes it
+    # itself, so neither process idles while the other writes. Job 0 is
+    # never taken back, so the writer always runs it; the run reports the
+    # first failure in submission order, so a failure in the writer stays
+    # the one it reports.
+    from concurrent.futures import Future, ProcessPoolExecutor
     from multiprocessing import get_context
 
     writer = ProcessPoolExecutor(max_workers=1, mp_context=get_context("fork"))
     try:
         writes = []
+        jobs = {}   # future -> its write_step_log args, until it is done
         rows = []
         for label, strides in battery.items():
             assisted, logs = simulate_task(params, strides, cycles=cycles)
             code = label.code.replace(" ", "_")
 
             for k, (stride, out, log) in enumerate(zip(strides, assisted, logs)):
+                job = (log, run.path("steps", f"{code}_{k}.csv"), run.header)
+                write = writer.submit(write_step_log, *job)
+                jobs[write] = job
+                write.add_done_callback(lambda done: jobs.pop(done, None))
+                writes.append(write)
+                # the assisted stride shares the input's channel arrays, so
+                # both files are written from one formatting of each
+                cells = {}
                 save_stride(stride, run.path("strides", "unassisted", f"{code}_{k}.csv"),
-                            run.header)
+                            run.header, cells)
                 save_stride(out, run.path("strides", "assisted", f"{code}_{k}.csv"),
-                            run.header)
-                writes.append(writer.submit(
-                    write_step_log, log, run.path("steps", f"{code}_{k}.csv"),
-                    run.header))
+                            run.header, cells)
 
             # ensemble profiles over the task's strides (torque and power)
             n = strides[0].n
@@ -187,6 +201,15 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
 
         write_report(rows, run.path("report.csv"), run.header)
         save_params(params, run.path("params_used.yaml"), run.header)
+        for i in range(len(writes) - 1, 0, -1):
+            job = jobs.get(writes[i])
+            if not writes[i].cancel():
+                break   # the writer holds this job and every one before it
+            writes[i] = Future()
+            try:
+                writes[i].set_result(write_step_log(*job))
+            except Exception as exc:   # reported below, in submission order
+                writes[i].set_exception(exc)
         for write in writes:
             write.result()
     finally:

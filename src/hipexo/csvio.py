@@ -3,7 +3,10 @@
 A file opens with a block of ``# <line>`` comment lines (tool version,
 config hash and seed on CLI artifacts), followed by the body: one CSV header
 row and data rows, or YAML or plain text. Callers format the cells of
-:func:`write_csv`; :func:`write_float_columns` formats float columns itself.
+:func:`write_csv`; :func:`write_float_columns` formats float columns itself,
+and :func:`write_cell_columns` writes float columns that
+:func:`float_cells` formatted before, so that a column written to several
+files is formatted once.
 Every CSV input is read by :func:`read_columns`.
 """
 from __future__ import annotations
@@ -37,21 +40,38 @@ def write_csv(path, columns, rows, header_lines=()):
         writer.writerows(rows)
 
 
+def float_cells(column) -> list[str]:
+    """The cells of a float64 column: ``repr`` of each value as a Python
+    float, converted once with ``tolist``."""
+    return list(map(repr, np.asarray(column, dtype=np.float64).tolist()))
+
+
 def write_float_columns(path, names, columns, header_lines=(),
                         numpy_repr=False):
     """Header block, one header row of ``names``, then one row per index of
     the equal-length float64 ``columns``.
 
     Each cell is ``repr`` of the value as a Python float, or with
-    ``numpy_repr`` as a numpy float64 scalar. The bytes are those of
-    :func:`write_csv` on the same cells: a float repr holds no delimiter,
-    quote or newline, so no cell needs quoting. Each column is converted
-    once with ``tolist`` and rows are streamed, never joined into one string.
+    ``numpy_repr`` as a numpy float64 scalar. Each column is converted once
+    with ``tolist`` and formatted as its rows are written.
+    """
+    write_cell_columns(
+        path, names,
+        [map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns],
+        header_lines, numpy_repr)
+
+
+def write_cell_columns(path, names, cells, header_lines=(), numpy_repr=False):
+    """:func:`write_float_columns` of columns already formatted: ``cells``
+    holds one iterable of float reprs per column, as :func:`float_cells`
+    returns them.
+
+    The bytes are those of :func:`write_csv` on the same cells: a float
+    repr holds no delimiter, quote or newline, so no cell needs quoting.
+    Rows are streamed, never joined into one string.
     """
     pre, suf = (_NP_PREFIX, _NP_SUFFIX) if numpy_repr else ("", "")
     sep = suf + "," + pre
-    cells = [map(repr, np.asarray(c, dtype=np.float64).tolist())
-             for c in columns]
     with open_artifact(path, header_lines) as fh:
         csv.writer(fh).writerow(names)
         fh.writelines(pre + sep.join(row) + suf + "\r\n"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import LoadError, read_columns, write_float_columns
+from .csvio import LoadError, float_cells, read_columns, write_cell_columns
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
 from .springs import (GaitSpringParams, StsSpringParams, gait_torque_series,
                       sts_torque_series)
@@ -337,13 +337,27 @@ def stride_meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def save_stride(stride: StrideSeries, path, header_lines=()):
+def save_stride(stride: StrideSeries, path, header_lines=(), cells=None):
     """Write a stride as CSV (repr floats, bit-exact round-trip) plus a JSON
-    metadata sidecar."""
+    metadata sidecar.
+
+    ``cells``, a dict that the caller passes to several calls, keeps each
+    channel's formatted cells under its name beside the array they came
+    from. A channel whose array is that same object, as after
+    :meth:`StrideSeries.copy_with`, is written from them rather than
+    formatted again; the caller must not change such an array in place
+    between the calls.
+    """
     path = Path(path)
     names = sorted(stride.channels)
-    write_float_columns(path, names, [stride.channels[c] for c in names],
-                        header_lines)
+    cells = {} if cells is None else cells
+    for name in names:
+        column = stride.channels[name]
+        kept = cells.get(name)
+        if kept is None or kept[0] is not column:
+            cells[name] = (column, float_cells(column))
+    write_cell_columns(path, names, [cells[name][1] for name in names],
+                       header_lines)
     meta = {
         "kind": stride.label.kind,
         "parameter": stride.label.parameter,

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 from itertools import takewhile
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from hipexo.configio import (CONFIGS, DIR, FILE, LABEL, PARAMS, SCHEMA, check,
                              load_params, params_to_dict)
 from hipexo.csvio import read_csv
 from hipexo.gaitdata import (CHANNELS, ActivityLabel, load_stride,
-                             save_stride, synth_battery, synth_imu_stream,
-                             synth_profiles)
+                             save_stride, stride_meta_path, synth_battery,
+                             synth_imu_stream, synth_profiles)
 from hipexo.metrics import (paired_summary, read_report, task_energetics,
                             write_report)
 from hipexo.optimize import PARAM_PATHS
@@ -519,8 +520,11 @@ class TestSimulate:
             Path("steps"), Path("steps/keep.txt")]
 
     def test_step_logs_match_in_process_writes(self, tmp_path, sim_config):
-        """Each step log that simulate's writer process wrote equals, byte
-        for byte, the same stride's replay written in this process."""
+        """Each step log, whichever process wrote it (the forked writer, or
+        the run's own process after taking the job back), and each
+        unassisted and assisted stride file with its ``.meta.json``
+        sidecar, equals, byte for byte, the same stride's replay written
+        alone in this process."""
         out = tmp_path / "out"
         assert main(["simulate", "--config", sim_config, "--out", str(out)]) == 0
         cfg = check(CONFIGS["simulate"],
@@ -528,17 +532,79 @@ class TestSimulate:
         header = cli._Run(out, Path(sim_config).read_bytes(), 7).header
         params = load_params("default")
         ref = tmp_path / "ref.csv"
-        written = sorted(p.name for p in (out / "steps").iterdir())
+        written = sorted(p.relative_to(out) for p in out.rglob("*.csv")
+                         if p.parent.name != "profiles"
+                         and p.name != "report.csv")
         expected = []
         for label, strides in cli._build_battery(cfg["battery"], 7).items():
-            for k, stride in enumerate(strides):
+            assisted, logs = replay.simulate_task(params, strides,
+                                                  cycles=cfg["cycles"])
+            for k, (stride, out_stride, log) in enumerate(
+                    zip(strides, assisted, logs)):
                 name = f"{label.code.replace(' ', '_')}_{k}.csv"
-                expected.append(name)
-                replay.write_step_log(
-                    replay.replay_stride(params, stride, cycles=cfg["cycles"]),
-                    ref, header)
+                replay.write_step_log(log, ref, header)
+                expected.append(Path("steps", name))
                 assert (out / "steps" / name).read_bytes() == ref.read_bytes()
+                for condition, s in (("unassisted", stride),
+                                     ("assisted", out_stride)):
+                    save_stride(s, ref, header)
+                    path = out / "strides" / condition / name
+                    expected.append(path.relative_to(out))
+                    assert path.read_bytes() == ref.read_bytes(), path
+                    assert stride_meta_path(path).read_bytes() == \
+                        stride_meta_path(ref).read_bytes(), path
         assert written == sorted(expected)
+
+    @staticmethod
+    def slow_writer(monkeypatch, here):
+        """Patch ``replay.write_float_columns`` so that each step log the
+        forked writer writes (the writer inherits the patch) first sleeps
+        0.3 s, and each one the run's own process writes first calls
+        ``here(path)``. The writer then still holds its first jobs when the
+        run's own files are written, so the run takes the others back."""
+        pid = os.getpid()
+        write = replay.write_float_columns
+
+        def patched(path, *args, **kwargs):
+            if os.getpid() == pid:
+                here(path)
+            else:
+                time.sleep(0.3)
+            write(path, *args, **kwargs)
+
+        monkeypatch.setattr(replay, "write_float_columns", patched)
+
+    def test_slow_writer_step_logs_taken_back(self, tmp_path, sim_config,
+                                              monkeypatch):
+        """Step logs the writer has not started are written by the run's
+        own process, never the first one, and the tree is byte-identical to
+        a run whose writer is not slowed."""
+        ref = tmp_path / "ref"
+        assert main(["simulate", "--config", sim_config, "--out", str(ref)]) == 0
+        here = []
+        self.slow_writer(monkeypatch, here.append)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", sim_config, "--out", str(out)]) == 0
+        assert here
+        assert out / "steps" / "LG_1.15_0.csv" not in here   # job 0
+        assert_same_tree(ref, out)
+
+    def test_failed_taken_back_write_leaves_none(self, tmp_path, capsys,
+                                                 sim_config, monkeypatch):
+        """A step-log write that fails in the run's own process, on a job
+        taken back from a slow writer, fails the run (exit 1), removes every
+        file and directory the run made and leaves no child process."""
+        def failing_write(path):
+            raise OSError(f"disk full in pid {os.getpid()}")
+
+        self.slow_writer(monkeypatch, failing_write)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"runtime failure: disk full in pid {os.getpid()}" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("imu", [False, True], ids=["no-imu", "imu"])
     def test_dataset_stride_needs_imu_channels(self, tmp_path, capsys, imu):

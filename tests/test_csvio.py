@@ -90,6 +90,25 @@ def test_stride_bytes_match_reference_and_reload_bit_identical(tmp_path,
         assert back.channels[name].tobytes() == values.tobytes(), name
 
 
+def test_stride_cells_reused_only_for_the_same_array(tmp_path, battery):
+    """Strides written through one ``cells`` dict reuse a channel's cells
+    only while it is the same array object: a channel that
+    :meth:`StrideSeries.copy_with` replaced, even by an equal copy that
+    then changes in place, and one it added, are formatted again."""
+    stride = battery[ActivityLabel("stair-ascent", 0.178)][1]
+    hip = stride.channels["hip_angle"].copy()
+    changed = stride.copy_with(hip_angle=hip,
+                               extra=inject(np.zeros(stride.n), 0))
+    cells = {}
+    save_stride(stride, tmp_path / "a.csv", HEADER, cells)
+    hip[50:50 + len(SPECIALS)] = SPECIALS
+    save_stride(changed, tmp_path / "b.csv", HEADER, cells)
+    for name, s in (("a", stride), ("b", changed)):
+        reference_stride_csv(s, tmp_path / "ref.csv", HEADER)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes(), name
+
+
 def test_profile_bytes_match_row_wise_reference(tmp_path):
     rng = np.random.default_rng(4)
     n = 201

@@ -362,3 +362,74 @@ class TestColumnReplay:
                                        columns)
             assert_same_log(series, events, *step_reference(
                 params, [c.tolist() for c in columns]))
+
+
+SWITCH_RAMP_S = 0.4   # smoothstep at each activity switch, as in perfbench
+
+
+def switch_stream(params, first, second, cycles=3):
+    """Frame columns of ``first`` replayed for ``cycles`` and then, with no
+    reset, ``second`` for ``cycles``; over the first SWITCH_RAMP_S of
+    ``second`` every field but the timestamp moves from ``first``'s last
+    frame to ``second``'s by a smoothstep. Returns (columns, starts): the
+    columns and the frame index at which each cycle of ``second`` begins."""
+    rate = params.loop_rate_hz
+    _, _, a, _ = replay._frames(first, rate, cycles)
+    t_b, _, b, _ = replay._frames(second, rate, cycles)
+    n = round(SWITCH_RAMP_S * rate)
+    x = np.arange(n) / n
+    w = x * x * (3.0 - 2.0 * x)
+    b[1:, :n] = (1.0 - w) * a[1:, -1:] + w * b[1:, :n]
+    b[0] += a[0, -1] + 1.0 / rate
+    starts = a.shape[1] + np.searchsorted(
+        t_b, np.arange(cycles) * second.cycle_duration)
+    return np.concatenate([a, b], axis=1), starts
+
+
+class TestActivitySwitch:
+    """One controller across an activity switch, with no mode switch and
+    no reset: descent followed by a hip-intensive task."""
+
+    @pytest.fixture(scope="class")
+    def clean_bound(self, default_params, battery):
+        """The largest per-tick command change of any default-battery
+        stride replayed alone."""
+        return max(np.abs(np.diff(replay_stride(
+            default_params, s, cycles=3).series["tau_cmd"])).max()
+            for task in battery.values() for s in task)
+
+    # the mean extension scale of each cycle of the new task: the alpha
+    # latched on descent holds until the first left heel strike of the
+    # new task, so its first cycle keeps part of the descent attenuation
+    @pytest.mark.parametrize("first, second, first_cycle", [
+        (ActivityLabel("stair-descent", 0.178),
+         ActivityLabel("stair-ascent", 0.178), 0.12536872461358656),
+        (ActivityLabel("ramp-descent", 11), ActivityLabel("level-walk", 1.15),
+         0.4028717109373589),
+    ], ids=["SD7-to-SA7", "RD11-to-LG1.15"])
+    def test_switch_matches_step_reference_within_bounds(
+            self, default_params, battery, clean_bound, first, second,
+            first_cycle):
+        p = default_params
+        a, b = battery[first][0], battery[second][0]
+        columns, starts = switch_stream(p, a, b)
+        series, events = unstepped(replay._replay_columns, p, columns)
+        assert_same_log(series, events, *step_reference(
+            p, [c.tolist() for c in columns]))
+
+        for name in ("alpha", "beta"):
+            assert 0.0 <= series[name].min() <= series[name].max() <= 1.0
+        step = np.abs(np.diff(series["tau_cmd"]))
+        assert step.max() <= clean_bound
+        # across the junction, no larger a step than either stride's own
+        ramp = round(SWITCH_RAMP_S * p.loop_rate_hz)
+        own = max(np.abs(np.diff(replay_stride(
+            p, s, cycles=3).series["tau_cmd"])).max() for s in (a, b))
+        assert step[starts[0] - ramp:starts[0] + ramp].max() <= own
+
+        scale = [series["extension_scale"][i:j].mean() for i, j in
+                 zip(starts, [*starts[1:], len(columns[0])])]
+        assert scale[0] == pytest.approx(first_cycle, rel=1e-9)
+        alone = replay_stride(p, b, cycles=3).mean_extension_scale
+        assert scale[0] < alone - 0.5
+        assert scale[2] == pytest.approx(alone, abs=1e-6)
