@@ -26,7 +26,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +42,7 @@ from .csvio import (open_artifact, read_columns, write_csv,
 from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH_ACC,
                        ActivityLabel, LoadError, StrideSeries, load_stride,
                        load_trial, normalize_stride, save_stride,
-                       segment_strides, stride_meta_path, synth_battery)
+                       segment_strides, synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, read_report,
                       task_energetics, write_report)
@@ -48,13 +51,15 @@ from .optimize import (ObjectiveSpec, TaskSet, check_in_bounds,
 from .replay import simulate_task, write_step_log
 
 class _Run:
-    """Tracks created artifacts so a failed run leaves nothing partial."""
+    """Stages a run's artifacts and renames them into ``--out`` if the run
+    succeeds, so a failed run leaves ``--out`` as it found it.
+
+    The staging directory, ``.hipexo-*``, is made in ``--out`` or else its
+    nearest existing ancestor, so each rename stays on one file system."""
 
     def __init__(self, out_dir: Path, config_raw: bytes,
                  seed: int | None = None):
         self.out = out_dir
-        self.created: list[Path] = []
-        self.made_dirs: list[Path] = []   # in creation order, parents first
         digest = hashlib.sha256(config_raw).hexdigest()
         self.header = [f"tool: hipexo {__version__}",
                        f"config_sha256: {digest}"]
@@ -62,36 +67,25 @@ class _Run:
             self.header.append(f"seed: {seed}")
 
     def path(self, *parts) -> Path:
-        p = self.out.joinpath(*parts)
-        missing = []
-        d = p.parent
-        while not d.exists():
-            missing.append(d)
-            d = d.parent
-        for d in reversed(missing):
-            d.mkdir()
-            self.made_dirs.append(d)
-        self.created.append(p)
+        p = self.stage.joinpath(*parts)
+        p.parent.mkdir(parents=True, exist_ok=True)
         return p
 
     def __enter__(self):
+        home = next(d for d in (self.out, *self.out.parents) if d.is_dir())
+        self.stage = Path(tempfile.mkdtemp(prefix=".hipexo-", dir=home))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            for p in self.created:
-                try:
-                    p.unlink(missing_ok=True)
-                    stride_meta_path(p).unlink(missing_ok=True)
-                except OSError:
-                    pass
-            # deepest first; a directory holding anything the run did not
-            # make stays, and a pre-existing --out is never in the list
-            for d in reversed(self.made_dirs):
-                try:
-                    d.rmdir()
-                except OSError:
-                    pass
+        try:
+            if exc_type is None:
+                for root, _, files in os.walk(self.stage):
+                    dest = self.out / os.path.relpath(root, self.stage)
+                    dest.mkdir(parents=True, exist_ok=True)
+                    for name in files:
+                        os.replace(os.path.join(root, name), dest / name)
+        finally:
+            shutil.rmtree(self.stage, ignore_errors=True)
         return False
 
 
@@ -213,8 +207,8 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
         for write in writes:
             write.result()
     finally:
-        # on an error, no queued or running write may outlive the run's
-        # cleanup of its files
+        # on an error, no queued or running write may outlive the removal
+        # of the staging directory it writes into
         writer.shutdown(wait=True, cancel_futures=True)
 
 

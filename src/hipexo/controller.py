@@ -219,8 +219,8 @@ class HipController:
         after sustained faults) and the fault flag is raised. This gate is
         the pipeline's only input check; the stages after it take plain
         floats. An admitted frame whose timestamp is not later than the
-        last frame's, or than the last admitted frame's, raises
-        ``ValueError``: a gated frame cannot turn the detector's clock back.
+        last admitted frame's raises ``ValueError``; a gated frame's
+        timestamp only dates the fault (one period on if not finite).
         """
         p = self.params
         if (not frame.is_finite()
@@ -228,10 +228,8 @@ class HipController:
                 or abs(frame.hip_vel_r) >= VEL_BOUND):
             return self._fault_step(frame.timestamp)
         t = frame.timestamp
-        if t <= self._t_admitted or (self._t_prev is not None
-                                     and t <= self._t_prev):
-            raise ValueError(f"timestamp regression: {t} after "
-                             f"{max(self._t_admitted, self._t_prev)}")
+        if t <= self._t_admitted:
+            raise ValueError(f"timestamp regression: {t} after {self._t_admitted}")
         self._fault_since = None
         self._t_admitted = t
 

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import time
 from itertools import takewhile
 from pathlib import Path
@@ -471,12 +472,14 @@ class TestSimulate:
     def test_failure_after_first_files_leaves_none(self, tmp_path, capsys,
                                                     sim_config, monkeypatch):
         """A run that fails once stride files and their ``.meta.json``
-        sidecars are written removes every file it made."""
+        sidecars are staged publishes none of them and removes its staging
+        directory, which sits beside the missing ``--out``."""
         out = tmp_path / "o"
         written = []
 
         def failing_report(*args):
-            written.extend(p for p in out.rglob("*") if p.is_file())
+            written.extend(p for p in tmp_path.glob(".hipexo-*/**/*")
+                           if p.is_file())
             raise OSError("disk full")
 
         monkeypatch.setattr(cli, "write_report", failing_report)
@@ -485,6 +488,7 @@ class TestSimulate:
         assert "runtime failure: disk full" in capsys.readouterr().err
         assert any(p.name.endswith(".meta.json") for p in written)
         assert not out.exists()
+        assert not list(tmp_path.glob(".hipexo-*"))
 
     def test_failed_write_in_writer_process_leaves_none(
             self, tmp_path, capsys, sim_config, monkeypatch):
@@ -507,9 +511,9 @@ class TestSimulate:
 
     def test_failure_keeps_existing_out_and_foreign_files(
             self, tmp_path, sim_config, monkeypatch):
-        """Cleanup removes only directories the run made, and only when
-        empty: a pre-existing ``--out`` and a directory that holds a file
-        the run did not write stay."""
+        """A failed run leaves a pre-existing ``--out`` as it found it:
+        a file the run did not write stays, and the staging directory made
+        inside ``--out`` is gone."""
         out = tmp_path / "o"
         (out / "steps").mkdir(parents=True)
         (out / "steps" / "keep.txt").write_text("mine")
@@ -518,6 +522,41 @@ class TestSimulate:
                      "--out", str(out)]) == 1
         assert sorted(p.relative_to(out) for p in out.rglob("*")) == [
             Path("steps"), Path("steps/keep.txt")]
+
+    def test_failed_rerun_keeps_previous_tree(self, tmp_path, capsys,
+                                              sim_config, monkeypatch):
+        """A re-run into the ``--out`` of a finished run that fails after
+        staging every file but the report leaves the finished run's tree
+        byte for byte, with no staging directory in it."""
+        out, ref = tmp_path / "o", tmp_path / "ref"
+        assert main(["simulate", "--config", sim_config, "--out", str(out),
+                     "--seed", "7"]) == 0
+        shutil.copytree(out, ref)
+
+        def failing_report(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_report", failing_report)
+        assert main(["simulate", "--config", sim_config, "--out", str(out),
+                     "--seed", "8"]) == 1
+        assert "runtime failure: disk full" in capsys.readouterr().err
+        assert_same_tree(ref, out)
+        assert not list(out.glob(".hipexo-*"))
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "failed"])
+    def test_missing_nested_out(self, tmp_path, sim_config, monkeypatch,
+                                fail):
+        """A run into a missing ``a/b/out`` makes the parents only when it
+        succeeds, and leaves no staging directory either way."""
+        out = tmp_path / "a" / "b" / "out"
+        if fail:
+            monkeypatch.setattr(cli, "write_report", lambda *args: 1 / 0)
+        assert main(["simulate", "--config", sim_config,
+                     "--out", str(out)]) == (1 if fail else 0)
+        assert (tmp_path / "a").exists() is not fail
+        if not fail:
+            assert (out / "report.csv").is_file()
+        assert not list(tmp_path.rglob(".hipexo-*"))
 
     def test_step_logs_match_in_process_writes(self, tmp_path, sim_config):
         """Each step log, whichever process wrote it (the forked writer, or
@@ -586,7 +625,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", sim_config, "--out", str(out)]) == 0
         assert here
-        assert out / "steps" / "LG_1.15_0.csv" not in here   # job 0
+        assert "LG_1.15_0.csv" not in {p.name for p in here}   # job 0
         assert_same_tree(ref, out)
 
     def test_failed_taken_back_write_leaves_none(self, tmp_path, capsys,

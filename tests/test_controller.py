@@ -250,21 +250,24 @@ class TestFaultHandling:
         assert detector_timestamps == [0.0, 2 * DT]
 
 
-    @pytest.mark.xfail(
-        strict=True, raises=ValueError,
-        reason="a gated frame moves the regression clock to its finite "
-               "timestamp however far ahead, so every later admitted frame "
-               "is a timestamp regression until reset(); ROADMAP item 3's "
-               "gap rule sends such a frame through the fault path")
+    @pytest.mark.parametrize("admitted, gated, later", [
+        ((0.0, 0.004), 1e9, 0.008),
+        ((0.0,), 0.5, 0.3),
+    ], ids=["far-future", "ahead-of-next"])
     def test_far_future_gated_frame_does_not_block_later_frames(
-            self, default_params):
+            self, default_params, detector_timestamps, admitted, gated,
+            later):
+        """Only admitted frames set the regression clock: a gated frame
+        dated ahead of the next admitted one, however far, blocks no later
+        frame, and the detector never sees it."""
         ctl = HipController(default_params)
-        ctl.step(zero_frame(0.0))
-        ctl.step(zero_frame(0.004))
-        frame = zero_frame(1e9)
+        for t in admitted:
+            ctl.step(zero_frame(t))
+        frame = zero_frame(gated)
         frame.hip_vel_l = math.nan
         assert ctl.step(frame).left.fault
-        assert not ctl.step(zero_frame(0.008)).left.fault
+        assert not ctl.step(zero_frame(later)).left.fault
+        assert detector_timestamps == [*admitted, later]
 
 
 class TestLatency:

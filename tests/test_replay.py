@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hipexo import controller, gaitdata, heelstrike, replay
-from hipexo.controller import HipController, SensorFrame
+from hipexo.controller import STANDING_BETA, HipController, SensorFrame
 from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_ANGLE_CON,
                              CH_HIP_VEL, CH_HIP_VEL_CON, CH_PELVIS_ACC,
                              CH_THIGH, CH_THIGH_ACC, CH_THIGH_ACC_CON,
@@ -367,23 +367,55 @@ class TestColumnReplay:
 SWITCH_RAMP_S = 0.4   # smoothstep at each activity switch, as in perfbench
 
 
-def switch_stream(params, first, second, cycles=3):
-    """Frame columns of ``first`` replayed for ``cycles`` and then, with no
-    reset, ``second`` for ``cycles``; over the first SWITCH_RAMP_S of
-    ``second`` every field but the timestamp moves from ``first``'s last
-    frame to ``second``'s by a smoothstep. Returns (columns, starts): the
-    columns and the frame index at which each cycle of ``second`` begins."""
+def stride_part(params, stride, cycles=3):
+    """A stride's replay frames and the frame index at which each of its
+    cycles begins (sit-to-stand: its one cycle, after the seated lead-in)."""
+    t, _, frames, t_meas0 = replay._frames(stride, params.loop_rate_hz,
+                                           cycles)
+    k = np.arange(cycles if stride.label.is_gait else 1)[::-1]
+    return frames, np.searchsorted(t, t_meas0 - k * stride.cycle_duration)
+
+
+def hold_part(params, frame, seconds):
+    """``frame``'s posture held still for ``seconds``: hip velocities and
+    accelerations zero, as in replay's sit-to-stand lead-in. No cycles."""
+    n = round(seconds * params.loop_rate_hz)
+    frames = np.repeat(np.asarray(frame, dtype=float)[:, None], n, axis=1)
+    frames[0] = np.arange(n) / params.loop_rate_hz
+    frames[replay._HOLD_ZERO_ROWS] = 0.0
+    return frames, np.array([], dtype=int)
+
+
+def join_stream(params, parts):
+    """Frame columns of ``parts``, (frames, cycle starts) pairs, played one
+    after another with no reset. Each part's timestamps go on one period
+    after the last frame before it, and over its first SWITCH_RAMP_S every
+    other field moves from that frame to the part's own by a smoothstep.
+    Returns (columns, firsts, starts): the columns, the index of each
+    part's first frame and the indices at which each part's cycles begin."""
     rate = params.loop_rate_hz
-    _, _, a, _ = replay._frames(first, rate, cycles)
-    t_b, _, b, _ = replay._frames(second, rate, cycles)
     n = round(SWITCH_RAMP_S * rate)
     x = np.arange(n) / n
     w = x * x * (3.0 - 2.0 * x)
-    b[1:, :n] = (1.0 - w) * a[1:, -1:] + w * b[1:, :n]
-    b[0] += a[0, -1] + 1.0 / rate
-    starts = a.shape[1] + np.searchsorted(
-        t_b, np.arange(cycles) * second.cycle_duration)
-    return np.concatenate([a, b], axis=1), starts
+    joined, firsts, starts = [], [], []
+    first = 0
+    for frames, cycle_starts in parts:
+        b = frames.copy()
+        if joined:
+            a = joined[-1]
+            b[1:, :n] = (1.0 - w) * a[1:, -1:] + w * b[1:, :n]
+            b[0] += a[0, -1] + 1.0 / rate
+        joined.append(b)
+        firsts.append(first)
+        starts.append(first + cycle_starts)
+        first += b.shape[1]
+    return np.concatenate(joined, axis=1), firsts, starts
+
+
+def own_step_peak(params, stride):
+    """The largest per-tick command change of ``stride`` replayed alone."""
+    return np.abs(np.diff(replay_stride(
+        params, stride, cycles=3).series["tau_cmd"])).max()
 
 
 class TestActivitySwitch:
@@ -394,9 +426,8 @@ class TestActivitySwitch:
     def clean_bound(self, default_params, battery):
         """The largest per-tick command change of any default-battery
         stride replayed alone."""
-        return max(np.abs(np.diff(replay_stride(
-            default_params, s, cycles=3).series["tau_cmd"])).max()
-            for task in battery.values() for s in task)
+        return max(own_step_peak(default_params, s)
+                   for task in battery.values() for s in task)
 
     # the mean extension scale of each cycle of the new task: the alpha
     # latched on descent holds until the first left heel strike of the
@@ -412,7 +443,8 @@ class TestActivitySwitch:
             first_cycle):
         p = default_params
         a, b = battery[first][0], battery[second][0]
-        columns, starts = switch_stream(p, a, b)
+        columns, _, (_, starts) = join_stream(
+            p, [stride_part(p, a), stride_part(p, b)])
         series, events = unstepped(replay._replay_columns, p, columns)
         assert_same_log(series, events, *step_reference(
             p, [c.tolist() for c in columns]))
@@ -423,8 +455,7 @@ class TestActivitySwitch:
         assert step.max() <= clean_bound
         # across the junction, no larger a step than either stride's own
         ramp = round(SWITCH_RAMP_S * p.loop_rate_hz)
-        own = max(np.abs(np.diff(replay_stride(
-            p, s, cycles=3).series["tau_cmd"])).max() for s in (a, b))
+        own = max(own_step_peak(p, s) for s in (a, b))
         assert step[starts[0] - ramp:starts[0] + ramp].max() <= own
 
         scale = [series["extension_scale"][i:j].mean() for i, j in
@@ -433,3 +464,64 @@ class TestActivitySwitch:
         alone = replay_stride(p, b, cycles=3).mean_extension_scale
         assert scale[0] < alone - 0.5
         assert scale[2] == pytest.approx(alone, abs=1e-6)
+
+    # (task, mean extension scale of its first cycle) in stream order; the
+    # first LG cycle keeps part of the attenuation that sit-to-stand's heel
+    # strikes latch, as the first cycle after each descent does
+    MIXED = (
+        (ActivityLabel("sit-to-stand"), 0.5802944072797399),
+        (ActivityLabel("level-walk", 1.15), 0.3722411287514568),
+        (ActivityLabel("ramp-ascent", 11), 0.9949777803374452),
+        (ActivityLabel("stair-ascent", 0.178), 0.9975411047785357),
+        (ActivityLabel("stair-descent", 0.178), 0.9994853268942686),
+        (ActivityLabel("ramp-descent", 11), 0.12536855300054459),
+        (ActivityLabel("level-walk", 1.15), 0.4028717109373589),
+    )
+
+    def test_mixed_activity_stream(self, default_params, battery,
+                                   clean_bound):
+        """Sit, sit-to-stand, LG, RA, SA, SD, RD, LG, stand: one stream with
+        no reset. Replay equals stepping bit for bit; alpha and beta stay in
+        [0, 1]; beta counts as standing once seated; each junction stays
+        within its strides' own per-tick peaks; the standing span ramps
+        alpha to 0."""
+        p = default_params
+        sts = battery[ActivityLabel("sit-to-stand")][0]
+        sts_frames = replay._frames(sts, p.loop_rate_hz, 1)[2]
+        stand = sts_frames[:, -1].copy()
+        stand[[2, 6]] = stand[[1, 5]]   # both legs as the left one
+        strides = [battery[label][0] for label, _ in self.MIXED]
+        stand_s = SWITCH_RAMP_S + p.descent.t_wait + p.descent.t_decay + 0.1
+        parts = [hold_part(p, sts_frames[:, 0], 2.0),
+                 *(stride_part(p, s) for s in strides),
+                 hold_part(p, stand, stand_s)]
+        columns, firsts, starts = join_stream(p, parts)
+        series, events = unstepped(replay._replay_columns, p, columns)
+        assert_same_log(series, events, *step_reference(
+            p, [c.tolist() for c in columns]))
+
+        for name in ("alpha", "beta"):
+            assert 0.0 <= series[name].min() <= series[name].max() <= 1.0
+        # seated: both thighs past the threshold, for 0.2 s on end
+        threshold = p.symmetry.seated_ext_threshold
+        seated = (columns[5] > threshold) & (columns[6] > threshold)
+        k = round(0.2 * p.loop_rate_hz)
+        settled = np.convolve(seated, np.ones(k))[:seated.size] == k
+        assert settled[firsts[0]:firsts[2]].sum() > 3.0 * p.loop_rate_hz
+        assert series["beta"][settled].min() > STANDING_BETA
+
+        step = np.abs(np.diff(series["tau_cmd"]))
+        assert step.max() <= clean_bound
+        ramp = round(SWITCH_RAMP_S * p.loop_rate_hz)
+        own = [0.0, *(own_step_peak(p, s) for s in strides), 0.0]
+        for k in range(1, len(parts)):
+            junction = step[firsts[k] - ramp:firsts[k] + ramp]
+            assert junction.max() <= max(own[k - 1], own[k]), k
+
+        first_cycles = [(c[0], c[1] if len(c) > 1 else end)
+                        for c, end in zip(starts[1:-1], firsts[2:])]
+        scale = [series["extension_scale"][i:j].mean()
+                 for i, j in first_cycles]
+        assert scale == pytest.approx([s for _, s in self.MIXED], rel=1e-9)
+        assert series["alpha"][firsts[-1]] > 0.0
+        assert series["alpha"][-1] == 0.0   # the standing reset ran
