@@ -44,8 +44,9 @@ from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH_ACC,
                        load_trial, normalize_stride, save_stride,
                        segment_strides, synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
-from .metrics import (ensemble_average, paired_summary, read_report,
-                      task_energetics, write_report)
+from .metrics import (ensemble_average, paired_summary, percent_change,
+                      read_report, task_energetics, write_paired,
+                      write_report)
 from .optimize import (ObjectiveSpec, TaskSet, check_in_bounds,
                        format_sim_table, optimize)
 from .replay import simulate_task, write_step_log
@@ -54,8 +55,10 @@ class _Run:
     """Stages a run's artifacts and renames them into ``--out`` if the run
     succeeds, so a failed run leaves ``--out`` as it found it.
 
-    The staging directory, ``.hipexo-*``, is made in ``--out`` or else its
-    nearest existing ancestor, so each rename stays on one file system."""
+    The staging directory, ``.hipexo-*``, is made in the nearest existing
+    path among ``--out`` and its parents, so each rename stays on one file
+    system; when that path is not a directory the run is a config error
+    before anything is staged."""
 
     def __init__(self, out_dir: Path, config_raw: bytes,
                  seed: int | None = None):
@@ -72,7 +75,9 @@ class _Run:
         return p
 
     def __enter__(self):
-        home = next(d for d in (self.out, *self.out.parents) if d.is_dir())
+        home = next(p for p in (self.out, *self.out.parents) if p.exists())
+        if not home.is_dir():
+            raise ConfigError(f"--out {self.out}: {home} is not a directory")
         self.stage = Path(tempfile.mkdtemp(prefix=".hipexo-", dir=home))
         return self
 
@@ -275,32 +280,22 @@ def cmd_metrics(args) -> int:
         print(f"warning: unmatched task sets: {sorted(unmatched)}; "
               "report is partial", file=sys.stderr)
 
-    summary = paired_summary(rows)
+    pairs = paired_summary(rows)
     with _Run(Path(args.out), raw) as run:
         write_report(rows, run.path("report.csv"), run.header)
-        header = ["task", "hip_work_unassisted", "hip_work_assisted",
-                  "hip_work_change_pct", "lowerlimb_work_change_pct",
-                  "peak_bio_power_change_pct", "peak_total_power_change_pct",
-                  "sim", "mean_extension_scale"]
-        out_rows = []
-        for rec in summary:
-            if rec.get("incomplete"):
-                continue
-            out_rows.append([rec["task"]] + [repr(rec[k]) for k in header[1:]])
-        write_csv(run.path("paired.csv"), header, out_rows, run.header)
-    _print_paired(summary)
+        write_paired(pairs, run.path("paired.csv"), run.header)
+    _print_paired(pairs)
     return 0
 
 
-def _print_paired(summary):
+def _print_paired(pairs):
     print(f"{'task':<10} {'hip W+ un':>10} {'hip W+ ex':>10} {'change':>8}")
-    for rec in summary:
-        if rec.get("incomplete"):
-            print(f"{rec['task']:<10} (incomplete pair)")
+    for task, (un, ex) in pairs.items():
+        if un is None or ex is None:
+            print(f"{task:<10} (incomplete pair)")
             continue
-        print(f"{rec['task']:<10} {rec['hip_work_unassisted']:>10.4f} "
-              f"{rec['hip_work_assisted']:>10.4f} "
-              f"{rec['hip_work_change_pct']:>7.1f}%")
+        print(f"{task:<10} {un.hip_work:>10.4f} {ex.hip_work:>10.4f} "
+              f"{percent_change(ex.hip_work, un.hip_work):>7.1f}%")
 
 
 _HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .csvio import read_columns, write_csv
+from .csvio import LoadError, read_columns, write_csv
 from .gaitdata import (CH_ANKLE_MOMENT, CH_ANKLE_VEL, CH_EXO, CH_HIP_MOMENT,
                        CH_HIP_VEL, CH_KNEE_MOMENT, CH_KNEE_VEL, StrideSeries)
 from .signals import integrate_positive
@@ -103,6 +103,15 @@ class TaskEnergetics:
 
 REPORT_COLUMNS = tuple(f.name for f in fields(TaskEnergetics))
 
+CONDITIONS = ("unassisted", "assisted")
+
+# the TaskEnergetics means over strides that a task's pair compares
+COMPARED = ("hip_work", "lowerlimb_work", "peak_bio_power", "peak_total_power")
+
+PAIRED_COLUMNS = ("task", *(f"{COMPARED[0]}_{c}" for c in CONDITIONS),
+                  *(f"{q}_change_pct" for q in COMPARED),
+                  "sim", "mean_extension_scale")
+
 
 def _parse_flag(cell: str) -> bool:
     if cell not in ("0", "1"):
@@ -110,10 +119,17 @@ def _parse_flag(cell: str) -> bool:
     return cell == "1"
 
 
+def _parse_condition(cell: str) -> str:
+    if cell not in CONDITIONS:
+        raise ValueError(f"expected one of {list(CONDITIONS)}, got {cell!r}")
+    return cell
+
+
 # cell codec per annotated field type: floats via repr for exact round-trips
 _CELL_PARSE = {f.name: {"str": str, "float": float, "int": int,
                         "bool": _parse_flag}[f.type]
                for f in fields(TaskEnergetics)}
+_CELL_PARSE["condition"] = _parse_condition
 
 
 def _cell(value) -> str:
@@ -171,10 +187,7 @@ def task_energetics(strides: list[StrideSeries], condition: str,
     return TaskEnergetics(
         task=label.code,
         condition=condition,
-        hip_work=mean("hip_work"),
-        lowerlimb_work=mean("lowerlimb_work"),
-        peak_bio_power=mean("peak_bio_power"),
-        peak_total_power=mean("peak_total_power"),
+        **{q: mean(q) for q in COMPARED},
         mean_extension_scale=mean_extension_scale,
         sim=float(np.mean(sims)) if sims else float("nan"),
         n_strides=len(strides),
@@ -189,8 +202,18 @@ def write_report(rows: list[TaskEnergetics], path, header_lines=()):
 
 
 def read_report(path) -> list[TaskEnergetics]:
+    """The rows of a ``report.csv``. A ``condition`` other than
+    ``unassisted`` or ``assisted``, or a second row for one (task,
+    condition), raises :class:`LoadError` naming the file."""
     columns = read_columns(path, "report", _CELL_PARSE)
-    return [TaskEnergetics(*row) for row in zip(*columns.values())]
+    rows = [TaskEnergetics(*row) for row in zip(*columns.values())]
+    seen = set()
+    for i, row in enumerate(rows):
+        if (row.task, row.condition) in seen:
+            raise LoadError(f"{path}: bad report row: data row {i + 1} "
+                            f"repeats task {row.task!r} {row.condition}")
+        seen.add((row.task, row.condition))
+    return rows
 
 
 def percent_change(assisted: float, unassisted: float) -> float:
@@ -200,27 +223,27 @@ def percent_change(assisted: float, unassisted: float) -> float:
     return (assisted - unassisted) / unassisted * 100.0
 
 
-def paired_summary(rows: list[TaskEnergetics]) -> list[dict]:
-    """Pair assisted/unassisted rows by task and add percent-change columns."""
-    by_task: dict[str, dict[str, TaskEnergetics]] = {}
+def paired_summary(rows: list[TaskEnergetics]) -> dict[str, tuple]:
+    """{task: (unassisted row, assisted row)} in the order tasks first
+    appear in ``rows``, with ``None`` for a condition the task lacks."""
+    pairs: dict[str, list] = {}
     for row in rows:
-        by_task.setdefault(row.task, {})[row.condition] = row
-    out = []
-    for task, pair in by_task.items():
-        rec = {"task": task}
-        un = pair.get("unassisted")
-        ex = pair.get("assisted")
-        if un and ex:
-            for metric in ("hip_work", "lowerlimb_work",
-                           "peak_bio_power", "peak_total_power"):
-                rec[metric + "_unassisted"] = getattr(un, metric)
-                rec[metric + "_assisted"] = getattr(ex, metric)
-                rec[metric + "_change_pct"] = percent_change(
-                    getattr(ex, metric), getattr(un, metric))
-            rec["sim"] = ex.sim
-            rec["mean_extension_scale"] = ex.mean_extension_scale
-            rec["hip_intensive"] = un.hip_intensive
-        else:
-            rec["incomplete"] = True
-        out.append(rec)
-    return out
+        pairs.setdefault(row.task, [None, None])[
+            CONDITIONS.index(row.condition)] = row
+    return {task: tuple(pair) for task, pair in pairs.items()}
+
+
+def write_paired(pairs: dict[str, tuple], path, header_lines=()):
+    """paired.csv: a row of :data:`PAIRED_COLUMNS` for each task in
+    ``pairs`` that has both conditions, its floats written with ``repr``;
+    ``sim`` and ``mean_extension_scale`` are the assisted row's."""
+    rows = []
+    for task, (un, ex) in pairs.items():
+        if un is None or ex is None:
+            continue
+        values = (getattr(un, COMPARED[0]), getattr(ex, COMPARED[0]),
+                  *(percent_change(getattr(ex, q), getattr(un, q))
+                    for q in COMPARED),
+                  ex.sim, ex.mean_extension_scale)
+        rows.append([task, *map(repr, values)])
+    write_csv(path, PAIRED_COLUMNS, rows, header_lines)

@@ -20,8 +20,9 @@ from hipexo.csvio import read_csv
 from hipexo.gaitdata import (CHANNELS, ActivityLabel, load_stride,
                              save_stride, stride_meta_path, synth_battery,
                              synth_imu_stream, synth_profiles)
-from hipexo.metrics import (paired_summary, read_report, task_energetics,
-                            write_report)
+from hipexo.metrics import (PAIRED_COLUMNS, cosine_similarity,
+                            paired_summary, percent_change, read_report,
+                            stride_energetics, task_energetics, write_report)
 from hipexo.optimize import PARAM_PATHS
 from test_gaitdata import make_grf_trial, write_trial_csv
 
@@ -122,6 +123,34 @@ def test_header_block_present(tmp_path, sim_config, command):
         assert head[0].startswith("# tool: hipexo"), path
         assert head[1].startswith("# config_sha256:"), path
         assert head[2:] == seed_line, path
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "metrics",
+                                     "detect-hs"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys,
+                                                monkeypatch, sim_config,
+                                                command, under):
+    """An ``--out`` that names a file, or a path under one, exits 2 before
+    the run stages anything: the file is unchanged, no staging directory is
+    left, and ``simulate`` replays no stride. ``simulate`` exited 1 only
+    after replaying and staging the whole battery."""
+    config = {"simulate": lambda: sim_config,
+              "optimize": lambda: write_opt_config(tmp_path),
+              "metrics": lambda: write_met_config(tmp_path, sim_config),
+              "detect-hs": lambda: write_hs_config(tmp_path, 5.0, 6)}[command]()
+    replayed = []
+    monkeypatch.setattr(cli, "simulate_task",
+                        lambda *args, **kwargs: replayed.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("mine")
+    out = blocker / "sub" if under else blocker
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "mine"
+    assert not list(tmp_path.rglob(".hipexo-*"))
+    assert replayed == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "metrics",
@@ -983,6 +1012,35 @@ class TestOptimize:
 # unassisted, in percent
 PAPER_HIP_WORK_PCT = -24.7
 PAPER_LOWERLIMB_WORK_PCT = -9.3
+# the paper's mean cosine similarity of exo power against biological power
+PAPER_POWER_SIM = 0.89
+
+
+def hip_intensive_pairs(report):
+    """{task: (unassisted, assisted)} of the hip-intensive tasks of a
+    ``report.csv``."""
+    pairs = {task: pair for task, pair
+             in paired_summary(read_report(report)).items()
+             if pair[0].hip_intensive}
+    assert len(pairs) == 7   # LG x2, RA x2, SA x2, STS
+    return pairs
+
+
+def check_paper_directions(pairs):
+    """Print each pair's changes beside the paper's means and assert the
+    paper's three reductions on every pair."""
+    print(f"\n{'task':<9}{'hip W+':>9}{'paper':>8}{'limb W+':>9}"
+          f"{'paper':>8}{'peak P':>9}")
+    for task, (un, ex) in pairs.items():
+        print(f"{task:<9}{percent_change(ex.hip_work, un.hip_work):>8.1f}%"
+              f"{PAPER_HIP_WORK_PCT:>7.1f}%"
+              f"{percent_change(ex.lowerlimb_work, un.lowerlimb_work):>8.1f}%"
+              f"{PAPER_LOWERLIMB_WORK_PCT:>7.1f}%"
+              f"{percent_change(ex.peak_bio_power, un.peak_bio_power):>8.1f}%")
+    for task, (un, ex) in pairs.items():
+        assert ex.hip_work < un.hip_work, task
+        assert ex.lowerlimb_work < un.lowerlimb_work, task
+        assert ex.peak_bio_power < un.peak_bio_power, task
 
 
 @pytest.fixture(scope="module")
@@ -1043,25 +1101,58 @@ class TestMetrics:
         """Assisted hip and lower-limb positive work and peak biological hip
         power are below unassisted on every hip-intensive task, as in the
         paper (hip W+ -24.7 %, lower-limb W+ -9.3 % on average)."""
-        summary = [rec for rec in
-                   paired_summary(read_report(default_met / "report.csv"))
-                   if rec["hip_intensive"]]
-        assert len(summary) == 7   # LG x2, RA x2, SA x2, STS
-        print(f"\n{'task':<9}{'hip W+':>9}{'paper':>8}{'limb W+':>9}"
-              f"{'paper':>8}{'peak P':>9}")
-        for rec in summary:
-            print(f"{rec['task']:<9}{rec['hip_work_change_pct']:>8.1f}%"
-                  f"{PAPER_HIP_WORK_PCT:>7.1f}%"
-                  f"{rec['lowerlimb_work_change_pct']:>8.1f}%"
-                  f"{PAPER_LOWERLIMB_WORK_PCT:>7.1f}%"
-                  f"{rec['peak_bio_power_change_pct']:>8.1f}%")
-        for rec in summary:
-            assert rec["hip_work_assisted"] < \
-                rec["hip_work_unassisted"], rec["task"]
-            assert rec["lowerlimb_work_assisted"] < \
-                rec["lowerlimb_work_unassisted"], rec["task"]
-            assert rec["peak_bio_power_assisted"] < \
-                rec["peak_bio_power_unassisted"], rec["task"]
+        check_paper_directions(
+            hip_intensive_pairs(default_met / "report.csv"))
+
+    @pytest.mark.parametrize("seed, power_sim", [(7, 0.8924), (11, 0.8946)])
+    def test_paper_quantities_of_simulate(self, tmp_path, seed, power_sim):
+        """The paper's quantities from ``simulate``'s own report and stride
+        files, printed beside the abstract's values. The three reductions
+        hold on every hip-intensive task. The power SIM is the cosine of exo
+        power (tau_exo/m * omega) against unassisted biological power
+        (M * omega) per stride, averaged over each task's strides and then
+        over the 7 tasks; it is pinned within 0.002 of the value measured at
+        this seed. Nothing is tuned toward the paper's 0.89: the synthetic
+        battery is not the paper's data."""
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", "default", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        pairs = hip_intensive_pairs(out / "report.csv")
+        sims = {}
+        for path in sorted((out / "strides" / "assisted").glob("*.csv")):
+            ex = load_stride(path)
+            un = load_stride(out / "strides" / "unassisted" / path.name)
+            sims.setdefault(ex.label.code, []).append(cosine_similarity(
+                stride_energetics(ex)["exo_power"],
+                stride_energetics(un)["bio_power"]))
+        assert all(len(sims[task]) == 3 for task in pairs)
+        sim = float(np.mean([np.mean(sims[task]) for task in pairs]))
+        mean_change = {q: np.mean([percent_change(getattr(ex, q),
+                                                  getattr(un, q))
+                                   for un, ex in pairs.values()])
+                       for q in ("hip_work", "lowerlimb_work",
+                                 "peak_bio_power")}
+        print(f"\nseed {seed}, mean over the 7 hip-intensive tasks (paper "
+              f"in brackets): hip W+ {mean_change['hip_work']:.2f}% "
+              f"[{PAPER_HIP_WORK_PCT}%], lower-limb W+ "
+              f"{mean_change['lowerlimb_work']:.2f}% "
+              f"[{PAPER_LOWERLIMB_WORK_PCT}%], peak biological power "
+              f"{mean_change['peak_bio_power']:.2f}% [lower], "
+              f"power SIM {sim:.4f} [{PAPER_POWER_SIM}]")
+        check_paper_directions(pairs)
+        assert abs(sim - power_sim) <= 0.002, sim
+
+    def test_paired_csv_layout(self, default_met):
+        """paired.csv has the columns of ``metrics.PAIRED_COLUMNS``, a row
+        per task with both conditions, and a float in every cell but the
+        task's."""
+        header, rows = read_csv(default_met / "paired.csv")
+        assert tuple(header) == PAIRED_COLUMNS
+        assert len(rows) == 11
+        for row in rows:
+            assert len(row) == len(header)
+            for cell in row[1:]:
+                float(cell)
 
     def test_extension_scale_not_invented(self, default_met):
         """Stride files do not carry the replay's extension scale: metrics
@@ -1364,6 +1455,35 @@ def test_report_flag_cell_must_be_0_or_1(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: "), err
     assert f"column 'hip_intensive': expected 0 or 1, got {cell!r}" in err
+
+
+@pytest.mark.parametrize("cell", ["asisted", "", "Assisted"])
+def test_report_condition_must_be_known(tmp_path, capsys, cell):
+    """A ``condition`` other than unassisted or assisted exits 2 naming the
+    file and the column; a misspelled one was read as a third condition
+    (exit 0, every task an incomplete pair)."""
+    argv, path, _ = csv_input(tmp_path, "report")
+    header, row = path.read_text().splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index("condition")] = cell
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert ("column 'condition': expected one of ['unassisted', "
+            f"'assisted'], got {cell!r}") in err
+
+
+def test_report_repeated_row_exits_2(tmp_path, capsys):
+    """A second row for one (task, condition) exits 2 naming the file; it
+    silently replaced the first (exit 0)."""
+    argv, path, _ = csv_input(tmp_path, "report")
+    header, row = path.read_text().splitlines()
+    path.write_text(f"{header}\n{row}\n{row}\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: bad report row: data row 2 repeats task "
+        "'LG 1.15' unassisted\n")
 
 
 @pytest.mark.parametrize("fault", ["missing-column", "short-row",

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from hipexo.csvio import read_csv
 from hipexo.gaitdata import (CH_ANKLE_MOMENT, CH_ANKLE_VEL, CH_HIP_MOMENT,
                              CH_HIP_VEL, CH_KNEE_MOMENT, CH_KNEE_VEL,
                              ActivityLabel, synth_profiles)
-from hipexo.metrics import (TaskEnergetics, biological_moment,
-                            cosine_similarity, ensemble_average, joint_power,
-                            paired_summary, peak_positive, percent_change,
-                            positive_work, read_report, stride_energetics,
-                            task_energetics, write_report)
+from hipexo.metrics import (PAIRED_COLUMNS, TaskEnergetics,
+                            biological_moment, cosine_similarity,
+                            ensemble_average, joint_power, paired_summary,
+                            peak_positive, percent_change, positive_work,
+                            read_report, stride_energetics, task_energetics,
+                            write_paired, write_report)
 from hipexo.replay import simulate_task
 from hipexo.signals import integrate_positive
 
@@ -214,7 +216,25 @@ class TestEnergetics:
         strides = battery[ActivityLabel("level-walk", 0.85)]
         un = task_energetics(strides, "unassisted", 1.0)
         ex = task_energetics(strides, "assisted", 1.0)
-        recs = paired_summary([un, ex])
-        assert recs[0]["hip_work_change_pct"] == pytest.approx(0.0, abs=1e-12)
+        pairs = paired_summary([un, ex])
+        assert pairs == {"LG 0.85": (un, ex)}
+        assert percent_change(ex.hip_work, un.hip_work) == \
+            pytest.approx(0.0, abs=1e-12)
         lonely = paired_summary([un])
-        assert lonely[0].get("incomplete")
+        assert lonely == {"LG 0.85": (un, None)}
+
+    def test_task_with_one_condition(self, tmp_path, battery):
+        """A task with one condition pairs with ``None`` in the other slot,
+        keeps its first-seen place, and gets no paired.csv row."""
+        lg = battery[ActivityLabel("level-walk", 0.85)]
+        sts = battery[ActivityLabel("sit-to-stand")]
+        rows = [task_energetics(sts, "assisted", 0.5),
+                task_energetics(lg, "unassisted", 1.0),
+                task_energetics(lg, "assisted", 0.9)]
+        pairs = paired_summary(rows)
+        assert pairs == {"STS": (None, rows[0]), "LG 0.85": tuple(rows[1:])}
+        write_paired(pairs, tmp_path / "paired.csv")
+        header, body = read_csv(tmp_path / "paired.csv")
+        assert tuple(header) == PAIRED_COLUMNS
+        assert [row[0] for row in body] == ["LG 0.85"]
+        assert body[0][PAIRED_COLUMNS.index("mean_extension_scale")] == "0.9"
