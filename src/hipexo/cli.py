@@ -268,20 +268,20 @@ def cmd_metrics(args) -> int:
     if not unassisted and not assisted:
         raise ConfigError("metrics needs at least one of unassisted/assisted")
 
-    # stride files do not carry the replay's extension scale, so an
-    # assisted set reports nan rather than a value no run measured
-    rows = []
-    for code, strides in unassisted.items():
-        rows.append(task_energetics(strides, "unassisted", 1.0))
-    for code, strides in assisted.items():
-        rows.append(task_energetics(strides, "assisted", math.nan))
-    unmatched = set(unassisted) ^ set(assisted)
-    if unassisted and assisted and unmatched:
-        print(f"warning: unmatched task sets: {sorted(unmatched)}; "
-              "report is partial", file=sys.stderr)
-
-    pairs = paired_summary(rows)
     with _Run(Path(args.out), raw) as run:
+        # stride files do not carry the replay's extension scale, so an
+        # assisted set reports nan rather than a value no run measured
+        rows = []
+        for code, strides in unassisted.items():
+            rows.append(task_energetics(strides, "unassisted", 1.0))
+        for code, strides in assisted.items():
+            rows.append(task_energetics(strides, "assisted", math.nan))
+        unmatched = set(unassisted) ^ set(assisted)
+        if unassisted and assisted and unmatched:
+            print(f"warning: unmatched task sets: {sorted(unmatched)}; "
+                  "report is partial", file=sys.stderr)
+
+        pairs = paired_summary(rows)
         write_report(rows, run.path("report.csv"), run.header)
         write_paired(pairs, run.path("paired.csv"), run.header)
     _print_paired(pairs)
@@ -334,11 +334,11 @@ def cmd_detect_hs(args) -> int:
     admit = np.isfinite(frames[1:]).all(axis=0)
     skipped = int(admit.size - admit.sum())
     t, acc_l, acc_r, acc_p, th_l, th_r = frames[:, admit]
-    events = [event for _, event in detect_columns(
-        cfg["rate_hz"], t, acc_l, acc_r, acc_p, th_l, th_r, np.zeros(t.size),
-        config=config)]
 
     with _Run(Path(args.out), raw) as run:
+        events = [event for _, event in detect_columns(
+            cfg["rate_hz"], t, acc_l, acc_r, acc_p, th_l, th_r,
+            np.zeros(t.size), config=config)]
         write_csv(run.path("events.csv"),
                   ["side", "timestamp", "source", "thigh_angle_l",
                    "thigh_angle_r", "theta_diff"],

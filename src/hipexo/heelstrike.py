@@ -23,10 +23,13 @@ a sorted list updated by one bisect delete and one insert per sample.
 Each threshold refresh reads the median from the middle of the sorted
 list and selects the MAD in O(log n) from the two sorted runs of
 deviations on either side of it (``_median_mad``). The column pass of
-``detect_columns`` sorts each refresh's window instead, in row blocks of
-bounded size, and runs the same bisection over all rows at once. Both
-give the floats that recomputing median and MAD over the whole window
-with ``np.median`` gives.
+``detect_columns`` sorts each refresh's window instead, for all three
+channels at once, in row blocks of bounded size. It sorts ranks, not
+floats: a block ranks each channel's samples once, sorts the windows of
+ranks as int16 while they fit, and reads a sorted row back as floats
+through the ranks. The same bisection then runs once over the rows of
+every channel. Both give the floats that recomputing median and MAD over
+the whole window with ``np.median`` gives.
 
 ``HsDetector.update`` takes the frame's timestamp and three accelerations
 as plain floats, plus the ``BilateralSample`` that an event snapshots.
@@ -37,14 +40,14 @@ is pending; no other sample changes a candidate.
 
 ``detect_columns`` gives the events of updating a fresh detector with every
 frame of a stream held as columns, each with the index of the frame that
-returns it. Per channel it makes two passes. The first,
-``_threshold_column``, yields each sample's threshold with no candidate
-bookkeeping. The second feeds ``track`` the samples that can touch a
-candidate: those over their threshold and the ``confirm_samples`` after
-each. ``HsDetector._merge`` turns one frame's confirmations into events
-for both paths (time order, leading-leg attribution, refractory, fusion,
-one event out per frame); on a frame with no confirmation it only
-releases a queued event.
+returns it. It makes two passes. The first, ``_threshold_columns``,
+yields each sample's threshold on all three channels with no candidate
+bookkeeping. The second, per channel, feeds ``track`` the samples that
+can touch a candidate: those over their threshold and the
+``confirm_samples`` after each. ``HsDetector._merge`` turns one frame's
+confirmations into events for both paths (time order, leading-leg
+attribution, refractory, fusion, one event out per frame); on a frame
+with no confirmation it only releases a queued event.
 """
 from __future__ import annotations
 
@@ -300,65 +303,93 @@ class HsDetector:
         return None
 
 
-# most elements _threshold_column sorts at once, 1 MB: 262 rows at the
-# default 500-sample window, one block for 87 of the default battery's 99
-# channels (the longest has 281 refresh rows)
-_BLOCK_ELEMENTS = 2 ** 17
+# most elements _threshold_columns sorts at once, over all channels: 1 MB
+# of int16 ranks, 349 rows of each of three channels at the default
+# 500-sample window, one block for every stride of the default battery
+# (the longest has 281 refresh rows)
+_BLOCK_ELEMENTS = 2 ** 19
 
 
-def _threshold_column(x: np.ndarray, window: int, warmup: int,
-                      refresh: int, k_mad: float) -> np.ndarray:
-    """The threshold ``_Channel.push`` compares each sample of the finite
-    float64 stream ``x`` against: inf before the first refresh, then the
-    value of the latest refresh at or before the sample.
+def _threshold_columns(columns, window: int, warmup: int, refresh: int,
+                       k_mad: float) -> np.ndarray:
+    """The thresholds ``_Channel.push`` compares each sample of each of
+    the equal-length finite float64 streams ``columns`` against, one row
+    per stream: inf before the first refresh, then the value of the
+    latest refresh at or before the sample.
 
-    Row c of the padded stream's sliding windows is the window at sample
-    count c: x[c - window:c], led by inf pads while c < window, which sort
-    to the end of the row. The refresh rows are sorted in blocks of at
-    most ``_BLOCK_ELEMENTS``; each row's median is read from its middle
-    and its MAD found by ``_median_mad``'s bisection, run over all rows
+    The refresh at sample count c reads the window x[c - window:c], short
+    while c < window. The refresh rows of all streams are taken in blocks
+    of at most ``_BLOCK_ELEMENTS`` elements. Within a block each stream's
+    span of samples gets its argsort rank, offset per stream so that
+    every rank indexes ``vals``, the spans' sorted values followed by one
+    inf; a short window is led by that inf's rank, which sorts last. One
+    ``np.sort`` sorts every stream's rank windows, as int16 while the
+    ranks fit. A rank keeps its value's order, so a sorted rank row read
+    through ``vals`` is the sorted window; which of two tied samples
+    ranks first does not matter, as both read back the same float or,
+    for 0.0 and -0.0, a zero that gives the same threshold. Each row's
+    median is read from its middle and its MAD found by
+    ``_median_mad``'s bisection, run over all rows of the block at once
     with clamped indices.
     """
-    n = len(x)
-    thr = np.full(n, math.inf)
+    n_ch, n = len(columns), len(columns[0])
+    thr = np.full((n_ch, n), math.inf)
     first = max(1, -(-warmup // refresh)) * refresh   # count of 1st refresh
-    if first >= n:
-        return thr
-    rows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((np.full(window, math.inf), x)), window)
-    block = max(1, _BLOCK_ELEMENTS // window) * refresh
-    values = []
+    block = max(1, _BLOCK_ELEMENTS // (n_ch * window)) * refresh
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(first, n, block):
-            count = np.arange(start, min(n, start + block), refresh)
-            s = np.sort(rows[start:count[-1] + 1:refresh]).ravel()
-            m = np.minimum(count, window)   # real samples of each row
+            stop = min(n, start + block)
+            count = np.arange(start, stop, refresh)
+            # the block reads samples base:c_last, c_last its last refresh's
+            # count; position p of a rank row is sample start - window + p,
+            # an inf pad while that is negative
+            c_last = int(count[-1])
+            base = max(0, start - window)
+            span = c_last - base
+            total = n_ch * span
+            spans = np.array([x[base:c_last] for x in columns])
+            order = np.argsort(spans, axis=1)
+            vals = np.append(np.take_along_axis(spans, order, axis=1),
+                             math.inf)
+            ranks = np.full((n_ch, c_last - start + window), total,
+                            np.int16 if total < 2 ** 15 else np.int32)
+            np.put_along_axis(ranks[:, base - start + window:], order,
+                              np.arange(total).reshape(n_ch, span), axis=1)
+            rows = np.sort(np.lib.stride_tricks.sliding_window_view(
+                ranks, window, axis=1)[:, ::refresh]).ravel()
+
+            def s(i):
+                """The floats at flat indices ``i`` of the sorted rows."""
+                return vals[rows[i]]
+
+            m = np.tile(np.minimum(count, window), n_ch)   # real samples
             h = m // 2
             odd = m % 2 == 1
-            # flat indices into s: each row's start, middle and end
-            row = np.arange(0, len(s), window)
+            # flat indices into the rows: each one's start, middle and end
+            row = np.arange(0, rows.size, window)
             mid = row + h
             end = row + m
-            med = np.where(odd, s[mid], (s[mid - 1] + s[mid]) / 2)
+            med = np.where(odd, s(mid), (s(mid - 1) + s(mid)) / 2)
             # _median_mad's bisection, a fixed number of halvings
             lo, hi = row, mid
             for _ in range(int(h.max()).bit_length()):
                 k = (lo + hi) // 2
-                fewer = med - s[k] < s[np.minimum(k + h, end - 1)] - med
+                fewer = med - s(k) < s(np.minimum(k + h, end - 1)) - med
                 lo, hi = (np.where(fewer, lo, np.minimum(k + 1, hi)),
                           np.where(fewer, k, hi))
             mad = np.minimum(
-                np.where(lo > row, med - s[lo - 1], math.inf),
-                np.where(lo + h < end, s[np.minimum(lo + h, end - 1)] - med,
+                np.where(lo > row, med - s(lo - 1), math.inf),
+                np.where(lo + h < end, s(np.minimum(lo + h, end - 1)) - med,
                          math.inf))
             last = np.maximum(
-                np.where(lo < mid, med - s[lo], -math.inf),
-                np.where(lo > row, s[lo + h - 1] - med, -math.inf))
+                np.where(lo < mid, med - s(lo), -math.inf),
+                np.where(lo > row, s(lo + h - 1) - med, -math.inf))
             mad = np.where(odd, mad, (last + mad) / 2)
             # a finite pair overflowed to an infinite median
             mad = np.where(np.isinf(med), math.inf, np.abs(mad))
-            values.append(med + k_mad * mad)
-    thr[first:] = np.repeat(np.concatenate(values), refresh)[:n - first]
+            thr[:, start:stop] = np.repeat(
+                (med + k_mad * mad).reshape(n_ch, -1), refresh,
+                axis=1)[:, :stop - start]
     return thr
 
 
@@ -385,9 +416,11 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     # frame -> the (peak time, snapshot) confirmations of thigh L, thigh R
     # and pelvis at it, the arguments of HsDetector._merge
     hits: dict[int, list] = {}
-    for k, x in enumerate((thigh_accel_l, thigh_accel_r, pelvis_accel)):
-        above = x > _threshold_column(x, window, warmup, c.refresh_every,
-                                      c.k_mad)
+    channels = (thigh_accel_l, thigh_accel_r, pelvis_accel)
+    thresholds = _threshold_columns(channels, window, warmup,
+                                    c.refresh_every, c.k_mad)
+    for k, (x, thr) in enumerate(zip(channels, thresholds)):
+        above = x > thr
         if x is pelvis_accel:
             pelvis_above = np.flatnonzero(above).tolist()
         # a candidate starts on a sample over its threshold and lives at

@@ -13,12 +13,14 @@ the spring kernels that the optimizer and stride synthesis share, called
 with ``signals.exp_exact`` (they pass ``np.exp``), then beta_raw, descent
 attenuation, blend and clamps in the controller's operation order. The
 heel-strike detector runs once through ``heelstrike.detect_columns``,
-which returns each event with its frame index; only the filters, the beta
-EMA, the alpha latch and the reset ramp run per sample. A gated frame
-advances no state and logs the ``TorqueBreakdown`` defaults with the last
-admitted command scaled by ``controller.fault_hold_scale``. The step log
-and events are those of stepping ``HipController`` frame by frame, bit for
-bit.
+which returns each event with its frame index. Only the filters and the
+beta EMA run on every sample. The alpha latch and the reset ramp run only
+on the frames where alpha can change: left latch frames, standing frames
+and the first frame after each standing run; every other frame holds the
+alpha before it. A gated frame advances no state and logs the
+``TorqueBreakdown`` defaults with the last admitted command scaled by
+``controller.fault_hold_scale``. The step log and events are those of
+stepping ``HipController`` frame by frame, bit for bit.
 """
 from __future__ import annotations
 
@@ -120,14 +122,15 @@ def _replay_columns(params: ControllerParams, columns):
 
     The controller's frame gate is one mask over the frames. The admitted
     frames run the pipeline: the detector runs over all of them, and a left
-    event latches alpha at the frame that returns it. Only the filters, beta
-    EMA, alpha latch and reset ramp run per sample, on the scalar objects
-    the controller uses; every other stage is a column expression in the
-    controller's operation order. The right side's command path feeds
-    nothing on the left, so it is not computed; its filtered velocity feeds
-    the detector and beta. A gated frame logs the ``TorqueBreakdown``
-    defaults, and its command is the last admitted one scaled by
-    ``fault_hold_scale`` of the time since its gated run began.
+    event latches alpha at the frame that returns it. The filters and the
+    beta EMA run per sample, and the alpha latch and reset ramp on the
+    frames where alpha can change, on the scalar objects the controller
+    uses; every other stage is a column expression in the controller's
+    operation order. The right side's command path feeds nothing on the
+    left, so it is not computed; its filtered velocity feeds the detector
+    and beta. A gated frame logs the ``TorqueBreakdown`` defaults, and its
+    command is the last admitted one scaled by ``fault_hold_scale`` of the
+    time since its gated run began.
     """
     p = params
     frames = np.asarray(columns, dtype=float)
@@ -150,23 +153,33 @@ def _replay_columns(params: ControllerParams, columns):
                       sigmoid_array(np.abs(th_l - th_r), sym.sym_mod,
                                     exp_exact)))
 
-    latch = {i: alpha_at_heelstrike(event.thigh_snapshot, p.descent)
-             for i, event in hs_events if event.side == LEFT}
     mod = left.mod
-    alpha = []
-    beta = []
-    for i, (ti, b) in enumerate(zip(t.tolist(), b_raw.tolist())):
-        if i in latch:
-            mod.latch_alpha(latch[i])
-        b = beta_smoothed(mod, b, sym)
-        beta.append(b)
-        alpha.append(reset_tick(mod, b > STANDING_BETA, ti, p.descent))
-    alpha = np.array(alpha)
-    beta = np.array(beta)
+    beta = np.array([beta_smoothed(mod, b, sym) for b in b_raw.tolist()])
     outside = ~((beta >= 0.0) & (beta <= 1.0))
     if outside.any():
         raise ValueError(
             f"beta must be in [0, 1], got {beta[outside.argmax()].item()}")
+
+    # alpha changes only on a left latch frame, a standing frame, or the
+    # first frame after a standing run, which stops the ramp; it holds on
+    # every other frame
+    latch = {i: alpha_at_heelstrike(event.thigh_snapshot, p.descent)
+             for i, event in hs_events if event.side == LEFT}
+    standing = beta > STANDING_BETA
+    visit = standing.copy()
+    visit[1:] |= standing[:-1]
+    visit[list(latch)] = True
+    visited = np.flatnonzero(visit)
+    alpha = np.zeros(beta.size)
+    for i, ti, st in zip(visited.tolist(), t[visited].tolist(),
+                         standing[visited].tolist()):
+        if i in latch:
+            mod.latch_alpha(latch[i])
+        alpha[i] = reset_tick(mod, st, ti, p.descent)
+    # each frame reads the last visited frame at or before it (frame 0,
+    # alpha 0.0, if none)
+    alpha = alpha[np.maximum.accumulate(
+        np.where(visit, np.arange(visit.size), 0))]
 
     tau_ext, tau_flex, eta_ext, eta_flex, tau_gait = gait_torque_series(
         hip_l, vel_l, p.gait, exp_exact)

@@ -132,16 +132,23 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys,
                                                 monkeypatch, sim_config,
                                                 command, under):
     """An ``--out`` that names a file, or a path under one, exits 2 before
-    the run stages anything: the file is unchanged, no staging directory is
-    left, and ``simulate`` replays no stride. ``simulate`` exited 1 only
-    after replaying and staging the whole battery."""
+    the run stages anything or does its work: the file is unchanged, no
+    staging directory is left, and no stride is replayed, no stream
+    detected and no energetics row computed. ``simulate`` exited 1 only
+    after replaying and staging the whole battery, and ``detect-hs`` and
+    ``metrics`` exited 2 only after detecting and computing."""
     config = {"simulate": lambda: sim_config,
               "optimize": lambda: write_opt_config(tmp_path),
               "metrics": lambda: write_met_config(tmp_path, sim_config),
               "detect-hs": lambda: write_hs_config(tmp_path, 5.0, 6)}[command]()
-    replayed = []
-    monkeypatch.setattr(cli, "simulate_task",
-                        lambda *args, **kwargs: replayed.append(args))
+    called = []
+
+    def refuse(*args, **kwargs):
+        called.append(args)
+        raise AssertionError("the run worked before checking --out")
+
+    for name in ("simulate_task", "detect_columns", "task_energetics"):
+        monkeypatch.setattr(cli, name, refuse)
     blocker = tmp_path / "blocker"
     blocker.write_text("mine")
     out = blocker / "sub" if under else blocker
@@ -150,7 +157,7 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys,
         f"error: --out {out}: {blocker} is not a directory\n"
     assert blocker.read_text() == "mine"
     assert not list(tmp_path.rglob(".hipexo-*"))
-    assert replayed == []
+    assert called == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "optimize", "metrics",

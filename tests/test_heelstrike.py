@@ -7,7 +7,7 @@ import pytest
 from hipexo import heelstrike, replay
 from hipexo.gaitdata import synth_battery, synth_imu_stream
 from hipexo.heelstrike import (HsDetector, HsDetectorConfig, _Channel,
-                               _channel_sizes, _threshold_column,
+                               _channel_sizes, _threshold_columns,
                                detect_columns, match_events)
 from hipexo.modulation import BilateralSample
 
@@ -399,23 +399,26 @@ class TestColumnDetector:
     @pytest.mark.parametrize("refresh", [1, 5, 7])
     def test_threshold_column_matches_channel_and_recompute(self, window,
                                                             refresh):
+        """One pass over three streams with different content gives each
+        the thresholds of its own channel, and each refresh the floats of
+        a full recompute over its window."""
         rng = np.random.default_rng(window * 10 + refresh)
         warmup, k_mad = 3, 4.0
-        values = _mixed_stream(rng, window, 12 * window + 7)
-        thr = _threshold_column(values, window, warmup, refresh, k_mad)
-        ch = _Channel(window, warmup, k_mad, refresh, confirm=3)
-        snap = BilateralSample(0.0, 0.0, 0.0)
+        streams = [_mixed_stream(rng, window, 12 * window + 7)
+                   for _ in range(3)]
+        thr = _threshold_columns(tuple(map(np.array, streams)), window,
+                                 warmup, refresh, k_mad)
         kinds = set()
-        for i, v in enumerate(values):
-            assert np.float64(thr[i]).tobytes() == \
-                np.float64(ch.threshold).tobytes(), i
-            ch.push(v, float(i), snap)
-            if ch.count >= warmup and ch.count % refresh == 0 \
-                    and i + 1 < len(values):
-                want = _reference_threshold(
-                    values[max(0, i + 1 - window):i + 1], k_mad)
-                assert np.float64(thr[i + 1]).tobytes() == \
-                    np.float64(want).tobytes(), (i, thr[i + 1], want)
+        for values, got in zip(streams, thr):
+            assert got.tobytes() == channel_thresholds(
+                values, window, warmup, refresh, k_mad).tobytes()
+            for c in range(warmup, len(values)):
+                if c % refresh:
+                    continue
+                want = _reference_threshold(values[max(0, c - window):c],
+                                            k_mad)
+                assert np.float64(got[c]).tobytes() == \
+                    np.float64(want).tobytes(), (c, got[c], want)
                 kinds.add("finite" if math.isfinite(want) else
                           "nan" if math.isnan(want) else "inf")
         assert {"finite", "inf"} <= kinds
@@ -496,29 +499,54 @@ def channel_thresholds(values, window, warmup, refresh, k_mad=4.0):
 
 
 class TestThresholdBlocks:
-    """_threshold_column sorts the refresh rows in blocks; where the
-    blocks end must not change a bit of the thresholds."""
+    """_threshold_columns sorts the refresh rows of all its streams in
+    blocks; where the blocks end, and which integer type holds the
+    ranks, must not change a bit of any stream's thresholds."""
 
     @staticmethod
-    def blocked(monkeypatch, values, window, warmup, refresh):
-        """The thresholds at the default block budget, then with blocks
-        of 1, 2 and 3 rows."""
-        out = [_threshold_column(values, window, warmup, refresh, 4.0)]
+    def blocked(monkeypatch, streams, window, warmup, refresh):
+        """The thresholds of ``streams`` at the default block budget, then
+        with blocks of 1, 2 and 3 rows of every stream."""
+        columns = tuple(np.asarray(x, dtype=float) for x in streams)
+        out = [_threshold_columns(columns, window, warmup, refresh, 4.0)]
         for rows in (1, 2, 3):
-            monkeypatch.setattr(heelstrike, "_BLOCK_ELEMENTS", rows * window)
-            out.append(_threshold_column(values, window, warmup, refresh,
-                                         4.0))
+            monkeypatch.setattr(heelstrike, "_BLOCK_ELEMENTS",
+                                rows * window * len(columns))
+            out.append(_threshold_columns(columns, window, warmup, refresh,
+                                          4.0))
         monkeypatch.undo()
         return out
+
+    @staticmethod
+    def wanted(streams, window, warmup, refresh):
+        return np.array([channel_thresholds(x, window, warmup, refresh)
+                         for x in streams])
 
     @pytest.mark.parametrize("window", [8, 9, 500, 501])
     @pytest.mark.parametrize("refresh", [1, 5, 7, 9])
     def test_block_seams(self, monkeypatch, window, refresh):
         rng = np.random.default_rng(window * 10 + refresh)
-        values = _mixed_stream(rng, window, 3 * window + 7)
-        want = channel_thresholds(values, window, 3, refresh).tobytes()
-        for thr in self.blocked(monkeypatch, values, window, 3, refresh):
+        streams = [_mixed_stream(rng, window, 3 * window + 7)
+                   for _ in range(3)]
+        want = self.wanted(streams, window, 3, refresh).tobytes()
+        for thr in self.blocked(monkeypatch, streams, window, 3, refresh):
             assert thr.tobytes() == want
+
+    @pytest.mark.parametrize("window", [8, 500])
+    @pytest.mark.parametrize("refresh", [1, 5, 9])
+    def test_ties_signed_zeros_and_constant_data(self, monkeypatch, window,
+                                                 refresh):
+        """Quantised values, a stream of signed zeros only and a constant
+        stream: ranks break every tie, and the rows read back the same
+        floats."""
+        rng = np.random.default_rng(window + refresh)
+        n = 6 * window + 11
+        streams = [quantised_stream(rng, n, n // 50),
+                   rng.choice([0.0, -0.0], size=n), np.full(n, 0.5)]
+        want = self.wanted(streams, window, 3, refresh)
+        assert np.isfinite(want[:, 3 * window:]).all()
+        for thr in self.blocked(monkeypatch, streams, window, 3, refresh):
+            assert thr.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("window", [8, 500])
     @pytest.mark.parametrize("refresh", [1, 5, 9])
@@ -529,10 +557,11 @@ class TestThresholdBlocks:
         at it and one past it: all inf, all inf, one refresh."""
         warmup = 3
         first = max(1, -(-warmup // refresh)) * refresh
-        values = np.random.default_rng(refresh).normal(size=first + past)
-        want = channel_thresholds(values, window, warmup, refresh)
-        assert np.isfinite(want).sum() == max(0, past)
-        for thr in self.blocked(monkeypatch, values, window, warmup,
+        rng = np.random.default_rng(refresh)
+        streams = [rng.normal(size=first + past) for _ in range(3)]
+        want = self.wanted(streams, window, warmup, refresh)
+        assert (np.isfinite(want).sum(axis=1) == max(0, past)).all()
+        for thr in self.blocked(monkeypatch, streams, window, warmup,
                                 refresh):
             assert thr.tobytes() == want.tobytes()
 
@@ -542,21 +571,50 @@ class TestThresholdBlocks:
         """Rows whose finite middle pair overflows to an infinite median
         give MAD inf: thresholds +inf, or NaN for -inf + inf."""
         values = [0.0, big, 1.0, big, big, -1.0, big, big] * 6
-        want = channel_thresholds(values, 8, 4, refresh)
-        assert (np.isinf(want) if big > 0 else np.isnan(want))[8:].any()
-        for thr in self.blocked(monkeypatch, values, 8, 4, refresh):
+        streams = [values, values[::-1], [-v for v in values]]
+        want = self.wanted(streams, 8, 4, refresh)
+        assert (np.isinf(want[0]) if big > 0 else np.isnan(want[0]))[8:].any()
+        for thr in self.blocked(monkeypatch, streams, 8, 4, refresh):
             assert thr.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("window, dtype", [(67, np.int16),
+                                               (68, np.int32)],
+                             ids=["span-32767", "span-32768"])
+    def test_rank_type_at_the_int16_limit(self, monkeypatch, window, dtype):
+        """Blocks of 328 rows at refresh 100 span window + 327 * 100
+        samples of one stream: 32767 ranks and the pad's rank fit int16,
+        32768 need int32. Both blocks of the stream sort the type, and
+        the thresholds are the channel's."""
+        refresh, rows = 100, 328
+        x = quantised_stream(np.random.default_rng(window),
+                             100 + 2 * rows * refresh, 500)
+        monkeypatch.setattr(heelstrike, "_BLOCK_ELEMENTS", rows * window)
+        sorted_types = []
+        sort = np.sort
+
+        def spy(a, *args, **kwargs):
+            sorted_types.append(a.dtype)
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", spy)
+        thr = _threshold_columns((x,), window, 3, refresh, 4.0)
+        monkeypatch.undo()
+        assert sorted_types == [dtype, dtype]
+        assert thr.tobytes() == \
+            channel_thresholds(x, window, 3, refresh).tobytes()
+
     def test_peak_memory_is_bounded(self):
-        """A 10-minute stream at 250 Hz holds 29,975 refresh rows, 120 MB
-        as one matrix; sorted in blocks the pass stays under 8 MB."""
+        """Three 10-minute streams at 250 Hz hold 29,975 refresh rows
+        each, 360 MB as one float matrix; sorted in blocks of int16 ranks
+        the pass, its 3.6 MB of thresholds included, stays under 8 MB."""
         cfg = HsDetectorConfig()
         window, warmup = _channel_sizes(RATE, cfg)
-        x = np.random.default_rng(0).normal(size=150_000)
+        rng = np.random.default_rng(0)
+        columns = tuple(rng.normal(size=150_000) for _ in range(3))
         tracemalloc.start()
         try:
-            _threshold_column(x, window, warmup, cfg.refresh_every,
-                              cfg.k_mad)
+            _threshold_columns(columns, window, warmup, cfg.refresh_every,
+                               cfg.k_mad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -364,6 +364,106 @@ class TestColumnReplay:
                 params, [c.tolist() for c in columns]))
 
 
+def posture_columns(params, spans, spikes):
+    """Replay columns of thighs held at ``spans``, (seconds, thigh L,
+    thigh R) one after another, with a 30 m/s^2 left thigh acceleration
+    spike at each time in ``spikes``. Both hips swing alike, so the
+    velocity gate stays open and only the thighs decide beta."""
+    dt = 1.0 / params.loop_rate_hz
+    th_l = np.concatenate([np.full(round(s / dt), a) for s, a, _ in spans])
+    th_r = np.concatenate([np.full(round(s / dt), b) for s, _, b in spans])
+    t = np.arange(th_l.size) * dt
+    hip = th_l + 0.5 * np.sin(2 * np.pi * t)
+    vel = 0.1 * np.pi * np.cos(2 * np.pi * t)
+    acc_l = np.zeros_like(t)
+    acc_l[np.round(np.asarray(spikes) / dt).astype(int)] = 30.0
+    zeros = np.zeros_like(t)
+    return [t, hip, hip, vel, vel, th_l, th_r, np.full_like(t, -0.05),
+            acc_l, zeros, zeros]
+
+
+def standing_runs(beta):
+    """(first, end) frame of each run of standing frames."""
+    edges = np.diff(np.concatenate(([0], beta > STANDING_BETA, [0])))
+    return list(zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)))
+
+
+WALK = (0.4, 0.0)     # far from symmetric: beta falls under STANDING_BETA
+STAND = (0.0, 0.0)
+
+
+class TestAlphaPass:
+    """Replay runs the alpha latch and reset ramp only on left latch
+    frames, standing frames and the first frame after each standing run,
+    and holds alpha on every other frame; stepping runs them on every
+    frame. The streams below put a latch, the end of a ramp and the end
+    of a standing run where a wrong choice of frames would show."""
+
+    @staticmethod
+    def replayed(params, columns):
+        """The replay's series, checked against stepping, and the frame
+        of each left latch: ``confirm_samples`` after its peak."""
+        series, events = unstepped(replay._replay_columns, params, columns)
+        assert_same_log(series, events, *step_reference(
+            params, [c.tolist() for c in columns]))
+        lag = heelstrike.HsDetectorConfig().confirm_samples
+        return series, [int(np.searchsorted(columns[0], e.timestamp)) + lag
+                        for e in events if e.side == "left"]
+
+    def test_latch_inside_a_standing_run(self, default_params):
+        p = default_params
+        columns = posture_columns(p, [(1.2, *WALK), (4.5, *STAND)],
+                                  [1.0, 2.5])
+        series, latched = self.replayed(p, columns)
+        t, alpha = columns[0], series["alpha"]
+        assert latched == [253, 628]
+        (first, end), = standing_runs(series["beta"])
+        assert t[first] < t[628] < t[end - 1]
+        # the second latch restarts the standing clock: alpha holds for
+        # t_wait after it, then ramps down
+        hold = (t >= t[628]) & (t < t[628] + p.descent.t_wait)
+        assert alpha[628] > 0.5
+        assert (alpha[hold] == alpha[628]).all()
+        assert alpha[-1] < alpha[628]
+
+    def test_reset_ramp_reaches_zero(self, default_params):
+        p = replace(default_params, descent=replace(
+            default_params.descent, t_wait=0.3, t_decay=0.2))
+        columns = posture_columns(
+            p, [(1.2, *WALK), (1.5, *STAND), (0.6, *WALK), (1.5, *STAND)],
+            [1.0, 3.0])
+        series, latched = self.replayed(p, columns)
+        t, alpha = columns[0], series["alpha"]
+        assert latched == [253, 753]
+        runs = standing_runs(series["beta"])
+        assert len(runs) == 2
+        # each run ramps alpha to exactly 0, and it stays there until the
+        # next latch
+        for (first, end), latch in zip(runs, latched):
+            assert alpha[latch] > 0.1
+            zero = np.flatnonzero(alpha[first:end] == 0.0)
+            assert zero.size and (alpha[first + zero[0]:end] == 0.0).all()
+        assert (alpha[runs[0][1]:753] == 0.0).all()
+
+    def test_standing_run_ends_and_starts_again(self, default_params):
+        p = default_params
+        columns = posture_columns(
+            p, [(1.2, *WALK), (2.7, *STAND), (0.6, *WALK), (4.5, *STAND)],
+            [1.0])
+        series, latched = self.replayed(p, columns)
+        t, alpha = columns[0], series["alpha"]
+        assert latched == [253]
+        runs = standing_runs(series["beta"])
+        assert len(runs) == 2
+        (_, end), (again, _) = runs
+        # the first run stops part way down the ramp; alpha holds through
+        # the walk and for t_wait into the second run, then ramps to 0
+        assert 0.0 < alpha[end] < alpha[253]
+        held = (t >= t[end]) & (t < t[again] + p.descent.t_wait)
+        assert (alpha[held] == alpha[end]).all()
+        assert alpha[-1] == 0.0
+
+
 SWITCH_RAMP_S = 0.4   # smoothstep at each activity switch, as in perfbench
 
 
