@@ -3,8 +3,8 @@
 Per-step pipeline for each leg: velocity low-pass (10 Hz) -> spring torque
 bases -> heel-strike detection and descent attenuation -> symmetry blend ->
 command low-pass (5 Hz) -> symmetric torque limit. The controller holds all
-per-leg state (filters, modulation, detector) and is fully deterministic:
-identical frame sequences produce bit-identical breakdown sequences.
+per-leg state (filters, descent modulation), the detector and the one beta
+EMA; identical frame sequences produce bit-identical breakdown sequences.
 """
 from __future__ import annotations
 
@@ -187,6 +187,7 @@ class HipController:
         """Zero all filter, modulation, and detector state."""
         self._sides = {LEFT: _SideState(self.params), RIGHT: _SideState(self.params)}
         self.detector = HsDetector(self.params.loop_rate_hz)
+        self._beta = 0.0
         self._t_prev: float | None = None
         self._t_admitted = -math.inf
         self._fault_since: float | None = None
@@ -250,7 +251,9 @@ class HipController:
             sides[event.side].mod.latch_alpha(
                 alpha_at_heelstrike(event.thigh_snapshot, descent))
 
-        b_raw = beta_raw(bilateral, symmetry)
+        beta = self._beta = beta_smoothed(
+            self._beta, beta_raw(bilateral, symmetry), symmetry)
+        standing = beta > STANDING_BETA
         torso, limit = frame.torso_angle, p.torque_limit
 
         breakdowns = []
@@ -259,8 +262,7 @@ class HipController:
             (right, frame.hip_angle_r, vel_r, frame.thigh_angle_r),
         ):
             mod = st.mod
-            beta = beta_smoothed(mod, b_raw, symmetry)
-            reset_tick(mod, beta > STANDING_BETA, t, descent)
+            reset_tick(mod, standing, t, descent)
 
             tau_ext, tau_flex = gait_spring_torques(hip_angle, gait)
             eta_ext, eta_flex = gait_velocity_factors(vel, gait)

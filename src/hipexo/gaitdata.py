@@ -551,6 +551,8 @@ _GAIT_SHAPES = {
 }
 
 _ACC_BASE_THIGH = 3.0   # m/s^2 baseline oscillation of the thigh channel
+_IMU_THIGH_AMP = 0.3    # rad thigh-angle swing of synth_imu_stream
+_IMU_LEAD_IN_S = 1.5    # s before synth_imu_stream's first heel strike
 _ACC_BASE_PELVIS = 0.8
 _SPIKE_WIDTH = 0.030    # fraction of cycle
 
@@ -732,8 +734,7 @@ def synth_battery(tasks=DEFAULT_BATTERY, strides_per_task: int = 3,
 
 def synth_imu_stream(duration_s: float, rate_hz: float = 250.0, seed: int = 0,
                      stride_period_s: float = 1.05, thigh_spike: float = 25.0,
-                     pelvis_spike: float = 5.0, thigh_amp: float = 0.3,
-                     lead_in_s: float = 1.5):
+                     pelvis_spike: float = 5.0):
     """Raw detector-input stream with known heel-strike times.
 
     Returns (frames, truth) where frames is a dict of uniformly sampled
@@ -747,7 +748,7 @@ def synth_imu_stream(duration_s: float, rate_hz: float = 250.0, seed: int = 0,
 
     events = []
     side = "left"
-    tk = lead_in_s
+    tk = _IMU_LEAD_IN_S
     while tk < duration_s - 0.5:
         events.append((side, tk))
         tk += stride_period_s / 2 * (1.0 + 0.04 * rng.standard_normal())
@@ -780,11 +781,11 @@ def synth_imu_stream(duration_s: float, rate_hz: float = 250.0, seed: int = 0,
         # beyond each end keep the phase advancing at the stream edges
         times = [tk for s_k, tk in events if s_k == side_k]
         if len(times) < 2:
-            return np.full(n, 0.1 + thigh_amp)
+            return np.full(n, 0.1 + _IMU_THIGH_AMP)
         period = float(np.median(np.diff(times)))
         times = [times[0] - period] + times + [times[-1] + period]
         phase = np.interp(t, times, np.arange(len(times), dtype=float))
-        return 0.1 + thigh_amp * np.cos(2 * np.pi * phase)
+        return 0.1 + _IMU_THIGH_AMP * np.cos(2 * np.pi * phase)
 
     frames = {"t": t, "thigh_accel_l": thigh_l, "thigh_accel_r": thigh_r,
               "pelvis_accel": pelvis,

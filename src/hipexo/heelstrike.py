@@ -36,7 +36,8 @@ as plain floats, plus the ``BilateralSample`` that an event snapshots.
 
 ``_Channel.track`` is the candidate rule. ``_Channel.push`` applies it
 only to a sample over its threshold or one that arrives while a candidate
-is pending; no other sample changes a candidate.
+is pending; no other sample changes a candidate. Warm-up is only the
+threshold's starting inf, which lasts until the first refresh.
 
 ``detect_columns`` gives the events of updating a fresh detector with every
 frame of a stream held as columns, each with the index of the frame that
@@ -47,7 +48,8 @@ can touch a candidate: those over their threshold and the
 ``confirm_samples`` after each. ``HsDetector._merge`` turns one frame's
 confirmations into events for both paths (time order, leading-leg
 attribution, refractory, fusion, one event out per frame); on a frame
-with no confirmation it only releases a queued event.
+with no confirmation it only releases a queued event. The column merge
+visits only frames with a confirmation and those that drain the queue.
 """
 from __future__ import annotations
 
@@ -159,8 +161,8 @@ class _Channel:
         self.cand_age = -1
 
     def track(self, value: float, above: bool, t, snapshot):
-        """The candidate rule for one post-warmup sample, ``above`` if it
-        exceeds its threshold. Returns the peak's (t, snapshot), which are
+        """The candidate rule for one sample, ``above`` if it exceeds its
+        threshold. Returns the peak's (t, snapshot), which are
         only stored and handed back, ``confirm`` samples after the peak."""
         if above:
             if self.cand_age < 0 or value > self.cand_value:
@@ -183,18 +185,16 @@ class _Channel:
         """Feed one finite sample; returns (peak_time, peak_snapshot) on
         confirmation."""
         # compare against the threshold from before this sample enters the
-        # statistics window (keeps the test causal); a sample under it
-        # changes no candidate unless one is pending
+        # statistics window (keeps the test causal; inf during warm-up); a
+        # sample under it changes no candidate unless one is pending
         confirmed = None
-        count = self.count
-        if count >= self.warmup:
-            if value > self.threshold:
-                self.last_above_t = t
-                confirmed = self.track(value, True, t, snapshot)
-            elif self.cand_age >= 0:
-                confirmed = self.track(value, False, t, snapshot)
+        if value > self.threshold:
+            self.last_above_t = t
+            confirmed = self.track(value, True, t, snapshot)
+        elif self.cand_age >= 0:
+            confirmed = self.track(value, False, t, snapshot)
 
-        ring, srt, idx = self.ring, self.sorted, self.idx
+        ring, srt, idx, count = self.ring, self.sorted, self.idx, self.count
         window = len(ring)
         if count >= window:
             del srt[bisect_left(srt, ring[idx])]
@@ -298,9 +298,7 @@ class HsDetector:
                     source = SOURCE_FUSED
             self._pending.append(HsEvent(side=side, timestamp=peak_t,
                                          thigh_snapshot=snap, source=source))
-        if self._pending:
-            return self._pending.pop(0)
-        return None
+        return self._pending.pop(0) if self._pending else None
 
 
 # most elements _threshold_columns sorts at once, over all channels: 1 MB
@@ -410,7 +408,6 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     det = HsDetector(rate_hz, config)
     c = det.config
     window, warmup = _channel_sizes(rate_hz, c)
-    n = len(t)
     times = t.tolist()
 
     # frame -> the (peak time, snapshot) confirmations of thigh L, thigh R
@@ -442,14 +439,16 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
                                     float(theta_diff_dot[peak])))
 
     events = []
-    for frame in range(n):
-        # frames without a confirmation only release a queued event
-        if frame in hits or det._pending:
-            i = bisect_right(pelvis_above, frame)
-            event = det._merge(*hits.get(frame, (None, None, None)),
-                               times[pelvis_above[i - 1]] if i else -math.inf)
-            if event is not None:
-                events.append((frame, event))
+    order = sorted(hits)
+    for frame, stop in zip(order, order[1:] + [len(times)]):
+        i = bisect_right(pelvis_above, frame)
+        event = det._merge(*hits[frame],
+                           times[pelvis_above[i - 1]] if i else -math.inf)
+        if event is not None:
+            events.append((frame, event))
+        # queued events go out one a frame until the next hit
+        events += [(f, det._pending.pop(0)) for f in
+                   range(frame + 1, min(stop, frame + 1 + len(det._pending)))]
     return events
 
 

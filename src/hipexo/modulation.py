@@ -3,11 +3,12 @@
 Descent attenuation: at each heel strike the inter-thigh angle difference is
 mapped through a sigmoid to an attenuation factor alpha in [0, 1]; alpha is
 latched until the next heel strike or until a standing-reset ramp clears it.
-Only extension torque is attenuated.
+Only extension torque is attenuated. ``ModulationState`` holds alpha per leg.
 
 Gait-STS blending: bilateral symmetry (plus a velocity-difference gate and a
-seated override) yields beta in [0, 1], smoothed by an EMA; the commanded
-torque is the convex combination beta*tau_sts_mod + (1-beta)*tau_gait_mod.
+seated override) yields beta in [0, 1], smoothed by one bilateral EMA (the
+controller's one beta, replay's one column); the commanded torque is the
+convex combination beta*tau_sts_mod + (1-beta)*tau_gait_mod.
 
 The per-step functions take plain floats and a ``BilateralSample``, whose
 theta_diff is derived from the two thigh angles. Inputs are not validated
@@ -89,10 +90,9 @@ class SymmetryParams:
 
 @dataclass
 class ModulationState:
-    """Per-leg persistent modulation state, owned by the controller runtime."""
+    """Per-leg descent state (latched alpha, reset ramp) of the controller."""
 
     alpha: float = 0.0
-    beta: float = 0.0                 # smoothed blend factor
     standing_since: float | None = None
     ramp_start: float | None = None
     ramp_initial_alpha: float = 0.0
@@ -171,13 +171,10 @@ def beta_raw(s: BilateralSample, p: SymmetryParams) -> float:
     return sigmoid(abs(s.theta_diff), p.sym_mod)
 
 
-def beta_smoothed(state: ModulationState, beta: float,
-                  p: SymmetryParams) -> float:
-    """One EMA step of the blend factor at rate ``p.ema_smoothing``,
-    s*beta + (1-s)*state.beta; stores the new value and returns it."""
-    s = p.ema_smoothing
-    state.beta = s * beta + (1.0 - s) * state.beta
-    return state.beta
+def beta_smoothed(prev: float, beta: float, p: SymmetryParams) -> float:
+    """One EMA step of the blend factor at rate ``p.ema_smoothing``:
+    s*beta + (1-s)*prev."""
+    return p.ema_smoothing * beta + (1.0 - p.ema_smoothing) * prev
 
 
 def blend(tau_sts_mod: float, tau_gait_mod: float, beta: float) -> float:

@@ -14,11 +14,11 @@ with ``signals.exp_exact`` (they pass ``np.exp``), then beta_raw, descent
 attenuation, blend and clamps in the controller's operation order. The
 heel-strike detector runs once through ``heelstrike.detect_columns``,
 which returns each event with its frame index. Only the filters and the
-beta EMA run on every sample. The alpha latch and the reset ramp run only
-on the frames where alpha can change: left latch frames, standing frames
-and the first frame after each standing run; every other frame holds the
-alpha before it. A gated frame advances no state and logs the
-``TorqueBreakdown`` defaults with the last admitted command scaled by
+one bilateral beta EMA run on every sample. The alpha latch and the reset
+ramp run only on the frames where alpha can change: left latch frames,
+standing frames and the first frame after each standing run; every other
+frame holds the alpha before it. A gated frame advances no state and logs
+the ``TorqueBreakdown`` defaults with the last admitted command scaled by
 ``controller.fault_hold_scale``. The step log and events are those of
 stepping ``HipController`` frame by frame, bit for bit.
 """
@@ -153,8 +153,9 @@ def _replay_columns(params: ControllerParams, columns):
                       sigmoid_array(np.abs(th_l - th_r), sym.sym_mod,
                                     exp_exact)))
 
-    mod = left.mod
-    beta = np.array([beta_smoothed(mod, b, sym) for b in b_raw.tolist()])
+    beta, prev = np.empty(b_raw.size), 0.0
+    for i, b in enumerate(b_raw.tolist()):
+        beta[i] = prev = beta_smoothed(prev, b, sym)
     outside = ~((beta >= 0.0) & (beta <= 1.0))
     if outside.any():
         raise ValueError(
@@ -174,8 +175,8 @@ def _replay_columns(params: ControllerParams, columns):
     for i, ti, st in zip(visited.tolist(), t[visited].tolist(),
                          standing[visited].tolist()):
         if i in latch:
-            mod.latch_alpha(latch[i])
-        alpha[i] = reset_tick(mod, st, ti, p.descent)
+            left.mod.latch_alpha(latch[i])
+        alpha[i] = reset_tick(left.mod, st, ti, p.descent)
     # each frame reads the last visited frame at or before it (frame 0,
     # alpha 0.0, if none)
     alpha = alpha[np.maximum.accumulate(

@@ -169,11 +169,11 @@ def test_criterion_03_kernel_closed_forms():
     ratio_db = 20 * np.log10(np.max(np.abs(out[int(4 * fs):])))
     assert abs(ratio_db - (-3.0103)) <= 0.2
 
-    st = ModulationState()
     sym = SymmetryParams(sym_mod=SigmoidParams(-10.0, -4.0),
                          vel_threshold=0.5, ema_smoothing=0.1)
+    out = 0.0
     for n in range(1, 60):
-        out = beta_smoothed(st, 1.0, sym)
+        out = beta_smoothed(out, 1.0, sym)
         assert abs(out - (1.0 - 0.9 ** n)) <= 1e-12
     print(f"\nPASS criterion 3: sigmoid midpoint 0.5 +- 1e-12; DC gain "
           f"1 +- 1e-6; cutoff at {ratio_db:.3f} dB; EMA step exact to 1e-12")

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import hipexo
+from hipexo import controller
 from hipexo.controller import ControllerParams, HipController, SensorFrame
-from hipexo.modulation import DescentModParams, SymmetryParams, blend
+from hipexo.modulation import (DescentModParams, SymmetryParams,
+                               beta_smoothed, blend)
 from hipexo.signals import SigmoidParams
 from hipexo.springs import GaitSpringParams, StsSpringParams
 
@@ -155,6 +157,31 @@ class TestCompositionFidelity:
                 assert bd.tau_act_raw == blend(bd.tau_sts_mod, bd.tau_gait_mod,
                                                bd.beta)
                 assert bd.extension_scale == scale
+
+    def test_one_beta_step_per_admitted_frame(self, default_params,
+                                              monkeypatch):
+        calls, outs = [], []
+
+        def counted(prev, beta, p):
+            calls.append(prev)
+            outs.append(beta_smoothed(prev, beta, p))
+            return outs[-1]
+
+        monkeypatch.setattr(controller, "beta_smoothed", counted)
+        ctl = HipController(default_params)
+        rng = np.random.default_rng(17)
+        admitted = 0
+        for k in range(300):
+            frame = random_frame(rng, k * DT)
+            if k % 7 == 3:
+                frame.pelvis_accel = math.nan
+            res = ctl.step(frame)
+            admitted += not res.left.fault
+            assert res.left.beta == res.right.beta
+            assert len(calls) == admitted
+        # each step smooths from the last admitted step's beta
+        assert admitted == 257
+        assert calls == [0.0] + outs[:-1]
 
 
 class TestFaultHandling:

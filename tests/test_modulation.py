@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from hipexo.modulation import (BilateralSample, DescentModParams,
                                ModulationState, SymmetryParams,
@@ -176,39 +177,35 @@ class TestBeta:
             symmetry(vel_threshold=0.0)
 
     def test_smoothing(self):
-        st = ModulationState()
-        assert beta_smoothed(st, 1.0, symmetry()) == pytest.approx(
+        assert beta_smoothed(0.0, 1.0, symmetry()) == pytest.approx(
             0.1, abs=1e-12)
-        assert st.beta == beta_smoothed(ModulationState(), 1.0, symmetry())
-        st2 = ModulationState()
-        assert beta_smoothed(st2, 0.77, symmetry(ema_smoothing=1.0)) == 0.77
-        st3 = ModulationState()
+        assert beta_smoothed(0.0, 0.77, symmetry(ema_smoothing=1.0)) == 0.77
         out = 0.0
         for _ in range(400):
-            out = beta_smoothed(st3, 1.0, symmetry())
+            out = beta_smoothed(out, 1.0, symmetry())
         assert out == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEma:
-    """beta_smoothed is an exponential moving average at the rate
-    ``SymmetryParams.ema_smoothing``."""
+    """beta_smoothed is one step of an exponential moving average at the
+    rate ``SymmetryParams.ema_smoothing``, from the previous value."""
 
     def test_passthrough_when_smoothing_one(self):
-        st = ModulationState(beta=0.3)
-        assert beta_smoothed(st, -2.5, symmetry(ema_smoothing=1.0)) == -2.5
+        assert beta_smoothed(0.3, -2.5, symmetry(ema_smoothing=1.0)) == -2.5
 
     def test_converges_to_constant(self):
-        st = ModulationState(beta=100.0)
+        out = 100.0
         for _ in range(500):
-            out = beta_smoothed(st, 4.0, symmetry())
+            out = beta_smoothed(out, 4.0, symmetry())
         assert out == pytest.approx(4.0, abs=1e-10)
 
     def test_step_response_closed_form(self):
-        st = ModulationState()
-        outs = [beta_smoothed(st, 1.0, symmetry()) for _ in range(20)]
-        for n, out in enumerate(outs, start=1):
+        outs = [0.0]
+        for _ in range(20):
+            outs.append(beta_smoothed(outs[-1], 1.0, symmetry()))
+        for n, out in enumerate(outs[1:], start=1):
             assert out == pytest.approx(1.0 - 0.9 ** n, abs=1e-12)
-        assert outs[9] == pytest.approx(0.6513215599, abs=1e-9)
+        assert outs[10] == pytest.approx(0.6513215599, abs=1e-9)
 
     def test_contraction_property(self):
         rng = np.random.default_rng(11)
@@ -216,9 +213,18 @@ class TestEma:
             s = rng.uniform(0.01, 1.0)
             prev = rng.uniform(-10, 10)
             sample = rng.uniform(-10, 10)
-            out = beta_smoothed(ModulationState(beta=prev), sample,
-                                symmetry(ema_smoothing=s))
+            out = beta_smoothed(prev, sample, symmetry(ema_smoothing=s))
             assert abs(out - sample) <= (1 - s) * abs(prev - sample) + 1e-12
+
+    @settings(max_examples=500, derandomize=True, database=None)
+    @given(prev=strategies.floats(0.0, 1.0), raw=strategies.floats(0.0, 1.0),
+           s=strategies.floats(0.0, 1.0, exclude_min=True))
+    def test_stays_in_unit_range_and_moves_toward_raw(self, prev, raw, s):
+        out = beta_smoothed(prev, raw, symmetry(ema_smoothing=s))
+        assert 0.0 <= out <= 1.0
+        # s*raw + (1-s)*raw can round one ulp off raw, so prev == raw
+        # may move by that much
+        assert abs(out - raw) <= abs(prev - raw) + math.ulp(1.0)
 
     def test_bad_smoothing(self):
         with pytest.raises(ValueError, match="ema_smoothing"):

@@ -336,7 +336,8 @@ class TestColumnReplay:
         stride = battery[ActivityLabel("level-walk", 1.15)][0]
         columns = replay._frames(stride, default_params.loop_rate_hz, 1)[2]
         for module in (replay, controller):
-            monkeypatch.setattr(module, "beta_smoothed", lambda st, b, p: 1.5)
+            monkeypatch.setattr(module, "beta_smoothed",
+                                lambda prev, b, p: 1.5)
         message = r"beta must be in \[0, 1\], got 1.5$"
         with pytest.raises(ValueError, match=message):
             replay._replay_columns(default_params, columns)
