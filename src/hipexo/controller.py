@@ -35,7 +35,8 @@ def fault_hold_scale(elapsed: float) -> float:
     1 for FAULT_HOLD_S, then a linear decay to 0 over FAULT_DECAY_S."""
     if elapsed <= FAULT_HOLD_S:
         return 1.0
-    return max(0.0, 1.0 - (elapsed - FAULT_HOLD_S) / FAULT_DECAY_S)
+    scale = 1.0 - (elapsed - FAULT_HOLD_S) / FAULT_DECAY_S
+    return scale if scale > 0.0 else 0.0
 
 
 @dataclass
@@ -268,7 +269,7 @@ class HipController:
             eta_ext, eta_flex = gait_velocity_factors(vel, gait)
             tau_gait = eta_ext * tau_ext + eta_flex * tau_flex
             tau_sts = sts_spring_torque(thigh_angle, sts)
-            tau_sts_mod = sts_modulated_torque(thigh_angle, vel, torso, sts)
+            tau_sts_mod = sts_modulated_torque(tau_sts, vel, torso, sts)
 
             tau_gait_mod = attenuate_extension(tau_gait, mod, descent)
             tau_act_raw = blend(tau_sts_mod, tau_gait_mod, beta)

@@ -47,9 +47,10 @@ bookkeeping. The second, per channel, feeds ``track`` the samples that
 can touch a candidate: those over their threshold and the
 ``confirm_samples`` after each. ``HsDetector._merge`` turns one frame's
 confirmations into events for both paths (time order, leading-leg
-attribution, refractory, fusion, one event out per frame); on a frame
-with no confirmation it only releases a queued event. The column merge
-visits only frames with a confirmation and those that drain the queue.
+attribution, refractory, fusion, one event out per frame). It sees only
+frames with a confirmation, in both paths: on a frame with none,
+``update`` releases a queued event itself, and the column merge releases
+them on the frames after each hit until the queue drains.
 """
 from __future__ import annotations
 
@@ -124,12 +125,14 @@ def _median_mad(s: list[float]) -> tuple[float, float]:
             else:
                 lo = k + 1
         k = lo
-        mad = min(med - s[k - 1] if k else math.inf,
-                  s[h + k] - med if h + k < n else math.inf)
+        # conditional expressions for min(a, b) and max(a, b), a on a tie
+        a = med - s[k - 1] if k else math.inf
+        b = s[h + k] - med if h + k < n else math.inf
+        mad = b if b < a else a
         if not n % 2:
-            last = max(med - s[k] if k < h else -math.inf,
-                       s[h + k - 1] - med if k else -math.inf)
-            mad = (last + mad) / 2
+            a = med - s[k] if k < h else -math.inf
+            b = s[h + k - 1] - med if k else -math.inf
+            mad = ((b if b > a else a) + mad) / 2
         return med, abs(mad)   # a zero deviation can come out as -0.0
     # a finite pair overflowed to an infinite median
     return med, math.inf

@@ -122,7 +122,8 @@ def attenuate_extension(tau_gait: float, state: ModulationState,
     """Scale only the extension (negative) part of the gait torque by
     1 - lam*alpha; flexion passes through unchanged."""
     scale = 1.0 - p.lam * state.alpha
-    return scale * min(0.0, tau_gait) + max(0.0, tau_gait)
+    return (scale * (tau_gait if tau_gait < 0.0 else 0.0)
+            + (tau_gait if tau_gait > 0.0 else 0.0))
 
 
 def reset_tick(state: ModulationState, standing: bool, now: float,
@@ -145,7 +146,8 @@ def reset_tick(state: ModulationState, standing: bool, now: float,
             state.ramp_initial_alpha = state.alpha
         if state.ramp_start is not None:
             frac = (now - state.ramp_start) / p.t_decay
-            state.alpha = max(0.0, state.ramp_initial_alpha * (1.0 - frac))
+            alpha = state.ramp_initial_alpha * (1.0 - frac)
+            state.alpha = alpha if alpha > 0.0 else 0.0
             if state.alpha == 0.0:
                 state.ramp_start = None
                 state.ramp_initial_alpha = 0.0

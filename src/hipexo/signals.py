@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exp() argument clamp; the logistic curve is saturated to machine precision
-# long before |z| reaches this, so clamping only prevents overflow
+# upper cap on the exp() argument, against overflow; there is no lower cap,
+# as below about -37 ``1 / (1 + exp(z))`` is already exactly 1.0, and past
+# -745 exp underflows to 0.0 (which numpy's default errstate ignores)
 EXP_CLAMP = 500.0
 
 
@@ -32,16 +33,14 @@ class SigmoidParams:
 def sigmoid(x: float, p: SigmoidParams) -> float:
     """Logistic curve 1 / (1 + exp(-w*x + phi)).
 
-    Strictly monotone in x for w != 0, output in (0, 1). The exponent is
-    clamped so large |x| saturates instead of overflowing; at double
-    precision the output saturates to exactly 1.0 once the exponent passes
-    about 37, and stays strictly above 0 everywhere.
+    Strictly monotone in x for w != 0, output in (0, 1]. The exponent is
+    capped at EXP_CLAMP from above only, so it cannot overflow and the
+    output stays strictly above 0. Below about -37 the output is exactly
+    1.0, so no lower cap is needed: saturation is exact at any exponent.
     """
     z = -p.w * x + p.phi
     if z > EXP_CLAMP:
         z = EXP_CLAMP
-    elif z < -EXP_CLAMP:
-        z = -EXP_CLAMP
     return 1.0 / (1.0 + math.exp(z))
 
 
@@ -57,10 +56,10 @@ def sigmoid_array(x, p: SigmoidParams, exp=np.exp) -> np.ndarray:
 
 def logistic_inplace(z: np.ndarray, exp=np.exp) -> np.ndarray:
     """``1 / (1 + exp(z))`` of a float exponent array of any shape after
-    the ±EXP_CLAMP clamp: :func:`sigmoid`'s last steps, in its operation
-    order. Every step overwrites ``z``, which the caller hands over, so
-    ``exp`` must take ``out`` as ``np.exp`` and :func:`exp_exact` do."""
-    np.maximum(z, -EXP_CLAMP, out=z)
+    the EXP_CLAMP upper cap: :func:`sigmoid`'s last steps, in its operation
+    order, saturating to exactly 1.0 below the cap as it does. Every step
+    overwrites ``z``, which the caller hands over, so ``exp`` must take
+    ``out`` as ``np.exp`` and :func:`exp_exact` do."""
     np.minimum(z, EXP_CLAMP, out=z)
     exp(z, out=z)
     z += 1.0

@@ -4,15 +4,17 @@ springs and the sit-to-stand (STS) spring, each shaped by sigmoid velocity
 
 Sign conventions: hip flexion is positive, so extension torque is negative
 and flexion torque positive. Angles in rad, velocities in rad/s, torques in
-Nm. The scalar kernels step the live controller. Each law has one column
-kernel, with the same positional inputs, that replay, the optimizer and
-stride synthesis share; it takes the exponential as ``exp``, called with
-``out`` as ``np.exp`` is: replay passes ``signals.exp_exact`` and so matches
-the scalar kernels bit for bit, the others ``np.exp``. The column kernels
-form each step in place on their own temporaries, and the gait kernel runs
-its two velocity sigmoids as one (2, N) pass. Inputs are not validated
-here: the controller's frame gate admits only finite samples with |hip
-velocity| < VEL_BOUND.
+Nm. The scalar kernels step the live controller. They clamp at zero
+with conditional expressions (``v if v < 0.0 else 0.0``), which give the
+zero sign of ``neg_part``/``pos_part`` and of builtin min/max, -0.0 to
++0.0. Each law has one column kernel, with the same positional inputs,
+that replay, the optimizer and stride synthesis share; it takes the
+exponential as ``exp``, called with ``out`` as ``np.exp`` is: replay
+passes ``signals.exp_exact`` and so matches the scalar kernels bit for
+bit, the others ``np.exp``. The column kernels form each step in place on
+their own temporaries, and the gait kernel runs its two velocity sigmoids
+as one (2, N) pass. Inputs are not validated here: the controller's frame
+gate admits only finite samples with |hip velocity| < VEL_BOUND.
 """
 from __future__ import annotations
 
@@ -76,17 +78,19 @@ class StsSpringParams:
 def gait_spring_torques(theta_ips: float, p: GaitSpringParams) -> tuple[float, float]:
     """Unmodulated gait spring torques (tau_ext <= 0, tau_flex >= 0).
 
-    The min/max clamps keep each spring unidirectional: the extension spring
+    The clamps at zero keep each spring unidirectional: the extension spring
     never pushes into flexion and vice versa.
     """
-    tau_ext = min(0.0, p.k_ext * (theta_ips - p.theta_ext_eq))
-    tau_flex = max(0.0, p.k_flex * (p.theta_flex_eq - theta_ips))
-    return tau_ext, tau_flex
+    tau_ext = p.k_ext * (theta_ips - p.theta_ext_eq)
+    tau_flex = p.k_flex * (p.theta_flex_eq - theta_ips)
+    return (tau_ext if tau_ext < 0.0 else 0.0,
+            tau_flex if tau_flex > 0.0 else 0.0)
 
 
 def sts_spring_torque(theta_thigh: float, p: StsSpringParams) -> float:
     """Unmodulated STS spring torque, <= 0 (extension only while thigh flexed)."""
-    return min(0.0, -p.k_sts * theta_thigh)
+    tau = -p.k_sts * theta_thigh
+    return tau if tau < 0.0 else 0.0
 
 
 def gait_velocity_factors(theta_ips_dot: float,
@@ -104,17 +108,18 @@ def gait_torque(theta_ips: float, theta_ips_dot: float, p: GaitSpringParams) -> 
     return eta_ext * tau_ext + eta_flex * tau_flex
 
 
-def sts_modulated_torque(theta_thigh: float, theta_ips_dot: float,
+def sts_modulated_torque(tau_sts: float, theta_ips_dot: float,
                          theta_torso: float, p: StsSpringParams) -> float:
-    """STS torque scaled by velocity and torso-lean factors, <= 0.
+    """The STS spring torque ``tau_sts`` (``sts_spring_torque``'s result)
+    scaled by velocity and torso-lean factors, <= 0.
 
     The torso input is clamped at zero so that backward lean or an upright
     trunk leaves only the sigmoid's floor value; the spring effectively
     engages when the trunk pitches forward.
     """
-    tau_sts = sts_spring_torque(theta_thigh, p)
     eta_vel = sigmoid(theta_ips_dot, p.vel_mod)
-    eta_torso = sigmoid(max(0.0, theta_torso), p.torso_mod)
+    eta_torso = sigmoid(theta_torso if theta_torso > 0.0 else 0.0,
+                        p.torso_mod)
     return tau_sts * eta_vel * eta_torso
 
 

@@ -30,7 +30,7 @@ from hipexo.signals import (BiquadSpec, LowpassFilter, SigmoidParams,
                             integrate_positive, sigmoid)
 from hipexo.springs import (GaitSpringParams, StsSpringParams,
                             gait_spring_torques, gait_torque_series,
-                            sts_modulated_torque)
+                            sts_modulated_torque, sts_spring_torque)
 
 DT = 1.0 / 250.0
 
@@ -71,7 +71,8 @@ def test_criterion_01_sign_bounds_fuzz(default_params):
                 rng.uniform(-1.5, 2.0), rng.uniform(-1, 1))
             tau_ext, tau_flex = gait_spring_torques(theta, gp)
             assert tau_ext <= 0.0 and tau_flex >= 0.0
-            assert sts_modulated_torque(thigh, vel, torso, sp) <= 0.0
+            assert sts_modulated_torque(sts_spring_torque(thigh, sp), vel,
+                                        torso, sp) <= 0.0
             n_basis += 1
 
     n_ctl = 0

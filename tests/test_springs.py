@@ -119,21 +119,24 @@ class TestComposedTorques:
         p = sts_params(k_sts=20.0, vel_mod=SigmoidParams(-4.0, 0.0),
                        torso_mod=SigmoidParams(12.0, 0.0))
         # tau_sts = -16, both factors 0.5 at zero input
-        assert sts_modulated_torque(0.8, 0.0, 0.0, p) == pytest.approx(
+        assert sts_modulated_torque(
+            sts_spring_torque(0.8, p), 0.0, 0.0, p) == pytest.approx(
             -4.0, abs=1e-12)
 
     def test_sts_torso_floor_when_upright(self):
         # torso input clamps at 0: factor = 1/(1+e^phi), a fixed floor
         p = sts_params(torso_mod=SigmoidParams(12.0, 6.0))
         floor = 1.0 / (1.0 + math.exp(6.0))
-        upright = sts_modulated_torque(0.8, -1.0, -0.4, p)
-        assert upright == sts_modulated_torque(0.8, -1.0, 0.0, p)
         base = sts_spring_torque(0.8, p)
+        upright = sts_modulated_torque(base, -1.0, -0.4, p)
+        assert upright == sts_modulated_torque(base, -1.0, 0.0, p)
         assert abs(upright) <= abs(base) * floor * 1.0001
         assert abs(upright) < 0.003 * abs(base)
 
     def test_sts_zero_passthrough(self):
-        assert sts_modulated_torque(-0.5, -3.0, 0.5, sts_params()) == 0.0
+        p = sts_params()
+        assert sts_modulated_torque(sts_spring_torque(-0.5, p), -3.0, 0.5,
+                                    p) == 0.0
 
 
 class TestProperties:
@@ -163,7 +166,8 @@ class TestProperties:
                 assert tau_ext <= 0.0
                 assert tau_flex >= 0.0
                 assert sts_spring_torque(thigh, sp) <= 0.0
-                assert sts_modulated_torque(thigh, vel, torso, sp) <= 0.0
+                assert sts_modulated_torque(sts_spring_torque(thigh, sp),
+                                            vel, torso, sp) <= 0.0
 
     def test_modulation_never_amplifies(self):
         rng = np.random.default_rng(43)
@@ -175,8 +179,9 @@ class TestProperties:
             tau_ext, tau_flex = gait_spring_torques(theta, gp)
             assert abs(gait_torque(theta, vel, gp)) <= \
                 abs(tau_ext) + abs(tau_flex) + 1e-12
-            assert abs(sts_modulated_torque(thigh, vel, torso, sp)) <= \
-                abs(sts_spring_torque(thigh, sp)) + 1e-12
+            tau_sts = sts_spring_torque(thigh, sp)
+            assert abs(sts_modulated_torque(tau_sts, vel, torso, sp)) <= \
+                abs(tau_sts) + 1e-12
 
     def test_continuity_on_fine_grid(self):
         gp = gait_params()
@@ -197,7 +202,8 @@ class TestProperties:
         assert gait_spring_torques(0.0, gp) == (tau_ext_expect, tau_flex_expect)
         assert gait_torque(0.0, 0.0, gp) == pytest.approx(
             eta_ext * tau_ext_expect + eta_flex * tau_flex_expect, abs=1e-12)
-        assert sts_modulated_torque(0.0, 0.0, 0.0, sp) == 0.0
+        assert sts_modulated_torque(sts_spring_torque(0.0, sp), 0.0, 0.0,
+                                    sp) == 0.0
 
     def test_series_matches_scalar_path(self):
         # with exp_exact (math.exp, as replay passes) every part of the
@@ -218,8 +224,8 @@ class TestProperties:
         theta[4:8] = gp.theta_flex_eq
         thigh[8:16] = 0.0
         torso[16:24] = [0.0, -0.0, *-rng.uniform(0.0, 1.0, 6)]
-        # sigmoid clamp region, |z| > EXP_CLAMP; both gait rows of the one
-        # (2, N) sigmoid pass go past both ends of the clamp
+        # saturated sigmoids, |z| > EXP_CLAMP; both gait rows of the one
+        # (2, N) sigmoid pass go past the cap and below -EXP_CLAMP
         vel[24:32] = rng.choice([-1.0, 1.0], 8) * 10.0 ** rng.uniform(4, 8, 8)
         vel[40:44] = [1e8, -1e8, 1e6, -1e6]
         torso[32:40] = 10.0 ** rng.uniform(4, 8, 8)
@@ -257,8 +263,9 @@ class TestProperties:
                           gait_torque(th, om, gp))
             assert hexes(gait_parts) == hexes(c[i] for c in gait_cols)
             sts_in = [float(a[i]) for a in sts_args]
-            sts_parts = (sts_spring_torque(sts_in[0], sp),
-                         sts_modulated_torque(*sts_in, sp))
+            tau_sts = sts_spring_torque(sts_in[0], sp)
+            sts_parts = (tau_sts,
+                         sts_modulated_torque(tau_sts, *sts_in[1:], sp))
             assert hexes(sts_parts) == hexes(c[i] for c in sts_cols)
             assert gait_parts[-1] == pytest.approx(gait_vec[i], **tol)
             assert sts_parts[-1] == pytest.approx(sts_vec[i], **tol)
