@@ -260,27 +260,27 @@ class HsDetector:
         acceleration. The frame must be one the controller's gate admits:
         finite values, and a finite timestamp later than the last frame's.
         """
-        return self._merge(
-            self._thigh_l.push(thigh_accel_l, timestamp, bilateral),
-            self._thigh_r.push(thigh_accel_r, timestamp, bilateral),
-            self._pelvis.push(pelvis_accel, timestamp, bilateral),
-            self._pelvis.last_above_t)
+        left = self._thigh_l.push(thigh_accel_l, timestamp, bilateral)
+        right = self._thigh_r.push(thigh_accel_r, timestamp, bilateral)
+        pelvis = self._pelvis.push(pelvis_accel, timestamp, bilateral)
+        if left is None and right is None and pelvis is None:
+            return self._pending.pop(0) if self._pending else None
+        return self._merge(left, right, pelvis, self._pelvis.last_above_t)
 
     def _merge(self, left: _Confirmed | None, right: _Confirmed | None,
                pelvis: _Confirmed | None,
                pelvis_last_above_t: float) -> HsEvent | None:
-        """Turn one frame's channel confirmations into events; returns the
-        oldest pending event, if any.
+        """Turn one frame's channel confirmations, at least one of them a
+        hit, into events; returns the oldest pending event, if any.
 
         Hits are taken in peak-time order (ties in channel order: thigh L,
         thigh R, pelvis); a pelvis hit goes to the leading leg (greater
         thigh flexion at the peak sample); a hit inside its side's
         refractory is dropped; a thigh hit within the fusion window of the
         pelvis channel's last above-threshold sample is fused. Events queue
-        and come out one per frame.
+        and come out one per frame; on a frame without a hit the caller
+        releases them itself (``update``, and ``detect_columns``).
         """
-        if left is None and right is None and pelvis is None:
-            return self._pending.pop(0) if self._pending else None
         hits = []
         if left is not None:
             hits.append((left[0], LEFT, SOURCE_THIGH, left[1]))

@@ -339,6 +339,29 @@ class TestColumnDetector:
         assert [e.source for _, e in got][:3] == ["fused", "fused",
                                                   "pelvis-channel"]
 
+    def test_merge_sees_hit_frames_only(self, monkeypatch):
+        """Both paths release queued events on a frame without a hit
+        themselves, so ``_merge`` is only ever handed a frame with one."""
+        merge = HsDetector._merge
+        calls = []
+
+        def spy(det, left, right, pelvis, pelvis_last_above_t):
+            calls.append((left, right, pelvis))
+            return merge(det, left, right, pelvis, pelvis_last_above_t)
+
+        monkeypatch.setattr(HsDetector, "_merge", spy)
+        cfg = HsDetectorConfig(refractory_s=1e-3)
+        columns = spike_columns(600, {200: (9.0, 8.0, 0.0),
+                                      210: (9.0, 8.0, 7.0)})
+        got = assert_same_events(columns, cfg)
+        # two hit frames in each path, and queued events out on the frames
+        # after each
+        assert len(calls) == 4
+        assert all(any(h is not None for h in call) for call in calls)
+        c = cfg.confirm_samples
+        assert [frame for frame, _ in got] == [200 + c, 201 + c,
+                                               210 + c, 211 + c]
+
     def test_pending_queue_with_default_refractory(self):
         columns = spike_columns(600, {200: (9.0, 8.0, 7.0),
                                       250: (9.0, 8.0, 7.0),
