@@ -15,6 +15,8 @@ Each config, and each params file and schema map it names, is read by
 :func:`hipexo.configio.read_yaml` against its key table before any artifact
 is written; the commands keep only the rules that need data: battery
 channels, warm-start bounds, a stride directory that holds no stride file.
+``metrics`` rejects a stride file with under 2 samples or a non-finite
+cell, naming the file and channel: the energetics helpers check nothing.
 
 ``detect-hs`` works on its whole stream at once, as replay does: it checks
 the timestamp column once over every row, gates rows with one finite mask
@@ -259,7 +261,17 @@ def cmd_metrics(args) -> int:
             raise LoadError(f"{key} directory {cfg[key]} holds no stride "
                             "files (*.csv)")
         groups: dict[str, list[StrideSeries]] = {}
-        for s in map(load_stride, files):
+        for path in files:
+            s = load_stride(path)
+            # the one check of these grids: the energetics helpers make none
+            for name, grid in s.channels.items():
+                if grid.size < 2:
+                    raise LoadError(f"{path}: channel {name!r} has "
+                                    f"{grid.size} data row(s), not 2 or more")
+                bad = np.flatnonzero(~np.isfinite(grid))
+                if bad.size:
+                    raise LoadError(f"{path}: channel {name!r} holds "
+                                    f"{grid[bad[0]]} at data row {bad[0] + 1}")
             groups.setdefault(s.label.code, []).append(s)
         return groups
 

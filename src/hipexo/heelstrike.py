@@ -243,6 +243,7 @@ class HsDetector:
                             c.confirm_samples)
 
         self._thigh_l, self._thigh_r, self._pelvis = make(), make(), make()
+        self._fuse_window = (c.confirm_samples + 1) / rate_hz
         self._last_event_t = {LEFT: -math.inf, RIGHT: -math.inf}
         self._pending: list[HsEvent] = []
 
@@ -295,10 +296,9 @@ class HsDetector:
             if not self.refractory_ok(side, peak_t):
                 continue
             self._last_event_t[side] = peak_t
-            if source == SOURCE_THIGH:
-                fuse_window = (self.config.confirm_samples + 1) / self.rate_hz
-                if peak_t - pelvis_last_above_t <= fuse_window:
-                    source = SOURCE_FUSED
+            if source == SOURCE_THIGH and \
+                    peak_t - pelvis_last_above_t <= self._fuse_window:
+                source = SOURCE_FUSED
             self._pending.append(HsEvent(side=side, timestamp=peak_t,
                                          thigh_snapshot=snap, source=source))
         return self._pending.pop(0) if self._pending else None
@@ -410,7 +410,9 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     """
     det = HsDetector(rate_hz, config)
     c = det.config
-    window, warmup = _channel_sizes(rate_hz, c)
+    # the fresh detector's channels run track only; their rings stay unused
+    fresh = (det._thigh_l, det._thigh_r, det._pelvis)
+    window, warmup = len(fresh[0].ring), fresh[0].warmup
     times = t.tolist()
 
     # frame -> the (peak time, snapshot) confirmations of thigh L, thigh R
@@ -419,7 +421,7 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     channels = (thigh_accel_l, thigh_accel_r, pelvis_accel)
     thresholds = _threshold_columns(channels, window, warmup,
                                     c.refresh_every, c.k_mad)
-    for k, (x, thr) in enumerate(zip(channels, thresholds)):
+    for k, (ch, x, thr) in enumerate(zip(fresh, channels, thresholds)):
         above = x > thr
         if x is pelvis_accel:
             pelvis_above = np.flatnonzero(above).tolist()
@@ -429,8 +431,6 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
         for lag in range(1, c.confirm_samples + 1):
             touch[lag:] |= above[:-lag]
         visit = np.flatnonzero(touch)
-        ch = _Channel(window, warmup, c.k_mad, c.refresh_every,
-                      c.confirm_samples)
         for i, v, a in zip(visit.tolist(), x[visit].tolist(),
                            above[visit].tolist()):
             confirmed = ch.track(v, a, i, None)

@@ -4,6 +4,10 @@ joint power, positive work, peak power, and ensemble averages.
 Works are mass-normalized (J/kg), powers W/kg, moments Nm/kg. Exoskeleton
 torque arrives in Nm and is divided by body mass where it meets the
 biological side. All functions are pure.
+
+The helpers take strides that ``StrideSeries`` and, for stride files, the
+``metrics`` loader have accepted (2 or more samples, every cell finite),
+and check nothing again.
 """
 from __future__ import annotations
 
@@ -18,17 +22,8 @@ from .signals import integrate_positive
 
 
 def cosine_similarity(a, b) -> float:
-    """Normalized inner product of two equal-length series, in [-1, 1].
-
-    ``nan`` when either input has zero norm (similarity undefined). Raises
-    ``ValueError`` for length mismatch or length < 2.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    if a.size < 2:
-        raise ValueError("need at least 2 samples")
+    """Normalized inner product of two equal-length series, in [-1, 1];
+    ``nan`` when either has zero norm (similarity undefined)."""
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if not (na > 0.0 and nb > 0.0):
         return float("nan")
@@ -36,51 +31,18 @@ def cosine_similarity(a, b) -> float:
     return min(1.0, max(-1.0, sim))
 
 
-def biological_moment(net_moment, exo_torque, mass: float) -> np.ndarray:
-    """Biological contribution: net moment (Nm/kg) minus exo torque (Nm)
-    over body mass."""
-    if not mass > 0:
-        raise ValueError("mass must be > 0")
-    net = np.asarray(net_moment, dtype=float)
-    exo = np.asarray(exo_torque, dtype=float)
-    if net.shape != exo.shape:
-        raise ValueError(f"length mismatch: {net.shape} vs {exo.shape}")
-    return net - exo / mass
-
-
-def joint_power(moment, velocity) -> np.ndarray:
-    """Elementwise moment * velocity (W/kg for mass-normalized moments)."""
-    m = np.asarray(moment, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    if m.shape != v.shape:
-        raise ValueError(f"length mismatch: {m.shape} vs {v.shape}")
-    return m * v
-
-
-def positive_work(power, cycle_duration: float) -> float:
+def positive_work(power: np.ndarray, cycle_duration: float) -> float:
     """Positive-power integral over the de-normalized cycle time, J/kg."""
-    p = np.asarray(power, dtype=float)
-    if not cycle_duration > 0:
-        raise ValueError("cycle_duration must be > 0")
-    dt = cycle_duration / (p.size - 1)
-    return integrate_positive(p, dt)
+    return integrate_positive(power, cycle_duration / (power.size - 1))
 
 
 def peak_positive(power) -> float:
     """Largest positive value of a power series (0 if none positive)."""
-    p = np.asarray(power, dtype=float)
-    if p.size == 0:
-        raise ValueError("empty power series")
-    return max(float(np.max(p)), 0.0)
+    return max(float(np.max(power)), 0.0)
 
 
 def ensemble_average(strides: list[StrideSeries], channel: str):
-    """Pointwise mean and sample (n-1) standard deviation of one channel."""
-    if len(strides) < 2:
-        raise ValueError("need at least 2 strides for an ensemble")
-    n = strides[0].n
-    if any(s.n != n for s in strides):
-        raise ValueError("strides must share the same grid")
+    """Pointwise mean and sample (n-1) SD of one channel over 2+ strides."""
     data = np.stack([s.channels[channel] for s in strides])
     return data.mean(axis=0), data.std(axis=0, ddof=1)
 
@@ -139,8 +101,9 @@ def _cell(value) -> str:
 
 
 def stride_energetics(stride: StrideSeries) -> dict:
-    """Single-stride outcomes; uses the exo_torque channel when present."""
-    mass = stride.body_mass
+    """Single-stride outcomes; uses the exo_torque channel when present.
+    The biological moment is the net moment less exo torque over body
+    mass, and each joint power is its moment times its velocity."""
     vel = stride.channels[CH_HIP_VEL]
     net = stride.channels[CH_HIP_MOMENT]
     exo = stride.channels.get(CH_EXO)
@@ -148,10 +111,11 @@ def stride_energetics(stride: StrideSeries) -> dict:
         bio = net
         exo_power = np.zeros_like(net)
     else:
-        bio = biological_moment(net, exo, mass)
-        exo_power = joint_power(exo / mass, vel)
+        exo = exo / stride.body_mass   # Nm -> Nm/kg
+        bio = net - exo
+        exo_power = exo * vel
 
-    bio_power = joint_power(bio, vel)
+    bio_power = bio * vel
     total_power = bio_power + exo_power
     out = {
         "hip_work": positive_work(bio_power, stride.cycle_duration),
@@ -165,21 +129,19 @@ def stride_energetics(stride: StrideSeries) -> dict:
     for mom_ch, vel_ch in ((CH_KNEE_MOMENT, CH_KNEE_VEL),
                            (CH_ANKLE_MOMENT, CH_ANKLE_VEL)):
         if mom_ch in stride.channels and vel_ch in stride.channels:
-            p = joint_power(stride.channels[mom_ch], stride.channels[vel_ch])
+            p = stride.channels[mom_ch] * stride.channels[vel_ch]
             lower += positive_work(p, stride.cycle_duration)
     out["lowerlimb_work"] = lower
 
     out["sim"] = (float("nan") if exo is None
-                  else cosine_similarity(exo / mass, bio))
+                  else cosine_similarity(exo, bio))
     return out
 
 
 def task_energetics(strides: list[StrideSeries], condition: str,
                     mean_extension_scale: float) -> TaskEnergetics:
-    """Average per-stride outcomes over one task's stride set, with the
-    replay's mean extension scale as measured by the caller."""
-    if not strides:
-        raise ValueError("empty stride set")
+    """Average per-stride outcomes over one task's non-empty stride set,
+    with the replay's mean extension scale as measured by the caller."""
     per = [stride_energetics(s) for s in strides]
     mean = lambda key: float(np.mean([p[key] for p in per]))
     sims = [p["sim"] for p in per if np.isfinite(p["sim"])]

@@ -1197,6 +1197,43 @@ class TestMetrics:
             "stride files (*.csv)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, reason", [
+        (("hip_vel", "nan"), "channel 'hip_vel' holds nan at data row 51"),
+        (("exo_torque", "inf"),
+         "channel 'exo_torque' holds inf at data row 51"),
+        (1, "channel 'ankle_moment' has 1 data row(s), not 2 or more"),
+        (0, "channel 'ankle_moment' has 0 data row(s), not 2 or more"),
+    ], ids=["nan-hip_vel", "inf-exo_torque", "one-row", "no-rows"])
+    def test_bad_stride_file_exits_2(self, tmp_path, default_met, capsys,
+                                     edit, reason):
+        """A stride file with a non-finite cell, or with under 2 data rows,
+        is a load error naming the file and the channel, raised before any
+        artifact: the energetics helpers check neither (was exit 1, with no
+        file named)."""
+        strides = default_met.parent / "sim" / "strides"
+        for condition in ("unassisted", "assisted"):
+            shutil.copytree(strides / condition, tmp_path / condition)
+        bad = tmp_path / "assisted" / "RA_11_0.csv"
+        lines = bad.read_text().splitlines(keepends=True)
+        names = next(i for i, line in enumerate(lines)
+                     if not line.startswith("#"))
+        if isinstance(edit, int):
+            lines = lines[:names + 1 + edit]
+        else:
+            channel, cell = edit
+            row = lines[names + 51].rstrip("\n").split(",")
+            row[lines[names].rstrip("\n").split(",").index(channel)] = cell
+            lines[names + 51] = ",".join(row) + "\n"
+        bad.write_text("".join(lines))
+        cfg = write_yaml(tmp_path / "met.yaml", {
+            "unassisted": str(tmp_path / "unassisted"),
+            "assisted": str(tmp_path / "assisted")})
+        out = tmp_path / "o"
+        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not out.exists()
+        assert not list(tmp_path.rglob(".hipexo-*"))
+
     def test_unmatched_sets_warn_partial(self, tmp_path, sim_config, capsys):
         sim_out = tmp_path / "sim"
         main(["simulate", "--config", sim_config, "--out", str(sim_out)])

@@ -200,11 +200,3 @@ class TestIntegratePositive:
         base = integrate_positive(p, 0.01)
         for c in (0.1, 1.0, 3.0):
             assert base >= integrate_positive(p - c, 0.01)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            integrate_positive(np.array([]), 0.1)
-        with pytest.raises(ValueError):
-            integrate_positive(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            integrate_positive(np.array([np.nan]), 0.1)
