@@ -15,8 +15,6 @@ Each config, and each params file and schema map it names, is read by
 :func:`hipexo.configio.read_yaml` against its key table before any artifact
 is written; the commands keep only the rules that need data: battery
 channels, warm-start bounds, a stride directory that holds no stride file.
-``metrics`` rejects a stride file with under 2 samples or a non-finite
-cell, naming the file and channel: the energetics helpers check nothing.
 
 ``detect-hs`` works on its whole stream at once, as replay does: it checks
 the timestamp column once over every row, gates rows with one finite mask
@@ -41,10 +39,10 @@ from .configio import (CONFIGS, SCHEMA, ConfigError, load_params, read_yaml,
                        save_params)
 from .csvio import (open_artifact, read_columns, write_csv,
                     write_float_columns)
-from .gaitdata import (CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH_ACC,
-                       ActivityLabel, LoadError, StrideSeries, load_stride,
-                       load_trial, normalize_stride, save_stride,
-                       segment_strides, synth_battery)
+from .gaitdata import (CH_EXO, CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC,
+                       CH_THIGH_ACC, ActivityLabel, LoadError, StrideSeries,
+                       load_stride, load_trial, normalize_stride,
+                       save_stride, segment_strides, synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, percent_change,
                       read_report, task_energetics, write_paired,
@@ -182,11 +180,12 @@ def _simulate_into(run: _Run, params, battery, cycles: int):
             # ensemble profiles over the task's strides (torque and power)
             n = strides[0].n
             if all(s.n == n for s in strides) and len(strides) >= 2:
-                exo_mean, exo_sd = ensemble_average(assisted, "exo_torque")
-                bio_mean, bio_sd = ensemble_average(strides, CH_HIP_MOMENT)
-                power = [s.copy_with(power=s.channels[CH_HIP_MOMENT]
-                                     * s.channels[CH_HIP_VEL]) for s in strides]
-                p_mean, p_sd = ensemble_average(power, "power")
+                hip = [s.channels[CH_HIP_MOMENT] for s in strides]
+                exo_mean, exo_sd = ensemble_average(
+                    [s.channels[CH_EXO] for s in assisted])
+                bio_mean, bio_sd = ensemble_average(hip)
+                p_mean, p_sd = ensemble_average(
+                    [m * s.channels[CH_HIP_VEL] for m, s in zip(hip, strides)])
                 write_float_columns(
                     run.path("profiles", f"{code}.csv"),
                     ["percent", "bio_moment_mean", "bio_moment_sd",
@@ -261,17 +260,7 @@ def cmd_metrics(args) -> int:
             raise LoadError(f"{key} directory {cfg[key]} holds no stride "
                             "files (*.csv)")
         groups: dict[str, list[StrideSeries]] = {}
-        for path in files:
-            s = load_stride(path)
-            # the one check of these grids: the energetics helpers make none
-            for name, grid in s.channels.items():
-                if grid.size < 2:
-                    raise LoadError(f"{path}: channel {name!r} has "
-                                    f"{grid.size} data row(s), not 2 or more")
-                bad = np.flatnonzero(~np.isfinite(grid))
-                if bad.size:
-                    raise LoadError(f"{path}: channel {name!r} holds "
-                                    f"{grid[bad[0]]} at data row {bad[0] + 1}")
+        for s in map(load_stride, files):
             groups.setdefault(s.label.code, []).append(s)
         return groups
 

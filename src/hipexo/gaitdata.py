@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +118,9 @@ class ActivityLabel:
 
 @dataclass
 class StrideSeries:
-    """One time-normalized activity cycle: channel grids over 0-100%."""
+    """One time-normalized activity cycle: channel grids over 0-100%, and
+    the one check of any stride: equal-length grids of 2+ finite samples,
+    the required channels, finite positive mass and duration."""
 
     label: ActivityLabel
     channels: dict[str, np.ndarray]
@@ -131,16 +133,22 @@ class StrideSeries:
         lengths = {len(v) for v in self.channels.values()}
         if len(lengths) != 1:
             raise ValueError(f"channel grids differ in length: {sorted(lengths)}")
-        if not self.cycle_duration > 0:
-            raise ValueError("cycle_duration must be > 0")
-        if not self.body_mass > 0:
-            raise ValueError("body_mass must be > 0")
+        d, m = self.cycle_duration, self.body_mass
+        if not (0 < d < math.inf and 0 < m < math.inf):
+            raise ValueError("cycle_duration and body_mass must be finite and "
+                             f"> 0, got {d} and {m}")
         missing = [c for c in REQUIRED_CHANNELS if c not in self.channels]
         if missing:
             raise ValueError(f"stride missing required channels: {missing}")
-        for name in (CH_HIP_MOMENT, CH_KNEE_MOMENT, CH_ANKLE_MOMENT):
-            if name in self.channels and not np.all(np.isfinite(self.channels[name])):
-                raise ValueError(f"moment grid {name} must be finite")
+        if (n := lengths.pop()) < 2:
+            raise ValueError(f"channel {next(iter(self.channels))!r} has {n} "
+                             "data row(s), not 2 or more")
+        finite = np.isfinite(np.concatenate(list(self.channels.values())))
+        if not finite.all():   # the first bad cell, in channel order
+            k, row = divmod(int(finite.argmin()), n)
+            name, grid = list(self.channels.items())[k]
+            raise ValueError(f"channel {name!r} holds {grid[row]} at data row "
+                             f"{row + 1}")
 
     @property
     def n(self) -> int:
@@ -165,11 +173,8 @@ class StrideSeries:
         return np.concatenate([base[half:], base[1:half + 1]])
 
     def copy_with(self, **extra_channels) -> "StrideSeries":
-        ch = dict(self.channels)
-        for k, v in extra_channels.items():
-            ch[k] = np.asarray(v, dtype=float)
-        return StrideSeries(self.label, ch, self.body_mass, self.cycle_duration,
-                            self.stance_fraction, self.condition)
+        return replace(self, channels={**self.channels, **{
+            k: np.asarray(v, dtype=float) for k, v in extra_channels.items()}})
 
 
 @dataclass
@@ -372,26 +377,32 @@ def save_stride(stride: StrideSeries, path, header_lines=(), cells=None):
 
 def load_stride(path) -> StrideSeries:
     """Reload a stride written by :func:`save_stride` (bit-identical grids).
-    A stride that :class:`StrideSeries` rejects, such as one without a
-    required channel, raises :class:`LoadError`."""
+    A sidecar that is not JSON or lacks ``kind`` or a number it needs, and
+    a stride that :class:`StrideSeries` rejects, raise :class:`LoadError`."""
     path = Path(path)
     meta_path = stride_meta_path(path)
     if not meta_path.exists():
         raise LoadError(f"missing metadata sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
     channels = {name: np.array(cells)
                 for name, cells in read_columns(path, "stride").items()}
     try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError("sidecar is not a JSON object")
+        for key in ("parameter", "body_mass", "cycle_duration"):
+            if type(meta.get(key)) not in (int, float):   # None, str and bool
+                raise ValueError(f"sidecar {key} must be a number, "
+                                 f"got {meta.get(key)!r}")
         return StrideSeries(
-            label=ActivityLabel(meta["kind"], meta["parameter"]),
+            label=ActivityLabel(meta.get("kind"), float(meta["parameter"])),
             channels=channels,
             body_mass=float(meta["body_mass"]),
             cycle_duration=float(meta["cycle_duration"]),
             stance_fraction=meta.get("stance_fraction"),
             condition=meta.get("condition", "unassisted"),
         )
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:   # float() of a huge int
         raise LoadError(f"{path}: {exc}") from exc
 
 

@@ -5,8 +5,8 @@ Works are mass-normalized (J/kg), powers W/kg, moments Nm/kg. Exoskeleton
 torque arrives in Nm and is divided by body mass where it meets the
 biological side. All functions are pure.
 
-The helpers take strides that ``StrideSeries`` and, for stride files, the
-``metrics`` loader have accepted (2 or more samples, every cell finite),
+The helpers take strides that ``StrideSeries`` accepted (2 or more
+samples per grid, every cell finite, finite positive mass and duration),
 and check nothing again.
 """
 from __future__ import annotations
@@ -41,9 +41,9 @@ def peak_positive(power) -> float:
     return max(float(np.max(power)), 0.0)
 
 
-def ensemble_average(strides: list[StrideSeries], channel: str):
-    """Pointwise mean and sample (n-1) SD of one channel over 2+ strides."""
-    data = np.stack([s.channels[channel] for s in strides])
+def ensemble_average(series):
+    """Pointwise mean and sample (n-1) SD of 2+ equal-length series."""
+    data = np.stack(series)
     return data.mean(axis=0), data.std(axis=0, ddof=1)
 
 

@@ -4,8 +4,8 @@ zero-lag batch), and positive-work integration.
 
 All kernels are either pure functions or operate on caller-owned state, so
 they are safe to use from multiple simulation workers on disjoint state.
-:func:`integrate_positive` takes the powers of strides that have passed
-``StrideSeries`` and the ``metrics`` loader, and checks nothing again.
+:func:`integrate_positive` takes the powers of strides that
+``StrideSeries`` accepted, and checks nothing again.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import time
 from itertools import takewhile
@@ -1207,9 +1208,9 @@ class TestMetrics:
     def test_bad_stride_file_exits_2(self, tmp_path, default_met, capsys,
                                      edit, reason):
         """A stride file with a non-finite cell, or with under 2 data rows,
-        is a load error naming the file and the channel, raised before any
-        artifact: the energetics helpers check neither (was exit 1, with no
-        file named)."""
+        is a load error naming the file and the channel, raised by
+        ``StrideSeries`` before any artifact (was exit 1, with no file
+        named)."""
         strides = default_met.parent / "sim" / "strides"
         for condition in ("unassisted", "assisted"):
             shutil.copytree(strides / condition, tmp_path / condition)
@@ -1231,6 +1232,48 @@ class TestMetrics:
         out = tmp_path / "o"
         assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+        assert not out.exists()
+        assert not list(tmp_path.rglob(".hipexo-*"))
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda m: m.update(cycle_duration=math.inf),
+         r"cycle_duration and body_mass must be finite and > 0, got inf and "
+         r"70\.0"),
+        (lambda m: m.update(body_mass=math.inf),
+         r"cycle_duration and body_mass must be finite and > 0, got "
+         r"1\.[0-9]+ and inf"),
+        (lambda m: m.update(body_mass=None),
+         "sidecar body_mass must be a number, got None"),
+        (lambda m: m.pop("kind"), "unknown activity kind None"),
+        (lambda m: m.update(parameter="x"),
+         "sidecar parameter must be a number, got 'x'"),
+        (None, "Expecting ',' delimiter: .*"),
+    ], ids=["inf-cycle_duration", "inf-body_mass", "null-body_mass",
+            "no-kind", "string-parameter", "truncated-json"])
+    def test_bad_sidecar_exits_2(self, tmp_path, default_met, capsys,
+                                 edit, reason):
+        """A sidecar that is not JSON, lacks a key or holds other than a
+        finite positive number where one goes is a load error naming the
+        stride file, raised before any artifact (was exit 0 with a nan or
+        zeroed result, or exit 1 naming no file)."""
+        strides = default_met.parent / "sim" / "strides"
+        for condition in ("unassisted", "assisted"):
+            shutil.copytree(strides / condition, tmp_path / condition)
+        bad = tmp_path / "assisted" / "RA_11_0.csv"
+        sidecar = stride_meta_path(bad)
+        if edit is None:
+            sidecar.write_text(sidecar.read_text()[:-1])   # no closing brace
+        else:
+            meta = json.loads(sidecar.read_text())
+            edit(meta)
+            sidecar.write_text(json.dumps(meta))
+        cfg = write_yaml(tmp_path / "met.yaml", {
+            "unassisted": str(tmp_path / "unassisted"),
+            "assisted": str(tmp_path / "assisted")})
+        out = tmp_path / "o"
+        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(bad))}: {reason}\n", err)
         assert not out.exists()
         assert not list(tmp_path.rglob(".hipexo-*"))
 

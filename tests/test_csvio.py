@@ -51,10 +51,11 @@ def reference_profile(columns, path, header_lines):
                   header_lines)
 
 
-def inject(values, offset):
-    """``values`` with SPECIALS written over a slice starting at ``offset``."""
+def inject(values, offset, specials=SPECIALS):
+    """``values`` with ``specials`` written over a slice starting at
+    ``offset``."""
     out = np.array(values, dtype=float)
-    out[offset:offset + len(SPECIALS)] = SPECIALS
+    out[offset:offset + len(specials)] = specials
     return out
 
 
@@ -74,17 +75,26 @@ def test_step_log_bytes_match_row_wise_reference(tmp_path, default_params,
 
 def test_stride_bytes_match_reference_and_reload_bit_identical(tmp_path,
                                                                 battery):
-    stride = battery[ActivityLabel("stair-ascent", 0.178)][1]
-    # moment grids must stay finite; the specials go into the kinematics
-    # and into an extra channel
-    stride = stride.copy_with(extra=inject(np.zeros(stride.n), 0))
-    stride.channels["hip_angle"] = inject(stride.channels["hip_angle"], 50)
-    save_stride(stride, tmp_path / "new.csv", HEADER)
-    reference_stride_csv(stride, tmp_path / "ref.csv", HEADER)
-    assert (tmp_path / "new.csv").read_bytes() == \
-        (tmp_path / "ref.csv").read_bytes()
+    """The writer gives the reference bytes on every special value, set
+    after construction as ``StrideSeries`` admits no non-finite cell. A
+    file of finite specials reloads bit for bit; one with nan or inf is a
+    load error naming the channel."""
+    base = battery[ActivityLabel("stair-ascent", 0.178)][1]
+    for specials, name in ((SPECIALS, "all"),
+                           (SPECIALS[np.isfinite(SPECIALS)], "finite")):
+        stride = base.copy_with()
+        stride.channels["extra"] = inject(np.zeros(stride.n), 0, specials)
+        stride.channels["hip_angle"] = inject(stride.channels["hip_angle"],
+                                              50, specials)
+        path = tmp_path / f"{name}.csv"
+        save_stride(stride, path, HEADER)
+        reference_stride_csv(stride, tmp_path / "ref.csv", HEADER)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
-    back = load_stride(tmp_path / "new.csv")
+    with pytest.raises(LoadError, match=r"all\.csv: channel 'extra' holds "
+                       "nan at data row 2"):
+        load_stride(tmp_path / "all.csv")
+    back = load_stride(tmp_path / "finite.csv")
     assert set(back.channels) == set(stride.channels)
     for name, values in stride.channels.items():
         assert back.channels[name].tobytes() == values.tobytes(), name
@@ -97,8 +107,9 @@ def test_stride_cells_reused_only_for_the_same_array(tmp_path, battery):
     then changes in place, and one it added, are formatted again."""
     stride = battery[ActivityLabel("stair-ascent", 0.178)][1]
     hip = stride.channels["hip_angle"].copy()
-    changed = stride.copy_with(hip_angle=hip,
-                               extra=inject(np.zeros(stride.n), 0))
+    changed = stride.copy_with(hip_angle=hip)
+    # set after construction: StrideSeries admits no non-finite cell
+    changed.channels["extra"] = inject(np.zeros(stride.n), 0)
     cells = {}
     save_stride(stride, tmp_path / "a.csv", HEADER, cells)
     hip[50:50 + len(SPECIALS)] = SPECIALS

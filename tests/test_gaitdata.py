@@ -7,10 +7,11 @@ import yaml
 
 from hipexo.configio import SCHEMA, check
 from hipexo.gaitdata import (CH_GRF, CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
-                             CH_THIGH, CH_TORSO, G, SYNTH_N, _GAIT_SHAPES,
-                             ActivityLabel, LoadError, RawTrial, StrideSeries,
-                             _periodic, filter_trial, load_stride, load_trial,
-                             normalize_stride, save_stride, segment_strides,
+                             CH_THIGH, CH_TORSO, G, REQUIRED_CHANNELS,
+                             SYNTH_N, _GAIT_SHAPES, ActivityLabel, LoadError,
+                             RawTrial, StrideSeries, _periodic, filter_trial,
+                             load_stride, load_trial, normalize_stride,
+                             save_stride, segment_strides, stride_meta_path,
                              synth_battery, synth_profiles)
 
 
@@ -263,6 +264,45 @@ class TestNormalization:
             normalize_stride(trial, (200, 100))
 
 
+class TestStrideSeries:
+    """The one check of what a stride is, whichever producer made it."""
+
+    def make(self, n=5, body_mass=70.0, cycle_duration=1.0):
+        return StrideSeries(ActivityLabel("level-walk", 1.0),
+                            {name: np.zeros(n) for name in REQUIRED_CHANNELS},
+                            body_mass, cycle_duration)
+
+    def test_two_samples_accepted(self):
+        assert self.make(n=2).n == 2
+
+    def test_one_sample_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"channel 'hip_angle' has 1 "
+                           r"data row\(s\), not 2 or more"):
+            self.make(n=1)
+
+    def test_first_non_finite_cell_named(self):
+        stride = synth_profiles(ActivityLabel("ramp-ascent", 11), seed=3)
+        vel = stride.channels[CH_HIP_VEL].copy()
+        vel[7] = math.nan
+        torso = stride.channels[CH_TORSO].copy()
+        torso[2] = math.inf
+        with pytest.raises(ValueError, match="channel 'hip_vel' holds nan "
+                           "at data row 8"):
+            stride.copy_with(hip_vel=vel, torso_angle=torso)
+        with pytest.raises(ValueError, match="channel 'torso_angle' holds "
+                           "inf at data row 3"):
+            stride.copy_with(torso_angle=torso)
+
+    @pytest.mark.parametrize("body_mass, cycle_duration", [
+        (math.inf, 1.0), (70.0, math.inf), (math.nan, 1.0), (70.0, 0.0)],
+        ids=["inf-mass", "inf-duration", "nan-mass", "zero-duration"])
+    def test_mass_and_duration_finite_and_positive(self, body_mass,
+                                                   cycle_duration):
+        with pytest.raises(ValueError, match="cycle_duration and body_mass "
+                           "must be finite and > 0"):
+            self.make(body_mass=body_mass, cycle_duration=cycle_duration)
+
+
 class TestStrideFiles:
     def test_roundtrip_bit_identical(self, tmp_path):
         stride = synth_profiles(ActivityLabel("ramp-ascent", 11), seed=3)
@@ -281,6 +321,18 @@ class TestStrideFiles:
         save_stride(stride, path)
         (tmp_path / "s.meta.json").unlink()
         with pytest.raises(LoadError, match="sidecar"):
+            load_stride(path)
+
+    @pytest.mark.parametrize("value", [True, "70", [70.0]])
+    def test_sidecar_body_mass_not_a_number(self, tmp_path, value):
+        stride = synth_profiles(ActivityLabel("level-walk", 1.0), seed=0)
+        path = tmp_path / "s.csv"
+        save_stride(stride, path)
+        meta = json.loads(stride_meta_path(path).read_text())
+        meta["body_mass"] = value
+        stride_meta_path(path).write_text(json.dumps(meta))
+        with pytest.raises(LoadError, match=r"s\.csv: sidecar body_mass must "
+                           "be a number"):
             load_stride(path)
 
 

@@ -155,15 +155,16 @@ class TestPeakPositive:
 class TestEnsemble:
     def test_identical_strides_zero_sd(self, battery):
         strides = battery[ActivityLabel("level-walk", 0.85)]
-        mean, sd = ensemble_average([strides[0], strides[0]], CH_HIP_MOMENT)
+        moment = strides[0].channels[CH_HIP_MOMENT]
+        mean, sd = ensemble_average([moment, moment])
         assert np.array_equal(mean, strides[0].channels[CH_HIP_MOMENT])
         assert np.all(sd == 0.0)
 
     def test_two_sample_sd(self, battery):
         strides = battery[ActivityLabel("level-walk", 0.85)]
         a = strides[0]
-        b = a.copy_with(hip_moment=a.channels[CH_HIP_MOMENT] + 2.0)
-        mean, sd = ensemble_average([a, b], CH_HIP_MOMENT)
+        moment = a.channels[CH_HIP_MOMENT]
+        mean, sd = ensemble_average([moment, moment + 2.0])
         assert mean == pytest.approx(a.channels[CH_HIP_MOMENT] + 1.0, abs=1e-12)
         assert sd == pytest.approx(np.full(a.n, np.sqrt(2.0)), abs=1e-12)
 
