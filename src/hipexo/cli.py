@@ -14,7 +14,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage or config error.
 Each config, and each params file and schema map it names, is read by
 :func:`hipexo.configio.read_yaml` against its key table before any artifact
 is written; the commands keep only the rules that need data: battery
-channels, warm-start bounds, a stride directory that holds no stride file.
+channels, one task per code, warm-start bounds, an empty stride directory.
 
 ``detect-hs`` works on its whole stream at once, as replay does: it checks
 the timestamp column once over every row, gates rows with one finite mask
@@ -41,7 +41,7 @@ from .csvio import (open_artifact, read_columns, write_csv,
                     write_float_columns)
 from .gaitdata import (CH_EXO, CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC,
                        CH_THIGH_ACC, ActivityLabel, LoadError, StrideSeries,
-                       load_stride, load_trial, normalize_stride,
+                       check_codes, load_stride, load_trial, normalize_stride,
                        save_stride, segment_strides, synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, percent_change,
@@ -113,6 +113,9 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
                 battery.setdefault(stride.label, []).append(stride)
     else:
         raise ConfigError("battery must be synthetic or list dataset entries")
+    # a dataset's trials of one task add to its strides
+    check_codes(((f"{label.kind}:{label.parameter!r}", label) for label in
+                 (spec["tasks"] if spec["synthetic"] else battery)), ConfigError)
     if not battery:
         raise ConfigError("battery has no tasks")
     return battery
@@ -252,6 +255,8 @@ def cmd_optimize(args) -> int:
 def cmd_metrics(args) -> int:
     cfg, raw = read_yaml(args.config, "metrics config", CONFIGS["metrics"])
 
+    files_of = {}   # each task's first stride file, over both sets
+
     def read_set(key) -> dict[str, list[StrideSeries]]:
         if cfg[key] is None:
             return {}
@@ -260,7 +265,8 @@ def cmd_metrics(args) -> int:
             raise LoadError(f"{key} directory {cfg[key]} holds no stride "
                             "files (*.csv)")
         groups: dict[str, list[StrideSeries]] = {}
-        for s in map(load_stride, files):
+        for path, s in zip(files, map(load_stride, files)):
+            files_of.setdefault(s.label, path)
             groups.setdefault(s.label.code, []).append(s)
         return groups
 
@@ -268,6 +274,7 @@ def cmd_metrics(args) -> int:
     assisted = read_set("assisted")
     if not unassisted and not assisted:
         raise ConfigError("metrics needs at least one of unassisted/assisted")
+    check_codes(((path, label) for label, path in files_of.items()), LoadError)
 
     with _Run(Path(args.out), raw) as run:
         # stride files do not carry the replay's extension scale, so an
@@ -318,10 +325,7 @@ def _check_timestamps(t: np.ndarray) -> None:
 
 def cmd_detect_hs(args) -> int:
     cfg, raw = read_yaml(args.config, "detect-hs config", CONFIGS["detect-hs"])
-    try:
-        config = HsDetectorConfig(**cfg["detector"])
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
+    config = HsDetectorConfig(**cfg["detector"])   # in range by its table
     stream = read_columns(cfg["input"], "stream",
                           dict.fromkeys(("t",) + _HS_SIGNALS, float))
     truth = None if cfg["truth"] is None else list(zip(*read_columns(

@@ -116,6 +116,17 @@ class ActivityLabel:
         return cls(text.strip())
 
 
+def check_codes(named, error):
+    """Raise ``error`` naming the first two (name, ActivityLabel) pairs whose
+    labels share a display code, the key of task files and report rows."""
+    seen = {}
+    for name, label in named:
+        if label.code in seen:
+            raise error(f"{seen[label.code]} and {name} share the task code "
+                        f"{label.code!r}")
+        seen[label.code] = name
+
+
 @dataclass
 class StrideSeries:
     """One time-normalized activity cycle: channel grids over 0-100%, and
@@ -315,13 +326,9 @@ def segment_strides(trial: RawTrial) -> list[tuple[int, int]]:
 
 def normalize_stride(trial: RawTrial, stride_range: tuple[int, int],
                      n_samples: int = 101) -> StrideSeries:
-    """Linear-interpolation resample of one stride onto a uniform 0-100% grid."""
+    """Linear-interpolation resample of a :func:`segment_strides` range onto
+    a uniform 0-100% grid of ``n_samples`` >= MIN_SAMPLES (dataset table)."""
     i0, i1 = stride_range
-    n_trial = len(next(iter(trial.channels.values())))
-    if not (0 <= i0 < i1 < n_trial):
-        raise ValueError(f"stride range {stride_range} outside trial")
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")
     src = np.arange(i0, i1 + 1, dtype=float)
     dst = np.linspace(i0, i1, n_samples)
     channels = {name: np.interp(dst, src, series[i0:i1 + 1])

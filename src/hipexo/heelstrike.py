@@ -225,14 +225,13 @@ class HsDetector:
     Parameters
     ----------
     rate_hz : float
-        Nominal frame rate of the stream (sets window lengths in samples).
+        Nominal frame rate of the stream (sets window lengths in samples),
+        finite and > 0 (``ControllerParams``, the detect-hs table).
     config : HsDetectorConfig, optional
         Thresholding, confirmation, and refractory settings.
     """
 
     def __init__(self, rate_hz: float, config: HsDetectorConfig | None = None):
-        if not 0 < rate_hz < math.inf:
-            raise ValueError("rate_hz must be finite and > 0")
         self.rate_hz = rate_hz
         self.config = config or HsDetectorConfig()
         c = self.config

@@ -179,8 +179,7 @@ def beta_smoothed(prev: float, beta: float, p: SymmetryParams) -> float:
     return p.ema_smoothing * beta + (1.0 - p.ema_smoothing) * prev
 
 
-def blend(tau_sts_mod: float, tau_gait_mod: float, beta: float) -> float:
-    """Convex combination beta*tau_sts_mod + (1-beta)*tau_gait_mod."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
+def blend(tau_sts_mod, tau_gait_mod, beta):
+    """Convex combination beta*tau_sts_mod + (1-beta)*tau_gait_mod, on
+    floats or arrays; beta_smoothed keeps beta in [0, 1] by construction."""
     return beta * tau_sts_mod + (1.0 - beta) * tau_gait_mod

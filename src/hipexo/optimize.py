@@ -435,10 +435,8 @@ def optimize(spec: ObjectiveSpec, warm_start: ControllerParams, budget: int,
     Nelder-Mead with box bounds, restarted from seeded perturbations of the
     incumbent when progress stalls. Deterministic for a given seed; the
     result is never worse than the warm start, and frozen parameters pass
-    through bit-exactly.
+    through bit-exactly. The optimize table keeps ``budget`` >= 1.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     check_in_bounds(spec, warm_start)
     ev = _Evaluator(spec, warm_start)
     x0 = ev.x0()

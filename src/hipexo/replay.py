@@ -34,7 +34,7 @@ from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
 from .heelstrike import LEFT, detect_columns
-from .modulation import alpha_at_heelstrike, beta_smoothed, reset_tick
+from .modulation import alpha_at_heelstrike, beta_smoothed, blend, reset_tick
 from .signals import exp_exact, neg_part, pos_part, sigmoid_array
 from .springs import VEL_BOUND, gait_torque_series, sts_torque_series
 
@@ -156,10 +156,6 @@ def _replay_columns(params: ControllerParams, columns):
     beta, prev = np.empty(b_raw.size), 0.0
     for i, b in enumerate(b_raw.tolist()):
         beta[i] = prev = beta_smoothed(prev, b, sym)
-    outside = ~((beta >= 0.0) & (beta <= 1.0))
-    if outside.any():
-        raise ValueError(
-            f"beta must be in [0, 1], got {beta[outside.argmax()].item()}")
 
     # alpha changes only on a left latch frame, a standing frame, or the
     # first frame after a standing run, which stops the ramp; it holds on
@@ -188,7 +184,7 @@ def _replay_columns(params: ControllerParams, columns):
                                              exp_exact)
     scale = 1.0 - p.descent.lam * alpha
     tau_gait_mod = scale * neg_part(tau_gait) + pos_part(tau_gait)
-    tau_act_raw = beta * tau_sts_mod + (1.0 - beta) * tau_gait_mod
+    tau_act_raw = blend(tau_sts_mod, tau_gait_mod, beta)
     tau_cmd = np.clip(left.cmd_filter.run(tau_act_raw),
                       -p.torque_limit, p.torque_limit)
     admitted = dict(
@@ -224,10 +220,8 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     ones the right. Gait strides loop for ``cycles``; sit-to-stand runs once
     after a lead-in that holds the seated first sample for STS_LEAD_IN_S.
     The measured cycle (for the exo-torque grid and the mean extension
-    scale) is the last one. Raises ``ValueError`` when ``cycles`` < 1.
+    scale) is the last one. The simulate table keeps ``cycles`` >= 1.
     """
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
     tgrid, phase, frames, t_meas0 = _frames(stride, params.loop_rate_hz,
                                             cycles)
     series, events = _replay_columns(params, frames)

@@ -102,8 +102,7 @@ class BiquadSpec:
     sample_rate_hz: float
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be > 0")
+        # also rejects a sample rate that is not > 0
         if not 0 < self.cutoff_hz < self.sample_rate_hz / 2:
             raise ValueError(
                 f"cutoff_hz must lie in (0, {self.sample_rate_hz / 2}), "

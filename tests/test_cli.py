@@ -292,6 +292,45 @@ def test_zero_strides_per_task_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+SHARED_CODE = (["stair-ascent:0.127", "stair-ascent:0.13"],
+               "stair-ascent:0.127 and stair-ascent:0.13 share the task code "
+               "'SA 5'")
+LISTED_TWICE = (["level-walk:1.15", "level-walk:1.15"],
+                "level-walk:1.15 and level-walk:1.15 share the task code "
+                "'LG 1.15'")
+
+
+@pytest.mark.parametrize("command, route, tasks, message", [
+    ("simulate", "synthetic", *SHARED_CODE),
+    ("simulate", "synthetic", *LISTED_TWICE),
+    ("optimize", "synthetic", *SHARED_CODE),
+    ("optimize", "synthetic", *LISTED_TWICE),
+    ("simulate", "dataset", *SHARED_CODE),
+    ("optimize", "dataset", *SHARED_CODE),
+], ids=["sim-shared", "sim-twice", "opt-shared", "opt-twice", "sim-dataset",
+        "opt-dataset"])
+def test_tasks_that_share_a_code_exit_2(tmp_path, capsys, exported_rd,
+                                        command, route, tasks, message):
+    """Task files and report rows are keyed by the display code, so two
+    tasks with one code would overwrite or merge each other's."""
+    if route == "synthetic":
+        battery = {"synthetic": True, "strides_per_task": 2, "tasks": tasks}
+    else:   # one exported trial, read as each task in turn
+        schema = yaml.safe_load(Path(exported_rd["schema"]).read_text())
+        battery = {"dataset": [
+            {"schema": write_yaml(tmp_path / f"{i}.yaml",
+                                  {**schema, "task": task}),
+             "csv": exported_rd["csv"]} for i, task in enumerate(tasks)]}
+    config = (write_opt_config(tmp_path, battery=battery)
+              if command == "optimize" else
+              write_yaml(tmp_path / "sim.yaml", {"battery": battery}))
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".hipexo-*"))
+
+
 # a config of each subcommand that its key table accepts, with every
 # section present, the dataset entry and a pair for each bound included,
 # so that each key of its table can be set (a battery both synthetic and
@@ -1197,6 +1236,31 @@ class TestMetrics:
             f"error: assisted directory {tmp_path / 'empty'} holds no "
             "stride files (*.csv)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("second", ["un", "ex"])
+    def test_tasks_that_share_a_code_exit_2(self, tmp_path, capsys, second):
+        """SA 0.127 m and SA 0.13 m both have the code 'SA 5', which keys
+        report rows, in one set or across the two."""
+        for name in ("un", "ex"):
+            (tmp_path / name).mkdir()
+        first = tmp_path / "un" / "SA_5_0.csv"
+        other = tmp_path / second / "SA_5_1.csv"
+        save_stride(synth_profiles(ActivityLabel("stair-ascent", 0.127), 0),
+                    first)
+        save_stride(synth_profiles(ActivityLabel("stair-ascent", 0.13), 1),
+                    other)
+        if second == "un":   # the assisted set holds SA 0.127 m only
+            save_stride(synth_profiles(ActivityLabel("stair-ascent", 0.127),
+                                       2), tmp_path / "ex" / "SA_5_2.csv")
+        cfg = write_yaml(tmp_path / "met.yaml", {
+            "unassisted": str(tmp_path / "un"),
+            "assisted": str(tmp_path / "ex")})
+        out = tmp_path / "o"
+        assert main(["metrics", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {first} and {other} share the task code 'SA 5'\n")
+        assert not out.exists()
+        assert not list(tmp_path.rglob(".hipexo-*"))
 
     @pytest.mark.parametrize("edit, reason", [
         (("hip_vel", "nan"), "channel 'hip_vel' holds nan at data row 51"),

@@ -256,13 +256,6 @@ class TestNormalization:
         assert out.max() <= src.max() + cell
         assert out.min() >= src.min() - cell
 
-    def test_range_and_sample_guards(self):
-        trial = make_grf_trial()
-        with pytest.raises(ValueError):
-            normalize_stride(trial, (100, 200), n_samples=10)
-        with pytest.raises(ValueError):
-            normalize_stride(trial, (200, 100))
-
 
 class TestStrideSeries:
     """The one check of what a stride is, whichever producer made it."""

@@ -233,6 +233,50 @@ class TestEma:
             symmetry(ema_smoothing=1.5)
 
 
+# smoothing rates in (0, 1], with the floats just under 0.5 and 1.0, and
+# raw beta runs in [0, 1] that hold 0.0 or 1.0 for many steps
+RATES = strategies.one_of(
+    strategies.floats(0.0, 1.0, exclude_min=True),
+    strategies.sampled_from([math.nextafter(0.5, 0.0), 0.5,
+                             math.nextafter(1.0, 0.0), 1.0]))
+RAW_RUNS = strategies.lists(strategies.tuples(
+    strategies.one_of(strategies.floats(0.0, 1.0),
+                      strategies.sampled_from([0.0, 1.0])),
+    strategies.integers(1, 50)), min_size=1, max_size=20)
+
+
+def beta_chain(runs, s):
+    """The smoothed betas of raw ``runs`` of (value, length), from 0.0 as
+    the controller and replay start."""
+    p, beta, out = symmetry(ema_smoothing=s), 0.0, []
+    for raw, length in runs:
+        for _ in range(length):
+            beta = beta_smoothed(beta, raw, p)
+            out.append(beta)
+    return out
+
+
+class TestBetaByConstruction:
+    """beta is in [0, 1] because of how it is made, so nothing after
+    beta_smoothed tests its range."""
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(runs=RAW_RUNS, s=RATES)
+    def test_every_chain_stays_in_unit_range(self, runs, s):
+        assert all(0.0 <= beta <= 1.0 for beta in beta_chain(runs, s))
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(runs=RAW_RUNS, s=RATES, seed=strategies.integers(0, 2**32 - 1))
+    def test_array_blend_is_scalar_blend(self, runs, s, seed):
+        beta = np.array(beta_chain(runs, s))
+        rng = np.random.default_rng(seed)
+        sts, gait = rng.uniform(-30.0, 30.0, (2, beta.size))
+        want = [blend(a, b, c) for a, b, c in
+                zip(sts.tolist(), gait.tolist(), beta.tolist())]
+        got = blend(sts, gait, beta)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestBlend:
     def test_endpoints(self):
         assert blend(-16.0, -6.0, 0.0) == -6.0
@@ -248,9 +292,3 @@ class TestBlend:
             beta = rng.uniform(0, 1)
             out = blend(a, b, beta)
             assert min(a, b) - 1e-12 <= out <= max(a, b) + 1e-12
-
-    def test_contract_violation(self):
-        with pytest.raises(ValueError):
-            blend(-1.0, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            blend(-1.0, 1.0, -0.1)

@@ -178,11 +178,6 @@ class TestOptimize:
         for name in ("k_ext", "k_flex", "k_sts", "w_vel", "phi_vel"):
             assert get_param(res.best_params, name) == get_param(warm, name)
 
-    def test_budget_zero_rejected(self, star_params, star_tasks):
-        spec = ObjectiveSpec(tasks=star_tasks, bounds=BOUNDS)
-        with pytest.raises(ValueError):
-            optimize(spec, star_params, budget=0, seed=0)
-
     def test_static_penalty_sweep_drives_rest_torque_down(self, star_params,
                                                           star_tasks):
         warm = self._perturbed(star_params)

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from hipexo import controller, gaitdata, heelstrike, replay
+from hipexo import gaitdata, heelstrike, replay
 from hipexo.controller import STANDING_BETA, HipController, SensorFrame
 from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_ANGLE_CON,
                              CH_HIP_VEL, CH_HIP_VEL_CON, CH_PELVIS_ACC,
@@ -50,13 +50,6 @@ class TestReplay:
         assert log.exo_torque_grid.shape == (stride.n,)
         assert np.max(np.abs(log.exo_torque_grid)) <= default_params.torque_limit
         assert np.max(np.abs(log.exo_torque_grid)) > 1.0  # real assistance
-
-    @pytest.mark.parametrize("task", [ActivityLabel("level-walk", 1.15),
-                                      ActivityLabel("sit-to-stand")],
-                             ids=["gait", "sit-to-stand"])
-    def test_cycles_below_one_rejected(self, default_params, battery, task):
-        with pytest.raises(ValueError, match="cycles must be >= 1"):
-            replay_stride(default_params, battery[task][0], cycles=0)
 
     @pytest.mark.parametrize("drop", [(), (CH_THIGH_ACC, CH_THIGH_ACC_CON,
                                            CH_PELVIS_ACC)],
@@ -331,19 +324,6 @@ class TestColumnReplay:
         assert t[ramp].min() >= 1.2 + p.descent.t_wait
         assert series["beta"][-1] > 0.99               # seated override
         assert series["tau_sts_mod"][seated].min() < 0.0
-
-    def test_beta_outside_unit_range_raises_like_blend(
-            self, default_params, battery, monkeypatch):
-        stride = battery[ActivityLabel("level-walk", 1.15)][0]
-        columns = replay._frames(stride, default_params.loop_rate_hz, 1)[2]
-        for module in (replay, controller):
-            monkeypatch.setattr(module, "beta_smoothed",
-                                lambda prev, b, p: 1.5)
-        message = r"beta must be in \[0, 1\], got 1.5$"
-        with pytest.raises(ValueError, match=message):
-            replay._replay_columns(default_params, columns)
-        with pytest.raises(ValueError, match=message):
-            step_reference(default_params, [c.tolist() for c in columns])
 
     def test_random_params_bit_identical(self, battery):
         # seeded like tests/test_controller.py's saturation fuzz
