@@ -41,8 +41,9 @@ from .csvio import (open_artifact, read_columns, write_csv,
                     write_float_columns)
 from .gaitdata import (CH_EXO, CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC,
                        CH_THIGH_ACC, ActivityLabel, LoadError, StrideSeries,
-                       check_codes, load_stride, load_trial, normalize_stride,
-                       save_stride, segment_strides, synth_battery)
+                       TaskCodeError, check_codes, load_stride, load_trial,
+                       normalize_stride, save_stride, segment_strides,
+                       synth_battery)
 from .heelstrike import HsDetectorConfig, detect_columns, match_events
 from .metrics import (ensemble_average, paired_summary, percent_change,
                       read_report, task_energetics, write_paired,
@@ -111,11 +112,11 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
             for rng in segment_strides(trial):
                 stride = normalize_stride(trial, rng, entry["n_samples"])
                 battery.setdefault(stride.label, []).append(stride)
+        # a dataset's trials of one task add to its strides
+        check_codes((f"{label.kind}:{label.parameter!r}", label)
+                    for label in battery)
     else:
         raise ConfigError("battery must be synthetic or list dataset entries")
-    # a dataset's trials of one task add to its strides
-    check_codes(((f"{label.kind}:{label.parameter!r}", label) for label in
-                 (spec["tasks"] if spec["synthetic"] else battery)), ConfigError)
     if not battery:
         raise ConfigError("battery has no tasks")
     return battery
@@ -274,7 +275,7 @@ def cmd_metrics(args) -> int:
     assisted = read_set("assisted")
     if not unassisted and not assisted:
         raise ConfigError("metrics needs at least one of unassisted/assisted")
-    check_codes(((path, label) for label, path in files_of.items()), LoadError)
+    check_codes((path, label) for label, path in files_of.items())
 
     with _Run(Path(args.out), raw) as run:
         # stride files do not carry the replay's extension scale, so an
@@ -402,7 +403,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ConfigError, LoadError, FileNotFoundError) as exc:
+    except (ConfigError, LoadError, TaskCodeError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure: report and signal exit 1

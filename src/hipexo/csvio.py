@@ -2,11 +2,9 @@
 
 A file opens with a block of ``# <line>`` comment lines (tool version,
 config hash and seed on CLI artifacts), followed by the body: one CSV header
-row and data rows, or YAML or plain text. Callers format the cells of
-:func:`write_csv`; :func:`write_float_columns` formats float columns itself,
-and :func:`write_cell_columns` writes float columns that
-:func:`float_cells` formatted before, so that a column written to several
-files is formatted once.
+row and data rows, or YAML or plain text. :func:`write_csv` writes every CSV
+line, from cells that the caller formatted; :func:`float_cells` and
+:func:`write_float_columns` format float64 columns for it.
 Every CSV input is read by :func:`read_columns`.
 """
 from __future__ import annotations
@@ -31,13 +29,20 @@ def open_artifact(path, header_lines=()):
     return fh
 
 
-def write_csv(path, columns, rows, header_lines=()):
+def write_csv(path, columns, rows, header_lines=(), numpy_repr=False):
     """Header block, one header row of ``columns``, then ``rows`` of
-    preformatted cells."""
+    preformatted cells, each line joined by commas and ended by ``\r\n``.
+
+    These are the bytes of ``csv.writer``: no artifact cell holds a comma,
+    a quote or a line break, so no cell needs quoting. With ``numpy_repr``
+    each cell, a Python float repr, is wrapped as numpy prints a float64.
+    Rows are streamed, never joined into one string.
+    """
+    pre, suf = (_NP_PREFIX, _NP_SUFFIX) if numpy_repr else ("", "")
+    sep = suf + "," + pre
     with open_artifact(path, header_lines) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(pre + sep.join(row) + suf + "\r\n" for row in rows)
 
 
 def float_cells(column) -> list[str]:
@@ -48,34 +53,12 @@ def float_cells(column) -> list[str]:
 
 def write_float_columns(path, names, columns, header_lines=(),
                         numpy_repr=False):
-    """Header block, one header row of ``names``, then one row per index of
-    the equal-length float64 ``columns``.
-
-    Each cell is ``repr`` of the value as a Python float, or with
-    ``numpy_repr`` as a numpy float64 scalar. Each column is converted once
-    with ``tolist`` and formatted as its rows are written.
-    """
-    write_cell_columns(
-        path, names,
-        [map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in columns],
-        header_lines, numpy_repr)
-
-
-def write_cell_columns(path, names, cells, header_lines=(), numpy_repr=False):
-    """:func:`write_float_columns` of columns already formatted: ``cells``
-    holds one iterable of float reprs per column, as :func:`float_cells`
-    returns them.
-
-    The bytes are those of :func:`write_csv` on the same cells: a float
-    repr holds no delimiter, quote or newline, so no cell needs quoting.
-    Rows are streamed, never joined into one string.
-    """
-    pre, suf = (_NP_PREFIX, _NP_SUFFIX) if numpy_repr else ("", "")
-    sep = suf + "," + pre
-    with open_artifact(path, header_lines) as fh:
-        csv.writer(fh).writerow(names)
-        fh.writelines(pre + sep.join(row) + suf + "\r\n"
-                      for row in zip(*cells, strict=True))
+    """:func:`write_csv` of one row per index of the equal-length float64
+    ``columns``. Each column is converted once with ``tolist`` and
+    formatted as its rows are written."""
+    write_csv(path, names, zip(*(map(repr, np.asarray(c, np.float64).tolist())
+                                 for c in columns), strict=True),
+              header_lines, numpy_repr)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

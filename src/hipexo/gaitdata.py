@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import LoadError, float_cells, read_columns, write_cell_columns
+from .csvio import LoadError, float_cells, read_columns, write_csv
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
 from .springs import (GaitSpringParams, StsSpringParams, gait_torque_series,
                       sts_torque_series)
@@ -116,14 +116,19 @@ class ActivityLabel:
         return cls(text.strip())
 
 
-def check_codes(named, error):
-    """Raise ``error`` naming the first two (name, ActivityLabel) pairs whose
-    labels share a display code, the key of task files and report rows."""
+class TaskCodeError(ValueError):
+    """Raised when two tasks share a display code."""
+
+
+def check_codes(named):
+    """Raise :class:`TaskCodeError` naming the first two (name,
+    ActivityLabel) pairs whose labels share a display code, the key of task
+    files and report rows."""
     seen = {}
     for name, label in named:
         if label.code in seen:
-            raise error(f"{seen[label.code]} and {name} share the task code "
-                        f"{label.code!r}")
+            raise TaskCodeError(f"{seen[label.code]} and {name} share the "
+                                f"task code {label.code!r}")
         seen[label.code] = name
 
 
@@ -368,8 +373,8 @@ def save_stride(stride: StrideSeries, path, header_lines=(), cells=None):
         kept = cells.get(name)
         if kept is None or kept[0] is not column:
             cells[name] = (column, float_cells(column))
-    write_cell_columns(path, names, [cells[name][1] for name in names],
-                       header_lines)
+    write_csv(path, names, zip(*(cells[name][1] for name in names), strict=True),
+              header_lines)
     meta = {
         "kind": stride.label.kind,
         "parameter": stride.label.parameter,
@@ -737,15 +742,17 @@ DEFAULT_BATTERY = (
 def synth_battery(tasks=DEFAULT_BATTERY, strides_per_task: int = 3,
                   seed: int = 7, body_mass: float = 70.0
                   ) -> dict[ActivityLabel, list[StrideSeries]]:
-    """Deterministic multi-activity stride battery keyed by label."""
-    battery: dict[ActivityLabel, list[StrideSeries]] = {}
-    for i, task in enumerate(tasks):
-        label = task if isinstance(task, ActivityLabel) else ActivityLabel.parse(task)
-        battery[label] = [
-            synth_profiles(label, seed + 1000 * i + j, SYNTH_N, body_mass)
-            for j in range(strides_per_task)
-        ]
-    return battery
+    """Deterministic multi-activity stride battery keyed by label. Tasks
+    that share a display code, one task listed twice included, raise
+    :class:`TaskCodeError` before any stride is made."""
+    labels = [task if isinstance(task, ActivityLabel)
+              else ActivityLabel.parse(task) for task in tasks]
+    check_codes((f"{label.kind}:{label.parameter!r}", label)
+                for label in labels)
+    return {label: [synth_profiles(label, seed + 1000 * i + j, SYNTH_N,
+                                   body_mass)
+                    for j in range(strides_per_task)]
+            for i, label in enumerate(labels)}
 
 
 # --- synthetic IMU streams for detector scoring ----------------------------

@@ -263,23 +263,24 @@ class HsDetector:
         left = self._thigh_l.push(thigh_accel_l, timestamp, bilateral)
         right = self._thigh_r.push(thigh_accel_r, timestamp, bilateral)
         pelvis = self._pelvis.push(pelvis_accel, timestamp, bilateral)
-        if left is None and right is None and pelvis is None:
-            return self._pending.pop(0) if self._pending else None
-        return self._merge(left, right, pelvis, self._pelvis.last_above_t)
+        if left is not None or right is not None or pelvis is not None:
+            self._merge(left, right, pelvis, self._pelvis.last_above_t)
+        # queued events go out one a frame
+        return self._pending.pop(0) if self._pending else None
 
     def _merge(self, left: _Confirmed | None, right: _Confirmed | None,
                pelvis: _Confirmed | None,
-               pelvis_last_above_t: float) -> HsEvent | None:
-        """Turn one frame's channel confirmations, at least one of them a
-        hit, into events; returns the oldest pending event, if any.
+               pelvis_last_above_t: float) -> None:
+        """Queue the events of one frame's channel confirmations, at least
+        one of them a hit.
 
         Hits are taken in peak-time order (ties in channel order: thigh L,
         thigh R, pelvis); a pelvis hit goes to the leading leg (greater
         thigh flexion at the peak sample); a hit inside its side's
         refractory is dropped; a thigh hit within the fusion window of the
-        pelvis channel's last above-threshold sample is fused. Events queue
-        and come out one per frame; on a frame without a hit the caller
-        releases them itself (``update``, and ``detect_columns``).
+        pelvis channel's last above-threshold sample is fused. The caller
+        releases the queue one event per frame (``update``, and
+        ``detect_columns``).
         """
         hits = []
         if left is not None:
@@ -300,7 +301,6 @@ class HsDetector:
                 source = SOURCE_FUSED
             self._pending.append(HsEvent(side=side, timestamp=peak_t,
                                          thigh_snapshot=snap, source=source))
-        return self._pending.pop(0) if self._pending else None
 
 
 # most elements _threshold_columns sorts at once, over all channels: 1 MB
@@ -444,13 +444,11 @@ def detect_columns(rate_hz: float, t: np.ndarray, thigh_accel_l: np.ndarray,
     order = sorted(hits)
     for frame, stop in zip(order, order[1:] + [len(times)]):
         i = bisect_right(pelvis_above, frame)
-        event = det._merge(*hits[frame],
-                           times[pelvis_above[i - 1]] if i else -math.inf)
-        if event is not None:
-            events.append((frame, event))
-        # queued events go out one a frame until the next hit
+        det._merge(*hits[frame],
+                   times[pelvis_above[i - 1]] if i else -math.inf)
+        # queued events go out one a frame, from the hit to the next hit
         events += [(f, det._pending.pop(0)) for f in
-                   range(frame + 1, min(stop, frame + 1 + len(det._pending)))]
+                   range(frame, min(stop, frame + len(det._pending)))]
     return events
 
 

@@ -1,8 +1,9 @@
-"""Byte contract of the column-at-a-time float writer.
+"""Byte contract of ``write_csv``, the one CSV line writer.
 
 The references below are the row-wise writers it replaced: one numpy scalar
-index and ``repr`` per cell, through ``csv.writer``. The column writer must
-give the same bytes on every float, including the special values.
+index and ``repr`` per cell, through ``csv.writer``. ``write_csv`` must
+give the same bytes on every float, including the special values, and on
+the string cells of the CLI's tables.
 ``TestReadColumns`` tests the one reader that every CSV input goes through.
 """
 import csv
@@ -11,10 +12,13 @@ import math
 import numpy as np
 import pytest
 
+from hipexo import cli, metrics
 from hipexo.csvio import (_NP_PREFIX, _NP_SUFFIX, LoadError, read_columns,
                           write_float_columns)
 from hipexo.gaitdata import ActivityLabel, load_stride, save_stride
 from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, write_step_log
+from test_cli import (SMALL_BATTERY, write_hs_config, write_opt_config,
+                      write_yaml)
 
 SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5,
                      1e-4, 0.0, -1.5])
@@ -133,6 +137,38 @@ def test_profile_bytes_match_row_wise_reference(tmp_path):
     reference_profile(columns, tmp_path / "ref.csv", HEADER)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, files", [
+    ("simulate", ["report.csv"]),
+    ("optimize", ["trace.csv"]),
+    ("metrics", ["report.csv", "paired.csv"]),
+    ("detect-hs", ["events.csv", "summary.csv"]),
+])
+def test_cli_tables_match_csv_writer(tmp_path, monkeypatch, command, files):
+    """Each table the CLI writes through ``write_csv`` has the bytes of
+    ``csv.writer`` on the same rows."""
+    sim = write_yaml(tmp_path / "sim.yaml",
+                     {"params": "default", "battery": SMALL_BATTERY})
+    assert cli.main(["simulate", "--config", sim,
+                     "--out", str(tmp_path / "strides")]) == 0
+    config = {
+        "simulate": sim,
+        "optimize": write_opt_config(tmp_path, budget=60),
+        "metrics": write_yaml(tmp_path / "met.yaml", {
+            c: str(tmp_path / "strides" / "strides" / c)
+            for c in ("unassisted", "assisted")}),
+        "detect-hs": write_hs_config(tmp_path, 20.0, 3),
+    }[command]
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path / "new")]) == 0
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "write_csv", reference_csv)
+    assert cli.main([command, "--config", config,
+                     "--out", str(tmp_path / "ref")]) == 0
+    for name in files:
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes(), name
 
 
 class TestReadColumns:

@@ -9,7 +9,8 @@ from hipexo.configio import SCHEMA, check
 from hipexo.gaitdata import (CH_GRF, CH_HIP_ANGLE, CH_HIP_MOMENT, CH_HIP_VEL,
                              CH_THIGH, CH_TORSO, G, REQUIRED_CHANNELS,
                              SYNTH_N, _GAIT_SHAPES, ActivityLabel, LoadError,
-                             RawTrial, StrideSeries, _periodic, filter_trial,
+                             RawTrial, StrideSeries, TaskCodeError,
+                             _periodic, filter_trial,
                              load_stride, load_trial, normalize_stride,
                              save_stride, segment_strides, stride_meta_path,
                              synth_battery, synth_profiles)
@@ -372,6 +373,26 @@ class TestSynthProfiles:
         for strides in battery.values():
             for s in strides:
                 assert np.all(np.isfinite(s.channels[CH_HIP_MOMENT]))
+
+    @pytest.mark.parametrize("tasks, message", [
+        (["level-walk:1.15", "level-walk:1.15"],
+         "level-walk:1.15 and level-walk:1.15 share the task code 'LG 1.15'"),
+        (["stair-ascent:0.127", "stair-ascent:0.13"],
+         "stair-ascent:0.127 and stair-ascent:0.13 share the task code "
+         "'SA 5'"),
+    ], ids=["listed-twice", "shared-code"])
+    def test_battery_refuses_tasks_that_share_a_code(self, tasks, message,
+                                                     monkeypatch):
+        """Task files and report rows are keyed by the code, so a battery
+        would drop a task or hold two under one key; it refuses before it
+        makes any stride."""
+        made = []
+        monkeypatch.setattr("hipexo.gaitdata.synth_profiles",
+                            lambda *a: made.append(a))
+        with pytest.raises(TaskCodeError) as info:
+            synth_battery(tasks=tasks)
+        assert str(info.value) == message
+        assert made == []
 
 
 # every knot table the synthesis splines: (kind, phase key, value key)

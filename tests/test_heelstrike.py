@@ -340,8 +340,8 @@ class TestColumnDetector:
                                                   "pelvis-channel"]
 
     def test_merge_sees_hit_frames_only(self, monkeypatch):
-        """Both paths release queued events on a frame without a hit
-        themselves, so ``_merge`` is only ever handed a frame with one."""
+        """Both paths hand ``_merge`` only a frame with a hit, and release
+        its queued events themselves, one a frame."""
         merge = HsDetector._merge
         calls = []
 
