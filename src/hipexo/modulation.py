@@ -6,9 +6,11 @@ latched until the next heel strike or until a standing-reset ramp clears it.
 Only extension torque is attenuated. ``ModulationState`` holds alpha per leg.
 
 Gait-STS blending: bilateral symmetry (plus a velocity-difference gate and a
-seated override) yields beta in [0, 1], smoothed by one bilateral EMA (the
-controller's one beta, replay's one column); the commanded torque is the
-convex combination beta*tau_sts_mod + (1-beta)*tau_gait_mod.
+seated override) yields beta in [0, 1], smoothed by one bilateral EMA: the
+controller steps ``beta_smoothed``, and replay runs its column twin
+``beta_smoothed_series``, a generator kernel that ``np.fromiter`` drives,
+once per stride. The commanded torque is the convex combination
+beta*tau_sts_mod + (1-beta)*tau_gait_mod.
 
 The per-step functions take plain floats and a ``BilateralSample``, whose
 theta_diff is derived from the two thigh angles. Inputs are not validated
@@ -17,6 +19,8 @@ here: the controller's frame gate admits only finite samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .signals import SigmoidParams, sigmoid
 
@@ -177,6 +181,20 @@ def beta_smoothed(prev: float, beta: float, p: SymmetryParams) -> float:
     """One EMA step of the blend factor at rate ``p.ema_smoothing``:
     s*beta + (1-s)*prev."""
     return p.ema_smoothing * beta + (1.0 - p.ema_smoothing) * prev
+
+
+def beta_smoothed_series(raw: np.ndarray, p: SymmetryParams) -> np.ndarray:
+    """``beta_smoothed`` chained over a column of raw betas from 0.0, as
+    the controller starts: the smoothed beta of each sample, bit for bit."""
+    return np.fromiter(_ema(raw.tolist(), p.ema_smoothing), float)
+
+
+def _ema(raw, s):
+    # beta_smoothed's expression on local variables, driven by np.fromiter
+    prev, keep = 0.0, 1.0 - s
+    for beta in raw:
+        prev = s * beta + keep * prev
+        yield prev
 
 
 def blend(tau_sts_mod, tau_gait_mod, beta):

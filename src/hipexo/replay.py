@@ -6,21 +6,28 @@ through the controller's pipeline from a fresh state, and the commanded
 torque of the last full cycle is mapped back onto the stride grid as the
 exo_torque channel.
 
-The replay runs along the time axis. One mask applies the controller's
+The replay runs along the time axis, one pass per task: ``simulate_task``
+joins the frames of all its strides and replays them together, and
+``replay_stride`` is a batch of one. One mask applies the controller's
 frame gate to every frame (all values finite, both hip velocities inside
-VEL_BOUND). Over the admitted frames, the frame-pure stages are columns:
-the spring kernels that the optimizer and stride synthesis share, called
-with ``signals.exp_exact`` (they pass ``np.exp``), then beta_raw, descent
-attenuation, blend and clamps in the controller's operation order. The
-heel-strike detector runs once through ``heelstrike.detect_columns``,
-which returns each event with its frame index. Only the filters and the
-one bilateral beta EMA run on every sample. The alpha latch and the reset
-ramp run only on the frames where alpha can change: left latch frames,
-standing frames and the first frame after each standing run; every other
-frame holds the alpha before it. A gated frame advances no state and logs
-the ``TorqueBreakdown`` defaults with the last admitted command scaled by
-``controller.fault_hold_scale``. The step log and events are those of
-stepping ``HipController`` frame by frame, bit for bit.
+VEL_BOUND). Over the admitted frames, the frame-pure stages are columns
+that run once per task: the spring kernels that the optimizer and stride
+synthesis share, called with ``signals.exp_exact`` (they pass
+``np.exp``), then beta_raw, descent attenuation, blend and clamps in the
+controller's operation order. The recursions run once per stride, on its
+frames and from a fresh state, so no state crosses a stride boundary: the
+velocity and command filters and the bilateral beta EMA are generator
+kernels that ``np.fromiter`` drives (``LowpassFilter.run``,
+``modulation.beta_smoothed_series``), and the heel-strike detector runs
+through ``heelstrike.detect_columns``, which returns each event with its
+frame index. The alpha latch and the reset ramp run only on the frames
+where alpha can change: left latch frames, standing frames and the first
+frame after each standing run; every other frame holds the alpha before
+it. A gated frame advances no state and logs the ``TorqueBreakdown``
+defaults with the last admitted command of its stride scaled by
+``controller.fault_hold_scale``. The step log and events of each stride
+are those of stepping a fresh ``HipController`` frame by frame, bit for
+bit.
 """
 from __future__ import annotations
 
@@ -34,7 +41,8 @@ from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
 from .heelstrike import LEFT, detect_columns
-from .modulation import alpha_at_heelstrike, beta_smoothed, blend, reset_tick
+from .modulation import (alpha_at_heelstrike, beta_smoothed_series, blend,
+                         reset_tick)
 from .signals import exp_exact, neg_part, pos_part, sigmoid_array
 from .springs import VEL_BOUND, gait_torque_series, sts_torque_series
 
@@ -115,36 +123,50 @@ def _frames(stride: StrideSeries, rate: float, cycles: int):
     return tgrid, phase, frames, lead_in_s + (cycles - 1) * T
 
 
-def _replay_columns(params: ControllerParams, columns):
-    """The left-side breakdown of HipController.step over the frames whose
-    field values are ``columns``, computed a column at a time; (series,
-    events). The timestamps must be finite, as replay's time grid is.
+def _replay_columns(params: ControllerParams, frames, sizes) -> list[tuple]:
+    """The left-side breakdown of HipController.step over each run of
+    frames, a fresh controller per run, computed a column at a time; one
+    (series, events) per run. ``frames`` holds the runs joined along time,
+    one row per SensorFrame field as ``_frames`` makes them, and ``sizes``
+    the number of frames of each run, in order. The timestamps must be
+    finite, as replay's time grid is.
 
-    The controller's frame gate is one mask over the frames. The admitted
-    frames run the pipeline: the detector runs over all of them, and a left
-    event latches alpha at the frame that returns it. The filters and the
-    beta EMA run per sample, and the alpha latch and reset ramp on the
-    frames where alpha can change, on the scalar objects the controller
-    uses; every other stage is a column expression in the controller's
-    operation order. The right side's command path feeds nothing on the
-    left, so it is not computed; its filtered velocity feeds the detector
-    and beta. A gated frame logs the ``TorqueBreakdown`` defaults, and its
-    command is the last admitted one scaled by ``fault_hold_scale`` of the
-    time since its gated run began.
+    The runs are replayed in one pass. The frame gate is one mask over the
+    frames. Over the admitted frames, every frame-pure stage is one column
+    expression in the controller's operation order: beta_raw, the spring
+    kernels, descent attenuation, blend and clamps. The recursions run
+    once per run, on its admitted frames and from a fresh state, so none
+    crosses a run boundary: the velocity and command filters and the beta
+    EMA as generator kernels, the heel-strike detector, and the alpha pass
+    (``_alpha_column``). The right side's command path feeds nothing on
+    the left, so it is not computed; its filtered velocity feeds the
+    detector and beta. A gated frame logs the ``TorqueBreakdown``
+    defaults, and its command is the last admitted one of its run scaled
+    by ``fault_hold_scale`` of the time since its gated run began.
     """
     p = params
-    frames = np.asarray(columns, dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
     admit = (np.isfinite(frames).all(axis=0)
              & (np.abs(frames[3:5]) < VEL_BOUND).all(axis=0))
+    gated = not admit.all()
     t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = \
-        frames[:, admit]
-    left, right = _SideState(p), _SideState(p)
+        frames[:, admit] if gated else frames
+    # each run's slice of the admitted frames
+    kept = np.concatenate(([0], np.cumsum(admit)))
+    spans = list(zip(kept[starts].tolist(), kept[stops].tolist()))
 
-    vel_l = np.clip(left.vel_filter.run(hv_l), -VEL_CAP, VEL_CAP)
-    vel_r = np.clip(right.vel_filter.run(hv_r), -VEL_CAP, VEL_CAP)
+    lefts = []
+    vel_l, vel_r = np.empty(t.size), np.empty(t.size)
+    for a, b in spans:
+        left, right = _SideState(p), _SideState(p)
+        lefts.append(left)
+        vel_l[a:b] = left.vel_filter.run(hv_l[a:b])
+        vel_r[a:b] = right.vel_filter.run(hv_r[a:b])
+    np.clip(vel_l, -VEL_CAP, VEL_CAP, out=vel_l)
+    np.clip(vel_r, -VEL_CAP, VEL_CAP, out=vel_r)
     diff_dot = vel_l - vel_r
-    hs_events = detect_columns(p.loop_rate_hz, t, acc_l, acc_r, acc_p,
-                               th_l, th_r, diff_dot)
 
     sym = p.symmetry
     b_raw = np.where(
@@ -153,13 +175,78 @@ def _replay_columns(params: ControllerParams, columns):
                       sigmoid_array(np.abs(th_l - th_r), sym.sym_mod,
                                     exp_exact)))
 
-    beta, prev = np.empty(b_raw.size), 0.0
-    for i, b in enumerate(b_raw.tolist()):
-        beta[i] = prev = beta_smoothed(prev, b, sym)
+    events = []
+    beta, alpha = np.empty(t.size), np.empty(t.size)
+    for (a, b), left in zip(spans, lefts):
+        hs_events = detect_columns(p.loop_rate_hz, t[a:b], acc_l[a:b],
+                                   acc_r[a:b], acc_p[a:b], th_l[a:b],
+                                   th_r[a:b], diff_dot[a:b])
+        events.append([event for _, event in hs_events])
+        beta[a:b] = beta_smoothed_series(b_raw[a:b], sym)
+        alpha[a:b] = _alpha_column(p, left.mod, t[a:b], beta[a:b], hs_events)
 
-    # alpha changes only on a left latch frame, a standing frame, or the
-    # first frame after a standing run, which stops the ramp; it holds on
-    # every other frame
+    tau_ext, tau_flex, eta_ext, eta_flex, tau_gait = gait_torque_series(
+        hip_l, vel_l, p.gait, exp_exact)
+    tau_sts, tau_sts_mod = sts_torque_series(th_l, vel_l, torso, p.sts,
+                                             exp_exact)
+    scale = 1.0 - p.descent.lam * alpha
+    tau_gait_mod = scale * neg_part(tau_gait) + pos_part(tau_gait)
+    tau_act_raw = blend(tau_sts_mod, tau_gait_mod, beta)
+    tau_cmd = np.empty(t.size)
+    for (a, b), left in zip(spans, lefts):
+        tau_cmd[a:b] = left.cmd_filter.run(tau_act_raw[a:b])
+    np.clip(tau_cmd, -p.torque_limit, p.torque_limit, out=tau_cmd)
+    admitted = dict(
+        tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
+        tau_gait_mod=tau_gait_mod, tau_sts=tau_sts, tau_sts_mod=tau_sts_mod,
+        tau_act_raw=tau_act_raw, tau_cmd=tau_cmd, eta_ext=eta_ext,
+        eta_flex=eta_flex, alpha=alpha, beta=beta, extension_scale=scale,
+        hip_vel_filt=vel_l)
+
+    if gated:
+        series = _with_gated_frames(admitted, admit, frames[0], starts, sizes)
+    else:
+        series = {name: admitted[name] for name in BREAKDOWN_FIELDS}
+    return [({name: column[i:j] for name, column in series.items()}, run)
+            for i, j, run in zip(starts.tolist(), stops.tolist(), events)]
+
+
+def _with_gated_frames(admitted, admit, t, starts, sizes):
+    """The step-log columns of every frame from the ``admitted`` columns
+    of the frames that ``admit`` marks. A gated frame logs the
+    ``TorqueBreakdown`` defaults, and its command is the last admitted one
+    of its run scaled by ``fault_hold_scale`` of the time since its gated
+    run began; ``t`` is the timestamps of every frame, and the runs start
+    at ``starts`` with ``sizes`` frames each.
+    """
+    defaults = TorqueBreakdown()
+    series = {}
+    for name in BREAKDOWN_FIELDS:
+        series[name] = np.full(admit.size, getattr(defaults, name))
+        series[name][admit] = admitted[name]
+    # each gated frame's last admitted frame in its run (its run's start
+    # minus one if none); its gated run began on the frame after that one
+    gated = np.flatnonzero(~admit)
+    first = np.repeat(starts, sizes)[gated]
+    last = np.maximum.accumulate(np.where(admit, np.arange(admit.size), -1))
+    last = np.maximum(last[gated], first - 1)
+    elapsed = t[gated] - t[last + 1]
+    hold = np.fromiter(map(fault_hold_scale, elapsed.tolist()), float,
+                       gated.size)
+    cmd = series["tau_cmd"]
+    cmd[gated] = np.where(last >= first, cmd[last], 0.0) * hold
+    return series
+
+
+def _alpha_column(p: ControllerParams, mod, t, beta, hs_events):
+    """The alpha of each admitted frame of one run, from the descent state
+    ``mod``; ``hs_events`` are the run's (frame, event) pairs.
+
+    Alpha changes only on a left latch frame, a standing frame, or the
+    first frame after a standing run, which stops the ramp; the latch and
+    reset ramp run on those frames only, on the controller's scalar
+    objects, and every other frame holds the alpha before it.
+    """
     latch = {i: alpha_at_heelstrike(event.thigh_snapshot, p.descent)
              for i, event in hs_events if event.side == LEFT}
     standing = beta > STANDING_BETA
@@ -171,45 +258,40 @@ def _replay_columns(params: ControllerParams, columns):
     for i, ti, st in zip(visited.tolist(), t[visited].tolist(),
                          standing[visited].tolist()):
         if i in latch:
-            left.mod.latch_alpha(latch[i])
-        alpha[i] = reset_tick(left.mod, st, ti, p.descent)
+            mod.latch_alpha(latch[i])
+        alpha[i] = reset_tick(mod, st, ti, p.descent)
     # each frame reads the last visited frame at or before it (frame 0,
     # alpha 0.0, if none)
-    alpha = alpha[np.maximum.accumulate(
+    return alpha[np.maximum.accumulate(
         np.where(visit, np.arange(visit.size), 0))]
 
-    tau_ext, tau_flex, eta_ext, eta_flex, tau_gait = gait_torque_series(
-        hip_l, vel_l, p.gait, exp_exact)
-    tau_sts, tau_sts_mod = sts_torque_series(th_l, vel_l, torso, p.sts,
-                                             exp_exact)
-    scale = 1.0 - p.descent.lam * alpha
-    tau_gait_mod = scale * neg_part(tau_gait) + pos_part(tau_gait)
-    tau_act_raw = blend(tau_sts_mod, tau_gait_mod, beta)
-    tau_cmd = np.clip(left.cmd_filter.run(tau_act_raw),
-                      -p.torque_limit, p.torque_limit)
-    admitted = dict(
-        tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
-        tau_gait_mod=tau_gait_mod, tau_sts=tau_sts, tau_sts_mod=tau_sts_mod,
-        tau_act_raw=tau_act_raw, tau_cmd=tau_cmd, eta_ext=eta_ext,
-        eta_flex=eta_flex, alpha=alpha, beta=beta, extension_scale=scale,
-        hip_vel_filt=vel_l)
 
-    defaults = TorqueBreakdown()
-    series = {}
-    for name in BREAKDOWN_FIELDS:
-        series[name] = np.full(admit.size, getattr(defaults, name))
-        series[name][admit] = admitted[name]
-    # each gated frame's last admitted frame (-1 if none); its gated run
-    # began on the frame after that one
-    gated = np.flatnonzero(~admit)
-    last = np.maximum.accumulate(np.where(admit, np.arange(admit.size), -1))
-    last = last[gated]
-    elapsed = frames[0, gated] - frames[0, last + 1]
-    hold = np.fromiter(map(fault_hold_scale, elapsed.tolist()), float,
-                       gated.size)
-    cmd = series["tau_cmd"]
-    cmd[gated] = np.where(last >= 0, cmd[last], 0.0) * hold
-    return series, [event for _, event in hs_events]
+def _replay_logs(params: ControllerParams, strides: list[StrideSeries],
+                 cycles: int) -> list[ReplayLog]:
+    """The step log of each stride, all replayed in one pass."""
+    feeds, runs = [], []
+    for stride in strides:
+        tgrid, phase, frames, t_meas0 = _frames(stride, params.loop_rate_hz,
+                                                cycles)
+        feeds.append((stride, tgrid, phase, t_meas0))
+        runs.append(frames)
+    frames = np.concatenate(runs, axis=1)
+    sizes = [run.shape[1] for run in runs]
+    del runs   # the joined frames replace them
+    logs = []
+    for (stride, tgrid, phase, t_meas0), (series, events) in zip(
+            feeds, _replay_columns(params, frames, sizes)):
+        # map the measured (last) cycle's command back onto the stride grid
+        grid_t = (t_meas0
+                  + np.linspace(0.0, 1.0, stride.n) * stride.cycle_duration)
+        grid_t = np.minimum(grid_t, tgrid[-1])
+        exo_grid = np.interp(grid_t, tgrid, series["tau_cmd"])
+        meas = tgrid >= t_meas0
+        mean_scale = float(np.mean(series["extension_scale"][meas]))
+        logs.append(ReplayLog(t=tgrid, phase=phase, series=series,
+                              events=events, exo_torque_grid=exo_grid,
+                              mean_extension_scale=mean_scale))
+    return logs
 
 
 def replay_stride(params: ControllerParams, stride: StrideSeries,
@@ -222,36 +304,22 @@ def replay_stride(params: ControllerParams, stride: StrideSeries,
     The measured cycle (for the exo-torque grid and the mean extension
     scale) is the last one. The simulate table keeps ``cycles`` >= 1.
     """
-    tgrid, phase, frames, t_meas0 = _frames(stride, params.loop_rate_hz,
-                                            cycles)
-    series, events = _replay_columns(params, frames)
-
-    # map the measured (last) cycle's command back onto the stride grid
-    grid_t = t_meas0 + np.linspace(0.0, 1.0, stride.n) * stride.cycle_duration
-    grid_t = np.minimum(grid_t, tgrid[-1])
-    exo_grid = np.interp(grid_t, tgrid, series["tau_cmd"])
-
-    meas = tgrid >= t_meas0
-    mean_scale = float(np.mean(series["extension_scale"][meas]))
-
-    return ReplayLog(t=tgrid, phase=phase, series=series, events=events,
-                     exo_torque_grid=exo_grid, mean_extension_scale=mean_scale)
+    return _replay_logs(params, [stride], cycles)[0]
 
 
 def simulate_task(params: ControllerParams, strides: list[StrideSeries],
                   cycles: int = 4):
-    """Replay every stride of one task.
+    """Replay every stride of one task, as ``replay_stride`` does each, in
+    one pass.
 
     Returns (assisted_strides, logs): copies of the input strides with the
     exo_torque channel attached and condition set to 'assisted', plus the
     per-stride replay logs.
     """
+    logs = _replay_logs(params, strides, cycles)
     assisted = []
-    logs = []
-    for stride in strides:
-        log = replay_stride(params, stride, cycles=cycles)
+    for stride, log in zip(strides, logs):
         out = stride.copy_with(exo_torque=log.exo_torque_grid)
         out.condition = "assisted"
         assisted.append(out)
-        logs.append(log)
     return assisted, logs

@@ -2,6 +2,11 @@
 column zero-sign rules, Butterworth low-pass filters (causal streaming and
 zero-lag batch), and positive-work integration.
 
+The causal filter steps one sample at a time for the live controller
+(``LowpassFilter.step``) and runs a whole column for replay and the
+zero-lag pass (``LowpassFilter.run``): a generator kernel with the same
+statements, which ``np.fromiter`` drives from C.
+
 All kernels are either pure functions or operate on caller-owned state, so
 they are safe to use from multiple simulation workers on disjoint state.
 :func:`integrate_positive` takes the powers of strides that
@@ -147,8 +152,22 @@ class LowpassFilter:
         return y
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """``step`` over each sample of ``x`` in order, as float64."""
-        return np.array(list(map(self.step, x.tolist())), dtype=float)
+        """``step`` over each sample of ``x`` in order, as float64, bit
+        for bit, leaving ``z1`` and ``z2`` where the steps leave them."""
+        return np.fromiter(self._steps(x.tolist()), float)
+
+    def _steps(self, xs):
+        # step's statements on local variables, so np.fromiter drives the
+        # loop from C; the state is stored back once the samples run out,
+        # which needs the generator exhausted (np.fromiter without a count)
+        b0, b1, b2, a1, a2 = self.b0, self.b1, self.b2, self.a1, self.a2
+        z1, z2 = self.z1, self.z2
+        for x in xs:
+            y = b0 * x + z1
+            z1 = b1 * x - a1 * y + z2
+            z2 = b2 * x - a2 * y
+            yield y
+        self.z1, self.z2 = z1, z2
 
     def prime(self, value: float):
         """Set the internal state to the DC steady state for ``value``."""

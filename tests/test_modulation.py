@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies
 from hipexo.modulation import (BilateralSample, DescentModParams,
                                ModulationState, SymmetryParams,
                                alpha_at_heelstrike, attenuate_extension,
-                               beta_raw, beta_smoothed, blend, reset_tick)
+                               beta_raw, beta_smoothed, beta_smoothed_series,
+                               blend, reset_tick)
 from hipexo.signals import SigmoidParams
 
 
@@ -264,6 +265,14 @@ class TestBetaByConstruction:
     @given(runs=RAW_RUNS, s=RATES)
     def test_every_chain_stays_in_unit_range(self, runs, s):
         assert all(0.0 <= beta <= 1.0 for beta in beta_chain(runs, s))
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(runs=RAW_RUNS, s=RATES)
+    def test_column_kernel_is_chained_steps(self, runs, s):
+        raw = np.array([value for value, length in runs
+                        for _ in range(length)])
+        got = beta_smoothed_series(raw, symmetry(ema_smoothing=s))
+        assert got.tobytes() == np.array(beta_chain(runs, s)).tobytes()
 
     @settings(max_examples=100, derandomize=True, database=None)
     @given(runs=RAW_RUNS, s=RATES, seed=strategies.integers(0, 2**32 - 1))

@@ -144,6 +144,13 @@ def unstepped(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def replay_one(params, columns):
+    """(series, events) of ``replay._replay_columns`` over one run."""
+    (series, events), = replay._replay_columns(params, columns,
+                                                [len(columns[0])])
+    return series, events
+
+
 def step_reference(params, columns):
     """(series, events) of HipController.step over the frames whose field
     values are ``columns``, stepped one frame at a time."""
@@ -274,14 +281,46 @@ class TestColumnReplay:
         columns = replay._frames(battery[label][0],
                                  default_params.loop_rate_hz, cycles)[2]
         GATE_PATTERNS[gate](columns)
-        series, events = unstepped(replay._replay_columns, default_params,
-                                   columns)
+        series, events = unstepped(replay_one, default_params, columns)
         ref_series, ref_events = step_reference(
             default_params, [c.tolist() for c in columns])
         assert_same_log(series, events, ref_series, ref_events)
         gated = ~(np.isfinite(columns).all(axis=0)
                   & (np.abs(np.array(columns[3:5])) < VEL_BOUND).all(axis=0))
         assert gated.all() if gate == "all-frames" else gated.any()
+
+    # gated runs meet at stride boundaries: a stride whose last frames are
+    # gated, then one whose first frame is, then an all-gated one (twice,
+    # across the two tasks)
+    BATCH_ORDER = ("hip-vel-at-bound", "inf-accel", "nan-burst-80",
+                   "nan-burst-150", "vel-spikes-every-17", "nan-last-frames",
+                   "nan-first-frame", "all-frames")
+
+    @pytest.mark.parametrize("cycles", [1, 3])
+    def test_gate_pattern_batch_matches_each_step_reference(
+            self, default_params, battery, cycles):
+        """One _replay_columns batch of every GATE_PATTERNS case on a
+        stair-descent and a sit-to-stand stride: each stride's log equals
+        its own HipController replay, so no filter, EMA, alpha or fault-hold
+        state crosses a stride boundary."""
+        p = default_params
+        runs = []
+        for label, order in ((ActivityLabel("stair-descent", 0.178),
+                              self.BATCH_ORDER),
+                             (ActivityLabel("sit-to-stand"),
+                              self.BATCH_ORDER[::-1])):
+            for gate in order:
+                columns = replay._frames(battery[label][0], p.loop_rate_hz,
+                                         cycles)[2]
+                GATE_PATTERNS[gate](columns)
+                runs.append(columns)
+        sizes = [run.shape[1] for run in runs]
+        batch = unstepped(replay._replay_columns, p,
+                          np.concatenate(runs, axis=1), sizes)
+        assert len(batch) == len(runs) == 16
+        for columns, (series, events) in zip(runs, batch):
+            assert_same_log(series, events,
+                            *step_reference(p, [c.tolist() for c in columns]))
 
     @pytest.mark.parametrize("k_gait", [None, 0.0],
                              ids=["default", "zero-gait-stiffness"])
@@ -311,7 +350,7 @@ class TestColumnReplay:
         columns = [t, hip, hip, vel, vel, th_l, th_r, torso, acc_l, zeros,
                    zeros]
 
-        series, events = unstepped(replay._replay_columns, p, columns)
+        series, events = unstepped(replay_one, p, columns)
         assert_same_log(series, events,
                         *step_reference(p, [c.tolist() for c in columns]))
 
@@ -333,15 +372,13 @@ class TestColumnReplay:
         for _ in range(3):
             params = random_params(rng)
             for stride in strides:
-                series, events = replay._replay_columns(
-                    params,
-                    replay._frames(stride, params.loop_rate_hz, 2)[2])
+                series, events = replay_one(
+                    params, replay._frames(stride, params.loop_rate_hz, 2)[2])
                 assert_same_log(series, events, *step_reference(
                     params, float_columns(params, stride, 2)))
             frames = [random_frame(rng, k * DT) for k in range(400)]
             columns = [np.array(c) for c in zip(*map(astuple, frames))]
-            series, events = unstepped(replay._replay_columns, params,
-                                       columns)
+            series, events = unstepped(replay_one, params, columns)
             assert_same_log(series, events, *step_reference(
                 params, [c.tolist() for c in columns]))
 
@@ -385,7 +422,7 @@ class TestAlphaPass:
     def replayed(params, columns):
         """The replay's series, checked against stepping, and the frame
         of each left latch: ``confirm_samples`` after its peak."""
-        series, events = unstepped(replay._replay_columns, params, columns)
+        series, events = unstepped(replay_one, params, columns)
         assert_same_log(series, events, *step_reference(
             params, [c.tolist() for c in columns]))
         lag = heelstrike.HsDetectorConfig().confirm_samples
@@ -527,7 +564,7 @@ class TestActivitySwitch:
         a, b = battery[first][0], battery[second][0]
         columns, _, (_, starts) = join_stream(
             p, [stride_part(p, a), stride_part(p, b)])
-        series, events = unstepped(replay._replay_columns, p, columns)
+        series, events = unstepped(replay_one, p, columns)
         assert_same_log(series, events, *step_reference(
             p, [c.tolist() for c in columns]))
 
@@ -578,7 +615,7 @@ class TestActivitySwitch:
                  *(stride_part(p, s) for s in strides),
                  hold_part(p, stand, stand_s)]
         columns, firsts, starts = join_stream(p, parts)
-        series, events = unstepped(replay._replay_columns, p, columns)
+        series, events = unstepped(replay_one, p, columns)
         assert_same_log(series, events, *step_reference(
             p, [c.tolist() for c in columns]))
 

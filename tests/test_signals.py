@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from hipexo.signals import (BiquadSpec, LowpassFilter, SigmoidParams,
                             exp_exact, integrate_positive, lowpass_zero_lag,
@@ -119,6 +120,48 @@ class TestCausalLowpass:
             BiquadSpec(130.0, 250.0)  # above Nyquist
         with pytest.raises(ValueError):
             BiquadSpec(0.0, 250.0)
+
+
+# samples of either sign, zeros of both signs and a subnormal among them
+SAMPLE = strategies.one_of(
+    strategies.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324)),
+    strategies.floats(-1e6, 1e6))
+
+
+def state_hex(f):
+    return f.z1.hex(), f.z2.hex()
+
+
+class TestRunContract:
+    """``run`` is ``step`` over each sample in order, bit for bit, and
+    leaves ``z1`` and ``z2`` where the steps leave them, so a second
+    ``run`` or ``step`` goes on from there."""
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(cutoff=strategies.floats(0.5, 100.0),
+           xs=strategies.lists(SAMPLE, max_size=60),
+           prime=strategies.one_of(strategies.none(), SAMPLE),
+           reverse=strategies.booleans())
+    @example(cutoff=10.0, xs=[], prime=None, reverse=False)
+    @example(cutoff=10.0, xs=[], prime=0.4, reverse=True)
+    @example(cutoff=10.0, xs=[0.3, -1.2, 2.5], prime=None, reverse=False)
+    @example(cutoff=10.0, xs=[0.3, -1.2, 2.5], prime=-0.7, reverse=True)
+    def test_run_is_step(self, cutoff, xs, prime, reverse):
+        spec = BiquadSpec(cutoff, 250.0)
+        ran, stepped = LowpassFilter(spec), LowpassFilter(spec)
+        if prime is not None:
+            ran.prime(prime)
+            stepped.prime(prime)
+        x = np.array(xs, dtype=float)
+        if reverse:
+            x = x[::-1]
+        want = np.array([stepped.step(v) for v in x.tolist()], dtype=float)
+        got = ran.run(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert state_hex(ran) == state_hex(stepped)
+        # the stored state carries on into the next call
+        assert ran.step(0.5).hex() == stepped.step(0.5).hex()
 
 
 class TestZeroLag:
