@@ -109,8 +109,15 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
         for entry in spec["dataset"]:
             schema, _ = read_yaml(entry["schema"], "schema", SCHEMA)
             trial = load_trial(entry["csv"], schema)
-            for rng in segment_strides(trial):
-                stride = normalize_stride(trial, rng, entry["n_samples"])
+            for i0, i1 in segment_strides(trial):
+                try:
+                    stride = normalize_stride(trial, (i0, i1),
+                                              entry["n_samples"])
+                except ValueError as exc:   # the stride contract
+                    raise LoadError(
+                        f"{entry['csv']}: the stride of data rows {i0 + 1}-"
+                        f"{i1 + 1}, normalized to {entry['n_samples']} rows: "
+                        f"{exc}") from exc
                 battery.setdefault(stride.label, []).append(stride)
         # a dataset's trials of one task add to its strides
         check_codes((f"{label.kind}:{label.parameter!r}", label)

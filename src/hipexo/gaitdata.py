@@ -21,8 +21,8 @@ import numpy as np
 
 from .csvio import LoadError, float_cells, read_columns, write_csv
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
-from .springs import (GaitSpringParams, StsSpringParams, gait_torque_series,
-                      sts_torque_series)
+from .springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
+                      gait_torque_series, sts_torque_series)
 
 G = 9.80665  # m/s^2, used for bodyweight-relative force units
 
@@ -136,7 +136,9 @@ def check_codes(named):
 class StrideSeries:
     """One time-normalized activity cycle: channel grids over 0-100%, and
     the one check of any stride: equal-length grids of 2+ finite samples,
-    the required channels, finite positive mass and duration."""
+    the required channels, finite positive mass and duration, and hip
+    velocities inside the frame gate's bound, |value| < VEL_BOUND. So
+    every frame that replay interpolates from a stride passes the gate."""
 
     label: ActivityLabel
     channels: dict[str, np.ndarray]
@@ -165,6 +167,13 @@ class StrideSeries:
             name, grid = list(self.channels.items())[k]
             raise ValueError(f"channel {name!r} holds {grid[row]} at data row "
                              f"{row + 1}")
+        for name in (CH_HIP_VEL, CH_HIP_VEL_CON):
+            grid = self.channels.get(name)
+            if grid is not None and (over := np.abs(grid) >= VEL_BOUND).any():
+                row = int(over.argmax())
+                raise ValueError(f"channel {name!r} holds {grid[row]} at data "
+                                 f"row {row + 1}, at or past the hip "
+                                 f"velocity bound {VEL_BOUND} rad/s")
 
     @property
     def n(self) -> int:

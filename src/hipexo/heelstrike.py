@@ -13,10 +13,10 @@ The detector takes only frames that a gate has admitted: finite values
 and strictly increasing finite timestamps. It checks neither. The
 controller skips it on a frame its gate rejects, and raises when an
 admitted frame is not later than the last frame or the last admitted one,
-so a gated frame cannot turn the detector's clock back; replay and
-detect-hs give ``detect_columns`` the frames their finite mask admits,
-replay on its uniform time grid and detect-hs after checking every row's
-timestamp.
+so a gated frame cannot turn the detector's clock back. Replay gives
+``detect_columns`` a stride's frames on its uniform time grid, all of
+which pass the gate by the stride contract, and detect-hs the rows that
+its finite mask admits, after checking every row's timestamp.
 
 The streaming channel keeps its window twice: as a ring buffer, and as
 a sorted list updated by one bisect delete and one insert per sample.

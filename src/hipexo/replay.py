@@ -6,28 +6,28 @@ through the controller's pipeline from a fresh state, and the commanded
 torque of the last full cycle is mapped back onto the stride grid as the
 exo_torque channel.
 
-The replay runs along the time axis, one pass per task: ``simulate_task``
-joins the frames of all its strides and replays them together, and
-``replay_stride`` is a batch of one. One mask applies the controller's
-frame gate to every frame (all values finite, both hip velocities inside
-VEL_BOUND). Over the admitted frames, the frame-pure stages are columns
-that run once per task: the spring kernels that the optimizer and stride
-synthesis share, called with ``signals.exp_exact`` (they pass
+The replay runs along the time axis, one pass per task:
+``simulate_task`` joins the frames of all its strides and replays them
+together, and ``replay_stride`` is a batch of one. Every frame passes
+the controller's frame gate by the stride contract: ``StrideSeries``
+holds finite cells and hip velocities under VEL_BOUND, and a frame is an
+interpolation of them (or the sit-to-stand lead-in's zeros), so replay
+masks nothing; only cells near the float limit, about 1e305 and more,
+could interpolate to a non-finite frame. The frame-pure stages are
+columns that run once per task: the spring kernels that the optimizer
+and stride synthesis share, called with ``signals.exp_exact`` (they pass
 ``np.exp``), then beta_raw, descent attenuation, blend and clamps in the
 controller's operation order. The recursions run once per stride, on its
-frames and from a fresh state, so no state crosses a stride boundary: the
-velocity and command filters and the bilateral beta EMA are generator
-kernels that ``np.fromiter`` drives (``LowpassFilter.run``,
+frames and from a fresh state, so no state crosses a stride boundary:
+the velocity and command filters and the bilateral beta EMA are
+generator kernels that ``np.fromiter`` drives (``LowpassFilter.run``,
 ``modulation.beta_smoothed_series``), and the heel-strike detector runs
 through ``heelstrike.detect_columns``, which returns each event with its
 frame index. The alpha latch and the reset ramp run only on the frames
 where alpha can change: left latch frames, standing frames and the first
 frame after each standing run; every other frame holds the alpha before
-it. A gated frame advances no state and logs the ``TorqueBreakdown``
-defaults with the last admitted command of its stride scaled by
-``controller.fault_hold_scale``. The step log and events of each stride
-are those of stepping a fresh ``HipController`` frame by frame, bit for
-bit.
+it. The step log and events of each stride are those of stepping a fresh
+``HipController`` frame by frame, bit for bit.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .controller import (STANDING_BETA, VEL_CAP, ControllerParams,
-                         TorqueBreakdown, _SideState, fault_hold_scale)
+                         TorqueBreakdown, _SideState)
 from .csvio import write_float_columns
 from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
                        CH_THIGH_ACC, CH_TORSO, StrideSeries)
@@ -44,7 +44,7 @@ from .heelstrike import LEFT, detect_columns
 from .modulation import (alpha_at_heelstrike, beta_smoothed_series, blend,
                          reset_tick)
 from .signals import exp_exact, neg_part, pos_part, sigmoid_array
-from .springs import VEL_BOUND, gait_torque_series, sts_torque_series
+from .springs import gait_torque_series, sts_torque_series
 
 # the float fields of TorqueBreakdown, in step-log column order
 BREAKDOWN_FIELDS = tuple(f.name for f in fields(TorqueBreakdown)
@@ -128,34 +128,26 @@ def _replay_columns(params: ControllerParams, frames, sizes) -> list[tuple]:
     frames, a fresh controller per run, computed a column at a time; one
     (series, events) per run. ``frames`` holds the runs joined along time,
     one row per SensorFrame field as ``_frames`` makes them, and ``sizes``
-    the number of frames of each run, in order. The timestamps must be
-    finite, as replay's time grid is.
+    the number of frames of each run, in order. Every frame must pass the
+    controller's frame gate (all values finite, both hip velocities under
+    VEL_BOUND), as the frames of a ``StrideSeries`` do, and each run's
+    timestamps must increase.
 
-    The runs are replayed in one pass. The frame gate is one mask over the
-    frames. Over the admitted frames, every frame-pure stage is one column
-    expression in the controller's operation order: beta_raw, the spring
-    kernels, descent attenuation, blend and clamps. The recursions run
-    once per run, on its admitted frames and from a fresh state, so none
+    The runs are replayed in one pass. Every frame-pure stage is one
+    column expression in the controller's operation order: beta_raw, the
+    spring kernels, descent attenuation, blend and clamps. The recursions
+    run once per run, on its frames and from a fresh state, so none
     crosses a run boundary: the velocity and command filters and the beta
     EMA as generator kernels, the heel-strike detector, and the alpha pass
     (``_alpha_column``). The right side's command path feeds nothing on
     the left, so it is not computed; its filtered velocity feeds the
-    detector and beta. A gated frame logs the ``TorqueBreakdown``
-    defaults, and its command is the last admitted one of its run scaled
-    by ``fault_hold_scale`` of the time since its gated run began.
+    detector and beta.
     """
     p = params
-    frames = np.asarray(frames, dtype=float)
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    admit = (np.isfinite(frames).all(axis=0)
-             & (np.abs(frames[3:5]) < VEL_BOUND).all(axis=0))
-    gated = not admit.all()
     t, hip_l, _, hv_l, hv_r, th_l, th_r, torso, acc_l, acc_r, acc_p = \
-        frames[:, admit] if gated else frames
-    # each run's slice of the admitted frames
-    kept = np.concatenate(([0], np.cumsum(admit)))
-    spans = list(zip(kept[starts].tolist(), kept[stops].tolist()))
+        np.asarray(frames, dtype=float)
+    stops = np.cumsum(sizes).tolist()
+    spans = list(zip([0, *stops[:-1]], stops))
 
     lefts = []
     vel_l, vel_r = np.empty(t.size), np.empty(t.size)
@@ -196,51 +188,19 @@ def _replay_columns(params: ControllerParams, frames, sizes) -> list[tuple]:
     for (a, b), left in zip(spans, lefts):
         tau_cmd[a:b] = left.cmd_filter.run(tau_act_raw[a:b])
     np.clip(tau_cmd, -p.torque_limit, p.torque_limit, out=tau_cmd)
-    admitted = dict(
+    series = dict(
         tau_ext=tau_ext, tau_flex=tau_flex, tau_gait=tau_gait,
         tau_gait_mod=tau_gait_mod, tau_sts=tau_sts, tau_sts_mod=tau_sts_mod,
         tau_act_raw=tau_act_raw, tau_cmd=tau_cmd, eta_ext=eta_ext,
         eta_flex=eta_flex, alpha=alpha, beta=beta, extension_scale=scale,
         hip_vel_filt=vel_l)
-
-    if gated:
-        series = _with_gated_frames(admitted, admit, frames[0], starts, sizes)
-    else:
-        series = {name: admitted[name] for name in BREAKDOWN_FIELDS}
-    return [({name: column[i:j] for name, column in series.items()}, run)
-            for i, j, run in zip(starts.tolist(), stops.tolist(), events)]
-
-
-def _with_gated_frames(admitted, admit, t, starts, sizes):
-    """The step-log columns of every frame from the ``admitted`` columns
-    of the frames that ``admit`` marks. A gated frame logs the
-    ``TorqueBreakdown`` defaults, and its command is the last admitted one
-    of its run scaled by ``fault_hold_scale`` of the time since its gated
-    run began; ``t`` is the timestamps of every frame, and the runs start
-    at ``starts`` with ``sizes`` frames each.
-    """
-    defaults = TorqueBreakdown()
-    series = {}
-    for name in BREAKDOWN_FIELDS:
-        series[name] = np.full(admit.size, getattr(defaults, name))
-        series[name][admit] = admitted[name]
-    # each gated frame's last admitted frame in its run (its run's start
-    # minus one if none); its gated run began on the frame after that one
-    gated = np.flatnonzero(~admit)
-    first = np.repeat(starts, sizes)[gated]
-    last = np.maximum.accumulate(np.where(admit, np.arange(admit.size), -1))
-    last = np.maximum(last[gated], first - 1)
-    elapsed = t[gated] - t[last + 1]
-    hold = np.fromiter(map(fault_hold_scale, elapsed.tolist()), float,
-                       gated.size)
-    cmd = series["tau_cmd"]
-    cmd[gated] = np.where(last >= first, cmd[last], 0.0) * hold
-    return series
+    return [({name: column[a:b] for name, column in series.items()}, run)
+            for (a, b), run in zip(spans, events)]
 
 
 def _alpha_column(p: ControllerParams, mod, t, beta, hs_events):
-    """The alpha of each admitted frame of one run, from the descent state
-    ``mod``; ``hs_events`` are the run's (frame, event) pairs.
+    """The alpha of each frame of one run, from the descent state ``mod``;
+    ``hs_events`` are the run's (frame, event) pairs.
 
     Alpha changes only on a left latch frame, a standing frame, or the
     first frame after a standing run, which stops the ramp; the latch and

@@ -14,7 +14,8 @@ passes ``signals.exp_exact`` and so matches the scalar kernels bit for
 bit, the others ``np.exp``. The column kernels form each step in place on
 their own temporaries, and the gait kernel runs its two velocity sigmoids
 as one (2, N) pass. Inputs are not validated here: the controller's frame
-gate admits only finite samples with |hip velocity| < VEL_BOUND.
+gate and the stride contract (``gaitdata.StrideSeries``) admit only finite
+samples with |hip velocity| < VEL_BOUND.
 """
 from __future__ import annotations
 

@@ -22,9 +22,8 @@ import layers  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
-# the modules the benchmark worker hands to layer_wraps, by short name;
-# taken from sys.modules, as the package re-exports a function named
-# ``optimize`` over its module
+# the modules the benchmark worker hands to layer_wraps, by short name,
+# each imported as ``hipexo.<name>`` as the worker imports it
 MODULES = ("cli", "configio", "controller", "gaitdata", "heelstrike",
            "metrics", "modulation", "optimize", "replay", "signals",
            "springs")

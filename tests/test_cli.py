@@ -942,6 +942,54 @@ def test_bad_schema_exits_2_before_artifacts(tmp_path, capsys, exported_rd,
     assert not out.exists()
 
 
+def spike_hip_vel(entry, root):
+    """The ``dataset`` entry of ``entry``'s trial with its Raw_hip_vel cell
+    at data row 40 set to 2000 deg/s: 28.9 rad/s at row 30 of the first
+    normalized stride."""
+    lines = Path(entry["csv"]).read_text().splitlines(keepends=True)
+    row = lines[40].rstrip("\n").split(",")
+    row[lines[0].rstrip("\n").split(",").index("Raw_hip_vel")] = "2000.0"
+    lines[40] = ",".join(row) + "\n"
+    (root / "spike.csv").write_text("".join(lines))
+    return {**entry, "csv": str(root / "spike.csv")}
+
+
+def drop_hip_moment(entry, root):
+    """The ``dataset`` entry of ``entry``'s trial read through a schema map
+    that leaves ``hip_moment`` unmapped."""
+    schema = yaml.safe_load(Path(entry["schema"]).read_text())
+    del schema["columns"]["hip_moment"]
+    return {**entry, "schema": write_yaml(root / "schema.yaml", schema)}
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("edit, reason", [
+    (spike_hip_vel, r"channel 'hip_vel' holds 28\.88[0-9]* at data row 30, "
+     r"at or past the hip velocity bound 25\.0 rad/s"),
+    (drop_hip_moment,
+     re.escape("stride missing required channels: ['hip_moment']")),
+], ids=["hip_vel-2000-deg-s", "no-hip_moment"])
+def test_stride_that_breaks_the_contract_exits_2(tmp_path, capsys,
+                                                 exported_rd, command, edit,
+                                                 reason):
+    """A trial stride that ``StrideSeries`` refuses is a load error naming
+    the trial CSV and the stride's data rows, before any artifact (was exit
+    1 naming no file without ``hip_moment``, and exit 0 with replay gating
+    the spike's frames)."""
+    entry = edit(exported_rd, tmp_path)
+    cfg = write_yaml(tmp_path / "cfg.yaml", {
+        "battery": {"dataset": [entry]},
+        **({"bounds": OPT_BOUNDS} if command == "optimize" else {})})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(re.escape(
+        f"error: {entry['csv']}: the stride of data rows 3-130, normalized "
+        "to 101 rows: ") + reason + "\n", err), err
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".hipexo-*"))
+
+
 class TestOptimize:
     def test_smoke(self, tmp_path, capsys):
         cfg = write_opt_config(tmp_path)
@@ -1266,15 +1314,19 @@ class TestMetrics:
         (("hip_vel", "nan"), "channel 'hip_vel' holds nan at data row 51"),
         (("exo_torque", "inf"),
          "channel 'exo_torque' holds inf at data row 51"),
+        # the frame gate's own bound: replay would have gated its frames
+        (("hip_vel", "25.0"), "channel 'hip_vel' holds 25.0 at data row 51, "
+         "at or past the hip velocity bound 25.0 rad/s"),
         (1, "channel 'ankle_moment' has 1 data row(s), not 2 or more"),
         (0, "channel 'ankle_moment' has 0 data row(s), not 2 or more"),
-    ], ids=["nan-hip_vel", "inf-exo_torque", "one-row", "no-rows"])
+    ], ids=["nan-hip_vel", "inf-exo_torque", "vel-bound-hip_vel", "one-row",
+            "no-rows"])
     def test_bad_stride_file_exits_2(self, tmp_path, default_met, capsys,
                                      edit, reason):
-        """A stride file with a non-finite cell, or with under 2 data rows,
-        is a load error naming the file and the channel, raised by
-        ``StrideSeries`` before any artifact (was exit 1, with no file
-        named)."""
+        """A stride file with a non-finite cell, a hip velocity at the
+        gate's bound or under 2 data rows is a load error naming the file
+        and the channel, raised by ``StrideSeries`` before any artifact
+        (was exit 1 with no file named, or exit 0 at the bound)."""
         strides = default_met.parent / "sim" / "strides"
         for condition in ("unassisted", "assisted"):
             shutil.copytree(strides / condition, tmp_path / condition)

@@ -1,9 +1,10 @@
 import copy
-import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from hipexo import gaitdata, heelstrike, replay
 from hipexo.controller import STANDING_BETA, HipController, SensorFrame
@@ -207,26 +208,12 @@ class TestReplayFeed:
         assert len(log.events) > 0 or not label.is_gait
 
 
-def _set(column, index, value):
-    def gate(columns):
-        columns[column][index] = value
-    return gate
-
-
-# frame-gate patterns over a replay's columns (t, hip_l, hip_r, vel_l,
-# vel_r, thigh_l, thigh_r, torso, acc_l, acc_r, acc_p), applied in place
-GATE_PATTERNS = {
-    "nan-first-frame": _set(1, 0, math.nan),
-    "hip-vel-at-bound": _set(4, 120, VEL_BOUND),
-    "inf-accel": _set(8, 140, math.inf),
-    # 0.32 s: past the hold, part way down the decay
-    "nan-burst-80": _set(7, slice(60, 140), math.nan),
-    # 0.6 s: the held command decays to zero
-    "nan-burst-150": _set(5, slice(60, 210), math.nan),
-    "nan-last-frames": _set(2, slice(-30, None), math.nan),
-    "vel-spikes-every-17": _set(3, slice(5, None, 17), -2 * VEL_BOUND),
-    "all-frames": _set(10, slice(None), math.nan),
-}
+UNDER_BOUND = float(np.nextafter(VEL_BOUND, 0.0))
+# a stride's hip velocity cell, often one ULP under the bound on either
+# side, where an interpolation that overshot its endpoints would reach it
+VEL_CELL = strategies.one_of(
+    strategies.sampled_from((UNDER_BOUND, -UNDER_BOUND)),
+    strategies.floats(-UNDER_BOUND, UNDER_BOUND))
 
 
 @pytest.fixture(scope="module")
@@ -251,76 +238,70 @@ class TestColumnReplay:
                                  float_columns(default_params, stride, cycles))
             assert_same_log(log.series, log.events, *ref)
 
-    @pytest.mark.parametrize("cycles", [1, 3])
-    # a stride holds no nan, so GATE_PATTERNS["nan-first-frame"] covers a
-    # nan first frame
-    @pytest.mark.parametrize("channel, value", [(CH_HIP_VEL, VEL_BOUND)],
-                             ids=["hip-vel-at-bound"])
-    def test_gated_stride_matches_step_reference(self, default_params,
-                                                 battery, channel, value,
-                                                 cycles):
+    @pytest.mark.parametrize("value", [VEL_BOUND, -VEL_BOUND],
+                             ids=["plus", "minus"])
+    @pytest.mark.parametrize("channel", [CH_HIP_VEL, CH_HIP_VEL_CON])
+    def test_stride_at_vel_bound_is_refused(self, battery, channel, value):
+        """The stride contract refuses a hip velocity at the frame gate's
+        bound, as the gate does, naming the channel, the value and the
+        data row: so replay never meets a frame that the gate rejects."""
         stride = battery[ActivityLabel("ramp-ascent", 11)][0]
         values = stride.channels[channel].copy()
-        # sample 0 is hit exactly at the start of every replayed cycle, so
-        # the first frame is gated too
-        values[0] = value
+        values[120] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"channel {channel!r} holds {value} at data row 121, at or "
+                "past the hip velocity bound 25.0 rad/s")):
+            stride.copy_with(**{channel: values})
+
+    @pytest.mark.parametrize("cycles", [1, 3])
+    @pytest.mark.parametrize("channel", [CH_HIP_VEL, CH_HIP_VEL_CON])
+    def test_stride_under_vel_bound_matches_step_reference(
+            self, default_params, battery, channel, cycles):
+        """One ULP under the bound, a stride's hip velocity passes the
+        gate on every frame, and replay equals stepping."""
+        stride = battery[ActivityLabel("ramp-ascent", 11)][0]
+        values = stride.channels[channel].copy()
+        # sample 0 is hit exactly at the start of every replayed cycle
+        values[0], values[120] = UNDER_BOUND, -UNDER_BOUND
         stride = stride.copy_with(**{channel: values})
+        frames = replay._frames(stride, default_params.loop_rate_hz,
+                                cycles)[2]
+        assert np.abs(frames[3:5]).max() == UNDER_BOUND
         log = unstepped(replay_stride, default_params, stride, cycles=cycles)
-        ref = step_reference(default_params,
-                             float_columns(default_params, stride, cycles))
+        ref = step_reference(default_params, [c.tolist() for c in frames])
         assert_same_log(log.series, log.events, *ref)
         assert log.events
 
-    @pytest.mark.parametrize("cycles", [1, 3])
-    @pytest.mark.parametrize("label", [ActivityLabel("stair-descent", 0.178),
-                                       ActivityLabel("sit-to-stand")],
-                             ids=["stair-descent", "sit-to-stand"])
-    @pytest.mark.parametrize("gate", sorted(GATE_PATTERNS))
-    def test_gate_patterns_match_step_reference(self, default_params,
-                                                battery, gate, label, cycles):
-        columns = replay._frames(battery[label][0],
-                                 default_params.loop_rate_hz, cycles)[2]
-        GATE_PATTERNS[gate](columns)
-        series, events = unstepped(replay_one, default_params, columns)
-        ref_series, ref_events = step_reference(
-            default_params, [c.tolist() for c in columns])
-        assert_same_log(series, events, ref_series, ref_events)
-        gated = ~(np.isfinite(columns).all(axis=0)
-                  & (np.abs(np.array(columns[3:5])) < VEL_BOUND).all(axis=0))
-        assert gated.all() if gate == "all-frames" else gated.any()
-
-    # gated runs meet at stride boundaries: a stride whose last frames are
-    # gated, then one whose first frame is, then an all-gated one (twice,
-    # across the two tasks)
-    BATCH_ORDER = ("hip-vel-at-bound", "inf-accel", "nan-burst-80",
-                   "nan-burst-150", "vel-spikes-every-17", "nan-last-frames",
-                   "nan-first-frame", "all-frames")
-
-    @pytest.mark.parametrize("cycles", [1, 3])
-    def test_gate_pattern_batch_matches_each_step_reference(
-            self, default_params, battery, cycles):
-        """One _replay_columns batch of every GATE_PATTERNS case on a
-        stair-descent and a sit-to-stand stride: each stride's log equals
-        its own HipController replay, so no filter, EMA, alpha or fault-hold
-        state crosses a stride boundary."""
-        p = default_params
-        runs = []
-        for label, order in ((ActivityLabel("stair-descent", 0.178),
-                              self.BATCH_ORDER),
-                             (ActivityLabel("sit-to-stand"),
-                              self.BATCH_ORDER[::-1])):
-            for gate in order:
-                columns = replay._frames(battery[label][0], p.loop_rate_hz,
-                                         cycles)[2]
-                GATE_PATTERNS[gate](columns)
-                runs.append(columns)
-        sizes = [run.shape[1] for run in runs]
-        batch = unstepped(replay._replay_columns, p,
-                          np.concatenate(runs, axis=1), sizes)
-        assert len(batch) == len(runs) == 16
-        for columns, (series, events) in zip(runs, batch):
-            assert_same_log(series, events,
-                            *step_reference(p, [c.tolist() for c in columns]))
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(label=strategies.sampled_from(
+               [ActivityLabel("level-walk", 1.15),
+                ActivityLabel("stair-descent", 0.178),
+                ActivityLabel("sit-to-stand")]),
+           n=strategies.integers(2, 201), duration=strategies.floats(0.4, 5.0),
+           cycles=strategies.integers(1, 4), stored_contra=strategies.booleans(),
+           data=strategies.data())
+    def test_frames_of_a_stride_pass_the_gate(self, default_params, battery,
+                                              label, n, duration, cycles,
+                                              stored_contra, data):
+        """Every frame that replay makes from a stride that the contract
+        accepts passes HipController's gate: an interpolation of hip
+        velocities up to one ULP under VEL_BOUND does not reach it, on any
+        grid length, cycle duration or cycle count, with the contralateral
+        velocity stored or shifted from the ipsilateral one."""
+        base = battery[label][0]
+        grid = np.linspace(0.0, 1.0, n)
+        channels = {name: np.interp(grid, np.linspace(0.0, 1.0, base.n), values)
+                    for name, values in base.channels.items()
+                    if name != CH_HIP_VEL_CON}
+        for name in (CH_HIP_VEL, CH_HIP_VEL_CON)[:1 + stored_contra]:
+            channels[name] = np.array(data.draw(strategies.lists(
+                VEL_CELL, min_size=n, max_size=n)))
+        stride = StrideSeries(label, channels, base.body_mass, duration)
+        frames = replay._frames(stride, default_params.loop_rate_hz, cycles)[2]
+        ctl = HipController(default_params)
+        for values in zip(*frames.tolist()):
+            assert not ctl.step(SensorFrame(*values)).left.fault, values
 
     @pytest.mark.parametrize("k_gait", [None, 0.0],
                              ids=["default", "zero-gait-stiffness"])
