@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .configio import (CONFIGS, SCHEMA, ConfigError, load_params, read_yaml,
                        save_params)
+from .controller import SensorFrame
 from .csvio import (open_artifact, read_columns, write_csv,
                     write_float_columns)
 from .gaitdata import (CH_EXO, CH_HIP_MOMENT, CH_HIP_VEL, CH_PELVIS_ACC,
@@ -51,6 +52,7 @@ from .metrics import (ensemble_average, paired_summary, percent_change,
 from .optimize import (ObjectiveSpec, TaskSet, check_in_bounds,
                        format_sim_table, optimize)
 from .replay import simulate_task, write_step_log
+from .springs import FRAME_BOUNDS
 
 class _Run:
     """Stages a run's artifacts and renames them into ``--out`` if the run
@@ -109,7 +111,11 @@ def _build_battery(spec: dict, seed: int) -> dict[ActivityLabel, list[StrideSeri
         for entry in spec["dataset"]:
             schema, _ = read_yaml(entry["schema"], "schema", SCHEMA)
             trial = load_trial(entry["csv"], schema)
-            for i0, i1 in segment_strides(trial):
+            try:
+                spans = segment_strides(trial)
+            except LoadError as exc:
+                raise LoadError(f"{entry['csv']}: {exc}") from exc
+            for i0, i1 in spans:
                 try:
                     stride = normalize_stride(trial, (i0, i1),
                                               entry["n_samples"])
@@ -316,6 +322,9 @@ def _print_paired(pairs):
 
 _HS_SIGNALS = ("thigh_accel_l", "thigh_accel_r", "pelvis_accel",
                "thigh_angle_l", "thigh_angle_r")
+# the frame gate's bound on each signal, one row each
+_HS_BOUNDS = np.array([[getattr(SensorFrame(*FRAME_BOUNDS), name)]
+                       for name in _HS_SIGNALS])
 
 
 def _check_timestamps(t: np.ndarray) -> None:
@@ -340,11 +349,11 @@ def cmd_detect_hs(args) -> int:
         cfg["truth"], "truth", {"side": str, "time": float}).values()))
 
     # the timestamp contract covers every row; the row gate then admits
-    # the rows whose five signals are finite, and only those reach the
-    # detector
+    # the rows whose five signals pass the frame gate's bounds, and only
+    # those reach the detector
     frames = np.array(list(stream.values()), dtype=float)
     _check_timestamps(frames[0])
-    admit = np.isfinite(frames[1:]).all(axis=0)
+    admit = (np.abs(frames[1:]) < _HS_BOUNDS).all(axis=0)
     skipped = int(admit.size - admit.sum())
     t, acc_l, acc_r, acc_p, th_l, th_r = frames[:, admit]
 

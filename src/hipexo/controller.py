@@ -18,9 +18,10 @@ from .modulation import (BilateralSample, DescentModParams, ModulationState,
                          attenuate_extension, beta_raw, beta_smoothed, blend,
                          reset_tick)
 from .signals import BiquadSpec, LowpassFilter, clamp
-from .springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
-                      gait_spring_torques, gait_velocity_factors,
-                      sts_modulated_torque, sts_spring_torque)
+from .springs import (FRAME_BOUNDS, VEL_BOUND, GaitSpringParams,
+                      StsSpringParams, gait_spring_torques,
+                      gait_velocity_factors, sts_modulated_torque,
+                      sts_spring_torque)
 
 STANDING_BETA = 0.9   # smoothed beta above this counts as standing
 FAULT_HOLD_S = 0.2    # hold the last command this long on bad frames
@@ -122,17 +123,21 @@ class SensorFrame:
     thigh_accel_r: float = 0.0
     pelvis_accel: float = 0.0    # m/s^2, high-pass residual magnitude
 
-    def is_finite(self) -> bool:
-        isfinite = math.isfinite
-        return (isfinite(self.timestamp)
-                and isfinite(self.hip_angle_l) and isfinite(self.hip_angle_r)
-                and isfinite(self.hip_vel_l) and isfinite(self.hip_vel_r)
-                and isfinite(self.thigh_angle_l)
-                and isfinite(self.thigh_angle_r)
-                and isfinite(self.torso_angle)
-                and isfinite(self.thigh_accel_l)
-                and isfinite(self.thigh_accel_r)
-                and isfinite(self.pelvis_accel))
+    def in_bounds(self) -> bool:
+        """Whether every field passes its FRAME_BOUNDS bound, read by
+        position: abs(value) < bound, which NaN and +-inf fail."""
+        t, ha_l, ha_r, hv_l, hv_r, th_l, th_r, torso, ac_l, ac_r, ac_p = \
+            FRAME_BOUNDS
+        return (abs(self.timestamp) < t
+                and abs(self.hip_angle_l) < ha_l
+                and abs(self.hip_angle_r) < ha_r
+                and abs(self.hip_vel_l) < hv_l and abs(self.hip_vel_r) < hv_r
+                and abs(self.thigh_angle_l) < th_l
+                and abs(self.thigh_angle_r) < th_r
+                and abs(self.torso_angle) < torso
+                and abs(self.thigh_accel_l) < ac_l
+                and abs(self.thigh_accel_r) < ac_r
+                and abs(self.pelvis_accel) < ac_p)
 
 
 @dataclass
@@ -216,18 +221,17 @@ class HipController:
     def step(self, frame: SensorFrame) -> StepResult:
         """Process one sensor frame and return the per-side breakdown.
 
-        Frames with a non-finite value or a hip velocity at or past
-        VEL_BOUND are rejected: the previous command is held (then decayed
-        after sustained faults) and the fault flag is raised. This gate is
-        the pipeline's only input check; the stages after it take plain
-        floats. An admitted frame whose timestamp is not later than the
-        last admitted frame's raises ``ValueError``; a gated frame's
-        timestamp only dates the fault (one period on if not finite).
+        Frames with a field that fails its FRAME_BOUNDS bound, NaN
+        included, are rejected (``SensorFrame.in_bounds``): the previous
+        command is held (then decayed after sustained faults) and the
+        fault flag is raised. This gate is the pipeline's only input
+        check; the stages after it take plain floats. An admitted frame
+        whose timestamp is not later than the last admitted frame's raises
+        ``ValueError``; a gated frame's timestamp only dates the fault (one
+        period on if not finite).
         """
         p = self.params
-        if (not frame.is_finite()
-                or abs(frame.hip_vel_l) >= VEL_BOUND
-                or abs(frame.hip_vel_r) >= VEL_BOUND):
+        if not frame.in_bounds():
             return self._fault_step(frame.timestamp)
         t = frame.timestamp
         if t <= self._t_admitted:

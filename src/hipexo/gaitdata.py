@@ -21,8 +21,9 @@ import numpy as np
 
 from .csvio import LoadError, float_cells, read_columns, write_csv
 from .signals import BiquadSpec, SigmoidParams, lowpass_zero_lag
-from .springs import (VEL_BOUND, GaitSpringParams, StsSpringParams,
-                      gait_torque_series, sts_torque_series)
+from .springs import (ACCEL_BOUND, ANGLE_BOUND, FRAME_BOUNDS, VEL_BOUND,
+                      GaitSpringParams, StsSpringParams, gait_torque_series,
+                      sts_torque_series)
 
 G = 9.80665  # m/s^2, used for bodyweight-relative force units
 
@@ -51,6 +52,27 @@ CHANNELS = (CH_HIP_ANGLE, CH_HIP_VEL, CH_HIP_ANGLE_CON, CH_HIP_VEL_CON,
 
 REQUIRED_CHANNELS = (CH_HIP_ANGLE, CH_HIP_VEL, CH_THIGH, CH_THIGH_CON,
                      CH_TORSO, CH_HIP_MOMENT)
+
+# the stored contralateral counterpart of an ipsilateral channel
+_CONTRA_CHANNELS = {CH_HIP_ANGLE: CH_HIP_ANGLE_CON, CH_HIP_VEL: CH_HIP_VEL_CON,
+                   CH_THIGH: CH_THIGH_CON, CH_THIGH_ACC: CH_THIGH_ACC_CON}
+
+# the stride channel of each SensorFrame field after the timestamp, in
+# field order, and whether the field takes its contralateral counterpart
+FRAME_CHANNELS = (
+    (CH_HIP_ANGLE, False), (CH_HIP_ANGLE, True),
+    (CH_HIP_VEL, False), (CH_HIP_VEL, True),
+    (CH_THIGH, False), (CH_THIGH, True), (CH_TORSO, False),
+    (CH_THIGH_ACC, False), (CH_THIGH_ACC, True), (CH_PELVIS_ACC, False),
+)
+# the frame bound of each stored channel that feeds a frame field
+_CHANNEL_BOUNDS = {_CONTRA_CHANNELS[name] if contra else name: bound
+                   for (name, contra), bound in zip(FRAME_CHANNELS,
+                                                    FRAME_BOUNDS[1:])}
+# each frame bound as a stride contract error names it
+_BOUND_NAMES = {ANGLE_BOUND: f"angle bound {ANGLE_BOUND} rad",
+                VEL_BOUND: f"hip velocity bound {VEL_BOUND} rad/s",
+                ACCEL_BOUND: f"acceleration bound {ACCEL_BOUND} m/s^2"}
 
 KINEMATIC_CHANNELS = (CH_HIP_ANGLE, CH_HIP_VEL, CH_HIP_ANGLE_CON,
                       CH_HIP_VEL_CON, CH_THIGH, CH_THIGH_CON, CH_TORSO,
@@ -136,9 +158,10 @@ def check_codes(named):
 class StrideSeries:
     """One time-normalized activity cycle: channel grids over 0-100%, and
     the one check of any stride: equal-length grids of 2+ finite samples,
-    the required channels, finite positive mass and duration, and hip
-    velocities inside the frame gate's bound, |value| < VEL_BOUND. So
-    every frame that replay interpolates from a stride passes the gate."""
+    the required channels, finite positive mass and duration, and each
+    channel that feeds a frame field (FRAME_CHANNELS) inside that field's
+    frame gate bound, |value| < bound. So every frame that replay
+    interpolates from a stride passes the gate."""
 
     label: ActivityLabel
     channels: dict[str, np.ndarray]
@@ -161,19 +184,19 @@ class StrideSeries:
         if (n := lengths.pop()) < 2:
             raise ValueError(f"channel {next(iter(self.channels))!r} has {n} "
                              "data row(s), not 2 or more")
-        finite = np.isfinite(np.concatenate(list(self.channels.values())))
-        if not finite.all():   # the first bad cell, in channel order
-            k, row = divmod(int(finite.argmin()), n)
-            name, grid = list(self.channels.items())[k]
-            raise ValueError(f"channel {name!r} holds {grid[row]} at data row "
-                             f"{row + 1}")
-        for name in (CH_HIP_VEL, CH_HIP_VEL_CON):
-            grid = self.channels.get(name)
-            if grid is not None and (over := np.abs(grid) >= VEL_BOUND).any():
-                row = int(over.argmax())
-                raise ValueError(f"channel {name!r} holds {grid[row]} at data "
-                                 f"row {row + 1}, at or past the hip "
-                                 f"velocity bound {VEL_BOUND} rad/s")
+        # abs(cell) < bound: the frame bound of a channel that feeds a
+        # frame field, inf (finiteness) for every other
+        names = list(self.channels)
+        bounds = [[_CHANNEL_BOUNDS.get(c, math.inf)] for c in names]
+        inside = np.abs(np.array(list(self.channels.values()))) < bounds
+        if not inside.all():   # the first bad cell, in channel order
+            k, row = divmod(int(inside.argmin()), n)
+            name = names[k]
+            value = self.channels[name][row]
+            past = (f", at or past the {_BOUND_NAMES[_CHANNEL_BOUNDS[name]]}"
+                    if math.isfinite(value) else "")
+            raise ValueError(f"channel {name!r} holds {value} at data row "
+                             f"{row + 1}{past}")
 
     @property
     def n(self) -> int:
@@ -186,9 +209,7 @@ class StrideSeries:
         ipsilateral channel by half a cycle for gait tasks, or mirrors it
         for the bilateral sit-to-stand.
         """
-        mapping = {CH_HIP_ANGLE: CH_HIP_ANGLE_CON, CH_HIP_VEL: CH_HIP_VEL_CON,
-                   CH_THIGH: CH_THIGH_CON, CH_THIGH_ACC: CH_THIGH_ACC_CON}
-        con = mapping.get(name)
+        con = _CONTRA_CHANNELS.get(name)
         if con is not None and con in self.channels:
             return self.channels[con]
         base = self.channels[name]

@@ -14,7 +14,7 @@ beta*tau_sts_mod + (1-beta)*tau_gait_mod.
 
 The per-step functions take plain floats and a ``BilateralSample``, whose
 theta_diff is derived from the two thigh angles. Inputs are not validated
-here: the controller's frame gate admits only finite samples.
+here: the controller's frame gate admits only samples inside its bounds.
 """
 from __future__ import annotations
 

@@ -10,10 +10,9 @@ The replay runs along the time axis, one pass per task:
 ``simulate_task`` joins the frames of all its strides and replays them
 together, and ``replay_stride`` is a batch of one. Every frame passes
 the controller's frame gate by the stride contract: ``StrideSeries``
-holds finite cells and hip velocities under VEL_BOUND, and a frame is an
-interpolation of them (or the sit-to-stand lead-in's zeros), so replay
-masks nothing; only cells near the float limit, about 1e305 and more,
-could interpolate to a non-finite frame. The frame-pure stages are
+holds each channel that feeds a frame field inside that field's bound,
+and a frame is an interpolation of them (or the sit-to-stand lead-in's
+zeros), so replay masks nothing. The frame-pure stages are
 columns that run once per task: the spring kernels that the optimizer
 and stride synthesis share, called with ``signals.exp_exact`` (they pass
 ``np.exp``), then beta_raw, descent attenuation, blend and clamps in the
@@ -38,8 +37,7 @@ import numpy as np
 from .controller import (STANDING_BETA, VEL_CAP, ControllerParams,
                          TorqueBreakdown, _SideState)
 from .csvio import write_float_columns
-from .gaitdata import (CH_HIP_ANGLE, CH_HIP_VEL, CH_PELVIS_ACC, CH_THIGH,
-                       CH_THIGH_ACC, CH_TORSO, StrideSeries)
+from .gaitdata import FRAME_CHANNELS, StrideSeries
 from .heelstrike import LEFT, detect_columns
 from .modulation import (alpha_at_heelstrike, beta_smoothed_series, blend,
                          reset_tick)
@@ -72,14 +70,6 @@ def write_step_log(log: ReplayLog, path, header_lines=()):
         header_lines, numpy_repr=True)
 
 
-# the stride channel of each SensorFrame field after the timestamp, in
-# field order, and whether the field takes its contralateral counterpart
-_FRAME_CHANNELS = (
-    (CH_HIP_ANGLE, False), (CH_HIP_ANGLE, True),
-    (CH_HIP_VEL, False), (CH_HIP_VEL, True),
-    (CH_THIGH, False), (CH_THIGH, True), (CH_TORSO, False),
-    (CH_THIGH_ACC, False), (CH_THIGH_ACC, True), (CH_PELVIS_ACC, False),
-)
 _HOLD_ZERO_ROWS = [3, 4, 8, 9, 10]   # hip velocities and accelerations
 
 
@@ -111,9 +101,9 @@ def _frames(stride: StrideSeries, rate: float, cycles: int):
         phase = np.clip(rel, 0.0, 1.0)
 
     grid = np.linspace(0.0, 1.0, stride.n)
-    frames = np.zeros((1 + len(_FRAME_CHANNELS), n_steps))
+    frames = np.zeros((1 + len(FRAME_CHANNELS), n_steps))
     frames[0] = tgrid
-    for row, (name, contra) in enumerate(_FRAME_CHANNELS, 1):
+    for row, (name, contra) in enumerate(FRAME_CHANNELS, 1):
         if name in stride.channels:
             values = stride.contra(name) if contra else stride.channels[name]
             frames[row] = np.interp(phase, grid, values)
@@ -129,9 +119,9 @@ def _replay_columns(params: ControllerParams, frames, sizes) -> list[tuple]:
     (series, events) per run. ``frames`` holds the runs joined along time,
     one row per SensorFrame field as ``_frames`` makes them, and ``sizes``
     the number of frames of each run, in order. Every frame must pass the
-    controller's frame gate (all values finite, both hip velocities under
-    VEL_BOUND), as the frames of a ``StrideSeries`` do, and each run's
-    timestamps must increase.
+    controller's frame gate (every field inside its FRAME_BOUNDS bound),
+    as the frames of a ``StrideSeries`` do, and each run's timestamps
+    must increase.
 
     The runs are replayed in one pass. Every frame-pure stage is one
     column expression in the controller's operation order: beta_raw, the

@@ -14,8 +14,8 @@ passes ``signals.exp_exact`` and so matches the scalar kernels bit for
 bit, the others ``np.exp``. The column kernels form each step in place on
 their own temporaries, and the gait kernel runs its two velocity sigmoids
 as one (2, N) pass. Inputs are not validated here: the controller's frame
-gate and the stride contract (``gaitdata.StrideSeries``) admit only finite
-samples with |hip velocity| < VEL_BOUND.
+gate and the stride contract (``gaitdata.StrideSeries``) admit only
+values inside FRAME_BOUNDS.
 """
 from __future__ import annotations
 
@@ -33,6 +33,19 @@ ROM_MAX = 2.2
 
 # hip angular velocity sanity bound, rad/s
 VEL_BOUND = 25.0
+# an angle past half a turn is a sensor fault, rad
+ANGLE_BOUND = math.pi
+# 16 g, a common IMU full scale, m/s^2
+ACCEL_BOUND = 16 * 9.80665
+
+# The bound on each SensorFrame field, in field order: timestamp, hip
+# angles, hip velocities, thigh angles, torso angle, accelerations. A
+# value passes when abs(value) < bound, which NaN and +-inf fail. The
+# controller's frame gate, the stride contract and the detect-hs row gate
+# read it.
+FRAME_BOUNDS = (math.inf, ANGLE_BOUND, ANGLE_BOUND, VEL_BOUND, VEL_BOUND,
+                ANGLE_BOUND, ANGLE_BOUND, ANGLE_BOUND,
+                ACCEL_BOUND, ACCEL_BOUND, ACCEL_BOUND)
 
 
 @dataclass

@@ -942,16 +942,41 @@ def test_bad_schema_exits_2_before_artifacts(tmp_path, capsys, exported_rd,
     assert not out.exists()
 
 
+def set_cells(entry, root, column, cells, name):
+    """The ``dataset`` entry of ``entry``'s trial, written as
+    ``root/<name>.csv``, with its ``column`` cells from data row 40 on set
+    to ``cells``."""
+    lines = Path(entry["csv"]).read_text().splitlines(keepends=True)
+    k = lines[0].rstrip("\n").split(",").index(column)
+    for i, cell in enumerate(cells, 40):
+        row = lines[i].rstrip("\n").split(",")
+        row[k] = cell
+        lines[i] = ",".join(row) + "\n"
+    (root / f"{name}.csv").write_text("".join(lines))
+    return {**entry, "csv": str(root / f"{name}.csv")}
+
+
 def spike_hip_vel(entry, root):
     """The ``dataset`` entry of ``entry``'s trial with its Raw_hip_vel cell
     at data row 40 set to 2000 deg/s: 28.9 rad/s at row 30 of the first
     normalized stride."""
-    lines = Path(entry["csv"]).read_text().splitlines(keepends=True)
-    row = lines[40].rstrip("\n").split(",")
-    row[lines[0].rstrip("\n").split(",").index("Raw_hip_vel")] = "2000.0"
-    lines[40] = ",".join(row) + "\n"
-    (root / "spike.csv").write_text("".join(lines))
-    return {**entry, "csv": str(root / "spike.csv")}
+    return set_cells(entry, root, "Raw_hip_vel", ["2000.0"], "spike")
+
+
+def spike_hip_angle(entry, root):
+    """The ``dataset`` entry of ``entry``'s trial with its Raw_hip_angle
+    cells at data rows 40-41 set to +-1.7e308 deg: cells near the float
+    limit, whose interpolated frames overflowed before hip angles had a
+    bound."""
+    return set_cells(entry, root, "Raw_hip_angle", ["1.7e308", "-1.7e308"],
+                     "wild-angle")
+
+
+def spike_thigh_accel(entry, root):
+    """The ``dataset`` entry of ``entry``'s trial with its Raw_thigh_accel
+    cell at data row 40 set to 2000 m/s^2, far past 16 g: still past it at
+    row 30 of the first normalized stride."""
+    return set_cells(entry, root, "Raw_thigh_accel", ["2000.0"], "accel")
 
 
 def drop_hip_moment(entry, root):
@@ -962,20 +987,35 @@ def drop_hip_moment(entry, root):
     return {**entry, "schema": write_yaml(root / "schema.yaml", schema)}
 
 
+def drop_grf(entry, root):
+    """The ``dataset`` entry of ``entry``'s trial read through a schema map
+    that leaves ``grf_vertical``, which segmentation needs, unmapped."""
+    schema = yaml.safe_load(Path(entry["schema"]).read_text())
+    del schema["columns"]["grf_vertical"]
+    return {**entry, "schema": write_yaml(root / "schema-no-grf.yaml",
+                                          schema)}
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 @pytest.mark.parametrize("edit, reason", [
     (spike_hip_vel, r"channel 'hip_vel' holds 28\.88[0-9]* at data row 30, "
      r"at or past the hip velocity bound 25\.0 rad/s"),
+    (spike_hip_angle, r"channel 'hip_angle' holds 2\.46[0-9]*e\+306 at data "
+     r"row 30, at or past the angle bound 3\.141592653589793 rad"),
+    (spike_thigh_accel, r"channel 'thigh_accel' holds 1660\.[0-9]* at data "
+     r"row 30, at or past the acceleration bound 156\.9064 m/s\^2"),
     (drop_hip_moment,
      re.escape("stride missing required channels: ['hip_moment']")),
-], ids=["hip_vel-2000-deg-s", "no-hip_moment"])
+], ids=["hip_vel-2000-deg-s", "hip_angle-1.7e308-deg", "thigh_accel-2000",
+        "no-hip_moment"])
 def test_stride_that_breaks_the_contract_exits_2(tmp_path, capsys,
                                                  exported_rd, command, edit,
                                                  reason):
     """A trial stride that ``StrideSeries`` refuses is a load error naming
     the trial CSV and the stride's data rows, before any artifact (was exit
-    1 naming no file without ``hip_moment``, and exit 0 with replay gating
-    the spike's frames)."""
+    1 naming no file without ``hip_moment`` or with hip angles near the
+    float limit, and exit 0 with replay gating the hip velocity spike's
+    frames or admitting the acceleration spike's)."""
     entry = edit(exported_rd, tmp_path)
     cfg = write_yaml(tmp_path / "cfg.yaml", {
         "battery": {"dataset": [entry]},
@@ -986,6 +1026,24 @@ def test_stride_that_breaks_the_contract_exits_2(tmp_path, capsys,
     assert re.fullmatch(re.escape(
         f"error: {entry['csv']}: the stride of data rows 3-130, normalized "
         "to 101 rows: ") + reason + "\n", err), err
+    assert not out.exists()
+    assert not list(tmp_path.rglob(".hipexo-*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_trial_that_cannot_be_segmented_exits_2(tmp_path, capsys, exported_rd,
+                                                command):
+    """A trial that ``segment_strides`` cannot split is a load error naming
+    the trial CSV, before any artifact (was exit 2 naming no file)."""
+    entry = drop_grf(exported_rd, tmp_path)
+    cfg = write_yaml(tmp_path / "cfg.yaml", {
+        "battery": {"dataset": [entry]},
+        **({"bounds": OPT_BOUNDS} if command == "optimize" else {})})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {entry['csv']}: segmentation requires the vertical GRF "
+        "channel\n")
     assert not out.exists()
     assert not list(tmp_path.rglob(".hipexo-*"))
 
@@ -1548,6 +1606,29 @@ class TestDetectHs:
         the detector, which takes finite samples only, sees the rest."""
         frames, _ = synth_imu_stream(5.0, seed=6)
         frames[column][[100, 400]] = value
+        write_stream_csv(tmp_path / "stream.csv", frames)
+        cfg = write_yaml(tmp_path / "hs.yaml",
+                         {"input": str(tmp_path / "stream.csv")})
+        assert main(["detect-hs", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "skipped=2" in capsys.readouterr().out
+        assert detector_timestamps == [
+            t for k, t in enumerate(frames["t"].tolist())
+            if k not in (100, 400)]
+
+    @pytest.mark.parametrize("column, bound", [
+        ("thigh_accel_l", 16 * 9.80665), ("thigh_accel_r", 16 * 9.80665),
+        ("pelvis_accel", 16 * 9.80665), ("thigh_angle_l", math.pi),
+        ("thigh_angle_r", math.pi)])
+    def test_rows_at_a_frame_bound_skipped(self, tmp_path, capsys,
+                                           detector_timestamps, column,
+                                           bound):
+        """The row gate skips each row with a cell at the frame gate's
+        bound for its field, 16 g or half a turn, and admits one a ULP
+        under it."""
+        frames, _ = synth_imu_stream(5.0, seed=6)
+        inside = math.nextafter(bound, 0.0)
+        frames[column][[100, 200, 300, 400]] = bound, inside, -inside, -bound
         write_stream_csv(tmp_path / "stream.csv", frames)
         cfg = write_yaml(tmp_path / "hs.yaml",
                          {"input": str(tmp_path / "stream.csv")})

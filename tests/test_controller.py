@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,17 @@ from hipexo.signals import SigmoidParams
 from hipexo.springs import GaitSpringParams, StsSpringParams
 
 DT = 1.0 / 250.0
+# each SensorFrame field with its frame gate bound, as the README states
+# them: no bound on the timestamp but finiteness, half a turn on angles,
+# VEL_BOUND on hip velocities and 16 g on accelerations
+ANGLE, ACCEL = math.pi, 16 * 9.80665
+FIELD_BOUNDS = [
+    ("timestamp", math.inf), ("hip_angle_l", ANGLE), ("hip_angle_r", ANGLE),
+    ("hip_vel_l", 25.0), ("hip_vel_r", 25.0), ("thigh_angle_l", ANGLE),
+    ("thigh_angle_r", ANGLE), ("torso_angle", ANGLE),
+    ("thigh_accel_l", ACCEL), ("thigh_accel_r", ACCEL),
+    ("pelvis_accel", ACCEL),
+]
 
 
 def zero_frame(t):
@@ -238,6 +249,54 @@ class TestFaultHandling:
         assert faults == [k == 150 for k in range(300)]
         assert detector_timestamps == [
             f.timestamp for k, f in enumerate(frames) if k != 150]
+
+    def test_bound_table_covers_every_field(self):
+        assert [name for name, _ in FIELD_BOUNDS] == [
+            f.name for f in fields(SensorFrame)]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("field, bound", FIELD_BOUNDS,
+                             ids=[name for name, _ in FIELD_BOUNDS])
+    def test_field_faults_at_its_bound(self, default_params, field, bound,
+                                       sign):
+        """The frame gate faults a frame with one field at its bound and
+        admits it one ULP under."""
+        def fault(value):
+            frame = zero_frame(0.0)
+            setattr(frame, field, value)
+            return HipController(default_params).step(frame).left.fault
+
+        assert fault(sign * bound)
+        assert not fault(sign * math.nextafter(bound, 0.0))
+
+    @pytest.mark.parametrize("wild", [1e200, 1e20])
+    def test_wild_finite_frame_leaves_command_within_clean_change(
+            self, default_params, wild):
+        """One finite frame with a wild thigh angle in a steady 250 Hz
+        stream is gated: no tick reaches the torque limit, and the left
+        command changes per tick by no more than on the clean stream.
+        Admitted, as before angles had a bound, its STS spring torque
+        entered the blend at a beta of about 2e-21 and drove the command
+        filter's state far past the limit: at 1e200 the command sat at
+        +-22 Nm for 4,962 of the next 5,700 ticks, with 139 full-scale
+        sign flips of 44 Nm, and at 1e20 for 297 ticks."""
+        def left_commands(wild_angle):
+            ctl = HipController(default_params)
+            cmd = []
+            for k in range(6000):
+                t = k * DT
+                s, c = math.sin(5.0 * t), math.cos(5.0 * t)
+                frame = SensorFrame(t, 0.1 * s, -0.1 * s, 0.5 * c, -0.5 * c,
+                                    0.1 * s, -0.1 * s, 0.1)
+                if k == 300 and wild_angle is not None:
+                    frame.thigh_angle_l = wild_angle
+                cmd.append(ctl.step(frame).left.tau_cmd)
+            return np.array(cmd)
+
+        clean = np.abs(np.diff(left_commands(None))).max()
+        cmd = left_commands(wild)
+        assert np.abs(cmd).max() < default_params.torque_limit
+        assert np.abs(np.diff(cmd)).max() <= clean
 
     @pytest.mark.parametrize("first, gated, second", [
         (1.0, None, 0.5),

@@ -88,8 +88,9 @@ def test_stride_bytes_match_reference_and_reload_bit_identical(tmp_path,
                            (SPECIALS[np.isfinite(SPECIALS)], "finite")):
         stride = base.copy_with()
         stride.channels["extra"] = inject(np.zeros(stride.n), 0, specials)
-        stride.channels["hip_angle"] = inject(stride.channels["hip_angle"],
-                                              50, specials)
+        # hip_moment feeds no frame field, so any finite cell reloads
+        stride.channels["hip_moment"] = inject(
+            stride.channels["hip_moment"], 50, specials)
         path = tmp_path / f"{name}.csv"
         save_stride(stride, path, HEADER)
         reference_stride_csv(stride, tmp_path / "ref.csv", HEADER)

@@ -14,7 +14,7 @@ from hipexo.gaitdata import (CH_EXO, CH_HIP_ANGLE, CH_HIP_ANGLE_CON,
                              CH_THIGH_CON, CH_TORSO, ActivityLabel,
                              StrideSeries, synth_battery)
 from hipexo.replay import BREAKDOWN_FIELDS, replay_stride, simulate_task
-from hipexo.springs import VEL_BOUND
+from hipexo.springs import ACCEL_BOUND, ANGLE_BOUND, VEL_BOUND
 from test_controller import DT, random_frame, random_params
 
 
@@ -208,12 +208,37 @@ class TestReplayFeed:
         assert len(log.events) > 0 or not label.is_gait
 
 
-UNDER_BOUND = float(np.nextafter(VEL_BOUND, 0.0))
-# a stride's hip velocity cell, often one ULP under the bound on either
-# side, where an interpolation that overshot its endpoints would reach it
-VEL_CELL = strategies.one_of(
-    strategies.sampled_from((UNDER_BOUND, -UNDER_BOUND)),
-    strategies.floats(-UNDER_BOUND, UNDER_BOUND))
+ANGLE = (ANGLE_BOUND, "angle bound 3.141592653589793 rad")
+VEL = (VEL_BOUND, "hip velocity bound 25.0 rad/s")
+ACCEL = (ACCEL_BOUND, "acceleration bound 156.9064 m/s^2")
+# each stride channel that feeds a frame field, in frame field order, with
+# that field's bound and the words a contract error names it by
+FRAME_CHANNEL_BOUNDS = {
+    CH_HIP_ANGLE: ANGLE, CH_HIP_ANGLE_CON: ANGLE,
+    CH_HIP_VEL: VEL, CH_HIP_VEL_CON: VEL,
+    CH_THIGH: ANGLE, CH_THIGH_CON: ANGLE, CH_TORSO: ANGLE,
+    CH_THIGH_ACC: ACCEL, CH_THIGH_ACC_CON: ACCEL, CH_PELVIS_ACC: ACCEL,
+}
+# each ipsilateral frame channel with its stored contralateral
+# counterpart, if it has one
+CHANNEL_FAMILIES = (
+    (CH_HIP_ANGLE, CH_HIP_ANGLE_CON), (CH_HIP_VEL, CH_HIP_VEL_CON),
+    (CH_THIGH, CH_THIGH_CON), (CH_TORSO,),
+    (CH_THIGH_ACC, CH_THIGH_ACC_CON), (CH_PELVIS_ACC,))
+
+
+def under(bound: float) -> float:
+    """One ULP under ``bound``."""
+    return float(np.nextafter(bound, 0.0))
+
+
+def bound_cell(bound: float):
+    """A stride cell inside ``bound``, often one ULP under it on either
+    side, where an interpolation that overshot its endpoints would reach
+    it."""
+    return strategies.one_of(
+        strategies.sampled_from((under(bound), -under(bound))),
+        strategies.floats(-under(bound), under(bound)))
 
 
 @pytest.fixture(scope="module")
@@ -238,35 +263,53 @@ class TestColumnReplay:
                                  float_columns(default_params, stride, cycles))
             assert_same_log(log.series, log.events, *ref)
 
-    @pytest.mark.parametrize("value", [VEL_BOUND, -VEL_BOUND],
-                             ids=["plus", "minus"])
-    @pytest.mark.parametrize("channel", [CH_HIP_VEL, CH_HIP_VEL_CON])
-    def test_stride_at_vel_bound_is_refused(self, battery, channel, value):
-        """The stride contract refuses a hip velocity at the frame gate's
-        bound, as the gate does, naming the channel, the value and the
-        data row: so replay never meets a frame that the gate rejects."""
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    @pytest.mark.parametrize("channel", list(FRAME_CHANNEL_BOUNDS))
+    def test_stride_at_vel_bound_is_refused(self, battery, channel, sign):
+        """The stride contract refuses a cell at its frame field's bound
+        (the hip velocity bound, and each other frame bound), as the gate
+        does, naming the channel, the value and the data row: so replay
+        never meets a frame that the gate rejects."""
+        bound, words = FRAME_CHANNEL_BOUNDS[channel]
         stride = battery[ActivityLabel("ramp-ascent", 11)][0]
         values = stride.channels[channel].copy()
-        values[120] = value
+        values[120] = value = sign * bound
         with pytest.raises(ValueError, match=re.escape(
                 f"channel {channel!r} holds {value} at data row 121, at or "
-                "past the hip velocity bound 25.0 rad/s")):
+                f"past the {words}")):
             stride.copy_with(**{channel: values})
 
+    def test_stride_near_the_float_limit_is_refused(self, battery):
+        """Neighbouring hip angle cells at +-1.7e308 overflowed
+        ``np.interp``'s slope in ``replay._frames``, so replay made
+        non-finite frames and ``simulate_task`` raised on the exo_torque
+        channel; the angle bound refuses the stride at its first such
+        cell."""
+        stride = battery[ActivityLabel("level-walk", 1.15)][0]
+        values = stride.channels[CH_HIP_ANGLE].copy()
+        values[10], values[11] = 1.7e308, -1.7e308
+        with pytest.raises(ValueError, match=re.escape(
+                "channel 'hip_angle' holds 1.7e+308 at data row 11, at or "
+                "past the angle bound 3.141592653589793 rad")):
+            stride.copy_with(hip_angle=values)
+
     @pytest.mark.parametrize("cycles", [1, 3])
-    @pytest.mark.parametrize("channel", [CH_HIP_VEL, CH_HIP_VEL_CON])
+    @pytest.mark.parametrize("channel", list(FRAME_CHANNEL_BOUNDS))
     def test_stride_under_vel_bound_matches_step_reference(
             self, default_params, battery, channel, cycles):
-        """One ULP under the bound, a stride's hip velocity passes the
-        gate on every frame, and replay equals stepping."""
+        """One ULP under its frame field's bound (the hip velocity bound,
+        and each other frame bound), a stride cell passes the gate on
+        every frame, and replay equals stepping."""
+        cell = under(FRAME_CHANNEL_BOUNDS[channel][0])
         stride = battery[ActivityLabel("ramp-ascent", 11)][0]
         values = stride.channels[channel].copy()
         # sample 0 is hit exactly at the start of every replayed cycle
-        values[0], values[120] = UNDER_BOUND, -UNDER_BOUND
+        values[0], values[120] = cell, -cell
         stride = stride.copy_with(**{channel: values})
         frames = replay._frames(stride, default_params.loop_rate_hz,
                                 cycles)[2]
-        assert np.abs(frames[3:5]).max() == UNDER_BOUND
+        row = 1 + list(FRAME_CHANNEL_BOUNDS).index(channel)
+        assert np.abs(frames[row]).max() == cell
         log = unstepped(replay_stride, default_params, stride, cycles=cycles)
         ref = step_reference(default_params, [c.tolist() for c in frames])
         assert_same_log(log.series, log.events, *ref)
@@ -280,23 +323,29 @@ class TestColumnReplay:
                 ActivityLabel("sit-to-stand")]),
            n=strategies.integers(2, 201), duration=strategies.floats(0.4, 5.0),
            cycles=strategies.integers(1, 4), stored_contra=strategies.booleans(),
+           family=strategies.sampled_from(CHANNEL_FAMILIES),
            data=strategies.data())
     def test_frames_of_a_stride_pass_the_gate(self, default_params, battery,
                                               label, n, duration, cycles,
-                                              stored_contra, data):
+                                              stored_contra, family, data):
         """Every frame that replay makes from a stride that the contract
-        accepts passes HipController's gate: an interpolation of hip
-        velocities up to one ULP under VEL_BOUND does not reach it, on any
-        grid length, cycle duration or cycle count, with the contralateral
-        velocity stored or shifted from the ipsilateral one."""
+        accepts passes HipController's gate: an interpolation of cells up
+        to one ULP under their frame field's bound does not reach it, on
+        any grid length, cycle duration or cycle count, with a
+        contralateral channel stored or shifted from the ipsilateral
+        one."""
         base = battery[label][0]
         grid = np.linspace(0.0, 1.0, n)
+        # thigh_angle_contra is a required channel, so always stored
+        drawn = (family if CH_THIGH_CON in family
+                 else family[:1 + stored_contra])
         channels = {name: np.interp(grid, np.linspace(0.0, 1.0, base.n), values)
                     for name, values in base.channels.items()
-                    if name != CH_HIP_VEL_CON}
-        for name in (CH_HIP_VEL, CH_HIP_VEL_CON)[:1 + stored_contra]:
+                    if name not in family}
+        for name in drawn:
             channels[name] = np.array(data.draw(strategies.lists(
-                VEL_CELL, min_size=n, max_size=n)))
+                bound_cell(FRAME_CHANNEL_BOUNDS[name][0]), min_size=n,
+                max_size=n)))
         stride = StrideSeries(label, channels, base.body_mass, duration)
         frames = replay._frames(stride, default_params.loop_rate_hz, cycles)[2]
         ctl = HipController(default_params)

@@ -30,7 +30,7 @@ from hipexo.springs import (GaitSpringParams, StsSpringParams,
 
 PER_STEP = (
     HipController.step, HipController._fault_step, fault_hold_scale,
-    SensorFrame.is_finite,
+    SensorFrame.in_bounds,
     gait_spring_torques, gait_velocity_factors, gait_torque,
     sts_spring_torque, sts_modulated_torque,
     BilateralSample.theta_diff.fget, ModulationState.latch_alpha,
